@@ -97,10 +97,8 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: float,
     if s == 0.0:
         X1 = x0 + 1e7 * width
         segs = sorted(set([0.0, x0, X1] + quadlib.geometric_ladder(x0, width, 0.0, X1)))
-        v, e = quadlib.quad_segments(lambda x: rho(x) + 0j, segs, epsabs=tol / 8)
-        vt, et = quadlib.quad_complex_vec(
-            lambda u: rho(X1 + u / (1 - u)) / (1 - u) ** 2 + 0j, 0.0, 1.0,
-            epsabs=tol / 8)
+        v, e = quadlib.quad_segments(rho, segs, epsabs=tol / 8)
+        vt, et = quadlib.quad_tail(rho, X1, epsabs=tol / 8)
         return v + vt, e + et
 
     D = max(_SPIKE_HALFWIDTHS * width, 40.0 * math.pi / s)
@@ -137,9 +135,8 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: float,
         segs = [b] + quadlib.geometric_ladder(x0, width, b, X1) + [X1]
         v_tail, e1 = quadlib.quad_segments(
             lambda x: rho(x) * np.exp(1j * s * x), segs, epsabs=tol / 8)
-        vt, e2 = quadlib.quad_complex_vec(
-            lambda u: rho(X1 + u / (1 - u)) * np.exp(1j * s * (X1 + u / (1 - u)))
-            / (1 - u) ** 2, 0.0, 1.0, epsabs=tol / 8)
+        vt, e2 = quadlib.quad_tail(lambda x: rho(x) * np.exp(1j * s * x), X1,
+                                   epsabs=tol / 8)
         v_tail += vt
         err += e1 + e2
     else:
@@ -217,17 +214,13 @@ def _phi2_background(params: ModelParams, s: float):
     once it underflows."""
     w_ratio, g2 = params.omega_ratio, params.coupling_sq
     d = math.sqrt(math.pi) / 2 * params.coupling
-    segs = [0.0, 0.5, 1 - 10 * d, 1 - d, 1.0, 1 + d, 1 + 10 * d, 2.0, 10.0]
+    segs = [0.0, 0.5, 1 - 10 * d, 1 - d, 1.0, 1 + d, 1 + 10 * d, 2.0]
     X = 42.0 / s if s > 0 else math.inf
     f = lambda x: _phi2_background_kernel(x, s, w_ratio, g2)
-    if X < 10.0:
-        segs = [t for t in segs if t < X] + [X]
-        val, err = quadlib.quad_segments(f, segs, epsabs=1e-14)
-    else:
-        val, err = quadlib.quad_segments(f, segs, epsabs=1e-14)
-        vt, et = quadlib.quad_complex_vec(
-            lambda u: f(10.0 + u / (1 - u)) / (1 - u) ** 2, 0.0, 1.0,
-            epsabs=1e-14)
+    val, err = quadlib.quad_segments(f, [t for t in segs if t < X] + [min(X, 10.0)],
+                                     epsabs=1e-14)
+    if X >= 10.0:
+        vt, et = quadlib.quad_tail(f, 10.0, epsabs=1e-14)
         val += vt
         err += et
     return -g2 * val, err
@@ -308,21 +301,17 @@ def _deficit_kernel(params: ModelParams, ff: Formfactor, s: float) -> float:
     X1 = max(_X_FAR, 30.0 / s, 2 * x0)
     segs = sorted(set([0.0, x0, X1] + quadlib.geometric_ladder(x0, width, 0.0, X1)))
 
-    re_part, _ = quadlib.quad_segments(
-        lambda x: 2.0 * rho(x) * np.sin(0.5 * s * (x - x0)) ** 2 + 0j,
+    body, _ = quadlib.quad_segments(
+        lambda x: rho(x) * (2.0 * np.sin(0.5 * s * (x - x0)) ** 2
+                            - 1j * np.sin(s * (x - x0))),
         segs, epsabs=1e-16, limit=800)
-    im_part, _ = quadlib.quad_segments(
-        lambda x: rho(x) * np.sin(s * (x - x0)) + 0j,
-        segs, epsabs=1e-16, limit=800)
-    tail_mass, _ = quadlib.quad_complex_vec(
-        lambda u: rho(X1 + u / (1 - u)) / (1 - u) ** 2 + 0j, 0.0, 1.0,
-        epsabs=1e-16)
+    tail_mass, _ = quadlib.quad_tail(rho, X1, epsabs=1e-16)
     # oscillatory remainder of the tail: int_X1^inf rho exp(is(x-x0)) dx
     osc_tail, _ = quadlib.byparts_tail(rho, X1, s, scale=X1 / 2)
     osc_tail *= cmath.exp(-1j * s * x0)
 
-    re_d = float(re_part.real) + float(tail_mass.real) - osc_tail.real
-    im_d = -float(im_part.real) - osc_tail.imag
+    re_d = body.real + tail_mass.real - osc_tail.real
+    im_d = body.imag - osc_tail.imag
     return 2.0 * re_d - re_d * re_d - im_d * im_d
 
 

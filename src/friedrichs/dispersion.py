@@ -36,7 +36,7 @@ import numpy as np
 from .errors import BoundStateError, ContinuationUnsupportedError, ConvergenceError
 from .formfactors import (PHI1, PHI2, PHI3, Formfactor, ModelParams,
                           bound_state_margin, builtin)
-from .quadrature import pv_dispersion
+from .quadrature import pv_dispersion, quad_tail
 
 
 class Sheet(Enum):
@@ -128,13 +128,7 @@ def eta_first_sheet(params: ModelParams, ff: Formfactor, z: complex) -> complex:
     if f is not None:
         return w - z - g2 * f(z)
     # generic quadrature path; the contour never touches the cut
-    from .quadrature import quad_complex_vec
-
-    def g(u):
-        x = u / (1.0 - u)
-        return ff(x) / (x - z) / (1.0 - u) ** 2
-
-    val, err = quad_complex_vec(g, 0.0, 1.0, epsabs=1e-12)
+    val, err = quad_tail(lambda x: ff(x) / (x - z), 0.0, epsabs=1e-12)
     if err > 1e-8:
         raise ConvergenceError("dispersion integral did not converge",
                                achieved=err)

@@ -6,8 +6,9 @@ at phases s = cutoff * t reaching 1e10 and beyond.  No single quadrature
 strategy covers that range, so the oscillatory driver dispatches per
 region:
 
-  * few oscillations           -> adaptive quad with geometric breakpoint
-                                  ladders around the spike;
+  * few oscillations           -> quad_complex, the vectorized adaptive
+                                  Gauss-Kronrod rule, with geometric
+                                  breakpoint ladders around the spike;
   * moderate panel counts      -> phase-aligned half-period panels summed
                                   with fixed Gauss-Legendre rules;
   * infinite oscillatory tails -> half-period panels accelerated by
@@ -18,36 +19,129 @@ region:
                                   difference derivatives, plus short panel
                                   caps at the region ends.
 
+quad_complex evaluates its integrand on whole arrays of nodes, one call
+per batch of at most MAX_NODES, and returns complex values, so a complex
+integrand costs one density evaluation per node.
+
 Principal values use symmetric excision of the pole with three-level
 Richardson extrapolation of the excision radius.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import integrate
 
+from .errors import ConvergenceError
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
+# 21-point Gauss-Kronrod rule (QUADPACK qk21): Kronrod abscissae on [0, 1]
+# from the end to the centre with their weights, and the weights of the
+# 10-point Gauss rule on the odd-indexed abscissae; mirrored onto [-1, 1].
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+_GK_NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
+_GK_WEIGHTS = np.concatenate([_WGK, _WGK[-2::-1]])
+_G_WEIGHTS = np.concatenate([_WG, _WG[::-1]])
 
-def quad_complex(f, a, b, points=None, epsabs=1e-12, limit=600):
-    """Adaptive quad of a complex scalar integrand; returns (value, err).
+MAX_NODES = 4096           # integrand nodes handed to fvec in one call
+_EPS = np.finfo(float).eps
+# An interval is bisected only while it is wider than this many ulps of its
+# endpoints, so that every node of its halves stays strictly inside them.
+_MIN_ULPS = 4096.0
 
-    full_output suppresses convergence warnings; callers act on the
-    returned error estimate instead.
+
+def _gk21(fvec, lo, hi):
+    """Kronrod values and QUADPACK error estimates on each [lo_k, hi_k]."""
+    # Nodes are placed from lo, not from the rounded midpoint: on a spike
+    # far narrower than x, half an ulp of midpoint rounding shifts the
+    # whole rule, an error of (f(hi) - f(lo)) * ulp / 2 that the error
+    # estimate cannot see.
+    h = 0.5 * (hi - lo)
+    x = lo[:, None] + h[:, None] * (1.0 + _GK_NODES)
+    rows = MAX_NODES // _GK_NODES.size
+    f = np.concatenate([np.asarray(fvec(x[k:k + rows].ravel()))
+                        for k in range(0, len(x), rows)]).reshape(x.shape)
+    if not np.all(np.isfinite(f)):
+        raise ConvergenceError("integrand is not finite at a quadrature node",
+                               achieved=math.inf)
+    resk = f @ _GK_WEIGHTS
+    err = h * np.abs(resk - f[:, 1::2] @ _G_WEIGHTS)
+    resasc = h * (np.abs(f - 0.5 * resk[:, None]) @ _GK_WEIGHTS)
+    both = (resasc > 0) & (err > 0)
+    err[both] = resasc[both] * np.minimum(
+        1.0, (200.0 * err[both] / resasc[both]) ** 1.5)
+    roundoff = 50.0 * _EPS * h * (np.abs(f) @ _GK_WEIGHTS)
+    return h * resk, np.maximum(err, roundoff)
+
+
+def quad_complex(fvec, a, b, points=None, epsabs=1e-12, limit=600):
+    """int_a^b fvec(x) dx for a vectorized, possibly complex integrand;
+    returns (complex value, error estimate).
+
+    Adaptive 21-point Gauss-Kronrod over the intervals that `points`
+    (repeats allowed) cut [a, b] into.  Each pass bisects the intervals
+    with the largest errors, worst first, until the rest would hold under
+    an eighth of the tolerance max(epsabs, 1e-12 |I|), and evaluates the
+    nodes of all new halves in batches.  It stops at the tolerance, at
+    `limit` intervals, or once intervals too narrow to bisect hold more
+    error than the tolerance; callers act on the returned error estimate.
+    A non-finite integrand value raises ConvergenceError.
     """
-    re = integrate.quad(lambda x: f(x).real, a, b, points=points,
-                        epsabs=epsabs, epsrel=1e-12, limit=limit,
-                        full_output=1)
-    im = integrate.quad(lambda x: f(x).imag, a, b, points=points,
-                        epsabs=epsabs, epsrel=1e-12, limit=limit,
-                        full_output=1)
-    return re[0] + 1j * im[0], re[1] + im[1]
-
-
-def quad_complex_vec(fvec, a, b, points=None, epsabs=1e-12, limit=600):
-    return quad_complex(lambda x: fvec(np.array([x]))[0], a, b,
-                        points=points, epsabs=epsabs, limit=limit)
+    if b < a:
+        val, err = quad_complex(fvec, b, a, points, epsabs, limit)
+        return -val, err
+    inner = [p for p in (points if points is not None else ()) if a < p < b]
+    edges = np.unique(np.array([a, b] + inner, dtype=float))
+    if edges.size < 2:
+        return 0j, 0.0
+    lo, hi = edges[:-1], edges[1:]
+    val, err = _gk21(fvec, lo, hi)
+    while True:
+        tol = max(epsabs, 1e-12 * abs(val.sum()))
+        total = err.sum()
+        if total <= tol:
+            break
+        wide = (hi - lo) > _MIN_ULPS * _EPS * np.maximum(np.abs(lo), np.abs(hi))
+        if err[~wide].sum() > tol:
+            break
+        worst = np.argsort(-err, kind="stable")
+        worst = worst[wide[worst]]
+        n = np.searchsorted(np.cumsum(err[worst]), total - tol / 8) + 1
+        n = min(n, worst.size, limit - lo.size)
+        if n <= 0:
+            break
+        pick = worst[:n]
+        mid = 0.5 * (lo[pick] + hi[pick])
+        new_lo = np.concatenate([lo[pick], mid])
+        new_hi = np.concatenate([mid, hi[pick]])
+        new_val, new_err = _gk21(fvec, new_lo, new_hi)
+        keep = np.ones(lo.size, dtype=bool)
+        keep[pick] = False
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        val = np.concatenate([val[keep], new_val])
+        err = np.concatenate([err[keep], new_err])
+    return complex(val.sum()), float(err.sum())
 
 
 def geometric_ladder(center, width, lo, hi, ratio=4.0):
@@ -70,15 +164,24 @@ def geometric_ladder(center, width, lo, hi, ratio=4.0):
 
 
 def quad_segments(fvec, breakpoints, epsabs=1e-12, limit=600):
-    """Sum of adaptive quads over consecutive breakpoint pairs."""
-    total, err = 0j, 0.0
-    for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-        if hi <= lo:
-            continue
-        v, e = quad_complex_vec(fvec, lo, hi, epsabs=epsabs, limit=limit)
-        total += v
-        err += e
-    return total, err
+    """quad_complex from the first to the last breakpoint, split at all."""
+    return quad_complex(fvec, breakpoints[0], breakpoints[-1],
+                        points=breakpoints[1:-1], epsabs=epsabs, limit=limit)
+
+
+def quad_tail(fvec, X, epsabs=1e-12):
+    """int_X^inf fvec(x) dx by quad_complex over x = X + (u/(1-u))^2.
+
+    A tail x^(-p) maps to (1-u)^(2p-3), bounded at u = 1 for p >= 3/2; the
+    plain map x = X + u/(1-u) gives (1-u)^(p-2), which leaves an endpoint
+    singularity for p < 2 and a cusp for p < 3 that bisection resolves
+    slowly and float resolution at u = 1 cuts short.
+    """
+    def g(u):
+        r = u / (1.0 - u)
+        return fvec(X + r * r) * (2.0 * r / (1.0 - u) ** 2)
+
+    return quad_complex(g, 0.0, 1.0, epsabs=epsabs)
 
 
 def panel_integrals(fvec, start, n_panels, h, s):
@@ -152,14 +255,14 @@ def oscillatory_finite(fvec, a, b, s, scale_a, scale_b, epsabs=1e-12):
         return 0j, 0.0
     n_half = s * (b - a) / np.pi
     if n_half <= 24:
-        return quad_complex_vec(lambda x: fvec(x) * np.exp(1j * s * x),
-                                a, b, epsabs=epsabs)
+        return quad_complex(lambda x: fvec(x) * np.exp(1j * s * x),
+                            a, b, epsabs=epsabs)
     h = np.pi / s
     n = int(n_half)
     if n <= 3000:
         head = panel_integrals(fvec, a, n, h, s).sum()
-        rest, err = quad_complex_vec(lambda x: fvec(x) * np.exp(1j * s * x),
-                                     a + n * h, b, epsabs=epsabs)
+        rest, err = quad_complex(lambda x: fvec(x) * np.exp(1j * s * x),
+                                 a + n * h, b, epsabs=epsabs)
         return head + rest, err
     ncap = 24
     cap_a = panel_integrals(fvec, a, ncap, h, s).sum()

@@ -113,6 +113,29 @@ def test_deficit_consistent_with_probability(qdot):
     assert d == pytest.approx(1.0 - p, rel=1e-5)
 
 
+# survival_deficit at s = cutoff * t from the earlier kernel, which made
+# separate scalar scipy.integrate.quad passes for the real and imaginary
+# parts; the batched complex Gauss-Kronrod kernel must reproduce them.
+_DEFICIT_PINS = [
+    ("photodetachment", 1e-3, 3.262342888260986e-11),
+    ("photodetachment", 0.3, 1.0444482438189083e-07),
+    ("photodetachment", 0.999, 4.260695888176047e-07),
+    ("quantum-dot", 1e-3, 1.789997639228457e-12),
+    ("quantum-dot", 0.3, 1.5571959043389182e-07),
+    ("quantum-dot", 0.999, 1.4541142822009223e-06),
+    ("hydrogen", 1e-3, 1.071666622205494e-15),
+    ("hydrogen", 0.3, 9.609197433803415e-11),
+    ("hydrogen", 0.999, 1.02777471632128e-09),
+]
+
+
+@pytest.mark.parametrize("name,s,want", _DEFICIT_PINS)
+def test_deficit_kernel_pinned(name, s, want):
+    params, ff = preset(name)
+    got = survival_deficit(params, ff, s / params.cutoff)
+    assert abs(got - want) <= max(1e-9 * want, 1e-17)
+
+
 def test_deficit_zero_cases(qdot):
     params, ff = qdot
     assert survival_deficit(params, ff, 0.0) == 0.0

@@ -4,11 +4,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from friedrichs.quadrature import (byparts_segment, byparts_tail,
+from friedrichs.errors import ConvergenceError
+from friedrichs.quadrature import (MAX_NODES, byparts_segment, byparts_tail,
                                    euler_accelerate, geometric_ladder,
                                    oscillatory_finite, oscillatory_tail,
                                    panel_integrals, principal_value,
-                                   pv_dispersion, quad_segments)
+                                   pv_dispersion, quad_complex, quad_segments)
 
 
 def test_principal_value_odd_symmetric_is_zero():
@@ -127,3 +128,93 @@ def test_byparts_segment_exact():
     got, est = byparts_segment(f, 2.0, 8.0, s, 2.0, 8.0)
     want = _inv_square_tail_exact(2.0, s) - _inv_square_tail_exact(8.0, s)
     assert abs(got - want) < max(3 * est, 1e-13)
+
+
+def test_quad_complex_oscillatory_exact():
+    # one complex integrand, both parts at once
+    w = -0.5 + 7.0j
+    f = lambda x: np.exp(w * np.asarray(x, float))
+    got, err = quad_complex(f, 0.0, 3.0)
+    want = (cmath_exp(3.0 * w) - 1.0) / w
+    assert abs(got - want) < 1e-13
+    assert err < 1e-11
+
+
+def test_quad_complex_reversed_and_empty_range():
+    f = lambda x: np.asarray(x, float) ** 3
+    forward, _ = quad_complex(f, 0.5, 2.0)
+    backward, _ = quad_complex(f, 2.0, 0.5)
+    assert backward == -forward
+    assert forward.real == pytest.approx((16.0 - 0.0625) / 4.0, rel=1e-14)
+    assert quad_complex(f, 1.0, 1.0) == (0j, 0.0)
+
+
+def test_quad_complex_narrow_spike_far_from_zero():
+    # Lorentzian of half-width 1e-11 at x = 1e-3, where one ulp of x is
+    # 2e-19: rounding the nodes leaves errors near 1e-12, while a rule
+    # shifted by a rounded interval midpoint misses by up to 1.5e-9
+    c, g = 1e-3, 1e-11
+    f = lambda x: (g / math.pi) / ((x - c) ** 2 + g * g)
+    for a, b in ((c - g, c), (c + g, c + 4 * g), (c - 4 * g, c - g),
+                 (c - 10 * g, c + 3 * g), (c - 100 * g, c + 100 * g)):
+        got, _ = quad_complex(f, a, b)
+        want = (math.atan((b - c) / g) - math.atan((a - c) / g)) / math.pi
+        assert abs(got - want) < 5e-12
+
+
+def test_quad_complex_inverse_sqrt_error_bounds_truth():
+    f = lambda x: np.asarray(x, float) ** -0.5
+    got, err = quad_complex(f, 0.0, 1.0)
+    observed = abs(got - 2.0)
+    assert observed < 1e-11
+    assert err >= observed
+
+
+def test_quad_complex_singular_right_end_stays_finite():
+    # (1 - u)^(-1/2): bisection towards u = 1 stops at float resolution
+    # instead of rounding a node onto the pole, and gives up there
+    # instead of refining the rest of [0, 1] up to the interval limit
+    sizes = []
+
+    def f(u):
+        sizes.append(np.size(u))
+        return (1.0 - u) ** -0.5
+
+    got, err = quad_complex(f, 0.0, 1.0)
+    assert np.isfinite(got) and np.isfinite(err)
+    assert abs(got - 2.0) <= err
+    assert sum(sizes) < 5000
+
+
+def test_quad_segments_repeated_breakpoints():
+    f = lambda x: np.cos(np.asarray(x, float)) + 0j
+    val, _ = quad_segments(f, [0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 2.0, 2.0])
+    assert val.real == pytest.approx(math.sin(2.0), rel=1e-13)
+    # points outside (a, b) and repeated points are ignored
+    val2, _ = quad_complex(f, 0.0, 2.0, points=[-1.0, 0.0, 1.0, 1.0, 2.0, 3.0])
+    assert val2.real == pytest.approx(math.sin(2.0), rel=1e-13)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_quad_complex_non_finite_raises(bad):
+    f = lambda x: np.where(np.asarray(x, float) > 0.7, bad, 1.0)
+    with pytest.raises(ConvergenceError):
+        quad_complex(f, 0.0, 1.0)
+
+
+def test_quad_complex_caps_nodes_per_call():
+    sizes = []
+
+    def f(x):
+        sizes.append(np.size(x))
+        return np.sin(40.0 * x) / (1e-3 + (x - 0.3) ** 2)
+
+    # 1999 starting intervals hold ten times the per-call cap of nodes
+    val, err = quad_complex(f, 0.0, 1.0, points=np.linspace(0.0, 1.0, 2000),
+                            limit=4000)
+    assert len(sizes) > 1
+    assert max(sizes) <= MAX_NODES
+    mpmath.mp.dps = 30
+    want = mpmath.quad(lambda x: mpmath.sin(40 * x) / (mpmath.mpf("1e-3") + (x - 0.3) ** 2),
+                       mpmath.linspace(0, 1, 41))
+    assert abs(val - complex(want)) < 1e-10
