@@ -31,6 +31,15 @@ SERIES_SHORT  The short-time expansion evaluated literally.
 Small deficits 1 - p are computed by a dedicated cancellation-free path
 that integrates rho(x) (1 - exp(is(x - x0))) against the spike center
 x0, exact for p because a global phase cannot change |A|.
+
+survival_amplitude, survival_probability, survival_deficit, log_survival
+and the phi1-exact and phi2-poles engines take one time or an array of
+times.  On an array the phi1 closed form is evaluated elementwise, and the
+phi2 background and the deficit kernel integrate every time as one column
+on a shared node set, so the density is evaluated once per node for all
+times; the quadrature engine takes the times one by one.  batches(params,
+ff, t) says which of the two a time gets, for callers that fetch times
+ahead of need.
 """
 
 from __future__ import annotations
@@ -175,18 +184,18 @@ def _phi1_machine(params: ModelParams):
     return us, ws
 
 
-def _amp_phi1(params: ModelParams, s: float) -> complex:
+def _amp_phi1(params: ModelParams, s: np.ndarray) -> np.ndarray:
     if params.coupling_sq == 0.0:
-        return cmath.exp(1j * params.omega_ratio * s)
+        return np.exp(1j * params.omega_ratio * s)
     us, ws = _phi1_machine(params)
-    beta = cmath.exp(3j * math.pi / 4) * us * math.sqrt(s)
-    return complex(0.5 * np.sum(ws * wofz(beta)))
+    beta = cmath.exp(3j * math.pi / 4) * us * np.sqrt(s)[:, None]
+    return 0.5 * (ws * wofz(beta)).sum(axis=1)
 
 
-def survival_amplitude_phi1_exact(params: ModelParams, t: float) -> complex:
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    return _amp_phi1(params, params.cutoff * t)
+def survival_amplitude_phi1_exact(params: ModelParams, t):
+    """A(t) for a time or an array of times."""
+    ts, scalar = _times(t)
+    return _unwrap(_amp_phi1(params, params.cutoff * ts), scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -204,26 +213,34 @@ def _phi2_Q(x, w_ratio, g2):
 
 
 def _phi2_background_kernel(x, s, w_ratio, g2):
+    """The damped background integrand at nodes x, one column per s."""
     q = _phi2_Q(x, w_ratio, g2)
-    return (x * (1 - x * x) ** 2 * np.exp(-x * s)
-            / ((q + 0.5 * g2 * math.pi * x) * (q - 1.5 * g2 * math.pi * x)))
+    den = (q + 0.5 * g2 * math.pi * x) * (q - 1.5 * g2 * math.pi * x)
+    return ((x * (1 - x * x) ** 2)[:, None] * np.exp(np.multiply.outer(-x, s))
+            / den[:, None])
 
 
-def _phi2_background(params: ModelParams, s: float):
-    """-g2 * int_0^inf of the damped kernel; exp(-xs) truncates the range
-    once it underflows."""
+def _phi2_background(params: ModelParams, s: np.ndarray):
+    """-g2 * int_0^inf of the damped kernel and its error estimate, one
+    column per s, all columns on one node set.  exp(-xs) is negligible
+    past X = 42/s, a breakpoint; the range ends at the largest X, with a
+    tail from x = 10 when that lies beyond."""
     w_ratio, g2 = params.omega_ratio, params.coupling_sq
+    if not s.size:
+        return np.zeros(0, dtype=complex), np.zeros(0)
     d = math.sqrt(math.pi) / 2 * params.coupling
+    X = [42.0 / sk if sk > 0 else math.inf for sk in s.tolist()]
+    top = min(max(X), 10.0)
     segs = [0.0, 0.5, 1 - 10 * d, 1 - d, 1.0, 1 + d, 1 + 10 * d, 2.0]
-    X = 42.0 / s if s > 0 else math.inf
+    segs = sorted([t for t in segs + X if t < top] + [top])
     f = lambda x: _phi2_background_kernel(x, s, w_ratio, g2)
-    val, err = quadlib.quad_segments(f, [t for t in segs if t < X] + [min(X, 10.0)],
-                                     epsabs=1e-14)
-    if X >= 10.0:
-        vt, et = quadlib.quad_tail(f, 10.0, epsabs=1e-14)
+    val, err = quadlib.quad_segments(f, segs, epsabs=1e-14,
+                                     limit=600 + 4 * s.size, columns=s.size)
+    if top == 10.0:
+        vt, et = quadlib.quad_tail(f, 10.0, epsabs=1e-14, columns=s.size)
         val += vt
         err += et
-    return -g2 * val, err
+    return -g2 * val, g2 * err
 
 
 def _phi2_poles(params: ModelParams):
@@ -232,101 +249,161 @@ def _phi2_poles(params: ModelParams):
     return roots
 
 
-def _amp_phi2(params: ModelParams, s: float) -> complex:
+def _amp_phi2(params: ModelParams, s: np.ndarray):
+    """A(s) and the error estimate of its background integral; raises
+    ConvergenceError when an estimate is worse than 1e-7."""
     if params.coupling_sq == 0.0:
-        return cmath.exp(1j * params.omega_ratio * s)
-    total = 0j
-    for r in _phi2_poles(params):
-        total += r.residue_weight * cmath.exp(1j * r.z * s)
-    bg, _ = _phi2_background(params, s)
-    return total + bg
+        return np.exp(1j * params.omega_ratio * s), np.zeros(s.shape)
+    poles = sum(r.residue_weight * np.exp(1j * r.z * s) for r in _phi2_poles(params))
+    bg, est = _phi2_background(params, s)
+    if est.max(initial=0.0) > 1e-7:
+        raise ConvergenceError("phi2 background integral accuracy not reached",
+                               achieved=float(est.max()))
+    return poles + bg, est
 
 
-def survival_amplitude_phi2(params: ModelParams, t: float) -> complex:
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    return _amp_phi2(params, params.cutoff * t)
+def survival_amplitude_phi2(params: ModelParams, t, with_error: bool = False):
+    """A(t) for a time or an array of times; with_error adds the error
+    estimate of the background integral."""
+    ts, scalar = _times(t)
+    val, est = _amp_phi2(params, params.cutoff * ts)
+    val, est = _unwrap(val, scalar), _unwrap(est, scalar)
+    return (val, est) if with_error else val
 
 
 # ---------------------------------------------------------------------------
 # probability, engine dispatch, deficits
 # ---------------------------------------------------------------------------
 
-def survival_amplitude(params: ModelParams, ff: Formfactor, t: float,
-                       engine: Engine = Engine.AUTO) -> complex:
+def _times(t):
+    """(1-D float array of the times, whether t was a single time)."""
+    ts = np.asarray(t, dtype=float)
+    if (ts < 0).any():
+        raise ValueError("time must be nonnegative")
+    return ts.reshape(-1), ts.ndim == 0
+
+
+def _unwrap(values, scalar):
+    return values[0].item() if scalar else values
+
+
+def _abs2(a):
+    """|a|^2 for a complex number or array, rounded alike: numpy's complex
+    abs differs from abs() of a Python complex in the last bit, hypot
+    does not."""
+    return abs(a) ** 2 if np.ndim(a) == 0 else np.hypot(a.real, a.imag) ** 2
+
+
+def survival_amplitude(params: ModelParams, ff: Formfactor, t,
+                       engine: Engine = Engine.AUTO):
+    """A(t) for a time or an array of times; the quadrature engine takes
+    the times one by one."""
     eng = resolve_engine(ff, engine)
     if eng is Engine.PHI1_EXACT:
         return survival_amplitude_phi1_exact(params, t)
     if eng is Engine.PHI2_POLES:
         return survival_amplitude_phi2(params, t)
     if eng is Engine.QUADRATURE:
+        if np.ndim(t):
+            return np.array([survival_amplitude_quadrature(params, ff, x)
+                             for x in t], dtype=complex)
         return survival_amplitude_quadrature(params, ff, t)
     raise EngineMismatchError(f"{eng.value} does not produce an amplitude")
 
 
-def survival_probability(params: ModelParams, ff: Formfactor, t: float,
-                         engine: Engine = Engine.AUTO) -> float:
+def survival_probability(params: ModelParams, ff: Formfactor, t,
+                         engine: Engine = Engine.AUTO):
+    """p(t); the amplitude engines take an array of times as well."""
     eng = resolve_engine(ff, engine)
     if eng is Engine.ASYMPTOTIC_LONG:
         return long_time_asymptote(params, ff, t)
     if eng is Engine.SERIES_SHORT:
         return short_time_expansion(params, ff).evaluate(t)
-    return abs(survival_amplitude(params, ff, t, eng)) ** 2
+    return _abs2(survival_amplitude(params, ff, t, eng))
 
 
-def survival_deficit(params: ModelParams, ff: Formfactor, t: float) -> float:
+def _on_kernel(params: ModelParams, t):
+    """Whether the deficit at time(s) t comes from the cancellation-free
+    kernel (s <= 1) rather than from 1 - p."""
+    return params.cutoff * t <= 1.0
+
+
+def batches(params: ModelParams, ff: Formfactor, t: float) -> bool:
+    """Whether log_survival takes time t together with the other times of
+    its call (closed form, or one column on a shared node set), so that an
+    extra time in a call costs little.  The quadrature engine takes each
+    time past the kernel's reach by itself."""
+    return resolve_engine(ff) is not Engine.QUADRATURE or _on_kernel(params, t)
+
+
+def survival_deficit(params: ModelParams, ff: Formfactor, t):
     """1 - p(t), accurate in relative terms even when it underflows the
-    absolute tolerance of the amplitude engines (short-time regime)."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if params.coupling_sq == 0.0:
-        return 0.0
-    s = params.cutoff * t
-    if s == 0.0:
-        return 0.0
-    if s > 1.0:
-        return 1.0 - survival_probability(params, ff, t)
-    return _deficit_kernel(params, ff, s)
+    absolute tolerance of the amplitude engines (short-time regime), for a
+    time or an array of times."""
+    ts, scalar = _times(t)
+    out = np.zeros(ts.shape)
+    if params.coupling_sq != 0.0:
+        s = params.cutoff * ts
+        late = ~_on_kernel(params, ts)
+        if late.any():
+            out[late] = 1.0 - survival_probability(params, ff, ts[late])
+        short = (s > 0.0) & ~late
+        if short.any():
+            out[short] = _deficit_kernel(params, ff, s[short])
+    return _unwrap(out, scalar)
 
 
-def _deficit_kernel(params: ModelParams, ff: Formfactor, s: float) -> float:
-    """2 Re D - |D|^2 with D = int rho (1 - exp(is(x - x0))) dx.
+def _deficit_kernel(params: ModelParams, ff: Formfactor, s: np.ndarray) -> np.ndarray:
+    """2 Re D - |D|^2 with D = int rho (1 - exp(is(x - x0))) dx, for each s.
 
     Anchoring the phase at the spike center removes the mean-frequency
     phase from D, so no catastrophic cancellation occurs between the two
-    terms; every integrand below is benign for adaptive quadrature.
+    terms; every integrand below is benign for adaptive quadrature.  All
+    s share one node set: column k integrates the kernel up to its own
+    X1_k, a breakpoint, and the plain tail mass rho beyond it, so one
+    quad_tail from the largest X1 completes every column.
     """
     rho = lambda x: spectral_density(params, ff, x)
     x0, width = spectral_peak(params, ff)
-    X1 = max(_X_FAR, 30.0 / s, 2 * x0)
-    segs = sorted(set([0.0, x0, X1] + quadlib.geometric_ladder(x0, width, 0.0, X1)))
+    X1 = np.maximum(np.maximum(_X_FAR, 30.0 / s), 2 * x0)
+    top = X1.max()
+    segs = sorted(set([0.0, x0] + X1.tolist()
+                      + quadlib.geometric_ladder(x0, width, 0.0, top)))
+    half = 0.5 * s
 
-    body, _ = quadlib.quad_segments(
-        lambda x: rho(x) * (2.0 * np.sin(0.5 * s * (x - x0)) ** 2
-                            - 1j * np.sin(s * (x - x0))),
-        segs, epsabs=1e-16, limit=800)
-    tail_mass, _ = quadlib.quad_tail(rho, X1, epsabs=1e-16)
-    # oscillatory remainder of the tail: int_X1^inf rho exp(is(x-x0)) dx
-    osc_tail, _ = quadlib.byparts_tail(rho, X1, s, scale=X1 / 2)
-    osc_tail *= cmath.exp(-1j * s * x0)
+    def body(x):
+        r = rho(x)[:, None]
+        dx = (x - x0)[:, None]
+        osc = r * (2.0 * np.sin(half * dx) ** 2 - 1j * np.sin(s * dx))
+        return np.where(x[:, None] < X1, osc, r)
 
-    re_d = body.real + tail_mass.real - osc_tail.real
-    im_d = body.imag - osc_tail.imag
+    # the interval budget grows with the columns, each one a breakpoint
+    val, _ = quadlib.quad_segments(body, segs, epsabs=1e-16,
+                                   limit=800 + 4 * s.size, columns=s.size)
+    tail_mass, _ = quadlib.quad_tail(rho, top, epsabs=1e-16)
+    # oscillatory remainder of each tail: int_X1^inf rho exp(is(x-x0)) dx
+    osc_tail = np.array([quadlib.byparts_tail(rho, X, sk, scale=X / 2)[0]
+                         for X, sk in zip(X1, s)])
+    osc_tail *= np.exp(-1j * s * x0)
+
+    re_d = val.real + tail_mass.real - osc_tail.real
+    im_d = val.imag - osc_tail.imag
     return 2.0 * re_d - re_d * re_d - im_d * im_d
 
 
-def log_survival(params: ModelParams, ff: Formfactor, t: float) -> float:
-    """ln p(t) without underflow for small deficits."""
-    s = params.cutoff * t
-    if s <= 1.0:
-        d = survival_deficit(params, ff, t)
-        if d >= 1.0:
-            return -math.inf
-        return math.log1p(-d)
-    p = survival_probability(params, ff, t)
-    if p <= 0.0:
-        return -math.inf
-    return math.log(p)
+def log_survival(params: ModelParams, ff: Formfactor, t):
+    """ln p(t) without underflow for small deficits, for a time or an
+    array of times."""
+    ts, scalar = _times(t)
+    out = np.empty(ts.shape)
+    short = _on_kernel(params, ts)
+    if short.any():
+        out[short] = [-math.inf if d >= 1.0 else math.log1p(-d)
+                      for d in survival_deficit(params, ff, ts[short])]
+    if not short.all():
+        out[~short] = [math.log(p) if p > 0.0 else -math.inf
+                       for p in survival_probability(params, ff, ts[~short])]
+    return _unwrap(out, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -500,16 +577,27 @@ class SurvivalCurve:
 def sample_curve(params: ModelParams, ff: Formfactor, times,
                  engine: Engine = Engine.AUTO,
                  decay_time: Optional[float] = None) -> SurvivalCurve:
+    """p on the sorted distinct times, with an error estimate per time:
+    twice the amplitude estimate for the quadrature engine (time by time)
+    and for phi2-poles (its background integral, all times in one batch).
+    phi1-exact (one batch) and the asymptotic and series engines carry no
+    estimate and report the placeholder 1e-12."""
     eng = resolve_engine(ff, engine)
     times = np.asarray(sorted(set(float(t) for t in times)))
-    ps, errs = [], []
-    for t in times:
-        if eng is Engine.QUADRATURE:
-            a, est = survival_amplitude_quadrature(params, ff, t, with_error=True)
-            ps.append(abs(a) ** 2)
-            errs.append(2.0 * est)
-        else:
-            ps.append(survival_probability(params, ff, t, eng))
-            errs.append(1e-12)
-    return SurvivalCurve(params, ff.id, eng, times, np.array(ps),
-                         np.array(errs), decay_time=decay_time)
+    if eng is Engine.QUADRATURE:
+        amps, est = np.empty(times.shape, dtype=complex), np.empty(times.shape)
+        for k, t in enumerate(times):
+            amps[k], est[k] = survival_amplitude_quadrature(params, ff, t,
+                                                            with_error=True)
+        ps, errs = _abs2(amps), 2.0 * est
+    elif eng is Engine.PHI2_POLES:
+        amps, est = survival_amplitude_phi2(params, times, with_error=True)
+        ps, errs = _abs2(amps), 2.0 * est
+    elif eng is Engine.PHI1_EXACT:
+        ps = _abs2(survival_amplitude_phi1_exact(params, times))
+        errs = np.full(times.shape, 1e-12)
+    else:
+        ps = np.array([survival_probability(params, ff, t, eng) for t in times])
+        errs = np.full(times.shape, 1e-12)
+    return SurvivalCurve(params, ff.id, eng, times, ps, errs,
+                         decay_time=decay_time)

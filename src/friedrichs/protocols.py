@@ -9,6 +9,20 @@ The interval between measurements controls three regimes: freezing for
 intervals deep below the Zeno time, accelerated decay (anti-Zeno) in a
 broad region above it, and the unperturbed exponential once intervals
 reach the decay era.
+
+ln p comes from a memo that is filled in batches, one log_survival call
+for many intervals: protocol_curve prefetches its N grid together with
+the anti-Zeno scan, and n_epsilon prefetches the next few scan candidates
+or bisection levels it may visit.  The searches then walk the memo in the
+order they always did.
+
+The times of one batch share one adaptively refined node set, so a
+batched ln p depends on which other times share its batch, within the
+integrals' tolerances: the deficit kernel moves by up to ~2e-10 relative,
+the phi2 background in its last bits.  A search whose answer hangs on
+such differences can answer differently from one-at-a-time evaluation:
+on a flat anti-Zeno minimum, protocol_curve's minimum (scan batched with
+the N grid) can lie a few N from that of a standalone anti_zeno_minimum.
 """
 
 from __future__ import annotations
@@ -20,7 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .amplitude import ShortTimeExpansion, log_survival, short_time_expansion
+from .amplitude import (ShortTimeExpansion, batches, log_survival,
+                        short_time_expansion)
 from .formfactors import Formfactor, ModelParams
 
 
@@ -40,6 +55,13 @@ UNBOUNDED = UnboundedType()
 
 
 def _logp_memo(params: ModelParams, ff: Formfactor):
+    """ln p(tau) memoized on tau.  logp.prefetch(taus, ahead) fills the
+    cache with one batched log_survival call for the missing taus, and
+    for those of the speculative `ahead` that log_survival batches
+    (amplitude.batches): a time it would take by itself costs as much
+    fetched ahead as when looked up, so it waits for the lookup.  A
+    lookup hits only for the very same float, so callers compute
+    prefetched taus with the expression they look them up with."""
     cache = {}
 
     def logp(tau: float) -> float:
@@ -49,6 +71,13 @@ def _logp_memo(params: ModelParams, ff: Formfactor):
             cache[tau] = val
         return val
 
+    def prefetch(taus, ahead=()):
+        want = list(taus) + [tau for tau in ahead if batches(params, ff, tau)]
+        missing = [tau for tau in dict.fromkeys(want) if tau not in cache]
+        if missing:
+            cache.update(zip(missing, log_survival(params, ff, missing).tolist()))
+
+    logp.cache, logp.prefetch = cache, prefetch
     return logp
 
 
@@ -109,14 +138,13 @@ def anti_zeno_minimum(params: ModelParams, ff: Formfactor,
     if not T > 0:
         raise ValueError("observation time must be positive")
     logp = _logp or _logp_memo(params, ff)
-    t_z = short_time_expansion(params, ff).validity_time
+    grid = _anti_zeno_grid(T, short_time_expansion(params, ff).validity_time)
+    logp.prefetch([math.exp(x) for x in grid])
 
     def cost(ltau: float) -> float:
         tau = math.exp(ltau)
         return (T / tau) * logp(tau)   # minimize = deepest p_N
 
-    lo, hi = math.log(1e-3 * t_z), math.log(T)
-    grid = np.linspace(lo, hi, 161)
     vals = np.array([cost(x) for x in grid])
     k = int(np.argmin(vals))
     degenerate = k in (0, len(grid) - 1) or (vals.max() - vals.min()) < 1e-15
@@ -140,8 +168,10 @@ def anti_zeno_minimum(params: ModelParams, ff: Formfactor,
     tau_star = math.exp(0.5 * (a + b))
 
     n_best = max(1, round(T / tau_star))
+    ns = range(max(1, n_best - 3), n_best + 4)
+    logp.prefetch([T / n for n in ns])
     best = None
-    for n in range(max(1, n_best - 3), n_best + 4):
+    for n in ns:
         p = repeated_measurement_survival(params, ff, T, n, _logp=logp)
         if best is None or p < best[1]:
             best = (n, p)
@@ -149,36 +179,71 @@ def anti_zeno_minimum(params: ModelParams, ff: Formfactor,
     return AntiZenoMinimum(T / n_star, p_star, n_star, degenerate)
 
 
+def _anti_zeno_grid(T: float, t_z: float) -> np.ndarray:
+    """The coarse scan of anti_zeno_minimum: 161 values of ln tau."""
+    return np.linspace(math.log(1e-3 * t_z), math.log(T), 161)
+
+
+_SCAN_AHEAD = 8        # n_epsilon: geometric-scan candidates per prefetch
+_BISECT_AHEAD = 4      # n_epsilon: bisection-tree levels per prefetch
+
+
 def n_epsilon(params: ModelParams, ff: Formfactor, T: float, eps: float,
               cap: int = 10 ** 9):
     """Largest N with p_n(T) >= (1 - eps) p_1(T) for every n <= N.
 
     Geometric scan brackets the first violation, integer bisection pins
-    it; UNBOUNDED when no violation occurs up to the cap.
+    it; UNBOUNDED when no violation occurs up to the cap.  Whenever the
+    next N is not cached, ln p is prefetched in one batch for the next
+    _SCAN_AHEAD scan candidates, or for the next _BISECT_AHEAD levels of
+    the bisection tree; the walk itself is the sequential one.  Only the
+    intervals that log_survival batches are fetched ahead (see
+    _logp_memo), so the search never evaluates more intervals one by one
+    than the sequential walk does.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("accuracy must lie in (0, 1)")
     if not T > 0:
         raise ValueError("observation time must be positive")
     logp = _logp_memo(params, ff)
+
+    def ok(n: int, ahead) -> bool:
+        if T / n not in logp.cache:
+            logp.prefetch([T / n], [T / k for k in ahead])
+        return repeated_measurement_survival(params, ff, T, n, _logp=logp) >= threshold
+
+    def step(n: int) -> int:
+        return max(n + 1, int(n * 1.35))
+
+    def scan_from(n):
+        ns = []
+        while n <= cap and len(ns) < _SCAN_AHEAD:
+            ns.append(n)
+            n = step(n)
+        return ns
+
+    def tree(lo, hi, depth):
+        if hi - lo <= 1 or depth == 0:
+            return []
+        mid = (lo + hi) // 2
+        return [mid] + tree(lo, mid, depth - 1) + tree(mid, hi, depth - 1)
+
+    logp.prefetch([T / 1], [T / k for k in scan_from(2)])
     p1 = repeated_measurement_survival(params, ff, T, 1, _logp=logp)
     threshold = (1.0 - eps) * p1
 
-    def ok(n: int) -> bool:
-        return repeated_measurement_survival(params, ff, T, n, _logp=logp) >= threshold
-
     last_good, n = 1, 2
     while n <= cap:
-        if not ok(n):
+        if not ok(n, scan_from(n)):
             break
-        last_good, n = n, max(n + 1, int(n * 1.35))
+        last_good, n = n, step(n)
     else:
         return UNBOUNDED
 
     lo, hi = last_good, n          # ok(lo), not ok(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if ok(mid):
+        if ok(mid, tree(lo, hi, _BISECT_AHEAD)):
             lo = mid
         else:
             hi = mid
@@ -204,6 +269,9 @@ def protocol_curve(params: ModelParams, ff: Formfactor, T: float,
     t_z = short_time_expansion(params, ff).validity_time
     taus = np.geomspace(1e-3 * t_z, T, n_tau)
     ns = sorted(set(max(1, int(round(T / tau))) for tau in taus), reverse=True)
+    # the N grid and the anti-Zeno scan in one batch
+    logp.prefetch([T / n for n in ns]
+                  + [math.exp(x) for x in _anti_zeno_grid(T, t_z)])
     ns = np.array(ns, dtype=np.int64)
     ps = np.array([repeated_measurement_survival(params, ff, T, int(n), _logp=logp)
                    for n in ns])

@@ -19,9 +19,12 @@ region:
                                   difference derivatives, plus short panel
                                   caps at the region ends.
 
-quad_complex evaluates its integrand on whole arrays of nodes, one call
-per batch of at most MAX_NODES, and returns complex values, so a complex
-integrand costs one density evaluation per node.
+quad_complex evaluates its integrand on whole arrays of nodes and returns
+complex values, so a complex integrand costs one density evaluation per
+node.  An integrand may also return m columns, m integrals on one node set
+(one per time, say), each held to its own tolerance.  Each call of the
+integrand covers at most MAX_NODES node x column values and is reduced to
+per-interval sums before the next, so memory stays bounded for any m.
 
 Principal values use symmetric excision of the pole with three-level
 Richardson extrapolation of the excision radius.
@@ -60,73 +63,119 @@ _WG = np.array([
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338])
 _GK_NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
+_GK_OFFSETS = 1.0 + _GK_NODES          # node positions in half widths from lo
 _GK_WEIGHTS = np.concatenate([_WGK, _WGK[-2::-1]])
 _G_WEIGHTS = np.concatenate([_WG, _WG[::-1]])
 
-MAX_NODES = 4096           # integrand nodes handed to fvec in one call
+MAX_NODES = 16384          # node x column values fvec returns in one call
 _EPS = np.finfo(float).eps
 # An interval is bisected only while it is wider than this many ulps of its
 # endpoints, so that every node of its halves stays strictly inside them.
 _MIN_ULPS = 4096.0
 
 
-def _gk21(fvec, lo, hi):
-    """Kronrod values and QUADPACK error estimates on each [lo_k, hi_k]."""
+def _gk21(fvec, lo, hi, m):
+    """Kronrod values and QUADPACK error estimates on each [lo_k, hi_k]
+    for the m columns of the integrand, shape (intervals, m), or
+    (intervals,) when m = 1.
+
+    fvec sees at most MAX_NODES node x column values per call (one
+    interval's 21 nodes at least), and each call's values are reduced to
+    per-interval sums before the next, so no (intervals, 21, m) array is
+    built.
+    """
     # Nodes are placed from lo, not from the rounded midpoint: on a spike
     # far narrower than x, half an ulp of midpoint rounding shifts the
     # whole rule, an error of (f(hi) - f(lo)) * ulp / 2 that the error
     # estimate cannot see.
     h = 0.5 * (hi - lo)
-    x = lo[:, None] + h[:, None] * (1.0 + _GK_NODES)
-    rows = MAX_NODES // _GK_NODES.size
-    f = np.concatenate([np.asarray(fvec(x[k:k + rows].ravel()))
-                        for k in range(0, len(x), rows)]).reshape(x.shape)
-    if not np.all(np.isfinite(f)):
-        raise ConvergenceError("integrand is not finite at a quadrature node",
-                               achieved=math.inf)
-    resk = f @ _GK_WEIGHTS
-    err = h * np.abs(resk - f[:, 1::2] @ _G_WEIGHTS)
-    resasc = h * (np.abs(f - 0.5 * resk[:, None]) @ _GK_WEIGHTS)
-    both = (resasc > 0) & (err > 0)
-    err[both] = resasc[both] * np.minimum(
-        1.0, (200.0 * err[both] / resasc[both]) ** 1.5)
-    roundoff = 50.0 * _EPS * h * (np.abs(f) @ _GK_WEIGHTS)
-    return h * resk, np.maximum(err, roundoff)
+    x = lo[:, None] + h[:, None] * _GK_OFFSETS
+    shape = (-1,) if m == 1 else (-1, m)
+    rows = max(1, MAX_NODES // (_GK_NODES.size * m))
+    vals, errs = [], []
+    for k in range(0, len(x), rows):
+        xk = x[k:k + rows]
+        f = np.asarray(fvec(xk.ravel()))
+        if not np.isfinite(f).all():
+            raise ConvergenceError("integrand is not finite at a quadrature node",
+                                   achieved=math.inf)
+        # one row of 21 node values per interval and column
+        f = f.reshape(len(xk), _GK_NODES.size, m).transpose(0, 2, 1)
+        f = f.reshape(-1, _GK_NODES.size)
+        hk = h[k:k + rows] if m == 1 else np.repeat(h[k:k + rows], m)
+        resk = f @ _GK_WEIGHTS
+        err = hk * np.abs(resk - f[:, 1::2] @ _G_WEIGHTS)
+        resasc = hk * (np.abs(f - 0.5 * resk[:, None]) @ _GK_WEIGHTS)
+        both = (resasc > 0) & (err > 0)
+        err[both] = resasc[both] * np.minimum(
+            1.0, (200.0 * err[both] / resasc[both]) ** 1.5)
+        roundoff = 50.0 * _EPS * hk * (np.abs(f) @ _GK_WEIGHTS)
+        vals.append((hk * resk).reshape(shape))
+        errs.append(np.maximum(err, roundoff).reshape(shape))
+    if len(vals) == 1:
+        return vals[0], errs[0]
+    return np.concatenate(vals), np.concatenate(errs)
 
 
-def quad_complex(fvec, a, b, points=None, epsabs=1e-12, limit=600):
+def quad_complex(fvec, a, b, points=None, epsabs=1e-12, limit=600,
+                 columns=None):
     """int_a^b fvec(x) dx for a vectorized, possibly complex integrand;
-    returns (complex value, error estimate).
+    returns (value, error estimate).
+
+    fvec maps a 1-D array of n nodes to their values, shape (n,), and the
+    result is a complex value and a float.  With `columns` = m it returns
+    m integrands at once, shape (n, m), which share one set of intervals
+    and give arrays of m values and estimates.  A plain integrand is the
+    one-column case.  With one column the per-interval arrays are kept
+    1-D, which numpy handles several times faster than (intervals, 1).
 
     Adaptive 21-point Gauss-Kronrod over the intervals that `points`
-    (repeats allowed) cut [a, b] into.  Each pass bisects the intervals
-    with the largest errors, worst first, until the rest would hold under
-    an eighth of the tolerance max(epsabs, 1e-12 |I|), and evaluates the
-    nodes of all new halves in batches.  It stops at the tolerance, at
-    `limit` intervals, or once intervals too narrow to bisect hold more
-    error than the tolerance; callers act on the returned error estimate.
-    A non-finite integrand value raises ConvergenceError.
+    (repeats allowed) cut [a, b] into.  Column k's tolerance is
+    tol_k = max(epsabs, 1e-12 |I_k|).  Each pass ranks the intervals by
+    their largest err_k / tol_k and bisects them, worst first, until every
+    column still above its tolerance would hold under an eighth of it;
+    the nodes of all new halves are evaluated in batches.  It stops when
+    every column meets its tolerance or has more error than that in
+    intervals too narrow to bisect, or at `limit` intervals; callers act
+    on the returned error estimates.  A non-finite integrand value raises
+    ConvergenceError.  An empty range gives zero values and estimates.
     """
     if b < a:
-        val, err = quad_complex(fvec, b, a, points, epsabs, limit)
+        val, err = quad_complex(fvec, b, a, points, epsabs, limit, columns)
         return -val, err
+    m = columns or 1
     inner = [p for p in (points if points is not None else ()) if a < p < b]
     edges = np.unique(np.array([a, b] + inner, dtype=float))
     if edges.size < 2:
-        return 0j, 0.0
+        return (0j, 0.0) if columns is None else (np.zeros(m, dtype=complex),
+                                                  np.zeros(m))
     lo, hi = edges[:-1], edges[1:]
-    val, err = _gk21(fvec, lo, hi)
+    val, err = _gk21(fvec, lo, hi, m)
     while True:
-        tol = max(epsabs, 1e-12 * abs(val.sum()))
-        total = err.sum()
-        if total <= tol:
+        # a column is active while above its tolerance, unless narrow
+        # intervals already hold more.  An interval's score is its worst
+        # err_k / tol_k over the active columns, in units of their largest
+        # tol_k: once the unbisected scores sum under an eighth of that
+        # unit, every column is under tol_k / 8.
+        tol = np.maximum(epsabs, 1e-12 * abs(val.sum(axis=0)))
+        active = err.sum(axis=0) > tol
+        if not np.count_nonzero(active):
             break
         wide = (hi - lo) > _MIN_ULPS * _EPS * np.maximum(np.abs(lo), np.abs(hi))
-        if err[~wide].sum() > tol:
+        narrow = ~wide
+        if narrow.any():
+            active &= err[narrow].sum(axis=0) <= tol
+        if not np.count_nonzero(active):
             break
-        worst = np.argsort(-err, kind="stable")
+        if m == 1:     # unit = tol, so the score is err itself
+            unit, score = tol, err
+        else:
+            tol = tol[active]
+            unit = tol.max()
+            score = (err[:, active] * (unit / tol)).max(axis=1)
+        worst = np.argsort(-score, kind="stable")
         worst = worst[wide[worst]]
-        n = np.searchsorted(np.cumsum(err[worst]), total - tol / 8) + 1
+        n = np.searchsorted(np.cumsum(score[worst]), score.sum() - unit / 8) + 1
         n = min(n, worst.size, limit - lo.size)
         if n <= 0:
             break
@@ -134,14 +183,17 @@ def quad_complex(fvec, a, b, points=None, epsabs=1e-12, limit=600):
         mid = 0.5 * (lo[pick] + hi[pick])
         new_lo = np.concatenate([lo[pick], mid])
         new_hi = np.concatenate([mid, hi[pick]])
-        new_val, new_err = _gk21(fvec, new_lo, new_hi)
+        new_val, new_err = _gk21(fvec, new_lo, new_hi, m)
         keep = np.ones(lo.size, dtype=bool)
         keep[pick] = False
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
         val = np.concatenate([val[keep], new_val])
         err = np.concatenate([err[keep], new_err])
-    return complex(val.sum()), float(err.sum())
+    val, err = val.sum(axis=0), err.sum(axis=0)
+    if columns is None:
+        return complex(val), float(err)
+    return val.reshape(m), err.reshape(m)
 
 
 def geometric_ladder(center, width, lo, hi, ratio=4.0):
@@ -163,13 +215,14 @@ def geometric_ladder(center, width, lo, hi, ratio=4.0):
     return sorted(set(pts))
 
 
-def quad_segments(fvec, breakpoints, epsabs=1e-12, limit=600):
+def quad_segments(fvec, breakpoints, epsabs=1e-12, limit=600, columns=None):
     """quad_complex from the first to the last breakpoint, split at all."""
     return quad_complex(fvec, breakpoints[0], breakpoints[-1],
-                        points=breakpoints[1:-1], epsabs=epsabs, limit=limit)
+                        points=breakpoints[1:-1], epsabs=epsabs, limit=limit,
+                        columns=columns)
 
 
-def quad_tail(fvec, X, epsabs=1e-12):
+def quad_tail(fvec, X, epsabs=1e-12, columns=None):
     """int_X^inf fvec(x) dx by quad_complex over x = X + (u/(1-u))^2.
 
     A tail x^(-p) maps to (1-u)^(2p-3), bounded at u = 1 for p >= 3/2; the
@@ -179,9 +232,10 @@ def quad_tail(fvec, X, epsabs=1e-12):
     """
     def g(u):
         r = u / (1.0 - u)
-        return fvec(X + r * r) * (2.0 * r / (1.0 - u) ** 2)
+        jac = 2.0 * r / (1.0 - u) ** 2
+        return fvec(X + r * r) * (jac if columns is None else jac[:, None])
 
-    return quad_complex(g, 0.0, 1.0, epsabs=epsabs)
+    return quad_complex(g, 0.0, 1.0, epsabs=epsabs, columns=columns)
 
 
 def panel_integrals(fvec, start, n_panels, h, s):

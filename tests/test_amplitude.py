@@ -10,8 +10,9 @@ from friedrichs import (Engine, Formfactor, ModelParams, builtin,
                         survival_amplitude_phi1_exact, survival_amplitude_phi2,
                         survival_amplitude_quadrature, survival_deficit,
                         survival_probability)
-from friedrichs.amplitude import asymptote_terms, resolve_engine
-from friedrichs.errors import EngineMismatchError, ExpansionUnavailableError
+from friedrichs.amplitude import asymptote_terms, log_survival, resolve_engine
+from friedrichs.errors import (ConvergenceError, EngineMismatchError,
+                               ExpansionUnavailableError)
 from friedrichs.presets import preset
 from friedrichs.timescales import compute_timescales
 
@@ -134,6 +135,34 @@ def test_deficit_kernel_pinned(name, s, want):
     params, ff = preset(name)
     got = survival_deficit(params, ff, s / params.cutoff)
     assert abs(got - want) <= max(1e-9 * want, 1e-17)
+
+
+@pytest.mark.parametrize("name", ["photodetachment", "quantum-dot", "hydrogen"])
+def test_log_survival_array_matches_scalar(name):
+    # times on both sides of the seam s = 1 between the deficit kernel
+    # and 1 - p, evaluated in one batch and one by one
+    params, ff = preset(name)
+    s = np.concatenate([[0.0], np.geomspace(0.05, 20.0, 15), [1.0]])
+    times = s / params.cutoff
+    batch = log_survival(params, ff, times)
+    assert isinstance(batch, np.ndarray) and batch.shape == times.shape
+    for t, got in zip(times, batch):
+        want = log_survival(params, ff, t)
+        assert isinstance(want, float)
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+def test_phi2_background_unconverged_raises(qdot, monkeypatch):
+    # no bisection allowed: the background's own estimate is about 1e-4
+    import friedrichs.amplitude as amplitude
+    quad_segments = amplitude.quadlib.quad_segments
+    monkeypatch.setattr(amplitude.quadlib, "quad_segments",
+                        lambda f, points, epsabs=1e-12, limit=600, columns=None:
+                        quad_segments(f, points, epsabs, 1, columns))
+    params, _ = qdot
+    with pytest.raises(ConvergenceError) as info:
+        survival_amplitude_phi2(params, 0.0)
+    assert info.value.achieved > 1e-7
 
 
 def test_deficit_zero_cases(qdot):
@@ -325,6 +354,27 @@ def test_sample_curve_bounded_and_sorted(qdot):
     assert np.all(curve.probabilities >= 0)
     assert np.all(curve.probabilities <= 1.0)
     assert not curve.clamped
+
+
+def test_sample_curve_phi2_reports_background_estimate(qdot):
+    params, ff = qdot
+    ts = compute_timescales(params, ff)
+    times = np.geomspace(1e-3 * ts.t_z, 3 * ts.t_d, 25)
+    curve = sample_curve(params, ff, times)
+    amps, est = survival_amplitude_phi2(params, curve.times, with_error=True)
+    assert np.array_equal(curve.error_estimates, 2.0 * est)
+    assert np.all(curve.error_estimates > 0.0)
+    assert np.all(curve.error_estimates < 1e-7)
+    assert len(set(curve.error_estimates)) > 1
+    for t, a in zip(curve.times, amps):
+        assert abs(survival_amplitude_phi2(params, t) - a) < 1e-13
+
+
+@pytest.mark.parametrize("name", ["photodetachment", "quantum-dot", "hydrogen"])
+def test_sample_curve_without_times_is_empty(name):
+    curve = sample_curve(*preset(name), [])
+    assert curve.times.size == curve.probabilities.size == 0
+    assert curve.error_estimates.size == 0
 
 
 def test_sample_curve_rejects_bogus_probability(qdot):

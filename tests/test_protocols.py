@@ -7,7 +7,7 @@ from friedrichs import (UNBOUNDED, ModelParams, ZenoLimitKind, anti_zeno_minimum
                         builtin, compute_timescales, n_epsilon, protocol_curve,
                         repeated_measurement_survival, short_time_expansion,
                         survival_probability, zeno_limit_class)
-from friedrichs.amplitude import ShortTimeExpansion
+from friedrichs.amplitude import ShortTimeExpansion, log_survival
 from friedrichs.presets import preset
 
 
@@ -163,3 +163,152 @@ def test_protocol_curve_structure(qdot, qdot_scales):
     assert np.all((res.probabilities >= 0) & (res.probabilities <= 1))
     assert res.reference_exponential == pytest.approx(math.exp(-T / ts.t_d))
     assert res.minimum.probability <= res.probabilities.min() + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# batched ln p against the one-time-at-a-time algorithms
+# ---------------------------------------------------------------------------
+
+def _logp_sequential(params, ff):
+    cache = {}
+
+    def logp(tau):
+        if tau not in cache:
+            cache[tau] = log_survival(params, ff, tau)
+        return cache[tau]
+
+    return logp
+
+
+def _n_epsilon_sequential(params, ff, T, eps, cap=10 ** 9):
+    """n_epsilon as it was before prefetching: one log_survival per tau."""
+    logp = _logp_sequential(params, ff)
+    p_n = lambda n: repeated_measurement_survival(params, ff, T, n, _logp=logp)
+    threshold = (1.0 - eps) * p_n(1)
+    last_good, n = 1, 2
+    while n <= cap:
+        if p_n(n) < threshold:
+            break
+        last_good, n = n, max(n + 1, int(n * 1.35))
+    else:
+        return UNBOUNDED
+    lo, hi = last_good, n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if p_n(mid) >= threshold:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _anti_zeno_sequential(params, ff, T):
+    """anti_zeno_minimum as it was before prefetching."""
+    logp = _logp_sequential(params, ff)
+    t_z = short_time_expansion(params, ff).validity_time
+    cost = lambda ltau: (T / math.exp(ltau)) * logp(math.exp(ltau))
+    grid = np.linspace(math.log(1e-3 * t_z), math.log(T), 161)
+    vals = np.array([cost(x) for x in grid])
+    k = int(np.argmin(vals))
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+    f1, f2 = cost(x1), cost(x2)
+    for _ in range(80):
+        if b - a < 1e-12:
+            break
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = cost(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = cost(x2)
+    n_best = max(1, round(T / math.exp(0.5 * (a + b))))
+    p_n = lambda n: repeated_measurement_survival(params, ff, T, n, _logp=logp)
+    n_star = min(range(max(1, n_best - 3), n_best + 4), key=p_n)
+    return T / n_star, p_n(n_star), n_star
+
+
+_NEPS_GRID = [(ratio, eps) for eps in (1e-2, 3e-3, 1e-3)
+              for ratio in np.geomspace(1e-3, 1e-1, 7)]   # the CLI default
+
+
+@pytest.mark.parametrize("ratio,eps", _NEPS_GRID)
+def test_n_epsilon_matches_sequential(qdot, qdot_scales, ratio, eps):
+    T = ratio * qdot_scales.t_d
+    assert n_epsilon(*qdot, T, eps) == _n_epsilon_sequential(*qdot, T, eps)
+
+
+@pytest.mark.parametrize("ratio", [1e-4, 1e-3, 1e-2, 1e-1])
+def test_anti_zeno_minimum_matches_sequential(ratio):
+    params, ff = preset("photodetachment")
+    T = ratio * compute_timescales(params, ff).t_d
+    m = anti_zeno_minimum(params, ff, T)
+    tau, p, n = _anti_zeno_sequential(params, ff, T)
+    assert (m.tau, m.n_measurements) == (tau, n)
+    assert m.probability == pytest.approx(p, rel=1e-9)
+
+
+@pytest.mark.parametrize("eps", [3e-3, 1e-8])
+def test_n_epsilon_fetches_no_extra_quadrature_engine_times(monkeypatch, eps):
+    # the quadrature engine takes times one by one, so prefetching the
+    # scan and bisection candidates it would never visit only adds work;
+    # at eps = 1e-8 the scan stops at its first step, n = 2
+    import friedrichs.amplitude as amplitude
+    params, ff = preset("hydrogen")
+    T = 1e-2 * compute_timescales(params, ff).t_d
+    calls = []
+    engine = amplitude.survival_amplitude_quadrature
+    monkeypatch.setattr(amplitude, "survival_amplitude_quadrature",
+                        lambda *a, **k: calls.append(1) or engine(*a, **k))
+    n = n_epsilon(params, ff, T, eps)
+    batched = len(calls)
+    calls.clear()
+    assert n == _n_epsilon_sequential(params, ff, T, eps)
+    assert batched <= len(calls)
+
+
+@pytest.mark.parametrize("ratio", [1e-3, 1e-2, 1e-1])
+def test_protocol_curve_minimum_matches_anti_zeno_minimum(qdot, qdot_scales, ratio):
+    # protocol_curve batches the anti-Zeno scan with its N grid, so its ln p
+    # values may differ from a standalone search's in the last bits; on a
+    # flat minimum that can move N, but only within the flat bottom
+    T = ratio * qdot_scales.t_d
+    a = protocol_curve(*qdot, T, decay_time=qdot_scales.t_d).minimum
+    b = anti_zeno_minimum(*qdot, T)
+    assert a.probability == pytest.approx(b.probability, rel=1e-8)
+    assert a.n_measurements == pytest.approx(b.n_measurements, rel=1e-4)
+
+
+@pytest.fixture
+def quad_calls(monkeypatch):
+    import friedrichs.quadrature as quadrature
+    calls = []
+    quad_complex = quadrature.quad_complex
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return quad_complex(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "quad_complex", counted)
+    return calls
+
+
+def test_protocol_curve_batches_its_integrals(quad_calls):
+    # 172 quad_complex calls when every tau had its own integral; a
+    # prefetched tau that misses the memo falls back to a scalar call
+    params, ff = preset("photodetachment")
+    t_d = compute_timescales(params, ff).t_d
+    quad_calls.clear()
+    protocol_curve(params, ff, 1e-3 * t_d, n_tau=100, decay_time=t_d)
+    assert len(quad_calls) <= 6
+
+
+@pytest.mark.parametrize("ratio,eps", _NEPS_GRID)
+def test_n_epsilon_batches_its_integrals(qdot, qdot_scales, quad_calls, ratio, eps):
+    # 25-26 quad_complex calls when every tau had its own integral
+    quad_calls.clear()
+    n_epsilon(*qdot, ratio * qdot_scales.t_d, eps)
+    assert len(quad_calls) <= 10

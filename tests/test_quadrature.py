@@ -9,7 +9,8 @@ from friedrichs.quadrature import (MAX_NODES, byparts_segment, byparts_tail,
                                    euler_accelerate, geometric_ladder,
                                    oscillatory_finite, oscillatory_tail,
                                    panel_integrals, principal_value,
-                                   pv_dispersion, quad_complex, quad_segments)
+                                   pv_dispersion, quad_complex, quad_segments,
+                                   quad_tail)
 
 
 def test_principal_value_odd_symmetric_is_zero():
@@ -147,6 +148,10 @@ def test_quad_complex_reversed_and_empty_range():
     assert backward == -forward
     assert forward.real == pytest.approx((16.0 - 0.0625) / 4.0, rel=1e-14)
     assert quad_complex(f, 1.0, 1.0) == (0j, 0.0)
+    val, err = quad_complex(lambda x: np.stack([f(x), f(x)], axis=1), 1.0, 1.0,
+                            columns=2)
+    assert val.shape == err.shape == (2,)
+    assert not val.any() and not err.any()
 
 
 def test_quad_complex_narrow_spike_far_from_zero():
@@ -209,7 +214,7 @@ def test_quad_complex_caps_nodes_per_call():
         sizes.append(np.size(x))
         return np.sin(40.0 * x) / (1e-3 + (x - 0.3) ** 2)
 
-    # 1999 starting intervals hold ten times the per-call cap of nodes
+    # 1999 starting intervals hold more than twice the per-call cap of nodes
     val, err = quad_complex(f, 0.0, 1.0, points=np.linspace(0.0, 1.0, 2000),
                             limit=4000)
     assert len(sizes) > 1
@@ -218,3 +223,86 @@ def test_quad_complex_caps_nodes_per_call():
     want = mpmath.quad(lambda x: mpmath.sin(40 * x) / (mpmath.mpf("1e-3") + (x - 0.3) ** 2),
                        mpmath.linspace(0, 1, 41))
     assert abs(val - complex(want)) < 1e-10
+
+
+def test_quad_complex_one_column_matches_plain_integrand():
+    f = lambda x: np.exp(3j * x) / (1e-2 + (x - 0.4) ** 2)
+    plain = quad_complex(f, 0.0, 2.0, points=[0.5, 1.0])
+    val, err = quad_complex(lambda x: f(x)[:, None], 0.0, 2.0, points=[0.5, 1.0],
+                            columns=1)
+    assert (val[0], err[0]) == plain
+
+
+def test_quad_complex_columns_match_single_calls():
+    ws = np.array([0.5, 3.0, 20.0, 60.0])
+    f = lambda x: np.exp(1j * np.multiply.outer(x, ws)) / (1.0 + x[:, None] ** 2)
+    val, err = quad_complex(f, 0.0, 4.0, points=[1.0, 2.0], epsabs=1e-13,
+                            columns=ws.size)
+    for k, w in enumerate(ws):
+        one, _ = quad_complex(lambda x: np.exp(1j * w * x) / (1.0 + x ** 2),
+                              0.0, 4.0, points=[1.0, 2.0], epsabs=1e-13)
+        tol = max(1e-13, 1e-12 * abs(one))
+        assert abs(val[k] - one) <= tol
+        assert err[k] <= tol
+
+
+def test_quad_complex_tiny_column_meets_its_own_tolerance():
+    # a 1e-20-sized narrow Lorentzian next to a smooth O(1) column: the
+    # large column alone would stop far short of resolving the small one
+    width = 1e-3
+
+    def f(x):
+        return np.stack([1.0 / (1.0 + x * x),
+                         1e-20 * width / ((x - 0.7) ** 2 + width ** 2)], axis=1)
+
+    val, err = quad_complex(f, 0.0, 1.0, epsabs=1e-40, columns=2)
+    want = np.array([math.pi / 4,
+                     1e-20 * (math.atan(0.3 / width) + math.atan(0.7 / width))])
+    tol = 1e-12 * np.abs(want)
+    assert np.all(err <= tol)
+    assert np.all(np.abs(val - want) <= tol)
+
+
+def test_quad_complex_ranks_intervals_by_relative_error():
+    # the x^(-1/2) column cannot converge within 60 intervals; ranked by
+    # absolute error it would take every bisection and starve the
+    # 1e-20-sized column, ranked by err_k / tol_k both get theirs
+    width = 1e-3
+
+    def f(x):
+        return np.stack([1.0 / np.sqrt(x),
+                         1e-20 * width / ((x - 0.7) ** 2 + width ** 2)], axis=1)
+
+    val, err = quad_complex(f, 0.0, 1.0, epsabs=1e-40, limit=60, columns=2)
+    want = 1e-20 * (math.atan(0.3 / width) + math.atan(0.7 / width))
+    assert err[0] > 1e-12 * 2.0
+    assert err[1] <= 1e-12 * want
+    assert abs(val[1] - want) <= 1e-12 * want
+
+
+def test_quad_complex_caps_node_column_values_per_call():
+    m = 7
+    sizes = []
+    ws = np.arange(1.0, m + 1.0)
+
+    def f(x):
+        out = np.cos(np.multiply.outer(x, ws)) / (1e-3 + (x[:, None] - 0.3) ** 2)
+        sizes.append(out.size)
+        return out
+
+    val, err = quad_complex(f, 0.0, 1.0, points=np.linspace(0.0, 1.0, 400),
+                            limit=4000, columns=m)
+    assert len(sizes) > 1
+    assert max(sizes) <= MAX_NODES
+    for k, w in enumerate(ws):
+        one, _ = quad_complex(lambda x: np.cos(w * x) / (1e-3 + (x - 0.3) ** 2),
+                              0.0, 1.0, points=np.linspace(0.0, 1.0, 400), limit=4000)
+        assert abs(val[k] - one) <= 1e-12 * abs(one)
+
+
+def test_quad_tail_columns():
+    ps = np.array([2.0, 3.0, 5.0])
+    val, err = quad_tail(lambda x: np.power.outer(x, -ps), 2.0, epsabs=1e-14,
+                         columns=ps.size)
+    want = 2.0 ** (1.0 - ps) / (ps - 1.0)
+    assert np.all(np.abs(val - want) <= 1e-12 * want)
