@@ -6,7 +6,17 @@ time s = cutoff * t the engines are:
 
 QUADRATURE    A(s) = int_0^inf rho(x) exp(isx) dx over the spectral
               density.  Works for every formfactor and is the reference
-              the closed-form engines are tested against.
+              the closed-form engines are tested against.  The spike
+              window around the density peak x0 (and at s = 0 the whole
+              mass integral) is taken in spike-local nodes, offsets
+              t = x - x0 that Offsets hands to spectral_density: Re eta is
+              (omega_ratio - x0) - t - g2 P(x0 + t), exact in t, the phase
+              is exp(ist), and exp(isx0) multiplies the window once.  In
+              absolute x the hydrogen spike, 3.7e-11 wide at x0 = 1.8e-3,
+              is resolved only to 6e-9 of its width, noise that bisection
+              cannot remove.  When the window reaches x = 0, geometric
+              breakpoints x0 / 4^k step toward that head (the sqrt of
+              phi1, the y log y of P for phi2 and phi3).
 
 PHI1_EXACT    For the sqrt-head weight the density is rational in
               u = sqrt(x), and the transform reduces to three Faddeeva
@@ -57,7 +67,7 @@ from scipy.special import wofz
 from .errors import ConvergenceError, EngineMismatchError, ExpansionUnavailableError
 from .formfactors import (DIVERGENT, PHI1, PHI2, Formfactor, ModelParams,
                           moment, squared_norm)
-from .dispersion import (decaying_resonance, resonance_roots,
+from .dispersion import (Offsets, decaying_resonance, resonance_roots,
                          spectral_density, spectral_peak)
 from . import quadrature as quadlib
 
@@ -91,22 +101,46 @@ def resolve_engine(ff: Formfactor, engine: Engine = Engine.AUTO) -> Engine:
 
 _SPIKE_HALFWIDTHS = 80.0   # spike window extent in units of the half width
 _X_FAR = 60.0              # beyond this every built-in density is tiny
+_HEAD_FLOOR = 1e-12        # the head ladder stops above x = _HEAD_FLOOR * x0
+
+
+def _window_breakpoints(x0, width, a, b):
+    """Breakpoints of the window [a, b] in offsets t = x - x0: the spike
+    ladder around t = 0 and, when the window starts at x = 0, a geometric
+    ladder x0 / 4^k toward the head, where phi1 has its sqrt and P of phi2
+    and phi3 its y log y.  The head ladder stops at x = _HEAD_FLOOR * x0,
+    so that the nodes of its first interval, x0 + t, stay clear of 0 after
+    rounding (offsets near -x0 are spaced by ulp(x0))."""
+    lo, hi = a - x0, b - x0
+    pts = [lo, 0.0, hi] + quadlib.geometric_ladder(0.0, width, lo, hi)
+    if a == 0.0:
+        x = x0 / 4.0
+        while x > _HEAD_FLOOR * x0:
+            pts.append(x - x0)
+            x /= 4.0
+    return sorted(set(pts))
 
 
 def _amp_quadrature(params: ModelParams, ff: Formfactor, s: float,
                     tol: float = 1e-10):
-    """A(s) with an error estimate; dimensionless time s >= 0."""
+    """A(s) with an error estimate; dimensionless time s >= 0.
+
+    The spike window, and the whole mass integral at s = 0, is integrated
+    over the offset t = x - x0 from the spike center: Re eta is formed from
+    t exactly (Offsets), the phase is exp(ist), and the global factor
+    exp(isx0) is applied once (see the module docstring)."""
     w_ratio, g2 = params.omega_ratio, params.coupling_sq
     if g2 == 0.0:
         return cmath.exp(1j * w_ratio * s), 0.0
 
     rho = lambda x: spectral_density(params, ff, x)
     x0, width = spectral_peak(params, ff)
+    rho_t = lambda t: spectral_density(params, ff, Offsets(x0, t))
 
     if s == 0.0:
         X1 = x0 + 1e7 * width
-        segs = sorted(set([0.0, x0, X1] + quadlib.geometric_ladder(x0, width, 0.0, X1)))
-        v, e = quadlib.quad_segments(rho, segs, epsabs=tol / 8)
+        v, e = quadlib.quad_segments(rho_t, _window_breakpoints(x0, width, 0.0, X1),
+                                     epsabs=tol / 8)
         vt, et = quadlib.quad_tail(rho, X1, epsabs=tol / 8)
         return v + vt, e + et
 
@@ -115,18 +149,20 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: float,
     sw = s * width
     err = 0.0
 
-    # spike window
+    # spike window, in offsets from x0
     if sw < 25.0:
-        segs = sorted(set([a, x0, b] + quadlib.geometric_ladder(x0, width, a, b)))
         v_spike, e = quadlib.quad_segments(
-            lambda x: rho(x) * np.exp(1j * s * x), segs, epsabs=tol / 16, limit=900)
+            lambda t: rho_t(t) * np.exp(1j * s * t),
+            _window_breakpoints(x0, width, a, b), epsabs=tol / 32, limit=900)
     else:
         ncap, h = 24, math.pi / s
-        cap_a = quadlib.panel_integrals(rho, a, ncap, h, s).sum()
-        cap_b = quadlib.panel_integrals(rho, b - ncap * h, ncap, h, s).sum()
-        v_spike, e = quadlib.byparts_segment(rho, a + ncap * h, b - ncap * h,
+        lo, hi = a - x0, b - x0
+        cap_a = quadlib.panel_integrals(rho_t, lo, ncap, h, s).sum()
+        cap_b = quadlib.panel_integrals(rho_t, hi - ncap * h, ncap, h, s).sum()
+        v_spike, e = quadlib.byparts_segment(rho_t, lo + ncap * h, hi - ncap * h,
                                              s, width, width)
         v_spike += cap_a + cap_b
+    v_spike *= cmath.exp(1j * s * x0)
     err += e
 
     # left of the window

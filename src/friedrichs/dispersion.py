@@ -135,33 +135,78 @@ def eta_first_sheet(params: ModelParams, ff: Formfactor, z: complex) -> complex:
     return w - z - g2 * val
 
 
+def _shift_phi1(g2, y):
+    return math.pi * g2 / (1.0 + y)
+
+
+def _shift_phi2(g2, y):
+    yy = y * y
+    return -g2 * (y * np.log(y) / (1 + yy) ** 2
+                  + math.pi * (yy - 1) / (4 * (1 + yy) ** 2)
+                  + y / (2 * (1 + yy)))
+
+
+def _shift_phi3(g2, y):
+    # Horner form of the numerator's polynomial part
+    pi = math.pi
+    poly = (((((((-16.0 * y - 3 * pi) * y - 72.0) * y - 15 * pi) * y - 144.0)
+              * y - 45 * pi) * y - 88.0) * y + 15 * pi)
+    u = 1.0 + y * y
+    u *= u
+    return g2 * (poly - 96.0 * y * np.log(y)) / (96.0 * u * u)
+
+
+_SHIFT_CLOSED = {PHI1: _shift_phi1, PHI2: _shift_phi2, PHI3: _shift_phi3}
+
+
+def _level_shift(ff: Formfactor, g2: float, y: np.ndarray) -> np.ndarray:
+    """g2 * P(y), P(y) = PV int phi(x)/(x-y) dx: closed forms for built-ins,
+    excision quadrature point by point otherwise."""
+    shift = _SHIFT_CLOSED.get(ff.id)
+    if shift is not None:
+        return shift(g2, y)
+    pv = [pv_dispersion(ff, yi) for yi in np.atleast_1d(y)]
+    return g2 * np.array(pv).reshape(y.shape)
+
+
+class Offsets:
+    """Points x = center + t given by a float center and offsets t from it.
+
+    On a feature far narrower than its distance from 0, such as the
+    resonance spike of the density, rounded absolute x cannot place points
+    finely enough; the offsets can, and dispersion_real_part forms Re eta
+    from them exactly.  `size` is the number of points, as for an array.
+    (A plain slotted class: a frozen dataclass costs 0.5 ms at import.)"""
+
+    __slots__ = ("center", "t", "x")
+
+    def __init__(self, center: float, t: np.ndarray):
+        self.center, self.t = center, t
+        self.x = center + t
+
+    @property
+    def size(self) -> int:
+        return self.t.size
+
+
 def dispersion_real_part(params: ModelParams, ff: Formfactor, y) -> np.ndarray:
-    """Re eta on the cut: omega_ratio - y - g2 * PV int phi/(x-y) dx.
+    """Re eta on the cut: omega_ratio - y - g2 * P(y) with
+    P(y) = PV int phi/(x-y) dx.
 
     Vectorized over y; closed forms for built-ins, excision quadrature
-    otherwise.
+    otherwise.  y may be Offsets, center + t: then the linear part is
+    (omega_ratio - center) - t, exact in t, and only P, smooth on the
+    scale of y, sees the rounded points.
     """
-    y = np.asarray(y, dtype=float)
     w, g2 = params.omega_ratio, params.coupling_sq
+    if isinstance(y, Offsets):
+        ys, linear = y.x, (w - y.center) - y.t
+    else:
+        ys = np.asarray(y, dtype=float)
+        linear = w - ys
     if g2 == 0.0:
-        return w - y
-    if ff.id == PHI1:
-        return w - y - math.pi * g2 / (1.0 + y)
-    if ff.id == PHI2:
-        yy = y * y
-        return w - y + g2 * (y * np.log(y) / (1 + yy) ** 2
-                             + math.pi * (yy - 1) / (4 * (1 + yy) ** 2)
-                             + y / (2 * (1 + yy)))
-    if ff.id == PHI3:
-        pi = math.pi
-        num = (-16 * y ** 7 - 3 * pi * y ** 6 - 72 * y ** 5 - 15 * pi * y ** 4
-               - 144 * y ** 3 - 45 * pi * y ** 2 - 96 * y * np.log(y)
-               - 88 * y + 15 * pi)
-        return w - y - g2 * num / (96 * (1 + y * y) ** 4)
-    scalar = np.isscalar(y) or y.ndim == 0
-    ys = np.atleast_1d(y)
-    out = np.array([w - yi - g2 * pv_dispersion(ff, yi) for yi in ys])
-    return out[0] if scalar else out
+        return linear
+    return linear - _level_shift(ff, g2, ys)
 
 
 def eta_boundary(params: ModelParams, ff: Formfactor, y: float,
@@ -318,19 +363,33 @@ def decaying_resonance(params: ModelParams, ff: Formfactor) -> ResonanceRoot:
 
 def spectral_density(params: ModelParams, ff: Formfactor, x) -> np.ndarray:
     """rho(x) = g2*phi / (Re_eta^2 + (pi*g2*phi)^2); integrates to 1 when
-    no bound state is present."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
+    no bound state is present.  x may be Offsets from a spike center."""
+    xs = x.x if isinstance(x, Offsets) else np.asarray(x, dtype=float)
+    if np.any(xs <= 0):
         raise ValueError("spectral density is defined for x > 0")
     g2 = params.coupling_sq
-    ph = ff(x)
+    ph = ff(xs)
     re = dispersion_real_part(params, ff, x)
     return g2 * ph / (re * re + (math.pi * g2 * ph) ** 2)
 
 
 def spectral_peak(params: ModelParams, ff: Formfactor):
     """Location and half-width of the resonance spike of the density:
-    the zero of Re eta on the cut and pi*g2*phi there over |d Re eta/dx|."""
+    the zero of Re eta on the cut and pi*g2*phi there over |d Re eta/dx|.
+    Memoized for the built-in weights."""
+    if ff.is_builtin:
+        return _peak_cached(params.cutoff, params.omega1, params.coupling_sq,
+                            ff.id)
+    return _spectral_peak(params, ff)
+
+
+@lru_cache(maxsize=64)
+def _peak_cached(cutoff, omega1, coupling_sq, ff_id):
+    return _spectral_peak(ModelParams(cutoff, omega1, coupling_sq),
+                          builtin(ff_id))
+
+
+def _spectral_peak(params: ModelParams, ff: Formfactor):
     from scipy import optimize
 
     w = params.omega_ratio

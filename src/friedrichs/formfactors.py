@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -66,7 +67,9 @@ def _phi2(x):
 
 def _phi3(x):
     x = np.asarray(x, dtype=float)
-    return x / (1.0 + x * x) ** 4
+    u = 1.0 + x * x
+    u *= u
+    return x / (u * u)
 
 
 @dataclass(frozen=True)
@@ -242,6 +245,28 @@ def _improper_quad(func) -> float:
     return val
 
 
+def _integrand(ff: Formfactor, kind: str, k: int):
+    if kind == "moment":
+        return lambda x: float(ff(x)) * x ** k
+    if kind == "square":
+        return lambda x: float(ff(x)) ** 2
+    return lambda x: float(ff(x)) / x
+
+
+@lru_cache(maxsize=64)
+def _builtin_integral(ff_id: str, kind: str, k: int) -> float:
+    return _improper_quad(_integrand(builtin(ff_id), kind, k))
+
+
+def _weighted_integral(ff: Formfactor, kind: str, k: int = 0) -> float:
+    """int_0^inf of x^k phi ("moment"), phi^2 ("square") or phi/x ("head").
+    Memoized for the built-in weights, which their id fixes; custom
+    weights all share one id and are integrated on every call."""
+    if ff.is_builtin:
+        return _builtin_integral(ff.id, kind, k)
+    return _improper_quad(_integrand(ff, kind, k))
+
+
 def moment(ff: Formfactor, k: int):
     """k-th moment int x^k phi(x) dx, or DIVERGENT when the tail does not
     decay fast enough (tail_exponent <= k+1)."""
@@ -251,7 +276,7 @@ def moment(ff: Formfactor, k: int):
         return DIVERGENT
     if ff.head_exponent <= -1 - k:
         return DIVERGENT
-    return _improper_quad(lambda x: float(ff(x)) * x ** k)
+    return _weighted_integral(ff, "moment", k)
 
 
 def squared_norm(ff: Formfactor):
@@ -260,14 +285,14 @@ def squared_norm(ff: Formfactor):
         return DIVERGENT
     if 2 * ff.head_exponent <= -1:
         return DIVERGENT
-    return _improper_quad(lambda x: float(ff(x)) ** 2)
+    return _weighted_integral(ff, "square")
 
 
 def head_integral(ff: Formfactor):
     """int phi(x)/x dx; finite for head_exponent > 0 and tail_exponent > 0."""
     if ff.head_exponent <= 0 or ff.tail_exponent <= 0:
         return DIVERGENT
-    return _improper_quad(lambda x: float(ff(x)) / x)
+    return _weighted_integral(ff, "head")
 
 
 def bound_state_margin(params: ModelParams, ff: Formfactor) -> float:

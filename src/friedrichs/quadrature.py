@@ -32,6 +32,7 @@ Richardson extrapolation of the excision radius.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -240,12 +241,18 @@ def quad_tail(fvec, X, epsabs=1e-12, columns=None):
 
 def panel_integrals(fvec, start, n_panels, h, s):
     """Per-panel integrals of f(x) exp(isx) over n consecutive panels of
-    width h, one 16-point Gauss-Legendre rule per panel (vectorized)."""
-    edges = start + h * np.arange(n_panels)
-    x = (edges[:, None] + (h / 2.0) * (1.0 + _GL_NODES[None, :])).ravel()
-    vals = fvec(x) * np.exp(1j * s * x)
-    vals = vals.reshape(n_panels, _GL_NODES.size)
-    return (h / 2.0) * (vals @ _GL_WEIGHTS)
+    width h, one 16-point Gauss-Legendre rule per panel (vectorized).
+
+    Panel k's phase factor is exp(is start) exp(iskh) times one table of
+    exp(is(x - edge_k)) for the 16 nodes: one complex exponential per
+    panel, not one per node."""
+    k = np.arange(n_panels)
+    offsets = (h / 2.0) * (1.0 + _GL_NODES)
+    x = ((start + h * k)[:, None] + offsets).ravel()
+    vals = fvec(x).reshape(n_panels, _GL_NODES.size)
+    table = np.exp(1j * s * offsets) * _GL_WEIGHTS
+    phase = np.exp(1j * (s * h) * k) * (cmath.exp(1j * s * start) * (h / 2.0))
+    return phase * (vals @ table)
 
 
 def euler_accelerate(terms):

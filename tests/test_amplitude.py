@@ -10,7 +10,9 @@ from friedrichs import (Engine, Formfactor, ModelParams, builtin,
                         survival_amplitude_phi1_exact, survival_amplitude_phi2,
                         survival_amplitude_quadrature, survival_deficit,
                         survival_probability)
+from friedrichs import amplitude, quadrature
 from friedrichs.amplitude import asymptote_terms, log_survival, resolve_engine
+from friedrichs.dispersion import Offsets
 from friedrichs.errors import (ConvergenceError, EngineMismatchError,
                                ExpansionUnavailableError)
 from friedrichs.presets import preset
@@ -81,6 +83,61 @@ def test_quadrature_error_budget(photo):
         _, est = survival_amplitude_quadrature(params, ff, s / params.cutoff,
                                                with_error=True)
         assert est <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["photodetachment", "quantum-dot", "hydrogen"])
+def test_quadrature_mass_is_one(name):
+    """A(0), the integral of the density, in spike-local offsets and with
+    the head ladder; rounded absolute x left 1.8e-10 on hydrogen."""
+    params, ff = preset(name)
+    a, est = survival_amplitude_quadrature(params, ff, 0.0, with_error=True)
+    assert abs(a - 1.0) <= 1e-12
+    assert est <= 1e-11
+
+
+def _window_cost(monkeypatch, params, ff, s):
+    """(density nodes, Gauss-Kronrod passes, estimate) of the engine at s.
+    The spike window is the only part that evaluates the density on
+    Offsets, so its nodes and passes are counted apart."""
+    cost = {"nodes": 0, "passes": 0}
+    local = [False]
+    density, gk21 = amplitude.spectral_density, quadrature._gk21
+
+    def counting_density(p, f, x):
+        if isinstance(x, Offsets):
+            cost["nodes"] += x.size
+            local[0] = True
+        return density(p, f, x)
+
+    def counting_gk21(*args):
+        local[0] = False
+        out = gk21(*args)
+        cost["passes"] += local[0]
+        return out
+
+    monkeypatch.setattr(amplitude, "spectral_density", counting_density)
+    monkeypatch.setattr(quadrature, "_gk21", counting_gk21)
+    _, est = survival_amplitude_quadrature(params, ff, s / params.cutoff,
+                                           with_error=True)
+    monkeypatch.undo()
+    return cost["nodes"], cost["passes"], est
+
+
+def test_hydrogen_late_window_converges(monkeypatch, hydrogen):
+    """At s = 1.26e10 the window in absolute x used up its 900-interval
+    budget (37,548 nodes) and missed its tolerance (estimate 1.7e-10)."""
+    nodes, _, est = _window_cost(monkeypatch, *hydrogen, 1.26e10)
+    assert 0 < nodes <= 5000
+    assert est <= 1e-11
+
+
+def test_photodetachment_window_passes(monkeypatch, photo):
+    """With the head ladder the window that reaches x = 0 converges in a
+    few passes; bisecting toward the sqrt head took 13."""
+    for s in (1e-3, 1e2, 1e6):
+        _, passes, est = _window_cost(monkeypatch, *photo, s)
+        assert 0 < passes <= 5
+        assert est <= 1e-10
 
 
 def test_negative_time_rejected(photo):

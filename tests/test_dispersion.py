@@ -8,7 +8,7 @@ from friedrichs import (Formfactor, ModelParams, RootKind, Side, builtin,
                         decaying_resonance, eta_boundary, eta_first_sheet,
                         eta_second_sheet, resonance_roots, spectral_density,
                         spectral_peak)
-from friedrichs.dispersion import _newton_polish
+from friedrichs.dispersion import Offsets, _newton_polish
 from friedrichs.errors import ContinuationUnsupportedError
 from friedrichs.presets import preset
 
@@ -251,3 +251,26 @@ def test_small_coupling_mass_concentrates(g2):
     mass, _ = quad(lambda x: float(spectral_density(params, ff, x)),
                    x0 - half, x0 + half, points=[x0], limit=200)
     assert mass > 0.9
+
+
+@pytest.mark.parametrize("name", ["phi1", "phi2", "phi3", "custom"])
+def test_spike_local_density_matches_absolute(name):
+    """Away from the spike, where rounding x costs nothing, the density
+    from offsets t equals the density at the same points x0 + t."""
+    params = ModelParams(1e12, 2e9, 4e-6)
+    ff = _custom_clone("phi2") if name == "custom" else builtin(name)
+    x0, width = spectral_peak(params, builtin("phi2") if name == "custom"
+                              else ff)
+    n = 3 if name == "custom" else 40
+    span = np.geomspace(0.01 * x0, 50.0, n)
+    t = np.concatenate([-span[span < x0], span])
+    local = Offsets(x0, t)
+    assert local.size == np.size(local) == t.size
+    want = spectral_density(params, ff, local.x)
+    got = spectral_density(params, ff, local)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_builtin_spectral_peak_is_memoized():
+    params, ff = preset("hydrogen")
+    assert spectral_peak(params, ff) is spectral_peak(params, builtin("phi3"))

@@ -164,3 +164,19 @@ def test_model_params_validation():
     p = ModelParams(1e10, 2e4, 3.18e-7)
     assert p.omega_ratio == pytest.approx(2e-6, rel=1e-15)
     assert p.weak_coupling
+
+
+def test_custom_weight_never_served_builtin_integral():
+    """Built-in integrals are memoized by id; custom weights share the id
+    "custom" and are integrated afresh every call."""
+    ref = builtin("phi2")
+    i0, i1, norm, head = (moment(ref, 0), moment(ref, 1), squared_norm(ref),
+                          head_integral(ref))
+    for c in (2.0, 3.0):
+        ff = Formfactor.from_callable(lambda x, c=c: c * ref(x), 3.0, 1.0,
+                                      verify=False)
+        assert moment(ff, 0) == pytest.approx(c * i0, rel=1e-9)
+        assert moment(ff, 1) == pytest.approx(c * i1, rel=1e-9)
+        assert squared_norm(ff) == pytest.approx(c * c * norm, rel=1e-9)
+        assert head_integral(ff) == pytest.approx(c * head, rel=1e-9)
+    assert moment(builtin("phi2"), 0) == i0

@@ -117,6 +117,24 @@ def test_panel_integrals_sum_exact():
     assert abs(total - want) < 1e-13
 
 
+@pytest.mark.parametrize("s, h", [(1e3, math.pi / 1e3), (1e3, 0.37e-3),
+                                  (2.5e7, math.pi / 2.5e7)])
+def test_panel_integrals_match_direct_phase(s, h):
+    """One exponential per panel and a node table, against exp(isx) at
+    every node of the same rule."""
+    from friedrichs.quadrature import _GL_NODES, _GL_WEIGHTS
+    f = lambda x: 1.0 / (1.0 + np.asarray(x, float) ** 2)
+    start, n = 0.3, 500
+    got = panel_integrals(f, start, n, h, s)
+    x = ((start + h * np.arange(n))[:, None]
+         + (h / 2.0) * (1.0 + _GL_NODES)).ravel()
+    want = ((f(x) * np.exp(1j * s * x)).reshape(n, -1) @ _GL_WEIGHTS) * (h / 2.0)
+    scale = np.abs(want).max()
+    # the direct phase s*x is itself rounded, by about eps * s * x
+    tol = 1e-13 * scale + 4 * np.finfo(float).eps * s * x.max() * scale
+    assert np.abs(got - want).max() <= tol
+
+
 def test_quad_segments_additivity():
     f = lambda x: np.asarray(x, float) ** 2 + 0j
     val, _ = quad_segments(f, [0.0, 0.5, 1.0, 2.0])
