@@ -16,7 +16,12 @@ QUADRATURE    A(s) = int_0^inf rho(x) exp(isx) dx over the spectral
               is resolved only to 6e-9 of its width, noise that bisection
               cannot remove.  When the window reaches x = 0, geometric
               breakpoints x0 / 4^k step toward that head (the sqrt of
-              phi1, the y log y of P for phi2 and phi3).
+              phi1, the y log y of P for phi2 and phi3).  The right tail
+              is one fixed table of double-exponential nodes
+              (quadrature.oscillatory_tail) in the same offsets, so its
+              phase matches the window's at their common end; while
+              few oscillations reach x = 60 an adaptive stretch comes
+              first.
 
 PHI1_EXACT    For the sqrt-head weight the density is rational in
               u = sqrt(x), and the transform reduces to three Faddeeva
@@ -134,6 +139,7 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: float,
         return cmath.exp(1j * w_ratio * s), 0.0
 
     rho = lambda x: spectral_density(params, ff, x)
+    osc = lambda x: rho(x) * np.exp(1j * s * x)
     x0, width = spectral_peak(params, ff)
     rho_t = lambda t: spectral_density(params, ff, Offsets(x0, t))
 
@@ -165,28 +171,32 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: float,
     v_spike *= cmath.exp(1j * s * x0)
     err += e
 
-    # left of the window
+    # left of the window.  Its first half period is adaptive, with a
+    # geometric ladder toward the head at x = 0 (the sqrt of phi1): one
+    # Gauss-Legendre panel there misses by up to 8e-12, unestimated
+    v_left = 0j
     if a > 0.0:
-        v_left, e = quadlib.oscillatory_finite(rho, 0.0, a, s,
-                                               scale_a=None, scale_b=D,
-                                               epsabs=tol / 8)
-        err += e
-    else:
-        v_left = 0j
+        h = min(math.pi / s, a)
+        v_left, e = quadlib.quad_complex(
+            osc, 0.0, h, epsabs=tol / 8,
+            points=quadlib.geometric_ladder(0.0, h * 4.0 ** -6, 0.0, h))
+        v, e2 = quadlib.oscillatory_finite(rho, h, a, s, scale_a=None,
+                                           scale_b=D, epsabs=tol / 8)
+        v_left += v
+        err += e + e2
 
-    # right tail
+    # right tail: adaptive out to X1 while that holds few oscillations,
+    # then the double-exponential rule, in offsets like the window, so
+    # that at b both see one phase when the rule starts there
+    X1, v_tail = b, 0j
     if s * (_X_FAR - b) <= 24.0:
         X1 = max(_X_FAR, 2 * b)
         segs = [b] + quadlib.geometric_ladder(x0, width, b, X1) + [X1]
-        v_tail, e1 = quadlib.quad_segments(
-            lambda x: rho(x) * np.exp(1j * s * x), segs, epsabs=tol / 8)
-        vt, e2 = quadlib.quad_tail(lambda x: rho(x) * np.exp(1j * s * x), X1,
-                                   epsabs=tol / 8)
-        v_tail += vt
-        err += e1 + e2
-    else:
-        v_tail, e = quadlib.oscillatory_tail(rho, b, s, scale_b=D)
+        v_tail, e = quadlib.quad_segments(osc, segs, epsabs=tol / 8)
         err += e
+    vt, e = quadlib.oscillatory_tail(rho_t, X1 - x0, s)
+    v_tail += vt * cmath.exp(1j * s * x0)
+    err += e
 
     return v_left + v_spike + v_tail, err
 

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .amplitude import Engine, sample_curve
+from .amplitude import Engine, resolve_engine, sample_curve
 from .errors import BoundStateError, ConvergenceError
 from .formfactors import Formfactor, ModelParams, bound_state_margin, builtin
 from .presets import PRESETS
@@ -149,17 +149,14 @@ def _build_model(cfg):
 
 def _engine_from_cfg(cfg, ff) -> Engine:
     name = cfg.get("engine", "auto")
-    if name == "auto":
-        return Engine.AUTO
-    if name == "quadrature":
-        return Engine.QUADRATURE
-    if name == "exact":
-        if ff.id == "phi1":
-            return Engine.PHI1_EXACT
-        if ff.id == "phi2":
-            return Engine.PHI2_POLES
+    if name in ("auto", "quadrature"):
+        return Engine(name)
+    if name != "exact":
+        raise ConfigError(f"unknown engine {name!r} (auto|quadrature|exact)")
+    engine = resolve_engine(ff)
+    if engine is Engine.QUADRATURE:
         raise ConfigError(f"no exact engine for formfactor {ff.id!r}")
-    raise ConfigError(f"unknown engine {name!r} (auto|quadrature|exact)")
+    return engine
 
 
 def _header_lines(cfg) -> list[str]:

@@ -28,24 +28,27 @@ import numpy as np
 from scipy import integrate
 
 
-class _Divergent:
-    """Marker returned for moments that do not exist."""
+class Sentinel:
+    """A named marker value, such as DIVERGENT for a moment that does not
+    exist: one object, tested with `is`, that copies return unchanged."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, name: str, truth: bool):
+        self._name, self._truth = name, truth
 
     def __repr__(self):
-        return "DIVERGENT"
+        return self._name
 
     def __bool__(self):
-        return False
+        return self._truth
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
 
-DIVERGENT = _Divergent()
+DIVERGENT = Sentinel("DIVERGENT", False)
 
 PHI1 = "phi1"
 PHI2 = "phi2"

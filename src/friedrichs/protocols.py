@@ -36,22 +36,10 @@ import numpy as np
 
 from .amplitude import (ShortTimeExpansion, batches, log_survival,
                         short_time_expansion)
-from .formfactors import Formfactor, ModelParams
+from .formfactors import Formfactor, ModelParams, Sentinel
 
 
-class UnboundedType:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "UNBOUNDED"
-
-
-UNBOUNDED = UnboundedType()
+UNBOUNDED = Sentinel("UNBOUNDED", True)
 
 
 def _logp_memo(params: ModelParams, ff: Formfactor):

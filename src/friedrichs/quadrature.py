@@ -2,22 +2,19 @@
 
 The survival amplitude is a Fourier transform of a spectral density that
 combines a very narrow resonance spike with slowly decaying power tails,
-at phases s = cutoff * t reaching 1e10 and beyond.  No single quadrature
-strategy covers that range, so the oscillatory driver dispatches per
-region:
+at phases s = cutoff * t reaching 1e12 and beyond.  The oscillatory
+integrals dispatch per region:
 
-  * few oscillations           -> quad_complex, the vectorized adaptive
-                                  Gauss-Kronrod rule, with geometric
-                                  breakpoint ladders around the spike;
-  * moderate panel counts      -> phase-aligned half-period panels summed
-                                  with fixed Gauss-Legendre rules;
-  * infinite oscillatory tails -> half-period panels accelerated by
-                                  repeated averaging of partial sums
-                                  (alternating-series / Euler transform);
-  * huge panel counts          -> integration by parts in exp(i s x),
-                                  keeping five endpoint terms with finite-
-                                  difference derivatives, plus short panel
-                                  caps at the region ends.
+  * few oscillations  -> quad_complex, the vectorized adaptive Gauss-Kronrod
+                         rule, with geometric breakpoint ladders;
+  * up to 3000 half   -> phase-aligned half-period panels with a fixed
+    periods              Gauss-Legendre rule (panel_integrals);
+  * more              -> short panel caps at the ends and, between them,
+                         five integrations by parts in exp(isx) with
+                         finite-difference derivatives;
+  * infinite tails    -> the Ooura-Mori double-exponential rule, whose nodes
+                         approach the zeros of exp(isx): one table of nodes
+                         for every s (oscillatory_tail).
 
 quad_complex evaluates its integrand on whole arrays of nodes and returns
 complex values, so a complex integrand costs one density evaluation per
@@ -255,25 +252,6 @@ def panel_integrals(fvec, start, n_panels, h, s):
     return phase * (vals @ table)
 
 
-def euler_accelerate(terms):
-    """Sum an (eventually) alternating series of complex panel terms by
-    repeated averaging of its partial sums; returns (sum, error_estimate)."""
-    partial = np.cumsum(terms)
-    best = partial[-1]
-    err = abs(terms[-1])
-    row = partial
-    for _ in range(len(terms) - 1):
-        row = 0.5 * (row[:-1] + row[1:])
-        if row.size == 0:
-            break
-        delta = abs(row[-1] - best)
-        best = row[-1]
-        err = min(err, delta) if delta > 0 else err
-        if row.size < 3:
-            break
-    return best, err
-
-
 def endpoint_derivatives(fvec, x, h):
     """f, f', ..., f'''' at x from a 9-point central stencil of spacing h."""
     vals = fvec(x + h * np.arange(-4.0, 5.0))
@@ -285,10 +263,15 @@ def endpoint_derivatives(fvec, x, h):
     return (d0, d1, d2, d3, d4)
 
 
-def _fd_step(scale, s):
-    """Step for endpoint derivative stencils: small enough to beat the
-    truncation error, large enough that roundoff / (h s)^m stays tame."""
-    return min(max(scale / 40.0, 4.0 / s), scale / 8.0)
+def _byparts_terms(fvec, x, s, scale):
+    """The five by-parts endpoint terms (-1)^m f^(m)(x) exp(isx) / (is)^(m+1)
+    at x, summed, and the last.  The stencil step beats the truncation error
+    at the smoothness scale and keeps roundoff / (h s)^m tame."""
+    d = endpoint_derivatives(fvec, x,
+                             min(max(scale / 40.0, 4.0 / s), scale / 8.0))
+    e = np.exp(1j * s * x)
+    terms = [((-1) ** m) * d[m] * e / (1j * s) ** (m + 1) for m in range(5)]
+    return sum(terms), terms[-1]
 
 
 def byparts_segment(fvec, a, b, s, scale_a, scale_b):
@@ -298,16 +281,9 @@ def byparts_segment(fvec, a, b, s, scale_a, scale_b):
     smoothness scale of f at each endpoint; the error estimate is a few
     times the last retained term.
     """
-    da = endpoint_derivatives(fvec, a, _fd_step(scale_a, s))
-    db = endpoint_derivatives(fvec, b, _fd_step(scale_b, s))
-    ea, eb = np.exp(1j * s * a), np.exp(1j * s * b)
-    total = 0j
-    last = 0.0
-    for m in range(5):
-        term = ((-1) ** m) * (db[m] * eb - da[m] * ea) / (1j * s) ** (m + 1)
-        total += term
-        last = abs(term)
-    return total, 3.0 * last
+    va, la = _byparts_terms(fvec, a, s, scale_a)
+    vb, lb = _byparts_terms(fvec, b, s, scale_b)
+    return vb - va, 3.0 * abs(lb - la)
 
 
 def oscillatory_finite(fvec, a, b, s, scale_a, scale_b, epsabs=1e-12):
@@ -338,29 +314,53 @@ def oscillatory_finite(fvec, a, b, s, scale_a, scale_b, epsabs=1e-12):
 def byparts_tail(fvec, X, s, scale):
     """int_X^inf f exp(isx) dx for f decaying to zero, via endpoint terms
     at X only (the boundary terms at infinity vanish)."""
-    d = endpoint_derivatives(fvec, X, _fd_step(scale, s))
-    e = np.exp(1j * s * X)
-    total = 0j
-    last = 0.0
-    for m in range(5):
-        term = -((-1) ** m) * d[m] * e / (1j * s) ** (m + 1)
-        total += term
-        last = abs(term)
-    return total, 3.0 * last
+    total, last = _byparts_terms(fvec, X, s, scale)
+    return -total, 3.0 * abs(last)
 
 
-def oscillatory_tail(fvec, b, s, scale_b, max_direct=6000):
-    """int_b^inf f exp(isx) dx for smooth decaying f, many oscillations.
+def _de_fourier_rule(h):
+    """Nodes u_k and weights w_k of the Ooura-Mori rule int_0^inf F(u) e^(iu)
+    du ~ sum_k w_k F(u_k) at step h: u = M phi(t), M = pi/h, the sine part
+    on t = n h and the cosine part on t = (n + 1/2) h, where M t is a zero
+    of sin u or cos u.  phi(t) - t vanishes double exponentially as t grows
+    and phi(t) as t falls.  J. Comput. Appl. Math. 112 (1999) 229."""
+    M, beta = math.pi / h, 0.25
+    alpha = beta / math.sqrt(1.0 + M * math.log1p(M) / (4.0 * math.pi))
+    n = np.arange(math.floor(-7.0 / h), math.ceil(6.0 / h))
+    t = np.concatenate([n * h, (n + 0.5) * h])
+    g = 2.0 * t - alpha * np.expm1(-t) + beta * np.expm1(t)
+    dg = 2.0 + alpha * np.exp(-t) + beta * np.exp(t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = -np.expm1(-g)
+        phi, dev = t / d, t / np.expm1(g)                # dev = phi - t
+        dphi = (d - t * dg * np.exp(-g)) / (d * d)
+    at0 = t == 0.0                                       # limits at t = 0
+    phi[at0] = dev[at0] = 1.0 / (2.0 + alpha + beta)
+    dphi[at0] = 0.5 - (beta - alpha) / (2.0 * (2.0 + alpha + beta) ** 2)
+    # sin(M phi) = (-1)^n sin(M dev), cos(M phi) = -(-1)^n sin(M dev): exact
+    trig = np.tile(np.where(n % 2, -1.0, 1.0), 2) * np.sin(M * dev)
+    w = h * M * dphi * trig * np.repeat([1j, -1.0], n.size)
+    keep = np.abs(w) > 1e-20
+    return M * phi[keep], w[keep]
 
-    Sums enough half-period panels to clear the local structure of scale
-    scale_b, then accelerates the remaining alternating series.
-    """
-    h = np.pi / s
-    n_direct = int(min(max(np.ceil(6 * scale_b / h), 96), max_direct))
-    terms = panel_integrals(fvec, b, n_direct, h, s)
-    head = terms[:-64].sum()
-    tail, err = euler_accelerate(terms[-64:])
-    return head + tail, err
+
+(_DE_U1, _DE_W1), (_DE_U2, _DE_W2) = (_de_fourier_rule(h) for h in (0.1, 0.2))
+_DE_NODES = np.concatenate([_DE_U1, _DE_U2])
+
+
+def oscillatory_tail(fvec, b, s, scale_b=None):
+    """int_b^inf f exp(isx) dx for s > 0 and f smooth on [b, inf), decaying
+    to 0; returns (value, error estimate).  It is exp(isb)/s times
+    int_0^inf f(b + u/s) exp(iu) du by the Ooura-Mori rule at steps 0.1
+    and 0.2, one table of nodes for every s; the estimate is their
+    difference, at least the roundoff eps sum |w f|.  scale_b, the
+    smoothness scale of f at b, is unused: the nodes cluster at b, and as
+    s scale_b falls below 0.1 the estimate grows with the error."""
+    f = np.asarray(fvec(b + _DE_NODES / s))
+    fine, coarse = f[:_DE_W1.size] @ _DE_W1, f[_DE_W1.size:] @ _DE_W2
+    err = max(abs(fine - coarse),
+              10.0 * _EPS * (np.abs(f[:_DE_W1.size]) @ np.abs(_DE_W1)))
+    return fine * cmath.exp(1j * s * b) / s, err / s
 
 
 def principal_value(f, pole, upper, epsabs=1e-11):

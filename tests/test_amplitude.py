@@ -85,6 +85,18 @@ def test_quadrature_error_budget(photo):
         assert est <= 1e-9
 
 
+@pytest.mark.parametrize("s", [3e8, 1e9, 1e10])
+def test_quadrature_estimate_bounds_phi1_exact_difference(photo, s):
+    """Left of the spike window the first half period holds the sqrt head
+    of phi1; as one Gauss-Legendre panel it put the engine 7.8e-12 from
+    phi1-exact at s = 3e8, 23 times its estimate."""
+    params, ff = photo
+    a, est = survival_amplitude_quadrature(params, ff, s / params.cutoff,
+                                           with_error=True)
+    exact = survival_amplitude_phi1_exact(params, s / params.cutoff)
+    assert abs(a - exact) <= est
+
+
 @pytest.mark.parametrize("name", ["photodetachment", "quantum-dot", "hydrogen"])
 def test_quadrature_mass_is_one(name):
     """A(0), the integral of the density, in spike-local offsets and with
@@ -97,8 +109,9 @@ def test_quadrature_mass_is_one(name):
 
 def _window_cost(monkeypatch, params, ff, s):
     """(density nodes, Gauss-Kronrod passes, estimate) of the engine at s.
-    The spike window is the only part that evaluates the density on
-    Offsets, so its nodes and passes are counted apart."""
+    The spike window and the right tail evaluate the density on Offsets,
+    the window by Gauss-Kronrod, so their nodes and the window's passes
+    are counted apart."""
     cost = {"nodes": 0, "passes": 0}
     local = [False]
     density, gk21 = amplitude.spectral_density, quadrature._gk21
@@ -138,6 +151,49 @@ def test_photodetachment_window_passes(monkeypatch, photo):
         _, passes, est = _window_cost(monkeypatch, *photo, s)
         assert 0 < passes <= 5
         assert est <= 1e-10
+
+
+def _tail_nodes(monkeypatch, params, ff, s):
+    """(density nodes of the engine's right tail, A) at s: the nodes the
+    density sees inside quadrature.oscillatory_tail."""
+    count, inside = [0], [False]
+    density, tail = amplitude.spectral_density, quadrature.oscillatory_tail
+
+    def counting_density(p, f, x):
+        count[0] += inside[0] * np.size(x)
+        return density(p, f, x)
+
+    def counting_tail(*args, **kwargs):
+        inside[0] = True
+        try:
+            return tail(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(amplitude, "spectral_density", counting_density)
+    monkeypatch.setattr(quadrature, "oscillatory_tail", counting_tail)
+    a = survival_amplitude_quadrature(params, ff, s / params.cutoff)
+    monkeypatch.undo()
+    return count[0], a
+
+
+@pytest.mark.parametrize("name, s, pinned", [
+    ("hydrogen", 7.2e12, -2.868207786235655e-14 - 4.972465571060632e-15j),
+    ("photodetachment", 1.01e11,
+     -6.1957073316703955e-12 + 6.196168462336111e-12j)])
+def test_late_right_tail_is_one_table(monkeypatch, name, s, pinned):
+    """The right tail at the latest curve times takes one fixed table of
+    double-exponential nodes; half-period panels took about 96k.  A is
+    pinned from the panel sums to 1e-13: here it is of the size of the
+    rounding of the phase s x ~ 1e10, which the pieces of the range each
+    make.  Photodetachment also agrees with phi1-exact."""
+    params, ff = preset(name)
+    nodes, a = _tail_nodes(monkeypatch, params, ff, s)
+    assert 0 < nodes <= 1000
+    assert abs(a - pinned) <= 1e-13
+    if name == "photodetachment":
+        exact = survival_amplitude_phi1_exact(params, s / params.cutoff)
+        assert abs(a - exact) <= 1e-14
 
 
 def test_negative_time_rejected(photo):

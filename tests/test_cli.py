@@ -162,3 +162,18 @@ def test_parse_config_roundtrip(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("a = 1\n# comment\nb = x y\n\nc=3  # trailing\n")
     assert parse_config_file(cfg) == {"a": "1", "b": "x y", "c": "3"}
+
+
+@pytest.mark.parametrize("preset_name,engine", [
+    ("photodetachment", "phi1-exact"), ("quantum-dot", "phi2-poles")])
+def test_exact_engine_is_the_resolved_one(tmp_path, preset_name, engine):
+    assert main(["curve", "--preset", preset_name, "--engine", "exact",
+                 "--out", str(tmp_path)]) == 0
+    _, header, rows = _read_csv(tmp_path / "curve.csv")
+    assert {r[header.index("engine")] for r in rows} == {engine}
+
+
+def test_exact_engine_without_one_exit_2(tmp_path, capsys):
+    assert main(["curve", "--preset", "hydrogen", "--engine", "exact",
+                 "--out", str(tmp_path)]) == 2
+    assert "no exact engine for formfactor 'phi3'" in capsys.readouterr().err

@@ -180,3 +180,15 @@ def test_custom_weight_never_served_builtin_integral():
         assert squared_norm(ff) == pytest.approx(c * c * norm, rel=1e-9)
         assert head_integral(ff) == pytest.approx(c * head, rel=1e-9)
     assert moment(builtin("phi2"), 0) == i0
+
+
+def test_sentinels_keep_name_truth_and_identity():
+    import copy
+    from friedrichs import UNBOUNDED
+    assert (repr(DIVERGENT), bool(DIVERGENT)) == ("DIVERGENT", False)
+    assert (repr(UNBOUNDED), bool(UNBOUNDED)) == ("UNBOUNDED", True)
+    for marker in (DIVERGENT, UNBOUNDED):
+        assert copy.copy(marker) is marker
+        assert copy.deepcopy([marker])[0] is marker
+    assert moment(builtin("phi1"), 1) is DIVERGENT
+    assert moment(builtin("phi2"), 2) is DIVERGENT

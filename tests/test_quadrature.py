@@ -6,8 +6,8 @@ import pytest
 
 from friedrichs.errors import ConvergenceError
 from friedrichs.quadrature import (MAX_NODES, byparts_segment, byparts_tail,
-                                   euler_accelerate, geometric_ladder,
-                                   oscillatory_finite, oscillatory_tail,
+                                   geometric_ladder, oscillatory_finite,
+                                   oscillatory_tail,
                                    panel_integrals, principal_value,
                                    pv_dispersion, quad_complex, quad_segments,
                                    quad_tail)
@@ -37,13 +37,6 @@ def test_pv_dispersion_vs_closed_form(y):
     # value of the closed-form first-sheet function
     phi1 = lambda x: np.sqrt(np.asarray(x, float)) / (1 + np.asarray(x, float))
     assert pv_dispersion(phi1, y) == pytest.approx(math.pi / (1 + y), rel=1e-8)
-
-
-def test_euler_accelerate_log2():
-    terms = np.array([(-1.0) ** j / (j + 1) for j in range(40)], dtype=complex)
-    val, err = euler_accelerate(terms)
-    assert abs(val - math.log(2)) < 1e-12
-    assert err < 1e-10
 
 
 def test_geometric_ladder_brackets_feature():
@@ -97,6 +90,72 @@ def test_oscillatory_tail_exact():
     want = _inv_square_tail_exact(2.0, s)
     got, err = oscillatory_tail(f, 2.0, s, scale_b=2.0)
     assert abs(got - want) < 1e-10
+
+
+def _mp_density(name):
+    """The preset's spectral density in mpmath arithmetic, from the closed
+    forms of phi and of the shift g2 P (phi1 and phi2)."""
+    from friedrichs.presets import preset
+    params, _ = preset(name)
+    w, g2 = mpmath.mpf(params.omega_ratio), mpmath.mpf(params.coupling_sq)
+
+    def rho(x):
+        if name == "photodetachment":
+            phi, shift = mpmath.sqrt(x) / (1 + x), mpmath.pi * g2 / (1 + x)
+        else:
+            xx = x * x
+            phi = x / (1 + xx) ** 2
+            shift = -g2 * (x * mpmath.log(x) / (1 + xx) ** 2
+                           + mpmath.pi * (xx - 1) / (4 * (1 + xx) ** 2)
+                           + x / (2 * (1 + xx)))
+        re = w - x - shift
+        return g2 * phi / (re * re + (mpmath.pi * g2 * phi) ** 2)
+    return rho
+
+
+def _float_density(name):
+    from friedrichs.dispersion import spectral_density
+    from friedrichs.presets import preset
+    params, ff = preset(name)
+    return lambda x: spectral_density(params, ff, np.asarray(x, float))
+
+
+@pytest.mark.parametrize("name, s", [
+    ("x^-2", 30.0), ("x^-2", 1e6), ("x^-2.5", 3.0), ("x^-2.5", 1e3),
+    ("photodetachment", 0.02), ("photodetachment", 1e6),
+    ("quantum-dot", 1e-3)])
+def test_oscillatory_tail_vs_quadosc(name, s):
+    """The double-exponential tail from X = 60 against mpmath quadosc over
+    the shifted range y = x - X, whose zeros y = k pi / s start at 0."""
+    X = 60.0
+    if name.startswith("x^"):
+        p = float(name[3:])
+        f, f_mp = (lambda x: np.asarray(x, float) ** -p), (lambda x: x ** -p)
+    else:
+        f, f_mp = _float_density(name), _mp_density(name)
+    with mpmath.workdps(30):
+        want = complex(mpmath.expj(s * X) * mpmath.quadosc(
+            lambda y: f_mp(X + y) * mpmath.expj(s * y), [0, mpmath.inf],
+            omega=s))
+    got, est = oscillatory_tail(f, X, s)
+    observed = abs(got - want)
+    assert observed <= 1e-13 * abs(want) + 1e-20
+    assert est >= observed
+    assert est > 0.0
+
+
+@pytest.mark.parametrize("p, X, s", [(2.0, 0.1, 1e-3), (5.0, 60.0, 1e-5),
+                                     (9.0, 0.1, 1e-2)])
+def test_oscillatory_tail_estimate_grows_with_its_error(p, X, s):
+    """With s X far below 1 the pole of x^-p at 0 lies near the start of
+    the rule's range in u = s(x - X), and the rule loses digits; the
+    difference of its two steps still bounds the error.  Reference:
+    int_X^inf x^-p exp(isx) dx = X^(1-p) E_p(-isX)."""
+    with mpmath.workdps(30):
+        want = complex(mpmath.mpf(X) ** (1 - p)
+                       * mpmath.expint(p, -1j * mpmath.mpf(s) * X))
+    got, est = oscillatory_tail(lambda x: np.asarray(x, float) ** -p, X, s)
+    assert est >= abs(got - want)
 
 
 def test_byparts_tail_exact():
