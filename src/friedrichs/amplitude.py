@@ -34,8 +34,12 @@ PHI1_EXACT    For the sqrt-head weight the density is rational in
               so no intermediate overflows for any s.
 
 PHI2_POLES    Two contour poles plus a background integral along the
-              positive imaginary axis, written in a form that is stable
-              near x = 1 where the raw factors almost cancel.
+              positive imaginary axis, -g2 int_0^inf w(x) exp(-xs) dx,
+              with a weight w written in a form that is stable near
+              x = 1 where the raw factors almost cancel.  w does not
+              depend on s, so it is integrated once per parameter set
+              into a cached node table (quadrature.LaplaceTable), and a
+              batch of times is exp(-xs) on those nodes, one contraction.
 
 ASYMPTOTIC_LONG  Exponential + power tail + oscillatory cross term,
               evaluated as |pole + tail|^2 with exact root-based
@@ -49,12 +53,12 @@ x0, exact for p because a global phase cannot change |A|.
 
 survival_amplitude, survival_probability, survival_deficit, log_survival
 and the phi1-exact and phi2-poles engines take one time or an array of
-times.  On an array the phi1 closed form is evaluated elementwise, and the
-phi2 background and the deficit kernel integrate every time as one column
-on a shared node set, so the density is evaluated once per node for all
-times; the quadrature engine takes the times one by one.  batches(params,
-ff, t) says which of the two a time gets, for callers that fetch times
-ahead of need.
+times.  On an array the phi1 closed form is evaluated elementwise, the
+phi2 background takes every time on its table's fixed nodes, and the
+deficit kernel integrates every time as one column on a shared node set,
+so the density is evaluated once per node for all times; the quadrature
+engine takes the times one by one.  batches(params, ff, t) says which of
+the two a time gets, for callers that fetch times ahead of need.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -258,40 +263,52 @@ def _phi2_Q(x, w_ratio, g2):
             - g2 / 2 * (math.pi * xx - 2j * x * np.log(x)))
 
 
-def _phi2_background_kernel(x, s, w_ratio, g2):
-    """The damped background integrand at nodes x, one column per s."""
+def _phi2_background_kernel(x, w_ratio, g2):
+    """The s-free background weight x (1 - x^2)^2 / den(x) at nodes x."""
     q = _phi2_Q(x, w_ratio, g2)
     den = (q + 0.5 * g2 * math.pi * x) * (q - 1.5 * g2 * math.pi * x)
-    return ((x * (1 - x * x) ** 2)[:, None] * np.exp(np.multiply.outer(-x, s))
-            / den[:, None])
+    return x * (1 - x * x) ** 2 / den
+
+
+@lru_cache(maxsize=64)
+def _phi2_table(cutoff, omega1, coupling_sq):
+    """The background's node table: breakpoints at 0.5, 1 +- d, 1 +- 10d
+    (d = sqrt(pi) lambda / 2) and 2 on [0, 10], a tail from x = 10, and a
+    ladder 0.5 / 2^k toward x = 0 down to 1e-15, which resolves exp(-xs)
+    up to s ~ 1e14."""
+    params = ModelParams(cutoff, omega1, coupling_sq)
+    w_ratio, g2 = params.omega_ratio, params.coupling_sq
+    d = math.sqrt(math.pi) / 2 * params.coupling
+    segs = [0.0, 0.5, 1 - 10 * d, 1 - d, 1.0, 1 + d, 1 + 10 * d, 2.0, 10.0]
+    segs += (0.5 * 2.0 ** -np.arange(1, 50)).tolist()
+    segs = sorted(t for t in segs if 0.0 <= t <= 10.0)
+    return quadlib.LaplaceTable(
+        lambda x: _phi2_background_kernel(x, w_ratio, g2), segs, epsabs=1e-14)
 
 
 def _phi2_background(params: ModelParams, s: np.ndarray):
-    """-g2 * int_0^inf of the damped kernel and its error estimate, one
-    column per s, all columns on one node set.  exp(-xs) is negligible
-    past X = 42/s, a breakpoint; the range ends at the largest X, with a
-    tail from x = 10 when that lies beyond."""
-    w_ratio, g2 = params.omega_ratio, params.coupling_sq
-    if not s.size:
-        return np.zeros(0, dtype=complex), np.zeros(0)
-    d = math.sqrt(math.pi) / 2 * params.coupling
-    X = [42.0 / sk if sk > 0 else math.inf for sk in s.tolist()]
-    top = min(max(X), 10.0)
-    segs = [0.0, 0.5, 1 - 10 * d, 1 - d, 1.0, 1 + d, 1 + 10 * d, 2.0]
-    segs = sorted([t for t in segs + X if t < top] + [top])
-    f = lambda x: _phi2_background_kernel(x, s, w_ratio, g2)
-    val, err = quadlib.quad_segments(f, segs, epsabs=1e-14,
-                                     limit=600 + 4 * s.size, columns=s.size)
-    if top == 10.0:
-        vt, et = quadlib.quad_tail(f, 10.0, epsabs=1e-14, columns=s.size)
-        val += vt
-        err += et
-    return -g2 * val, g2 * err
+    """-g2 * int_0^inf of the background weight times exp(-xs) and its
+    error estimate, one column per s, from the parameters' node table
+    (quadrature.LaplaceTable): the weight is evaluated once per parameter
+    set, and a batch of times is one product on the table's nodes."""
+    val, err = _phi2_table(params.cutoff, params.omega1,
+                           params.coupling_sq).integrals(s)
+    return -params.coupling_sq * val, params.coupling_sq * err
 
 
 def _phi2_poles(params: ModelParams):
+    """The contributing roots; raises ConvergenceError when two of them
+    coincide, |z_i - z_j| < 1e-8 (1 + |z_i|): two Newton seeds then
+    converged onto one root, whose residue would be counted twice."""
     roots = [r for r in resonance_roots(params, Formfactor.phi2())
              if r.contributing]
+    for i, ri in enumerate(roots):
+        for rj in roots[i + 1:]:
+            if abs(ri.z - rj.z) < 1e-8 * (1.0 + abs(ri.z)):
+                raise ConvergenceError(
+                    f"two Newton seeds converged onto one resonance root "
+                    f"{ri.z:.6g}", achieved=abs(ri.z - rj.z),
+                    last_iterate=ri.z)
     return roots
 
 

@@ -16,11 +16,14 @@ the anti-Zeno scan, and n_epsilon prefetches the next few scan candidates
 or bisection levels it may visit.  The searches then walk the memo in the
 order they always did.
 
-The times of one batch share one adaptively refined node set, so a
+The deficit kernel's times share one adaptively refined node set, so a
 batched ln p depends on which other times share its batch, within the
-integrals' tolerances: the deficit kernel moves by up to ~2e-10 relative,
-the phi2 background in its last bits.  A search whose answer hangs on
-such differences can answer differently from one-at-a-time evaluation:
+kernel's tolerance: it moves by up to ~2e-10 relative.  The phi2
+background takes every time on one fixed node set per parameter set (its
+cached table), so there the batch moves only the last bits, through
+rounding and the nodes left out past x = 42/min(s).  A search whose
+answer hangs on such differences can answer differently from
+one-at-a-time evaluation:
 on a flat anti-Zeno minimum, protocol_curve's minimum (scan batched with
 the N grid) can lie a few N from that of a standalone anti_zeno_minimum.
 """

@@ -23,6 +23,11 @@ node.  An integrand may also return m columns, m integrals on one node set
 integrand covers at most MAX_NODES node x column values and is reduced to
 per-interval sums before the next, so memory stays bounded for any m.
 
+A Laplace-type integral int w(x) exp(-xs) dx whose weight w does not
+depend on s keeps the Gauss-Kronrod nodes of one adaptive integration of
+w (LaplaceTable); each batch of s is then exp(-xs) on those nodes,
+reduced by the same qk21 value and estimate as quad_complex.
+
 Principal values use symmetric excision of the pole with three-level
 Richardson extrapolation of the excision radius.
 """
@@ -70,6 +75,31 @@ _EPS = np.finfo(float).eps
 # An interval is bisected only while it is wider than this many ulps of its
 # endpoints, so that every node of its halves stays strictly inside them.
 _MIN_ULPS = 4096.0
+_LIMIT = 600              # the default interval budget of an integral
+
+
+def _qk21(f, h):
+    """QUADPACK qk21 on rows f of 21 node values over intervals of half
+    width h: the Kronrod values and their error estimates."""
+    resk = f @ _GK_WEIGHTS
+    err = h * np.abs(resk - f[:, 1::2] @ _G_WEIGHTS)
+    resasc = h * (np.abs(f - 0.5 * resk[:, None]) @ _GK_WEIGHTS)
+    both = (resasc > 0) & (err > 0)
+    err[both] = resasc[both] * np.minimum(
+        1.0, (200.0 * err[both] / resasc[both]) ** 1.5)
+    roundoff = 50.0 * _EPS * h * (np.abs(f) @ _GK_WEIGHTS)
+    return h * resk, np.maximum(err, roundoff)
+
+
+def _gk_nodes(lo, hi):
+    """The 21 Gauss-Kronrod nodes of each [lo_k, hi_k], shape (intervals,
+    21), and the half widths."""
+    # Nodes are placed from lo, not from the rounded midpoint: on a spike
+    # far narrower than x, half an ulp of midpoint rounding shifts the
+    # whole rule, an error of (f(hi) - f(lo)) * ulp / 2 that the error
+    # estimate cannot see.
+    h = 0.5 * (hi - lo)
+    return lo[:, None] + h[:, None] * _GK_OFFSETS, h
 
 
 def _gk21(fvec, lo, hi, m):
@@ -82,12 +112,7 @@ def _gk21(fvec, lo, hi, m):
     per-interval sums before the next, so no (intervals, 21, m) array is
     built.
     """
-    # Nodes are placed from lo, not from the rounded midpoint: on a spike
-    # far narrower than x, half an ulp of midpoint rounding shifts the
-    # whole rule, an error of (f(hi) - f(lo)) * ulp / 2 that the error
-    # estimate cannot see.
-    h = 0.5 * (hi - lo)
-    x = lo[:, None] + h[:, None] * _GK_OFFSETS
+    x, h = _gk_nodes(lo, hi)
     shape = (-1,) if m == 1 else (-1, m)
     rows = max(1, MAX_NODES // (_GK_NODES.size * m))
     vals, errs = [], []
@@ -101,21 +126,15 @@ def _gk21(fvec, lo, hi, m):
         f = f.reshape(len(xk), _GK_NODES.size, m).transpose(0, 2, 1)
         f = f.reshape(-1, _GK_NODES.size)
         hk = h[k:k + rows] if m == 1 else np.repeat(h[k:k + rows], m)
-        resk = f @ _GK_WEIGHTS
-        err = hk * np.abs(resk - f[:, 1::2] @ _G_WEIGHTS)
-        resasc = hk * (np.abs(f - 0.5 * resk[:, None]) @ _GK_WEIGHTS)
-        both = (resasc > 0) & (err > 0)
-        err[both] = resasc[both] * np.minimum(
-            1.0, (200.0 * err[both] / resasc[both]) ** 1.5)
-        roundoff = 50.0 * _EPS * hk * (np.abs(f) @ _GK_WEIGHTS)
-        vals.append((hk * resk).reshape(shape))
-        errs.append(np.maximum(err, roundoff).reshape(shape))
+        val, err = _qk21(f, hk)
+        vals.append(val.reshape(shape))
+        errs.append(err.reshape(shape))
     if len(vals) == 1:
         return vals[0], errs[0]
     return np.concatenate(vals), np.concatenate(errs)
 
 
-def quad_complex(fvec, a, b, points=None, epsabs=1e-12, limit=600,
+def quad_complex(fvec, a, b, points=None, epsabs=1e-12, limit=_LIMIT,
                  columns=None):
     """int_a^b fvec(x) dx for a vectorized, possibly complex integrand;
     returns (value, error estimate).
@@ -147,6 +166,22 @@ def quad_complex(fvec, a, b, points=None, epsabs=1e-12, limit=600,
     if edges.size < 2:
         return (0j, 0.0) if columns is None else (np.zeros(m, dtype=complex),
                                                   np.zeros(m))
+    _, _, val, err = _adapt(fvec, edges, epsabs, limit, m)
+    val, err = val.sum(axis=0), err.sum(axis=0)
+    if columns is None:
+        return complex(val), float(err)
+    return val.reshape(m), err.reshape(m)
+
+
+def _tolerance(total, epsabs):
+    """Column k's tolerance max(epsabs, 1e-12 |I_k|)."""
+    return np.maximum(epsabs, 1e-12 * abs(total))
+
+
+def _adapt(fvec, edges, epsabs, limit, m):
+    """quad_complex's adaptive loop from the intervals between the sorted
+    edges; returns the final intervals lo, hi and their values and
+    estimates, shape (intervals, m), or (intervals,) when m = 1."""
     lo, hi = edges[:-1], edges[1:]
     val, err = _gk21(fvec, lo, hi, m)
     while True:
@@ -155,7 +190,7 @@ def quad_complex(fvec, a, b, points=None, epsabs=1e-12, limit=600,
         # err_k / tol_k over the active columns, in units of their largest
         # tol_k: once the unbisected scores sum under an eighth of that
         # unit, every column is under tol_k / 8.
-        tol = np.maximum(epsabs, 1e-12 * abs(val.sum(axis=0)))
+        tol = _tolerance(val.sum(axis=0), epsabs)
         active = err.sum(axis=0) > tol
         if not np.count_nonzero(active):
             break
@@ -188,10 +223,7 @@ def quad_complex(fvec, a, b, points=None, epsabs=1e-12, limit=600,
         hi = np.concatenate([hi[keep], new_hi])
         val = np.concatenate([val[keep], new_val])
         err = np.concatenate([err[keep], new_err])
-    val, err = val.sum(axis=0), err.sum(axis=0)
-    if columns is None:
-        return complex(val), float(err)
-    return val.reshape(m), err.reshape(m)
+    return lo, hi, val, err
 
 
 def geometric_ladder(center, width, lo, hi, ratio=4.0):
@@ -213,7 +245,7 @@ def geometric_ladder(center, width, lo, hi, ratio=4.0):
     return sorted(set(pts))
 
 
-def quad_segments(fvec, breakpoints, epsabs=1e-12, limit=600, columns=None):
+def quad_segments(fvec, breakpoints, epsabs=1e-12, limit=_LIMIT, columns=None):
     """quad_complex from the first to the last breakpoint, split at all."""
     return quad_complex(fvec, breakpoints[0], breakpoints[-1],
                         points=breakpoints[1:-1], epsabs=epsabs, limit=limit,
@@ -229,11 +261,95 @@ def quad_tail(fvec, X, epsabs=1e-12, columns=None):
     slowly and float resolution at u = 1 cuts short.
     """
     def g(u):
-        r = u / (1.0 - u)
-        jac = 2.0 * r / (1.0 - u) ** 2
-        return fvec(X + r * r) * (jac if columns is None else jac[:, None])
+        x, jac = _tail_map(u, X)
+        return fvec(x) * (jac if columns is None else jac[:, None])
 
     return quad_complex(g, 0.0, 1.0, epsabs=epsabs, columns=columns)
+
+
+def _tail_map(u, X):
+    """x = X + (u/(1-u))^2 and dx/du, quad_tail's change of variable."""
+    r = u / (1.0 - u)
+    return X + r * r, 2.0 * r / (1.0 - u) ** 2
+
+
+_LAPLACE_CUT = 42.0       # exp(-xs) < 6e-19 past x = _LAPLACE_CUT / s
+
+
+class LaplaceTable:
+    """int_a^inf w(x) exp(-xs) dx for any batch of s >= 0 on nodes fixed
+    once for the weight w.
+
+    w does not depend on s, so one adaptive integration of w fixes the
+    partition: [a, X] cut at the breakpoints, and the tail past X in
+    quad_tail's variable.  The table keeps that partition's Gauss-Kronrod
+    nodes x and values w(x) dx/du.  A batch of s is then exp(-xs) times
+    those values, reduced per interval by the qk21 value and estimate;
+    intervals that start past _LAPLACE_CUT / min(s) are left out.  A
+    column whose estimate exceeds its tolerance max(epsabs, 1e-12 |I|) is
+    integrated again by quad_segments from the table's partition.  The
+    table resolves exp(-xs) only for s up to about the inverse of its
+    smallest interval at a, so callers cut [a, X] geometrically toward a.
+    """
+
+    def __init__(self, wvec, breakpoints, epsabs):
+        self.wvec, self.X, self.epsabs = wvec, breakpoints[-1], epsabs
+
+        def tail(u):
+            x, jac = _tail_map(u, self.X)
+            return wvec(x) * jac
+
+        edges = np.unique(np.asarray(breakpoints, dtype=float))
+        lo, hi, _, _ = _adapt(wvec, edges, epsabs, _LIMIT, 1)
+        ulo, uhi, _, _ = _adapt(tail, np.array([0.0, 1.0]), epsabs, _LIMIT, 1)
+        x, h = _gk_nodes(lo, hi)
+        u, hu = _gk_nodes(ulo, uhi)
+        xt, jac = _tail_map(u, self.X)
+        self.edges = np.union1d(lo, hi)          # the partition of [a, X]
+        self.x = np.concatenate([x, xt])
+        self.v = (wvec(self.x.ravel()).reshape(self.x.shape)
+                  * np.concatenate([np.ones(x.shape), jac]))
+        self.h = np.concatenate([h, hu])
+        self.start = np.concatenate([lo, _tail_map(ulo, self.X)[0]])
+
+    def integrals(self, s):
+        """Values and error estimates, one per s in the 1-D array s."""
+        m = s.size
+        if not m:
+            return np.zeros(0, dtype=complex), np.zeros(0)
+        with np.errstate(divide="ignore"):
+            keep = self.start < _LAPLACE_CUT / s.min()
+        x, v, h = self.x[keep], self.v[keep], self.h[keep]
+        val, err = np.zeros(m, dtype=complex), np.zeros(m)
+        cols = max(1, MAX_NODES // x.size)
+        for k in range(0, m, cols):
+            sk = s[k:k + cols]
+            f = v[:, None, :] * np.exp(-x[:, None, :] * sk[:, None])
+            vk, ek = _qk21(f.reshape(-1, _GK_NODES.size),
+                           np.repeat(h, sk.size))
+            val[k:k + cols] = vk.reshape(-1, sk.size).sum(axis=0)
+            err[k:k + cols] = ek.reshape(-1, sk.size).sum(axis=0)
+        bad = err > _tolerance(val, self.epsabs)
+        if bad.any():
+            val[bad], err[bad] = self._refine(s[bad])
+        return val, err
+
+    def _refine(self, s):
+        """The adaptive integrals for the columns s, from the table's
+        partition with a breakpoint at each column's cut."""
+        m = s.size
+        with np.errstate(divide="ignore"):
+            cut = _LAPLACE_CUT / s
+        top = min(cut.max(), self.X)
+        segs = np.union1d(self.edges, cut)
+        segs = np.append(segs[segs < top], top)
+        f = lambda x: self.wvec(x)[:, None] * np.exp(np.multiply.outer(-x, s))
+        val, err = quad_segments(f, segs, epsabs=self.epsabs,
+                                 limit=_LIMIT + 4 * m, columns=m)
+        if top == self.X:
+            vt, et = quad_tail(f, self.X, epsabs=self.epsabs, columns=m)
+            val, err = val + vt, err + et
+        return val, err
 
 
 def panel_integrals(fvec, start, n_panels, h, s):

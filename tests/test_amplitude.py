@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from friedrichs import (Engine, Formfactor, ModelParams, builtin,
-                        decaying_resonance, long_time_asymptote, sample_curve,
+from friedrichs import (Engine, Formfactor, ModelParams, bound_state_margin,
+                        builtin, decaying_resonance, long_time_asymptote,
+                        n_epsilon, sample_curve,
                         short_time_expansion, survival_amplitude,
                         survival_amplitude_phi1_exact, survival_amplitude_phi2,
                         survival_amplitude_quadrature, survival_deficit,
@@ -32,6 +33,11 @@ def qdot():
 @pytest.fixture(scope="module")
 def hydrogen():
     return preset("hydrogen")
+
+
+@pytest.fixture(scope="module")
+def qdot_scales(qdot):
+    return compute_timescales(*qdot)
 
 
 def test_normalization_all_engines(photo, qdot, hydrogen):
@@ -266,16 +272,107 @@ def test_log_survival_array_matches_scalar(name):
 
 
 def test_phi2_background_unconverged_raises(qdot, monkeypatch):
-    # no bisection allowed: the background's own estimate is about 1e-4
-    import friedrichs.amplitude as amplitude
-    quad_segments = amplitude.quadlib.quad_segments
-    monkeypatch.setattr(amplitude.quadlib, "quad_segments",
-                        lambda f, points, epsabs=1e-12, limit=600, columns=None:
-                        quad_segments(f, points, epsabs, 1, columns))
+    # no bisection allowed, neither in a fresh node table nor when its
+    # columns are refined: the background's own estimate is about 1e-4
+    adapt = quadrature._adapt
+    monkeypatch.setattr(quadrature, "_adapt",
+                        lambda f, edges, epsabs, limit, m:
+                        adapt(f, edges, epsabs, 1, m))
+    monkeypatch.setattr(amplitude, "_phi2_table", amplitude._phi2_table.__wrapped__)
     params, _ = qdot
     with pytest.raises(ConvergenceError) as info:
         survival_amplitude_phi2(params, 0.0)
     assert info.value.achieved > 1e-7
+
+
+def _background_reference(params, s, epsabs=1e-16):
+    """-g2 int_0^inf w(x) exp(-xs) dx for one s by adaptive quadrature from
+    the background's own breakpoints, with a cut at x = 42/s: the
+    one-column integral the node table replaces."""
+    w_ratio, g2 = params.omega_ratio, params.coupling_sq
+    d = math.sqrt(math.pi) / 2 * params.coupling
+    top = min(42.0 / s if s > 0 else math.inf, 10.0)
+    segs = [0.0, 0.5, 1 - 10 * d, 1 - d, 1.0, 1 + d, 1 + 10 * d, 2.0]
+    segs = sorted([t for t in segs if 0.0 <= t < top] + [top])
+    f = lambda x: amplitude._phi2_background_kernel(x, w_ratio, g2) * np.exp(-x * s)
+    val, _ = quadrature.quad_segments(f, segs, epsabs=epsabs)
+    if top == 10.0:
+        val += quadrature.quad_tail(f, 10.0, epsabs=epsabs)[0]
+    return -g2 * val
+
+
+_BOX = [ModelParams(1e12, w * 1e12, g2)
+        for w in (1e-6, 1e-4, 1e-2) for g2 in (1e-9, 1e-6, 1e-3)]
+
+
+@pytest.mark.parametrize("params", [preset("quantum-dot")[0]] + [
+    p for p in _BOX if bound_state_margin(p, builtin("phi2")) > 0])
+def test_phi2_table_matches_adaptive_background(params):
+    # every time from s = 0 to the end of the table's head ladder, in one
+    # batch, against one adaptive integral per time
+    s = np.concatenate([[0.0], np.geomspace(1e-4, 1e14, 19)])
+    got, est = amplitude._phi2_background(params, s)
+    for sk, v, e in zip(s, got, est):
+        want = _background_reference(params, sk)
+        tol = max(1e-14 * params.coupling_sq, 1e-12 * abs(want))
+        assert abs(v - want) <= tol
+        assert e <= tol
+
+
+def test_phi2_table_refines_beyond_its_reach(qdot, monkeypatch):
+    # s = 1e17 lies past the head ladder (x ~ 1e-15).  Held to a purely
+    # relative tolerance, its column fails the table's estimate and is
+    # integrated again, adaptively; s = 1 is not
+    params, _ = qdot
+    refined = []
+    refine = quadrature.LaplaceTable._refine
+    monkeypatch.setattr(quadrature.LaplaceTable, "_refine",
+                        lambda self, s: refined.append(s) or refine(self, s))
+    table = amplitude._phi2_table(params.cutoff, params.omega1, params.coupling_sq)
+    strict = quadrature.LaplaceTable(table.wvec, table.edges, epsabs=0.0)
+    got, est = strict.integrals(np.array([1.0, 1e17]))
+    assert [s.tolist() for s in refined] == [[1e17]]
+    for sk, v, e in zip([1.0, 1e17], got, est):
+        want = _background_reference(params, sk, epsabs=0.0) / -params.coupling_sq
+        assert abs(v - want) <= 1e-12 * abs(want) and e <= 1e-12 * abs(want)
+
+
+def test_phi2_table_built_once_per_parameter_set(qdot, qdot_scales, monkeypatch):
+    params, ff = qdot
+    nodes = []
+    kernel = amplitude._phi2_background_kernel
+    monkeypatch.setattr(amplitude, "_phi2_background_kernel",
+                        lambda x, *args: nodes.append(x.size) or kernel(x, *args))
+    amplitude._phi2_table.cache_clear()
+    first = n_epsilon(params, ff, 1e-2 * qdot_scales.t_d, 1e-3)
+    assert sum(nodes) > 0
+    nodes.clear()
+    assert n_epsilon(params, ff, 1e-2 * qdot_scales.t_d, 1e-3) == first
+    assert sum(nodes) == 0
+
+
+@pytest.mark.parametrize("w, g2", [(8.0e-4, 4.7e-4), (1.0e-2, 1.5e-8)])
+def test_coincident_phi2_roots(w, g2):
+    # two Newton seeds converge onto the decaying root here, so the pole
+    # sum would count its residue twice (|A| of 2 and 3): phi2-poles
+    # raises.  The root itself is right, so the timescales, which take
+    # only that root, still answer, and so does a quadrature-engine curve,
+    # which needs no root; at s = 1/Im z its A is the root's pole term
+    params, ff = ModelParams(1e12, w * 1e12, g2), builtin("phi2")
+    scales = compute_timescales(params, ff)
+    with pytest.raises(ConvergenceError):
+        survival_amplitude(params, ff, scales.t_d)
+    root = decaying_resonance(params, ff)
+    assert scales.omega_tilde == root.z.real * params.cutoff
+    assert scales.gamma == 2.0 * root.z.imag
+    s = 1.0 / root.z.imag
+    a = survival_amplitude(params, ff, s / params.cutoff, Engine.QUADRATURE)
+    assert abs(a - root.residue_weight * cmath.exp(1j * root.z * s)) < 1e-8
+    curve = sample_curve(params, ff, np.linspace(0.0, 2.0 * scales.t_d, 9),
+                         Engine.QUADRATURE)
+    assert abs(curve.probabilities[0] - 1.0) < 1e-10
+    assert (curve.probabilities <= 1.0).all()
+    assert (curve.error_estimates < 1e-10).all()
 
 
 def test_deficit_zero_cases(qdot):
