@@ -19,8 +19,8 @@ exp(i z s), s = cutoff * t.
 
 Closed forms of the dispersion integral are used for the built-in
 weights (rational up to a single log or sqrt); custom weights fall back
-to principal-value quadrature on the real axis and do not support
-continuation.
+to quadrature (on the cut pv_dispersion, one call for a whole array of
+y) and do not support continuation.
 """
 
 from __future__ import annotations
@@ -85,12 +85,17 @@ def _disp_phi1(z: complex) -> complex:
     return math.pi / (1.0 - 1j * _sqrt_upper(z))
 
 
-def _disp_phi2(z: complex) -> complex:
+def _phi2_closed(z, L):
+    """The phi2 dispersion integral at z with L = log(-z), or, with
+    L = log y on the cut, P(y): the log carries all of its imaginary part."""
     zz = z * z
-    L = cmath.log(-z)  # principal log, analytic off the cut [0, inf)
     return (-z * L / (1 + zz) ** 2
             - math.pi * (zz - 1) / (4 * (1 + zz) ** 2)
             - z / (2 * (1 + zz)))
+
+
+def _disp_phi2(z: complex) -> complex:
+    return _phi2_closed(z, cmath.log(-z))  # principal log, analytic off the cut
 
 
 def _disp_phi3(z: complex) -> complex:
@@ -140,10 +145,7 @@ def _shift_phi1(g2, y):
 
 
 def _shift_phi2(g2, y):
-    yy = y * y
-    return -g2 * (y * np.log(y) / (1 + yy) ** 2
-                  + math.pi * (yy - 1) / (4 * (1 + yy) ** 2)
-                  + y / (2 * (1 + yy)))
+    return g2 * _phi2_closed(y, np.log(y))
 
 
 def _shift_phi3(g2, y):
@@ -161,12 +163,11 @@ _SHIFT_CLOSED = {PHI1: _shift_phi1, PHI2: _shift_phi2, PHI3: _shift_phi3}
 
 def _level_shift(ff: Formfactor, g2: float, y: np.ndarray) -> np.ndarray:
     """g2 * P(y), P(y) = PV int phi(x)/(x-y) dx: closed forms for built-ins,
-    excision quadrature point by point otherwise."""
+    otherwise one pv_dispersion call on the whole array."""
     shift = _SHIFT_CLOSED.get(ff.id)
     if shift is not None:
         return shift(g2, y)
-    pv = [pv_dispersion(ff, yi) for yi in np.atleast_1d(y)]
-    return g2 * np.array(pv).reshape(y.shape)
+    return g2 * pv_dispersion(ff, y)
 
 
 class Offsets:
@@ -193,7 +194,7 @@ def dispersion_real_part(params: ModelParams, ff: Formfactor, y) -> np.ndarray:
     """Re eta on the cut: omega_ratio - y - g2 * P(y) with
     P(y) = PV int phi/(x-y) dx.
 
-    Vectorized over y; closed forms for built-ins, excision quadrature
+    Vectorized over y; closed forms for built-ins, pv_dispersion
     otherwise.  y may be Offsets, center + t: then the linear part is
     (omega_ratio - center) - t, exact in t, and only P, smooth on the
     scale of y, sees the rounded points.

@@ -14,6 +14,8 @@ plus user-supplied couplings, either as a callable or as a tabulated
 Moment finiteness is decided analytically from the declared tail
 exponent, never from quadrature blow-up: int x^k phi dx converges iff
 the tail exponent exceeds k+1 (all built-ins have integrable heads).
+A finite integral is quad_tail from 0 and raises ConvergenceError when
+it misses its error bound.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
+
+from .quadrature import converged, quad_tail
 
 
 class Sentinel:
@@ -54,8 +57,6 @@ PHI1 = "phi1"
 PHI2 = "phi2"
 PHI3 = "phi3"
 CUSTOM = "custom"
-
-_QUAD_TOL = 1e-10
 
 
 def _phi1(x):
@@ -235,39 +236,26 @@ def eval_formfactor(ff: Formfactor, x: float) -> float:
     return val
 
 
-def _improper_quad(func) -> float:
-    """Integral of func over (0, inf) through the compactifying map
-    x = u/(1-u), adaptively to abs+rel 1e-10."""
-
-    def g(u):
-        x = u / (1.0 - u)
-        return func(x) / (1.0 - u) ** 2
-
-    val, _ = integrate.quad(g, 0.0, 1.0, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
-                            limit=400)
-    return val
-
-
-def _integrand(ff: Formfactor, kind: str, k: int):
-    if kind == "moment":
-        return lambda x: float(ff(x)) * x ** k
-    if kind == "square":
-        return lambda x: float(ff(x)) ** 2
-    return lambda x: float(ff(x)) / x
+def _integral(ff: Formfactor, kind: str, k: int) -> float:
+    f = {"moment": lambda x: ff(x) * x ** k, "square": lambda x: ff(x) ** 2,
+         "head": lambda x: ff(x) / x}[kind]
+    val, err = quad_tail(f, 0.0)
+    return float(converged(val.real, err, f"{kind} integral"))
 
 
 @lru_cache(maxsize=64)
 def _builtin_integral(ff_id: str, kind: str, k: int) -> float:
-    return _improper_quad(_integrand(builtin(ff_id), kind, k))
+    return _integral(builtin(ff_id), kind, k)
 
 
 def _weighted_integral(ff: Formfactor, kind: str, k: int = 0) -> float:
-    """int_0^inf of x^k phi ("moment"), phi^2 ("square") or phi/x ("head").
-    Memoized for the built-in weights, which their id fixes; custom
-    weights all share one id and are integrated on every call."""
+    """int_0^inf of x^k phi ("moment"), phi^2 ("square") or phi/x ("head")
+    by quad_tail from 0, checked against its error estimate.  Memoized
+    for the built-in weights, which their id fixes; custom weights all
+    share one id and are integrated on every call."""
     if ff.is_builtin:
         return _builtin_integral(ff.id, kind, k)
-    return _improper_quad(_integrand(ff, kind, k))
+    return _integral(ff, kind, k)
 
 
 def moment(ff: Formfactor, k: int):

@@ -28,8 +28,8 @@ depend on s keeps the Gauss-Kronrod nodes of one adaptive integration of
 w (LaplaceTable); each batch of s is then exp(-xs) on those nodes,
 reduced by the same qk21 value and estimate as quad_complex.
 
-Principal values use symmetric excision of the pole with three-level
-Richardson extrapolation of the excision radius.
+Principal values fold onto t = |x - y|, where (f(y + t) - f(y - t))/t
+has no pole and no node lies on t = 0: one quad_complex column per pole.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConvergenceError
 
@@ -479,46 +478,57 @@ def oscillatory_tail(fvec, b, s, scale_b=None):
     return fine * cmath.exp(1j * s * b) / s, err / s
 
 
-def principal_value(f, pole, upper, epsabs=1e-11):
-    """PV int_0^upper f(x)/(x - pole) dx with 0 < pole < upper.
+def converged(val, err, what):
+    """val, once every error estimate err is within 1e-8 max(1, |val|);
+    otherwise ConvergenceError."""
+    if np.any(err > 1e-8 * np.maximum(1.0, np.abs(val))):
+        raise ConvergenceError(f"{what} did not converge",
+                               achieved=float(np.max(err)))
+    return val
 
-    Symmetric excision of radius h around the pole converges linearly in
-    h; three radii h, h/2, h/4 are combined by Richardson extrapolation.
+
+def principal_value(fvec, pole, upper):
+    """PV int_0^upper f(x)/(x - y) dx for a pole y, or an array of poles,
+    with 0 < 2y <= upper; values of the pole's shape.
+
+    Over (0, 2y) it is int_0^1 (f(y(1 + u)) - f(y(1 - u)))/u du, t = yu,
+    with breakpoints 1 - 4^-k toward the head x = 0; over (2y, upper) it
+    is L int_0^1 f(y + y e^(Lv)) dv, t = y e^(Lv), L = log((upper - y)/y).
+    Each pole is one column of quad_complex in the shared u and v; an
+    estimate past converged's bound raises ConvergenceError.
     """
-    if not 0 < pole < upper:
-        raise ValueError("pole must lie inside (0, upper)")
-    h0 = min(pole, upper - pole) * 0.05
+    y = np.asarray(pole, dtype=float)
+    ys = y.ravel()
+    if not np.all((ys > 0) & (2.0 * ys <= upper)):
+        raise ValueError("poles must lie in (0, upper/2]")
+    L = np.log((upper - ys) / ys)
 
-    def excised(h):
-        left, _ = integrate.quad(lambda x: f(x) / (x - pole), 0.0, pole - h,
-                                 epsabs=epsabs, epsrel=1e-12, limit=400,
-                                 points=[max(pole - 4 * h, 0.0)])
-        right, _ = integrate.quad(lambda x: f(x) / (x - pole), pole + h, upper,
-                                  epsabs=epsabs, epsrel=1e-12, limit=400,
-                                  points=[min(pole + 4 * h, upper)])
-        return left + right
+    def fold(u):
+        up, down = np.multiply.outer(1.0 + u, ys), np.multiply.outer(1.0 - u, ys)
+        diff = fvec(up.ravel()) - fvec(down.ravel())
+        return diff.reshape(up.shape) / u[:, None]
 
-    i0, i1, i2 = excised(h0), excised(h0 / 2), excised(h0 / 4)
-    r1 = 2 * i1 - i0          # kills the O(h) excision error
-    r2 = 2 * i2 - i1          # remaining error is O(h^3)
-    return (8 * r2 - r1) / 7
+    def rest(v):
+        x = ys + ys * np.exp(np.multiply.outer(v, L))
+        return fvec(x.ravel()).reshape(x.shape) * L
+
+    ladder = [0.0, *(1.0 - 4.0 ** -np.arange(1.0, 13.0)), 1.0]
+    head, err = quad_segments(fold, ladder, columns=ys.size)
+    far, far_err = quad_complex(rest, 0.0, 1.0, columns=ys.size)
+    val = converged(head.real + far.real, err + far_err, "principal value")
+    return float(val[0]) if y.ndim == 0 else val.reshape(y.shape)
 
 
-def pv_dispersion(phi_vec, y, tail_cut=None):
-    """PV int_0^inf phi(x)/(x - y) dx for y > 0.
-
-    The finite part [0, 4*max(1,y)] is handled by excision + Richardson;
-    the tail is pole-free and compactified through x = X/(1-u).
-    """
-    X = 4.0 * max(1.0, y)
-    if tail_cut is not None:
-        X = max(X, tail_cut)
-    main = principal_value(lambda x: float(phi_vec(np.array([x]))[0]), y, X)
-
-    def tail(u):
-        x = X / (1.0 - u)
-        jac = X / (1.0 - u) ** 2
-        return float(phi_vec(np.array([x]))[0]) / (x - y) * jac
-
-    t, _ = integrate.quad(tail, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=400)
-    return main + t
+def pv_dispersion(phi_vec, y):
+    """PV int_0^inf phi(x)/(x - y) dx for y > 0, or an array of y:
+    principal_value up to X = 4 max(1, max y), quad_tail past X."""
+    y = np.asarray(y, dtype=float)
+    ys = y.ravel()
+    if not ys.size:
+        return np.zeros(y.shape)
+    X = 4.0 * max(1.0, ys.max())
+    tail, err = quad_tail(lambda x: phi_vec(x)[:, None]
+                          / np.subtract.outer(x, ys), X, columns=ys.size)
+    val = principal_value(phi_vec, ys, X) + converged(tail.real, err,
+                                                      "dispersion tail")
+    return float(val[0]) if y.ndim == 0 else val.reshape(y.shape)

@@ -74,6 +74,19 @@ def test_cross_engine_amplitude(name, exact_engine):
     assert worst < 1e-8
 
 
+@pytest.mark.parametrize("s", [0.0, 1.0, 1e3])
+def test_quadrature_engine_on_custom_clone(qdot, s):
+    """The quadrature engine on a callable copy of phi2 takes P from
+    pv_dispersion, one call per density evaluation, and matches the
+    built-in's closed-form density."""
+    params, ff = qdot
+    clone = Formfactor.from_callable(ff.evaluator, ff.tail_exponent,
+                                     ff.head_exponent, verify=False)
+    t = s / params.cutoff
+    a = survival_amplitude_quadrature(params, ff, t)
+    assert abs(survival_amplitude_quadrature(params, clone, t) - a) < 1e-10
+
+
 def test_scaling_reduction(qdot):
     params, ff = qdot
     scaled = ModelParams(1.0, params.omega_ratio, params.coupling_sq)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from friedrichs import ConvergenceError
 from friedrichs import (DIVERGENT, Formfactor, ModelParams,
                         bound_state_margin, builtin, eval_formfactor,
                         head_integral, moment, squared_norm)
@@ -96,9 +97,18 @@ def test_zero_custom_formfactor():
 
 
 def test_head_integrals():
-    assert head_integral(builtin("phi1")) == pytest.approx(math.pi, rel=1e-9)
+    assert head_integral(builtin("phi1")) == pytest.approx(math.pi, rel=2e-14, abs=0.0)
     assert head_integral(builtin("phi2")) == pytest.approx(math.pi / 4, rel=1e-9)
     assert head_integral(builtin("phi3")) == pytest.approx(15 * math.pi / 96, rel=1e-9)
+
+
+def test_weight_integral_raises_when_unconverged():
+    """A weight that decays more slowly than declared has a divergent
+    moment; its error estimate, not the declaration, stops it."""
+    slow = Formfactor.from_callable(lambda x: 1.0 / (1.0 + x), 3.0, 0.0,
+                                    verify=False)
+    with pytest.raises(ConvergenceError):
+        moment(slow, 0)
 
 
 def test_bound_state_margin_presets():

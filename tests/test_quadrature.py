@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
+import friedrichs
 from friedrichs.errors import ConvergenceError
 from friedrichs.quadrature import (MAX_NODES, byparts_segment, byparts_tail,
                                    geometric_ladder, oscillatory_finite,
@@ -15,7 +19,8 @@ from friedrichs.quadrature import (MAX_NODES, byparts_segment, byparts_tail,
 
 def test_principal_value_odd_symmetric_is_zero():
     # PV int_0^2 dx/(x-1) = 0
-    assert principal_value(lambda x: 1.0, 1.0, 2.0) == pytest.approx(0.0, abs=1e-10)
+    assert principal_value(lambda x: np.ones_like(x), 1.0, 2.0) == \
+        pytest.approx(0.0, abs=1e-10)
 
 
 def test_principal_value_polynomial():
@@ -27,16 +32,51 @@ def test_principal_value_exponential():
     # PV int_0^5 exp(-x)/(x-1) dx = e^-1 (Ei(-4) - Ei(1)), from the
     # antiderivative Ei(-u) of exp(-u)/u
     want = float(mpmath.e ** -1 * (mpmath.ei(-4) - mpmath.ei(1)))
-    got = principal_value(lambda x: math.exp(-x), 1.0, 5.0)
+    got = principal_value(lambda x: np.exp(-x), 1.0, 5.0)
     assert got == pytest.approx(want, rel=1e-8)
 
 
-@pytest.mark.parametrize("y", [0.3, 1.0, 2.5])
-def test_pv_dispersion_vs_closed_form(y):
+def test_principal_value_array_of_poles():
+    # PV int_0^5 exp(-x)/(x-y) dx = e^-y (Ei(y-5) - Ei(y)), one column per
+    # pole; 0.625 is the centre node of the Gauss-Kronrod rule on [0.25, 1]
+    poles = np.array([[1e-9, 1.41432e-7, 0.3], [0.625, 1.0, 2.5]])
+    want = [[float(mpmath.e ** -y * (mpmath.ei(y - 5) - mpmath.ei(y)))
+             for y in row] for row in poles]
+    got = principal_value(lambda x: np.exp(-x), poles, 5.0)
+    assert got.shape == poles.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_principal_value_rejects_pole_past_half_range():
+    with pytest.raises(ValueError):
+        principal_value(np.exp, np.array([0.5, 1.5]), 2.0)
+
+
+def test_pv_dispersion_vs_closed_form():
     # PV int sqrt(x)/((1+x)(x-y)) dx = pi/(1+y), read off the boundary
     # value of the closed-form first-sheet function
     phi1 = lambda x: np.sqrt(np.asarray(x, float)) / (1 + np.asarray(x, float))
-    assert pv_dispersion(phi1, y) == pytest.approx(math.pi / (1 + y), rel=1e-8)
+    y = np.array([0.3, 1.0, 2.5])
+    np.testing.assert_allclose(pv_dispersion(phi1, y), math.pi / (1 + y),
+                               rtol=1e-8)
+    assert pv_dispersion(phi1, 0.3) == pytest.approx(math.pi / 1.3, rel=1e-8)
+
+
+def test_pv_dispersion_raises_on_divergent_tail():
+    """A weight whose phi/x is not integrable gives no principal value:
+    the tail's error estimate stays above its bound and it raises."""
+    with pytest.raises(ConvergenceError):
+        pv_dispersion(lambda x: np.ones_like(x), np.array([0.5]))
+
+
+def test_import_leaves_scipy_integrate_out():
+    """quad_complex is the package's one integrator: importing it pulls in
+    no scipy.integrate."""
+    code = "import sys, friedrichs; print('scipy.integrate' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(friedrichs.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=src)
+    assert out.stdout.strip() == "False"
 
 
 def test_geometric_ladder_brackets_feature():
