@@ -52,14 +52,24 @@ def test_principal_value_rejects_pole_past_half_range():
         principal_value(np.exp, np.array([0.5, 1.5]), 2.0)
 
 
-def test_pv_dispersion_vs_closed_form():
+def _phi1_closed_form(x):
     # PV int sqrt(x)/((1+x)(x-y)) dx = pi/(1+y), read off the boundary
     # value of the closed-form first-sheet function
-    phi1 = lambda x: np.sqrt(np.asarray(x, float)) / (1 + np.asarray(x, float))
+    x = np.asarray(x, float)
+    return np.sqrt(x) / (1 + x)
+
+
+@pytest.mark.parametrize("y", [0.3, 1.0, 2.5])
+def test_pv_dispersion_vs_closed_form(y):
+    assert pv_dispersion(_phi1_closed_form, y) == pytest.approx(
+        math.pi / (1 + y), rel=1e-8)
+
+
+def test_pv_dispersion_array_vs_closed_form():
+    """An array of y is one call and matches the scalar closed form."""
     y = np.array([0.3, 1.0, 2.5])
-    np.testing.assert_allclose(pv_dispersion(phi1, y), math.pi / (1 + y),
-                               rtol=1e-8)
-    assert pv_dispersion(phi1, 0.3) == pytest.approx(math.pi / 1.3, rel=1e-8)
+    np.testing.assert_allclose(pv_dispersion(_phi1_closed_form, y),
+                               math.pi / (1 + y), rtol=1e-8)
 
 
 def test_pv_dispersion_raises_on_divergent_tail():
