@@ -77,8 +77,8 @@ from scipy.special import wofz
 from .errors import ConvergenceError, EngineMismatchError, ExpansionUnavailableError
 from .formfactors import (DIVERGENT, PHI1, PHI2, Formfactor, ModelParams,
                           moment, squared_norm)
-from .dispersion import (Offsets, decaying_resonance, resonance_roots,
-                         spectral_density, spectral_peak)
+from .dispersion import (Offsets, background_weight, decaying_resonance,
+                         resonance_roots, spectral_density, spectral_peak)
 from . import quadrature as quadlib
 
 
@@ -253,37 +253,19 @@ def survival_amplitude_phi1_exact(params: ModelParams, t):
 # phi2 pole engine
 # ---------------------------------------------------------------------------
 
-def _phi2_Q(x, w_ratio, g2):
-    """Stable denominator kernel of the background integral; the two
-    factors Q + pi*g2*x/2 and Q - 3*pi*g2*x/2 are (1-x^2)^2 eta(ix) on
-    the two sheets, assembled without the (1-x^2)^4 blow-up near x = 1."""
-    xx = x * x
-    return ((w_ratio - 1j * x) * (1 - xx) ** 2
-            - g2 / 4 * (math.pi - 2j * x) * (1 - xx)
-            - g2 / 2 * (math.pi * xx - 2j * x * np.log(x)))
-
-
-def _phi2_background_kernel(x, w_ratio, g2):
-    """The s-free background weight x (1 - x^2)^2 / den(x) at nodes x."""
-    q = _phi2_Q(x, w_ratio, g2)
-    den = (q + 0.5 * g2 * math.pi * x) * (q - 1.5 * g2 * math.pi * x)
-    return x * (1 - x * x) ** 2 / den
-
-
 @lru_cache(maxsize=64)
 def _phi2_table(cutoff, omega1, coupling_sq):
     """The background's node table: breakpoints at 0.5, 1 +- d, 1 +- 10d
     (d = sqrt(pi) lambda / 2) and 2 on [0, 10], a tail from x = 10, and a
     ladder 0.5 / 2^k toward x = 0 down to 1e-15, which resolves exp(-xs)
     up to s ~ 1e14."""
-    params = ModelParams(cutoff, omega1, coupling_sq)
-    w_ratio, g2 = params.omega_ratio, params.coupling_sq
+    params, ff = ModelParams(cutoff, omega1, coupling_sq), Formfactor.phi2()
     d = math.sqrt(math.pi) / 2 * params.coupling
     segs = [0.0, 0.5, 1 - 10 * d, 1 - d, 1.0, 1 + d, 1 + 10 * d, 2.0, 10.0]
     segs += (0.5 * 2.0 ** -np.arange(1, 50)).tolist()
     segs = sorted(t for t in segs if 0.0 <= t <= 10.0)
     return quadlib.LaplaceTable(
-        lambda x: _phi2_background_kernel(x, w_ratio, g2), segs, epsabs=1e-14)
+        lambda x: background_weight(params, ff, x), segs, epsabs=1e-14)
 
 
 def _phi2_background(params: ModelParams, s: np.ndarray):

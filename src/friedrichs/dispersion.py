@@ -7,7 +7,7 @@ first-sheet function is
 
 with g2 the squared coupling.  Boundary values from below the cut are
 eta_minus(y) = Re + i*pi*g2*phi(y); continued upward through the cut they
-define the second sheet,
+define the second sheet, in the upper half plane
 
     eta_II(z) = eta_I(z) + 2*pi*i*g2*phi(z),
 
@@ -18,9 +18,14 @@ puts the decaying poles in the upper half plane with time dependence
 exp(i z s), s = cutoff * t.
 
 Closed forms of the dispersion integral are used for the built-in
-weights (rational up to a single log or sqrt); custom weights fall back
-to quadrature (on the cut pv_dispersion, one call for a whole array of
-y) and do not support continuation.
+weights; custom weights fall back to quadrature (on the cut
+pv_dispersion, one call for a whole array of y) and do not support
+continuation.  phi2 and phi3, x/(1+x^2)^n, are one table entry (n, c, p):
+F(z) = (p(z) - c z L)/(c (1+z^2)^n), where L = log y gives P(y) on the
+cut, log(-z) the first sheet and log z + i*pi the second.  That form of
+eta_II is analytic across the positive axis (below it, it is eta_I), so
+Newton and the residue weights -1/eta_II' take its exact derivative; no
+difference stencil straddles the branch point 0 near the bound-state edge.
 """
 
 from __future__ import annotations
@@ -81,44 +86,37 @@ def _sqrt_upper(z: complex) -> complex:
 # closed-form dispersion integrals  F(z) = int phi(x)/(x-z) dx
 # ---------------------------------------------------------------------------
 
-def _disp_phi1(z: complex) -> complex:
-    return math.pi / (1.0 - 1j * _sqrt_upper(z))
+# phi2 and phi3 as (n, c, p), p's coefficients highest power first
+_RATIONAL = {
+    PHI2: (2, 4.0, (-2.0, -math.pi, -2.0, math.pi)),
+    PHI3: (4, 96.0, (-16.0, -3 * math.pi, -72.0, -15 * math.pi, -144.0,
+                     -45 * math.pi, -88.0, 15 * math.pi)),
+}
 
 
-def _phi2_closed(z, L):
-    """The phi2 dispersion integral at z with L = log(-z), or, with
-    L = log y on the cut, P(y): the log carries all of its imaginary part."""
-    zz = z * z
-    return (-z * L / (1 + zz) ** 2
-            - math.pi * (zz - 1) / (4 * (1 + zz) ** 2)
-            - z / (2 * (1 + zz)))
+def _horner(coeffs, z):
+    acc = coeffs[0]
+    for a in coeffs[1:]:
+        acc = acc * z + a
+    return acc
 
 
-def _disp_phi2(z: complex) -> complex:
-    return _phi2_closed(z, cmath.log(-z))  # principal log, analytic off the cut
+def _rational(ff_id, z, L):
+    """(p(z) - c z L, c, h), F = num / (c h^2) with h = (1+z^2)^(n/2)
+    formed by squaring.  P(y) divides by (c h) h and the complex forms by
+    c (h h): the groupings round differently, and these keep the level
+    shift and the preset roots to the last bit."""
+    n, c, coeffs = _RATIONAL[ff_id]
+    h = 1 + z * z
+    if n == 4:
+        h = h * h
+    return _horner(coeffs, z) - c * z * L, c, h
 
 
-def _disp_phi3(z: complex) -> complex:
-    pi = math.pi
-    L = cmath.log(-z)
-    num = (-16 * z ** 7 - 3 * pi * z ** 6 - 72 * z ** 5 - 15 * pi * z ** 4
-           - 144 * z ** 3 - 45 * pi * z ** 2 - 96 * z * L - 88 * z + 15 * pi)
-    return num / (96 * (1 + z * z) ** 4)
-
-
-_DISP_CLOSED = {PHI1: _disp_phi1, PHI2: _disp_phi2, PHI3: _disp_phi3}
-
-
-def _phi_continued(ff: Formfactor, z: complex) -> complex:
-    """phi continued off the positive axis (principal branches)."""
-    if ff.id == PHI1:
-        return cmath.sqrt(z) / (1 + z)
-    if ff.id == PHI2:
-        return z / (1 + z * z) ** 2
-    if ff.id == PHI3:
-        return z / (1 + z * z) ** 4
-    raise ContinuationUnsupportedError(
-        f"no analytic continuation for formfactor {ff.id!r}")
+def _num_den(ff_id, z, L):
+    """Numerator and denominator c (1+z^2)^n of F off the cut."""
+    num, c, h = _rational(ff_id, z, L)
+    return num, c * (h * h)
 
 
 def eta_first_sheet(params: ModelParams, ff: Formfactor, z: complex) -> complex:
@@ -129,9 +127,11 @@ def eta_first_sheet(params: ModelParams, ff: Formfactor, z: complex) -> complex:
     w, g2 = params.omega_ratio, params.coupling_sq
     if g2 == 0.0:
         return w - z
-    f = _DISP_CLOSED.get(ff.id)
-    if f is not None:
-        return w - z - g2 * f(z)
+    if ff.id == PHI1:
+        return w - z - g2 * (math.pi / (1.0 - 1j * _sqrt_upper(z)))
+    if ff.id in _RATIONAL:  # the principal log(-z) is analytic off the cut
+        num, den = _num_den(ff.id, z, cmath.log(-z))
+        return w - z - g2 * (num / den)
     # generic quadrature path; the contour never touches the cut
     val, err = quad_tail(lambda x: ff(x) / (x - z), 0.0, epsabs=1e-12)
     if err > 1e-8:
@@ -140,33 +140,14 @@ def eta_first_sheet(params: ModelParams, ff: Formfactor, z: complex) -> complex:
     return w - z - g2 * val
 
 
-def _shift_phi1(g2, y):
-    return math.pi * g2 / (1.0 + y)
-
-
-def _shift_phi2(g2, y):
-    return g2 * _phi2_closed(y, np.log(y))
-
-
-def _shift_phi3(g2, y):
-    # Horner form of the numerator's polynomial part
-    pi = math.pi
-    poly = (((((((-16.0 * y - 3 * pi) * y - 72.0) * y - 15 * pi) * y - 144.0)
-              * y - 45 * pi) * y - 88.0) * y + 15 * pi)
-    u = 1.0 + y * y
-    u *= u
-    return g2 * (poly - 96.0 * y * np.log(y)) / (96.0 * u * u)
-
-
-_SHIFT_CLOSED = {PHI1: _shift_phi1, PHI2: _shift_phi2, PHI3: _shift_phi3}
-
-
 def _level_shift(ff: Formfactor, g2: float, y: np.ndarray) -> np.ndarray:
     """g2 * P(y), P(y) = PV int phi(x)/(x-y) dx: closed forms for built-ins,
     otherwise one pv_dispersion call on the whole array."""
-    shift = _SHIFT_CLOSED.get(ff.id)
-    if shift is not None:
-        return shift(g2, y)
+    if ff.id == PHI1:
+        return math.pi * g2 / (1.0 + y)
+    if ff.id in _RATIONAL:
+        num, c, h = _rational(ff.id, y, np.log(y))
+        return g2 * num / (c * h * h)
     return g2 * pv_dispersion(ff, y)
 
 
@@ -221,7 +202,9 @@ def eta_boundary(params: ModelParams, ff: Formfactor, y: float,
 
 
 def eta_second_sheet(params: ModelParams, ff: Formfactor, z: complex) -> complex:
-    """eta continued through the cut: eta_I + 2*pi*i*g2*phi(z)."""
+    """eta continued upward through the cut, eta_I + 2*pi*i*g2*phi(z) in the
+    upper half plane.  For phi2 and phi3 it is the closed form with
+    L = log z + i*pi, analytic across the positive axis."""
     z = complex(z)
     g2 = params.coupling_sq
     if g2 == 0.0:
@@ -230,7 +213,11 @@ def eta_second_sheet(params: ModelParams, ff: Formfactor, z: complex) -> complex
         # equivalently: sqrt(z) taken on the lower half branch
         u = -_sqrt_upper(z)
         return params.omega_ratio - z - math.pi * g2 / (1.0 - 1j * u)
-    return eta_first_sheet(params, ff, z) + 2j * math.pi * g2 * _phi_continued(ff, z)
+    if ff.id in _RATIONAL:
+        num, den = _num_den(ff.id, z, cmath.log(z) + 1j * math.pi)
+        return params.omega_ratio - z - g2 * (num / den)
+    raise ContinuationUnsupportedError(
+        f"no analytic continuation for formfactor {ff.id!r}")
 
 
 def eta_on_sheet(params: ModelParams, ff: Formfactor, pt: SheetPoint) -> complex:
@@ -239,13 +226,33 @@ def eta_on_sheet(params: ModelParams, ff: Formfactor, pt: SheetPoint) -> complex
     return eta_second_sheet(params, ff, pt.z)
 
 
-def _eta_second_sheet_prime(params, ff, z, h=None):
-    """d(eta_II)/dz via central differences (eta_II is holomorphic)."""
+def _eta_second_sheet_prime(params, ff, z):
+    """d(eta_II)/dz = -1 - g2 F' for phi2 and phi3, exact: with u = 1 + z^2
+    and dL/dz = 1/z,
+    F' = (p' - c L - c)/(c u^n) - 2 n z (p - c z L)/(c u^(n+1))."""
     z = complex(z)
-    if h is None:
-        h = 1e-7 * (1.0 + abs(z))
-    f = lambda x: eta_second_sheet(params, ff, x)
-    return (8 * (f(z + h) - f(z - h)) - (f(z + 2 * h) - f(z - 2 * h))) / (12 * h)
+    n, c, coeffs = _RATIONAL[ff.id]
+    L = cmath.log(z) + 1j * math.pi
+    deg = len(coeffs) - 1
+    dp = _horner([a * (deg - k) for k, a in enumerate(coeffs[:-1])], z)
+    num, den = _num_den(ff.id, z, L)
+    dF = (dp - c * L - c) / den - 2 * n * z * num / (den * (1 + z * z))
+    return -1.0 - params.coupling_sq * dF
+
+
+def background_weight(params: ModelParams, ff: Formfactor, x) -> np.ndarray:
+    """x / ((1 - x^2)^n eta_I(ix) eta_II(ix)) at nodes x > 0 for phi2 and
+    phi3, the s-free weight of the background -g2 int_0^inf w(x) exp(-xs) dx
+    that rotating the contour onto the positive imaginary axis leaves.
+    Formed as c^2 x (1 - x^2)^n / (N_I N_II), N = c (1 + z^2)^n eta at
+    z = ix, polynomial but for L = log x - i*pi/2 on sheet I (2*pi*i more
+    on sheet II): no negative power of 1 - x^2 is formed near x = 1."""
+    z, g2 = 1j * x, params.coupling_sq
+    num, den = _num_den(ff.id, z, np.log(x) - 0.5j * math.pi)
+    c = _RATIONAL[ff.id][1]
+    n_first = den * (params.omega_ratio - z) - g2 * num
+    n_second = n_first - 2 * math.pi * g2 * c * x
+    return c * x * den.real / (n_first * n_second)
 
 
 def _newton_polish(params, ff, seed, tol_step=1e-15, max_iter=100):

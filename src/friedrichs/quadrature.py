@@ -154,15 +154,16 @@ def quad_complex(fvec, a, b, points=None, epsabs=1e-12, limit=_LIMIT,
     every column meets its tolerance or has more error than that in
     intervals too narrow to bisect, or at `limit` intervals; callers act
     on the returned error estimates.  A non-finite integrand value raises
-    ConvergenceError.  An empty range gives zero values and estimates.
+    ConvergenceError.  An empty range gives zero values and estimates, and
+    zero columns give empty arrays.
     """
     if b < a:
         val, err = quad_complex(fvec, b, a, points, epsabs, limit, columns)
         return -val, err
-    m = columns or 1
+    m = 1 if columns is None else columns
     inner = [p for p in (points if points is not None else ()) if a < p < b]
     edges = np.unique(np.array([a, b] + inner, dtype=float))
-    if edges.size < 2:
+    if edges.size < 2 or m == 0:
         return (0j, 0.0) if columns is None else (np.zeros(m, dtype=complex),
                                                   np.zeros(m))
     _, _, val, err = _adapt(fvec, edges, epsabs, limit, m)
@@ -463,14 +464,12 @@ def _de_fourier_rule(h):
 _DE_NODES = np.concatenate([_DE_U1, _DE_U2])
 
 
-def oscillatory_tail(fvec, b, s, scale_b=None):
+def oscillatory_tail(fvec, b, s):
     """int_b^inf f exp(isx) dx for s > 0 and f smooth on [b, inf), decaying
     to 0; returns (value, error estimate).  It is exp(isb)/s times
     int_0^inf f(b + u/s) exp(iu) du by the Ooura-Mori rule at steps 0.1
     and 0.2, one table of nodes for every s; the estimate is their
-    difference, at least the roundoff eps sum |w f|.  scale_b, the
-    smoothness scale of f at b, is unused: the nodes cluster at b, and as
-    s scale_b falls below 0.1 the estimate grows with the error."""
+    difference, at least the roundoff eps sum |w f|."""
     f = np.asarray(fvec(b + _DE_NODES / s))
     fine, coarse = f[:_DE_W1.size] @ _DE_W1, f[_DE_W1.size:] @ _DE_W2
     err = max(abs(fine - coarse),

@@ -246,6 +246,16 @@ def test_deficit_consistent_with_probability(qdot):
     assert d == pytest.approx(1.0 - p, rel=1e-5)
 
 
+def test_deficit_kernel_meets_phi2_poles_at_the_seam(qdot):
+    # survival_deficit switches from the kernel to 1 - p at s = 1; with
+    # exact residues the two agree there and below it
+    params, ff = qdot
+    s = np.array([0.25, 0.5, 1.0])
+    kernel = amplitude._deficit_kernel(params, ff, s)
+    a = survival_amplitude_phi2(params, s / params.cutoff)
+    np.testing.assert_allclose(1.0 - np.abs(a) ** 2, kernel, rtol=1e-8, atol=0.0)
+
+
 # survival_deficit at s = cutoff * t from the earlier kernel, which made
 # separate scalar scipy.integrate.quad passes for the real and imaginary
 # parts; the batched complex Gauss-Kronrod kernel must reproduce them.
@@ -302,16 +312,15 @@ def _background_reference(params, s, epsabs=1e-16):
     """-g2 int_0^inf w(x) exp(-xs) dx for one s by adaptive quadrature from
     the background's own breakpoints, with a cut at x = 42/s: the
     one-column integral the node table replaces."""
-    w_ratio, g2 = params.omega_ratio, params.coupling_sq
-    d = math.sqrt(math.pi) / 2 * params.coupling
+    ff, d = builtin("phi2"), math.sqrt(math.pi) / 2 * params.coupling
     top = min(42.0 / s if s > 0 else math.inf, 10.0)
     segs = [0.0, 0.5, 1 - 10 * d, 1 - d, 1.0, 1 + d, 1 + 10 * d, 2.0]
     segs = sorted([t for t in segs if 0.0 <= t < top] + [top])
-    f = lambda x: amplitude._phi2_background_kernel(x, w_ratio, g2) * np.exp(-x * s)
+    f = lambda x: amplitude.background_weight(params, ff, x) * np.exp(-x * s)
     val, _ = quadrature.quad_segments(f, segs, epsabs=epsabs)
     if top == 10.0:
         val += quadrature.quad_tail(f, 10.0, epsabs=epsabs)[0]
-    return -g2 * val
+    return -params.coupling_sq * val
 
 
 _BOX = [ModelParams(1e12, w * 1e12, g2)
@@ -353,9 +362,9 @@ def test_phi2_table_refines_beyond_its_reach(qdot, monkeypatch):
 def test_phi2_table_built_once_per_parameter_set(qdot, qdot_scales, monkeypatch):
     params, ff = qdot
     nodes = []
-    kernel = amplitude._phi2_background_kernel
-    monkeypatch.setattr(amplitude, "_phi2_background_kernel",
-                        lambda x, *args: nodes.append(x.size) or kernel(x, *args))
+    weight = amplitude.background_weight
+    monkeypatch.setattr(amplitude, "background_weight",
+                        lambda p, f, x: nodes.append(x.size) or weight(p, f, x))
     amplitude._phi2_table.cache_clear()
     first = n_epsilon(params, ff, 1e-2 * qdot_scales.t_d, 1e-3)
     assert sum(nodes) > 0
@@ -386,6 +395,16 @@ def test_coincident_phi2_roots(w, g2):
     assert abs(curve.probabilities[0] - 1.0) < 1e-10
     assert (curve.probabilities <= 1.0).all()
     assert (curve.error_estimates < 1e-10).all()
+
+
+def test_phi2_poles_at_the_bound_state_edge():
+    # margin 4.5e-8: the decaying root z = 4.55e-8 + 2.1e-13i lies closer
+    # to the branch point z = 0 than a finite-difference step would.  The
+    # weight -1/eta_II'(z) is a 50-digit mpmath value
+    params, ff = ModelParams(1e12, 1.1978e6, 1.4672e-6), builtin("phi2")
+    assert abs(survival_amplitude_phi2(params, 0.0) - 1.0) < 1e-12
+    weight = decaying_resonance(params, ff).residue_weight
+    assert abs(weight - (0.99997739625927865 + 4.6091431293064680e-6j)) < 1e-9
 
 
 def test_deficit_zero_cases(qdot):

@@ -8,8 +8,8 @@ from friedrichs import (Formfactor, ModelParams, RootKind, Side, builtin,
                         decaying_resonance, eta_boundary, eta_first_sheet,
                         eta_second_sheet, resonance_roots, spectral_density,
                         spectral_peak)
-from friedrichs.dispersion import (Offsets, _newton_polish,
-                                   dispersion_real_part)
+from friedrichs.dispersion import (Offsets, _eta_second_sheet_prime,
+                                   _newton_polish, dispersion_real_part)
 from friedrichs.errors import ContinuationUnsupportedError
 from friedrichs.presets import preset
 
@@ -175,6 +175,23 @@ def test_phi3_roots_from_seeds():
     assert res.z.real == pytest.approx(params.omega_ratio, rel=1e-2)
     assert res.z.imag == pytest.approx(
         math.pi * params.coupling_sq * params.omega_ratio, rel=1e-2)
+
+
+@pytest.mark.parametrize("name", ["quantum-dot", "hydrogen"])
+def test_second_sheet_derivative_vs_cauchy_integral(name):
+    # the closed-form eta_II' at each root against the 32-node trapezoid
+    # rule for (1/2 pi i) \oint eta_II(w)/(w - z)^2 dw on a circle clear
+    # of the branch point 0 and of the pole at i
+    params, ff = preset(name)
+    theta = 2 * np.pi * np.arange(32) / 32
+    for r in resonance_roots(params, ff):
+        radius = min(abs(r.z), abs(r.z - 1j)) / 4
+        on_circle = [eta_second_sheet(params, ff, r.z + radius * cmath.exp(1j * t))
+                     for t in theta]
+        cauchy = np.mean(np.array(on_circle) * np.exp(-1j * theta)) / radius
+        exact = _eta_second_sheet_prime(params, ff, r.z)
+        assert abs(exact - cauchy) <= 1e-12 * abs(exact)
+        assert r.residue_weight == -1.0 / exact
 
 
 def test_phi1_cubic_vieta():

@@ -138,7 +138,7 @@ def test_oscillatory_tail_exact():
     f = lambda x: np.asarray(x, float) ** -2
     s = 30.0
     want = _inv_square_tail_exact(2.0, s)
-    got, err = oscillatory_tail(f, 2.0, s, scale_b=2.0)
+    got, err = oscillatory_tail(f, 2.0, s)
     assert abs(got - want) < 1e-10
 
 
@@ -358,6 +358,13 @@ def test_quad_complex_one_column_matches_plain_integrand():
     val, err = quad_complex(lambda x: f(x)[:, None], 0.0, 2.0, points=[0.5, 1.0],
                             columns=1)
     assert (val[0], err[0]) == plain
+
+
+def test_quad_complex_zero_columns():
+    f = lambda x: np.zeros((x.size, 0), dtype=complex)
+    val, err = quad_complex(f, 0.0, 2.0, points=[1.0], columns=0)
+    assert val.shape == (0,) and val.dtype == complex
+    assert err.shape == (0,)
 
 
 def test_quad_complex_columns_match_single_calls():
