@@ -42,8 +42,9 @@ PHI2_POLES    Two contour poles plus a background integral along the
               batch of times is exp(-xs) on those nodes, one contraction.
 
 ASYMPTOTIC_LONG  Exponential + power tail + oscillatory cross term,
-              evaluated as |pole + tail|^2 with exact root-based
-              coefficients.
+              evaluated as |pole + tail|^2 for every built-in weight:
+              the pole W exp(izs) from the decaying root, the power
+              tail from the weight's head phi ~ x^a by Watson's lemma.
 
 SERIES_SHORT  The short-time expansion evaluated literally.
 
@@ -75,8 +76,9 @@ import numpy as np
 from scipy.special import wofz
 
 from .errors import ConvergenceError, EngineMismatchError, ExpansionUnavailableError
-from .formfactors import (DIVERGENT, PHI1, PHI2, Formfactor, ModelParams,
-                          moment, squared_norm)
+from .formfactors import (DIVERGENT, PHI1, PHI2, PHI3, Formfactor,
+                          ModelParams, bound_state_margin, moment,
+                          squared_norm)
 from .dispersion import (Offsets, background_weight, decaying_resonance,
                          resonance_roots, spectral_density, spectral_peak)
 from . import quadrature as quadlib
@@ -535,38 +537,31 @@ def short_time_expansion(params: ModelParams, ff: Formfactor) -> ShortTimeExpans
 # long-time asymptote
 # ---------------------------------------------------------------------------
 
-def _phi1_tail_coefficient(params: ModelParams) -> complex:
-    roots = resonance_roots(params, Formfactor.phi1())
-    zprod = np.prod([r.z for r in roots])
-    return (math.sqrt(math.pi) * params.coupling_sq / 2.0
-            * cmath.exp(-1j * math.pi / 4) / zprod)
+# the asymptote is warned below these times, in units of 1/omega1
+_VALID_FROM = {PHI1: 24.0, PHI2: 4.0, PHI3: 4.0}
 
 
-def background_zero_frequency(params: ModelParams) -> complex:
-    """Q(0) = omega_ratio - pi*g2/4, the x -> 0 limit of the background
-    kernel denominator for the Lorentzian-squared weight."""
-    return params.omega_ratio - math.pi * params.coupling_sq / 4.0
+def _asymptote(params: ModelParams, ff: Formfactor, s: float):
+    """(pole term, power term) of A(s) at late s.  The pole term is the
+    decaying root's W exp(izs).  The power term is Watson's lemma on the
+    weight's head phi ~ x^a: g2 Gamma(a+1) i^(a+1) s^-(a+1) / m^2, with m
+    the bound-state margin eta_I(0) (Fonda, Ghirardi & Rimini, Rep. Prog.
+    Phys. 41 (1978) 587).  The head coefficient is 1 for every built-in
+    weight; a custom weight has no roots and raises."""
+    res = decaying_resonance(params, ff)
+    pole = res.residue_weight * cmath.exp(1j * res.z * s)
+    a, m = ff.head_exponent, bound_state_margin(params, ff)
+    tail = (params.coupling_sq * math.gamma(a + 1) * 1j ** (a + 1) / (m * m)
+            * s ** -(a + 1))
+    return pole, tail
 
 
 def long_time_asymptote(params: ModelParams, ff: Formfactor, t: float) -> float:
-    """Three-term form |pole * exp(izs) + tail * s^-q|^2: exponential,
-    power law, and the oscillatory cross term, with exact root-based
-    coefficients."""
-    s = params.cutoff * t
-    if ff.id == PHI1:
-        threshold = 24.0 / params.omega1
-        res = decaying_resonance(params, ff)
-        pole = res.residue_weight * cmath.exp(1j * res.z * s)
-        tail = _phi1_tail_coefficient(params) * s ** -1.5
-    elif ff.id == PHI2:
-        threshold = 4.0 / params.omega1
-        res = decaying_resonance(params, ff)
-        pole = res.residue_weight * cmath.exp(1j * res.z * s)
-        q0 = background_zero_frequency(params)
-        tail = -params.coupling_sq / (q0 * q0) * s ** -2.0
-    else:
-        raise EngineMismatchError(
-            f"long-time asymptote supports phi1 and phi2, not {ff.id!r}")
+    """|pole + tail|^2: exponential, power law and their oscillatory cross
+    term, the pole from the decaying root and the power tail from the
+    weight's head (_asymptote), for each built-in weight."""
+    pole, tail = _asymptote(params, ff, params.cutoff * t)
+    threshold = _VALID_FROM[ff.id] / params.omega1
     if t < threshold:
         warnings.warn(
             f"long-time asymptote evaluated at t={t:.3g}s below its "
@@ -577,18 +572,8 @@ def long_time_asymptote(params: ModelParams, ff: Formfactor, t: float) -> float:
 def asymptote_terms(params: ModelParams, ff: Formfactor, t: float):
     """(exponential term, power term) of the asymptote, for crossover
     bracketing."""
-    s = params.cutoff * t
-    res = decaying_resonance(params, ff)
-    expo = abs(res.residue_weight) ** 2 * math.exp(-2.0 * res.z.imag * s)
-    if ff.id == PHI1:
-        power = abs(_phi1_tail_coefficient(params)) ** 2 * s ** -3.0
-    elif ff.id == PHI2:
-        q0 = background_zero_frequency(params)
-        power = (params.coupling_sq / abs(q0) ** 2) ** 2 * s ** -4.0
-    else:
-        raise EngineMismatchError(
-            f"long-time asymptote supports phi1 and phi2, not {ff.id!r}")
-    return expo, power
+    pole, tail = _asymptote(params, ff, params.cutoff * t)
+    return abs(pole) ** 2, abs(tail) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,8 @@ from scipy import optimize
 from .amplitude import asymptote_terms, short_time_expansion
 from .dispersion import decaying_resonance
 from .errors import EngineMismatchError
-from .formfactors import PHI1, PHI2, PHI3, Formfactor, ModelParams
+from .formfactors import (PHI1, PHI2, PHI3, Formfactor, ModelParams,
+                          bound_state_margin)
 
 
 class Provenance(Enum):
@@ -91,7 +92,7 @@ def compute_timescales(params: ModelParams, ff: Formfactor) -> Timescales:
         root = decaying_resonance(params, ff)
         omega_tilde = root.z.real * cut
         gamma1 = 2.0 * root.z.imag
-        q0 = params.omega_ratio - math.pi * g2 / 4.0
+        q0 = bound_state_margin(params, ff)
         t_z = exp.validity_time
         t_d = 1.0 / (2.0 * math.pi * g2 * params.omega1)
         t_ep = 4.0 / (gamma1 * cut) * math.log(q0 / (lam * gamma1))
@@ -127,8 +128,6 @@ def generic_timescales(params: ModelParams, ff: Formfactor):
 def crossover_time_numeric(params: ModelParams, ff: Formfactor) -> float:
     """Time where the exponential and power terms of the long-time
     asymptote are equal; bracketed root find on the log of their ratio."""
-    if ff.id not in (PHI1, PHI2):
-        raise EngineMismatchError("numeric crossover needs phi1 or phi2")
     ts = compute_timescales(params, ff)
 
     def logratio(logt):

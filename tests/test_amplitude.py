@@ -1,12 +1,14 @@
 import cmath
+import copy
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from friedrichs import (Engine, Formfactor, ModelParams, bound_state_margin,
                         builtin, decaying_resonance, long_time_asymptote,
-                        n_epsilon, sample_curve,
+                        n_epsilon, resonance_roots, sample_curve,
                         short_time_expansion, survival_amplitude,
                         survival_amplitude_phi1_exact, survival_amplitude_phi2,
                         survival_amplitude_quadrature, survival_deficit,
@@ -15,7 +17,7 @@ from friedrichs import amplitude, quadrature
 from friedrichs.amplitude import asymptote_terms, log_survival, resolve_engine
 from friedrichs.dispersion import Offsets
 from friedrichs.errors import (ConvergenceError, EngineMismatchError,
-                               ExpansionUnavailableError)
+                               ExpansionUnavailableError, FriedrichsError)
 from friedrichs.presets import preset
 from friedrichs.timescales import compute_timescales
 
@@ -341,6 +343,43 @@ def test_phi2_table_matches_adaptive_background(params):
         assert e <= tol
 
 
+def _background_weight_mp(params, x):
+    """The phi2 background weight c x Re D / (N_I N_II) of
+    dispersion.background_weight, D = c (1 + z^2)^2 and
+    N_I = D (omega_ratio - z) - g2 (p(z) - c z L) at z = ix, evaluated
+    in 40 digits."""
+    with mpmath.workdps(40):
+        x, g2 = mpmath.mpf(x), mpmath.mpf(params.coupling_sq)
+        z, c = 1j * x, 4
+        p = ((-2 * z - mpmath.pi) * z - 2) * z + mpmath.pi
+        den = c * (1 + z * z) ** 2
+        n_first = (den * (mpmath.mpf(params.omega1) / params.cutoff - z)
+                   - g2 * (p - c * z * (mpmath.log(x) - 0.5j * mpmath.pi)))
+        n_second = n_first - 2 * mpmath.pi * g2 * c * x
+        return complex(c * x * den.real / (n_first * n_second))
+
+
+@pytest.mark.parametrize("params", [preset("quantum-dot")[0],
+                                    ModelParams(1e12, 1e6, 1e-9)])
+def test_background_weight_near_one(params):
+    # N_I and N_II nearly cancel as x -> 1, and both vanish at x = 1.  The
+    # table's nodes within 1e-3 of 1 (the closest 3.6e-6 and 6.1e-8 away)
+    # hold the weight to 3.2e-12 and the s = 0 integral to 3.4e-14
+    table = amplitude._phi2_table(params.cutoff, params.omega1,
+                                  params.coupling_sq)
+    near = np.abs(table.x - 1.0) <= 1e-3
+    assert near.any() and not (table.x == 1.0).any()
+    got = amplitude.background_weight(params, builtin("phi2"), table.x[near])
+    want = np.array([_background_weight_mp(params, x) for x in table.x[near]])
+    assert (np.abs(got - want) <= 1e-11 * np.abs(want)).all()
+    exact = copy.copy(table)
+    exact.v = table.v.copy()
+    exact.v[near] *= want / got
+    s0 = np.zeros(1)
+    want0 = exact.integrals(s0)[0][0]
+    assert abs(table.integrals(s0)[0][0] - want0) <= 1e-12 * abs(want0)
+
+
 def test_phi2_table_refines_beyond_its_reach(qdot, monkeypatch):
     # s = 1e17 lies past the head ladder (x ~ 1e-15).  Held to a purely
     # relative tolerance, its column fails the table's estimate and is
@@ -526,10 +565,47 @@ def test_asymptote_warns_below_threshold(qdot):
         long_time_asymptote(params, ff, 1.0 / params.omega1)
 
 
-def test_asymptote_unsupported_formfactor(hydrogen):
+def test_asymptote_unsupported_formfactor(qdot):
+    # a custom weight has no resonance roots, so no pole term
+    params, ff = qdot
+    clone = Formfactor.from_callable(ff.evaluator, ff.tail_exponent,
+                                     ff.head_exponent, verify=False)
+    with pytest.raises(FriedrichsError):
+        long_time_asymptote(params, clone, 1e-6)
+
+
+@pytest.mark.parametrize("f", [0.5, 1.0, 2.0, 5.0, 10.0])
+def test_phi3_asymptote_matches_quadrature(hydrogen, f):
+    # the pole term from the decaying root plus the linear head's power
+    # tail, against the quadrature engine from 0.5 t_d to 10 t_d
     params, ff = hydrogen
-    with pytest.raises(EngineMismatchError):
-        long_time_asymptote(params, ff, 1e-8)
+    t = f * compute_timescales(params, ff).t_d
+    pa = long_time_asymptote(params, ff, t)
+    assert pa == pytest.approx(survival_probability(params, ff, t), rel=1e-9)
+
+
+def _tail_reference(params, ff):
+    """The power-tail coefficient in closed form per weight:
+    sqrt(pi) g2/2 e^{-i pi/4} / prod z_k over the three phi1 roots, and
+    -g2/m^2 with the margin m = omega_ratio - g2 int phi/x in closed form
+    (pi/4 for phi2, 5 pi/32 for phi3)."""
+    g2 = params.coupling_sq
+    if ff.id == "phi1":
+        zprod = np.prod([r.z for r in resonance_roots(params, ff)])
+        return math.sqrt(math.pi) * g2 / 2.0 * cmath.exp(-0.25j * math.pi) / zprod
+    head = {"phi2": math.pi / 4.0, "phi3": 5.0 * math.pi / 32.0}[ff.id]
+    return -g2 / (params.omega_ratio - head * g2) ** 2
+
+
+@pytest.mark.parametrize("params, ff", [preset(name) for name in (
+    "photodetachment", "quantum-dot", "hydrogen")] + [
+    (p, builtin(name)) for name in ("phi1", "phi2") for p in _BOX
+    if bound_state_margin(p, builtin(name)) > 0])
+def test_watson_tail_coefficient(params, ff):
+    # at s = 1 the power term is the coefficient itself
+    _, tail = amplitude._asymptote(params, ff, 1.0)
+    want = _tail_reference(params, ff)
+    assert abs(tail - want) <= 1e-14 * abs(want)
 
 
 def test_cross_term_first_wave_is_negative(photo, qdot):

@@ -5,7 +5,7 @@ import pytest
 from friedrichs import (ModelParams, Provenance, builtin, compute_timescales,
                         crossover_time_numeric, generic_timescales, moment,
                         render_table1)
-from friedrichs.errors import EngineMismatchError
+from friedrichs.errors import EngineMismatchError, FriedrichsError
 from friedrichs.formfactors import Formfactor
 from friedrichs.presets import preset
 
@@ -96,9 +96,21 @@ def test_crossover_numeric_phi2_behaviour():
 
 
 def test_crossover_rejects_other_formfactors():
+    # a custom weight has no roots, so neither t_d nor an asymptote
+    params, ff = preset("quantum-dot")
+    clone = Formfactor.from_callable(ff.evaluator, ff.tail_exponent,
+                                     ff.head_exponent, verify=False)
+    with pytest.raises(FriedrichsError):
+        crossover_time_numeric(params, clone)
+
+
+def test_crossover_numeric_phi3_behaviour():
+    # hydrogen's closed form undershoots the numeric crossing too
     params, ff = preset("hydrogen")
-    with pytest.raises(EngineMismatchError):
-        crossover_time_numeric(params, ff)
+    ts = compute_timescales(params, ff)
+    t_num = crossover_time_numeric(params, ff)
+    assert t_num > ts.t_ep
+    assert ts.t_d / 4.0 <= t_num <= 400.0 * ts.t_d
 
 
 def test_tep_relative_onset_shrinks_with_coupling():
