@@ -50,7 +50,12 @@ SERIES_SHORT  The short-time expansion evaluated literally.
 
 Small deficits 1 - p are computed by a dedicated cancellation-free path
 that integrates rho(x) (1 - exp(is(x - x0))) against the spike center
-x0, exact for p because a global phase cannot change |A|.
+x0, exact for p because a global phase cannot change |A|.  Within 1/4
+of x0 that integral is a power series in s over moments of rho, cached
+per parameter set; the rest of the range is one shared integral up to a
+split X1 >= 30/s on a power-of-two grid, and past it the
+double-exponential tail of each time, in one call.  Each deficit is held
+to about 1e-12 of itself and raises ConvergenceError past 1e-8.
 
 survival_amplitude, survival_probability, survival_deficit, log_survival
 and the phi1-exact and phi2-poles engines take one time or an array of
@@ -77,7 +82,7 @@ from scipy.special import wofz
 
 from .errors import ConvergenceError, EngineMismatchError, ExpansionUnavailableError
 from .formfactors import (DIVERGENT, PHI1, PHI2, PHI3, Formfactor,
-                          ModelParams, bound_state_margin, moment,
+                          ModelParams, bound_state_margin, builtin, moment,
                           squared_norm)
 from .dispersion import (Offsets, background_weight, decaying_resonance,
                          resonance_roots, spectral_density, spectral_peak)
@@ -386,7 +391,8 @@ def batches(params: ModelParams, ff: Formfactor, t: float) -> bool:
 def survival_deficit(params: ModelParams, ff: Formfactor, t):
     """1 - p(t), accurate in relative terms even when it underflows the
     absolute tolerance of the amplitude engines (short-time regime), for a
-    time or an array of times."""
+    time or an array of times.  Raises ConvergenceError when the kernel's
+    estimate of a deficit exceeds 1e-8 of it."""
     ts, scalar = _times(t)
     out = np.zeros(ts.shape)
     if params.coupling_sq != 0.0:
@@ -396,46 +402,150 @@ def survival_deficit(params: ModelParams, ff: Formfactor, t):
             out[late] = 1.0 - survival_probability(params, ff, ts[late])
         short = (s > 0.0) & ~late
         if short.any():
-            out[short] = _deficit_kernel(params, ff, s[short])
+            val, est = _deficit_kernel(params, ff, s[short], with_error=True)
+            bad = ~(est <= 1e-8 * val)
+            if bad.any():
+                raise ConvergenceError("deficit kernel accuracy not reached",
+                                       achieved=float(np.max(est[bad] / val[bad])))
+            out[short] = val
     return _unwrap(out, scalar)
 
 
-def _deficit_kernel(params: ModelParams, ff: Formfactor, s: np.ndarray) -> np.ndarray:
-    """2 Re D - |D|^2 with D = int rho (1 - exp(is(x - x0))) dx, for each s.
+_SPIKE_REACH = 0.25    # the kernel's spike region |x - x0| <= delta: |st| <= 1/4
+_MOMENTS = 14          # its moments M_1..M_J, J even; the series' rest < 3e-20 Re D
+_THIRDS_FROM = 16.0    # the kernel's range is cut in thirds of octaves past this
+
+
+def _spike_moments(params: ModelParams, ff: Formfactor):
+    """M_j = int rho t^j dt over the spike region, t = x - x0 in
+    [max(-x0, -delta), delta], for j = 1.._MOMENTS, and their error
+    estimates.  Each half of the region, t < 0 and t > 0, is one
+    quad_segments call in exact offsets (Offsets) with a column per j:
+    there t^j keeps its sign, so every column is held to 1e-12 of itself.
+    Memoized for the built-in weights."""
+    if ff.is_builtin:
+        return _moments_cached(params.cutoff, params.omega1,
+                               params.coupling_sq, ff.id)
+    return _moments(params, ff)
+
+
+@lru_cache(maxsize=64)
+def _moments_cached(cutoff, omega1, coupling_sq, ff_id):
+    return _moments(ModelParams(cutoff, omega1, coupling_sq), builtin(ff_id))
+
+
+def _moments(params: ModelParams, ff: Formfactor):
+    x0, width = spectral_peak(params, ff)
+    pts = _window_breakpoints(x0, width, max(x0 - _SPIKE_REACH, 0.0),
+                              x0 + _SPIKE_REACH)
+    j = np.arange(1, _MOMENTS + 1)
+    f = lambda t: (spectral_density(params, ff, Offsets(x0, t))[:, None]
+                   * t[:, None] ** j)
+    val, err = 0.0, 0.0
+    for half in ([p for p in pts if p <= 0.0], [p for p in pts if p >= 0.0]):
+        v, e = quadlib.quad_segments(f, half, epsabs=0.0, columns=j.size)
+        val, err = val + v.real, err + e
+    return val, err
+
+
+def _tail_splits(s, x0):
+    """Where each column of the kernel hands over to its double-exponential
+    tail: past 30/s, _X_FAR and 2 x0, rounded up to a power of two, so
+    that a batch of times shares a few breakpoints."""
+    X1 = np.maximum(np.maximum(_X_FAR, 30.0 / s), 2.0 * x0)
+    return np.exp2(np.ceil(np.log2(X1)))
+
+
+def _range_breakpoints(a, b, X1):
+    """Breakpoints of the kernel's range: [0, a] with a ladder toward the
+    head when the spike region leaves one, then [b, max X1] at every split
+    and every octave 2^k, in thirds 2^(k + j/3) past _THIRDS_FROM.  A
+    column turns through at most 30 rad an octave below its split (32 rad
+    for s <= 1 below 64), so a third holds about two periods, which the
+    21-point rule takes to 1e-12 without bisection."""
+    top = X1.max()
+    grid = 2.0 ** np.arange(-2.0, np.log2(top))
+    grid = np.concatenate([grid[grid < _THIRDS_FROM], np.multiply.outer(
+        grid[grid >= _THIRDS_FROM], 2.0 ** (np.arange(3) / 3)).ravel()])
+    segs = [b, *np.union1d(grid[(grid > b) & (grid < top)], X1)]
+    if a > 0.0:
+        segs = [0.0, *quadlib.geometric_ladder(0.0, a * 4.0 ** -6, 0.0, a)] + segs
+    return segs
+
+
+def _deficit_kernel(params: ModelParams, ff: Formfactor, s: np.ndarray,
+                    with_error: bool = False):
+    """2 Re D - |D|^2 with D = int rho (1 - exp(is(x - x0))) dx for each
+    s <= 1; with_error adds the error estimates.
 
     Anchoring the phase at the spike center removes the mean-frequency
     phase from D, so no catastrophic cancellation occurs between the two
-    terms; every integrand below is benign for adaptive quadrature.  All
-    s share one node set: column k integrates the kernel up to its own
-    X1_k, a breakpoint, and the plain tail mass rho beyond it, so one
-    quad_tail from the largest X1 completes every column.
+    terms.  D has three parts:
+
+    * the spike region |x - x0| <= delta: -sum_j (is)^j M_j / j! from the
+      cached spike moments (_spike_moments), free of cancellation since
+      |st| <= 1/4;
+    * the rest of the range up to the column's split X1_k (_tail_splits),
+      one quad_segments call shared by every s, with a real column for
+      Re D, rho 2 sin^2(s(x - x0)/2), and one for Im D,
+      -rho sin(s(x - x0)); past X1_k the real column carries the plain
+      mass rho, which one quad_tail from the largest split completes;
+    * minus int_X1^inf rho exp(is(x - x0)) dx, the tails of all columns in
+      one call of quadrature.oscillatory_tail, in offsets.
+
+    Every column is held to 1e-12 of itself.  The estimates of the parts
+    add up to e_re for Re D and e_im for Im D, and the deficit's estimate
+    is 2 (1 + |Re D|) e_re + 2 |Im D| e_im.
     """
     rho = lambda x: spectral_density(params, ff, x)
-    x0, width = spectral_peak(params, ff)
-    X1 = np.maximum(np.maximum(_X_FAR, 30.0 / s), 2 * x0)
-    top = X1.max()
-    segs = sorted(set([0.0, x0] + X1.tolist()
-                      + quadlib.geometric_ladder(x0, width, 0.0, top)))
-    half = 0.5 * s
+    x0, _ = spectral_peak(params, ff)
+    m = s.size
+
+    # the spike region.  For j > J, |t|^j <= delta^(j-J) t^J, so the rest
+    # of the series is below e^(s delta) s^(J+1) delta M_J / (J+1)!
+    moments, moment_err = _spike_moments(params, ff)
+    j = np.arange(1, _MOMENTS + 1)
+    terms = np.power.outer(s, j) / np.cumprod(j)          # s^j / j!
+    d = terms @ (-np.array([1.0, 1j, -1.0, -1j])[j % 4] * moments)
+    rem = (np.exp(s * _SPIKE_REACH) * s ** (j[-1] + 1) * _SPIKE_REACH
+           * moments[-1] / math.factorial(j[-1] + 1))
+    odd = j % 2 == 1                                     # the terms of Im D
+    err_re = terms[:, ~odd] @ moment_err[~odd] + rem
+    err_im = terms[:, odd] @ moment_err[odd] + rem
+
+    # the rest of the range, with (a, b) left out when [0, a] is a head
+    a, b = max(x0 - _SPIKE_REACH, 0.0), x0 + _SPIKE_REACH
+    X1 = _tail_splits(s, x0)
 
     def body(x):
-        r = rho(x)[:, None]
-        dx = (x - x0)[:, None]
-        osc = r * (2.0 * np.sin(half * dx) ** 2 - 1j * np.sin(s * dx))
-        return np.where(x[:, None] < X1, osc, r)
+        r = rho(x)
+        if a > 0.0:
+            r[(x > a) & (x < b)] = 0.0
+        # phases only for the columns split past some node of this call;
+        # past X1_k the real column is rho and the imaginary one 0
+        out = np.zeros((x.size, 2 * m))
+        out[:, :m] = r[:, None]
+        act = X1 > x.min()
+        theta = np.multiply.outer(x - x0, s[act])
+        near = np.less.outer(x, X1[act])
+        rc = r[:, None]
+        out[:, :m][:, act] = np.where(near, 2.0 * rc * np.sin(0.5 * theta) ** 2, rc)
+        out[:, m:][:, act] = np.where(near, -rc * np.sin(theta), 0.0)
+        return out
 
-    # the interval budget grows with the columns, each one a breakpoint
-    val, _ = quadlib.quad_segments(body, segs, epsabs=1e-16,
-                                   limit=800 + 4 * s.size, columns=s.size)
-    tail_mass, _ = quadlib.quad_tail(rho, top, epsabs=1e-16)
-    # oscillatory remainder of each tail: int_X1^inf rho exp(is(x-x0)) dx
-    osc_tail = np.array([quadlib.byparts_tail(rho, X, sk, scale=X / 2)[0]
-                         for X, sk in zip(X1, s)])
-    osc_tail *= np.exp(-1j * s * x0)
-
-    re_d = val.real + tail_mass.real - osc_tail.real
-    im_d = val.imag - osc_tail.imag
-    return 2.0 * re_d - re_d * re_d - im_d * im_d
+    val, e = quadlib.quad_segments(body, _range_breakpoints(a, b, X1),
+                                   epsabs=0.0, columns=2 * m)
+    mass, e_mass = quadlib.quad_tail(rho, X1.max(), epsabs=0.0)
+    osc, e_osc = quadlib.oscillatory_tail(
+        lambda t: spectral_density(params, ff, Offsets(x0, t)), X1 - x0, s)
+    re_d = d.real + val[:m] + mass.real - osc.real
+    im_d = d.imag + val[m:] - osc.imag
+    val = 2.0 * re_d - re_d * re_d - im_d * im_d
+    if not with_error:
+        return val
+    err_re += e[:m] + e_mass + e_osc
+    err_im += e[m:] + e_osc
+    return val, 2.0 * (1.0 + np.abs(re_d)) * err_re + 2.0 * np.abs(im_d) * err_im
 
 
 def log_survival(params: ModelParams, ff: Formfactor, t):

@@ -16,11 +16,13 @@ the anti-Zeno scan, and n_epsilon prefetches the next few scan candidates
 or bisection levels it may visit.  The searches then walk the memo in the
 order they always did.
 
-The deficit kernel's times share one adaptively refined node set, so a
-batched ln p depends on which other times share its batch, within the
-kernel's tolerance: it moves by up to ~2e-10 relative.  The phi2
+The deficit kernel's times share one node set, cut at the power-of-two
+splits of the whole batch, so a batched ln p depends on which other
+times share its batch only in the last bits: on the photodetachment,
+quantum-dot and hydrogen presets it moves by up to 6e-16 relative
+against the same times one by one or in random sub-batches.  The phi2
 background takes every time on one fixed node set per parameter set (its
-cached table), so there the batch moves only the last bits, through
+cached table), so there too the batch moves only the last bits, through
 rounding and the nodes left out past x = 42/min(s).  A search whose
 answer hangs on such differences can answer differently from
 one-at-a-time evaluation:

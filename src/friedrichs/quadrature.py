@@ -147,13 +147,14 @@ def quad_complex(fvec, a, b, points=None, epsabs=1e-12, limit=_LIMIT,
 
     Adaptive 21-point Gauss-Kronrod over the intervals that `points`
     (repeats allowed) cut [a, b] into.  Column k's tolerance is
-    tol_k = max(epsabs, 1e-12 |I_k|).  Each pass ranks the intervals by
-    their largest err_k / tol_k and bisects them, worst first, until every
-    column still above its tolerance would hold under an eighth of it;
-    the nodes of all new halves are evaluated in batches.  It stops when
-    every column meets its tolerance or has more error than that in
-    intervals too narrow to bisect, or at `limit` intervals; callers act
-    on the returned error estimates.  A non-finite integrand value raises
+    tol_k = max(epsabs, 1e-12 |I_k|), with epsabs a float or one per
+    column.  Each pass ranks the intervals by their largest err_k / tol_k
+    and bisects them, worst first, until every column still above its
+    tolerance would hold under an eighth of it; the nodes of all new
+    halves are evaluated in batches.  It stops when every column meets
+    its tolerance or has more error than that in intervals too narrow to
+    bisect, or at `limit` intervals; callers act on the returned error
+    estimates.  A non-finite integrand value raises
     ConvergenceError.  An empty range gives zero values and estimates, and
     zero columns give empty arrays.
     """
@@ -181,7 +182,10 @@ def _tolerance(total, epsabs):
 def _adapt(fvec, edges, epsabs, limit, m):
     """quad_complex's adaptive loop from the intervals between the sorted
     edges; returns the final intervals lo, hi and their values and
-    estimates, shape (intervals, m), or (intervals,) when m = 1."""
+    estimates, shape (intervals, m), or (intervals,) when m = 1.  epsabs
+    is a float or one per column."""
+    if m == 1 and isinstance(epsabs, np.ndarray):   # the 1-D path ranks
+        epsabs = float(epsabs.max())                 # by a float tolerance
     lo, hi = edges[:-1], edges[1:]
     val, err = _gk21(fvec, lo, hi, m)
     while True:
@@ -429,7 +433,9 @@ def oscillatory_finite(fvec, a, b, s, scale_a, scale_b, epsabs=1e-12):
 
 def byparts_tail(fvec, X, s, scale):
     """int_X^inf f exp(isx) dx for f decaying to zero, via endpoint terms
-    at X only (the boundary terms at infinity vanish)."""
+    at X only (the boundary terms at infinity vanish).  The library no
+    longer calls it; the benchmark's `quadrature.byparts` layer still
+    wraps it by name."""
     total, last = _byparts_terms(fvec, X, s, scale)
     return -total, 3.0 * abs(last)
 
@@ -469,12 +475,29 @@ def oscillatory_tail(fvec, b, s):
     to 0; returns (value, error estimate).  It is exp(isb)/s times
     int_0^inf f(b + u/s) exp(iu) du by the Ooura-Mori rule at steps 0.1
     and 0.2, one table of nodes for every s; the estimate is their
-    difference, at least the roundoff eps sum |w f|."""
+    difference, at least the roundoff eps sum |w f|.
+
+    b and s may be numpy arrays of one shape, a tail per pair (b_k, s_k):
+    fvec then sees the nodes of all of them in one call, and the values
+    and estimates are arrays of that shape."""
+    if isinstance(b, np.ndarray) or isinstance(s, np.ndarray):
+        return _oscillatory_tails(fvec, *np.broadcast_arrays(b, s))
     f = np.asarray(fvec(b + _DE_NODES / s))
     fine, coarse = f[:_DE_W1.size] @ _DE_W1, f[_DE_W1.size:] @ _DE_W2
     err = max(abs(fine - coarse),
               10.0 * _EPS * (np.abs(f[:_DE_W1.size]) @ np.abs(_DE_W1)))
     return fine * cmath.exp(1j * s * b) / s, err / s
+
+
+def _oscillatory_tails(fvec, b, s):
+    """oscillatory_tail on arrays b and s of one shape."""
+    x = b[..., None] + _DE_NODES / s[..., None]
+    f = np.asarray(fvec(x.ravel())).reshape(x.shape)
+    n = _DE_W1.size
+    fine, coarse = f[..., :n] @ _DE_W1, f[..., n:] @ _DE_W2
+    err = np.maximum(np.abs(fine - coarse),
+                     10.0 * _EPS * (np.abs(f[..., :n]) @ np.abs(_DE_W1)))
+    return fine * np.exp(1j * s * b) / s, err / s
 
 
 def converged(val, err, what):

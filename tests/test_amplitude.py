@@ -15,7 +15,7 @@ from friedrichs import (Engine, Formfactor, ModelParams, bound_state_margin,
                         survival_probability)
 from friedrichs import amplitude, quadrature
 from friedrichs.amplitude import asymptote_terms, log_survival, resolve_engine
-from friedrichs.dispersion import Offsets
+from friedrichs.dispersion import Offsets, spectral_peak
 from friedrichs.errors import (ConvergenceError, EngineMismatchError,
                                ExpansionUnavailableError, FriedrichsError)
 from friedrichs.presets import preset
@@ -258,13 +258,15 @@ def test_deficit_kernel_meets_phi2_poles_at_the_seam(qdot):
     np.testing.assert_allclose(1.0 - np.abs(a) ** 2, kernel, rtol=1e-8, atol=0.0)
 
 
-# survival_deficit at s = cutoff * t from the earlier kernel, which made
-# separate scalar scipy.integrate.quad passes for the real and imaginary
-# parts; the batched complex Gauss-Kronrod kernel must reproduce them.
+# survival_deficit at s = cutoff * t.  The quantum-dot and hydrogen values
+# come from an earlier kernel that made separate scalar scipy.integrate.quad
+# passes for the real and imaginary parts.  The photodetachment values are
+# the phi1 closed form in 40-digit mpmath (_phi1_deficit_mp); the earlier
+# kernel's finite-difference tails were up to 1.04e-9 off them.
 _DEFICIT_PINS = [
-    ("photodetachment", 1e-3, 3.262342888260986e-11),
-    ("photodetachment", 0.3, 1.0444482438189083e-07),
-    ("photodetachment", 0.999, 4.260695888176047e-07),
+    ("photodetachment", 1e-3, 3.2623428880310953e-11),
+    ("photodetachment", 0.3, 1.0444482445360758e-07),
+    ("photodetachment", 0.999, 4.2606958925900332e-07),
     ("quantum-dot", 1e-3, 1.789997639228457e-12),
     ("quantum-dot", 0.3, 1.5571959043389182e-07),
     ("quantum-dot", 0.999, 1.4541142822009223e-06),
@@ -279,6 +281,99 @@ def test_deficit_kernel_pinned(name, s, want):
     params, ff = preset(name)
     got = survival_deficit(params, ff, s / params.cutoff)
     assert abs(got - want) <= max(1e-9 * want, 1e-17)
+
+
+def _phi1_deficit_mp(params, s, dps=40):
+    """1 - |A(s)|^2 for phi1 from its closed form in dps-digit mpmath: the
+    three roots u of (w - u^2)(1 - iu) - pi g2, the weights
+    W = -2 pi i g2 u / prod (z - z'), z = u^2, and
+    A = (1/2) sum W w(exp(3i pi/4) v sqrt(s)), v the lower root of z and
+    w(z) = exp(-z^2) erfc(-iz) the Faddeeva function."""
+    with mpmath.workdps(dps):
+        w = mpmath.mpf(params.omega1) / params.cutoff
+        g2, s = mpmath.mpf(params.coupling_sq), mpmath.mpf(s)
+        us = mpmath.polyroots([1, 1j, -w, -1j * (w - mpmath.pi * g2)],
+                              maxsteps=200, extraprec=200)
+        zs = [u * u for u in us]
+        amp = 0
+        for k, u in enumerate(us):
+            prod = (zs[k] - zs[k - 1]) * (zs[k] - zs[k - 2])
+            v = mpmath.sqrt(zs[k])
+            if v.imag > 0 or (v.imag == 0 and v.real >= 0):
+                v = -v
+            beta = mpmath.exp(0.75j * mpmath.pi) * v * mpmath.sqrt(s)
+            amp += (-2j * mpmath.pi * g2 * u / prod
+                    * mpmath.exp(-beta ** 2) * mpmath.erfc(-1j * beta))
+        return float(1 - abs(amp / 2) ** 2)
+
+
+_PHI1_DEFICITS_MP = [(1e-3, 3.2623428880310953e-11),
+                     (2.09e-3, 9.7269897525706429e-11),
+                     (0.3, 1.0444482445360758e-07),
+                     (0.999, 4.2606958925900332e-07)]
+
+
+def test_deficit_kernel_vs_mpmath(photo):
+    """Photodetachment deficits against the phi1 closed form in 40-digit
+    mpmath, one batch and one time at a time, and one value evaluated here
+    (s = 0.05).  At s = 2.09e-3 the earlier kernel was 1.9e-10 off when it
+    took the time by itself."""
+    params, ff = photo
+    s, want = (np.array(v) for v in zip(*_PHI1_DEFICITS_MP))
+    assert abs(_phi1_deficit_mp(params, 2.09e-3) / 9.7269897525706429e-11 - 1) < 1e-15
+    batch = survival_deficit(params, ff, s / params.cutoff)
+    np.testing.assert_allclose(batch, want, rtol=1e-12, atol=0.0)
+    for sk, wk in zip(s, want):
+        assert survival_deficit(params, ff, sk / params.cutoff) == pytest.approx(
+            wk, rel=1e-12, abs=0.0)
+    live = _phi1_deficit_mp(params, 0.05)
+    assert survival_deficit(params, ff, 0.05 / params.cutoff) == pytest.approx(
+        live, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ["photodetachment", "quantum-dot", "hydrogen"])
+def test_deficit_kernel_free_of_its_split(name, monkeypatch):
+    """The split X1_k between each column's range and its double-exponential
+    tail is free: moved off the power-of-two grid to 3 X1_k, no deficit
+    moves by 1e-13.  With finite-difference tails the same move shifted
+    photodetachment by up to 1.8e-3, at s = 1e-6."""
+    params, ff = preset(name)
+    s = np.concatenate([np.geomspace(1e-6, 1.0, 13), [0.999]])
+    base = amplitude._deficit_kernel(params, ff, s)
+    split = amplitude._tail_splits
+    monkeypatch.setattr(amplitude, "_tail_splits",
+                        lambda s, x0: 3.0 * split(s, x0))
+    moved = amplitude._deficit_kernel(params, ff, s)
+    np.testing.assert_allclose(moved, base, rtol=1e-13, atol=0.0)
+
+
+def test_deficit_kernel_with_a_head_left_of_the_spike():
+    """Detuned phi2, x0 = 0.3 > delta: the spike region leaves the head
+    [0, x0 - delta] to the range integral.  phi2-poles raises on these
+    parameters (two of its Newton seeds meet), so 1 - |A|^2 comes from the
+    quadrature engine; the two agree to 5e-10 relative."""
+    params, ff = ModelParams(1e12, 3e11, 1e-4), builtin("phi2")
+    assert spectral_peak(params, ff)[0] > amplitude._SPIKE_REACH
+    s = np.array([0.5, 1.0])
+    got = survival_deficit(params, ff, s / params.cutoff)
+    want = [1.0 - abs(survival_amplitude_quadrature(params, ff, sk / params.cutoff)) ** 2
+            for sk in s]
+    np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+
+
+def test_deficit_kernel_unconverged_raises(photo, monkeypatch):
+    # no bisection allowed, with the spike moments computed afresh: the
+    # kernel's own estimate of the deficit at s = 1e-3 is about 3.5e-3 of it
+    adapt = quadrature._adapt
+    monkeypatch.setattr(quadrature, "_adapt",
+                        lambda f, edges, epsabs, limit, m:
+                        adapt(f, edges, epsabs, 1, m))
+    monkeypatch.setattr(amplitude, "_moments_cached",
+                        amplitude._moments_cached.__wrapped__)
+    params, ff = photo
+    with pytest.raises(ConvergenceError) as info:
+        survival_deficit(params, ff, 1e-3 / params.cutoff)
+    assert info.value.achieved > 1e-8
 
 
 @pytest.mark.parametrize("name", ["photodetachment", "quantum-dot", "hydrogen"])

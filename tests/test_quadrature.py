@@ -142,6 +142,19 @@ def test_oscillatory_tail_exact():
     assert abs(got - want) < 1e-10
 
 
+def test_oscillatory_tail_on_arrays():
+    # one call, a tail per (b_k, s_k): each the call for that pair alone,
+    # up to the order of the sums, and within its estimate of the exact value
+    f = lambda x: np.asarray(x, float) ** -2
+    b, s = np.array([2.0, 3.0, 60.0]), np.array([30.0, 200.0, 1e6])
+    got, est = oscillatory_tail(f, b, s)
+    assert got.shape == est.shape == b.shape
+    for k in range(b.size):
+        one, _ = oscillatory_tail(f, b[k], s[k])
+        assert abs(got[k] - one) <= 1e-14 * abs(one)
+        assert abs(got[k] - _inv_square_tail_exact(b[k], s[k])) <= est[k]
+
+
 def _mp_density(name):
     """The preset's spectral density in mpmath arithmetic, from the closed
     forms of phi and of the shift g2 P (phi1 and phi2)."""
@@ -357,6 +370,10 @@ def test_quad_complex_one_column_matches_plain_integrand():
     plain = quad_complex(f, 0.0, 2.0, points=[0.5, 1.0])
     val, err = quad_complex(lambda x: f(x)[:, None], 0.0, 2.0, points=[0.5, 1.0],
                             columns=1)
+    assert (val[0], err[0]) == plain
+    # a tolerance per column, here one, as a multi-column caller passes it
+    val, err = quad_complex(lambda x: f(x)[:, None], 0.0, 2.0, points=[0.5, 1.0],
+                            epsabs=np.array([1e-12]), columns=1)
     assert (val[0], err[0]) == plain
 
 
