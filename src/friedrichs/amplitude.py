@@ -52,10 +52,10 @@ Small deficits 1 - p are computed by a dedicated cancellation-free path
 that integrates rho(x) (1 - exp(is(x - x0))) against the spike center
 x0, exact for p because a global phase cannot change |A|.  Within 1/4
 of x0 that integral is a power series in s over moments of rho, cached
-per parameter set; the rest of the range is one shared integral up to a
-split X1 >= 30/s on a power-of-two grid, and past it the
-double-exponential tail of each time, in one call.  Each deficit is held
-to about 1e-12 of itself and raises ConvergenceError past 1e-8.
+per parameter set and weight; the rest of the range is one shared
+integral up to a split X1 >= 30/s on a power-of-two grid, and past it
+the double-exponential tail of each time, in one call.  Each deficit is
+held to about 1e-12 of itself and raises ConvergenceError past 1e-8.
 
 survival_amplitude, survival_probability, survival_deficit, log_survival
 and the phi1-exact and phi2-poles engines take one time or an array of
@@ -82,7 +82,7 @@ from scipy.special import wofz
 
 from .errors import ConvergenceError, EngineMismatchError, ExpansionUnavailableError
 from .formfactors import (DIVERGENT, PHI1, PHI2, PHI3, Formfactor,
-                          ModelParams, bound_state_margin, builtin, moment,
+                          ModelParams, bound_state_margin, moment,
                           squared_norm)
 from .dispersion import (Offsets, background_weight, decaying_resonance,
                          resonance_roots, spectral_density, spectral_peak)
@@ -261,12 +261,12 @@ def survival_amplitude_phi1_exact(params: ModelParams, t):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _phi2_table(cutoff, omega1, coupling_sq):
+def _phi2_table(params: ModelParams):
     """The background's node table: breakpoints at 0.5, 1 +- d, 1 +- 10d
     (d = sqrt(pi) lambda / 2) and 2 on [0, 10], a tail from x = 10, and a
     ladder 0.5 / 2^k toward x = 0 down to 1e-15, which resolves exp(-xs)
     up to s ~ 1e14."""
-    params, ff = ModelParams(cutoff, omega1, coupling_sq), Formfactor.phi2()
+    ff = Formfactor.phi2()
     d = math.sqrt(math.pi) / 2 * params.coupling
     segs = [0.0, 0.5, 1 - 10 * d, 1 - d, 1.0, 1 + d, 1 + 10 * d, 2.0, 10.0]
     segs += (0.5 * 2.0 ** -np.arange(1, 50)).tolist()
@@ -280,8 +280,7 @@ def _phi2_background(params: ModelParams, s: np.ndarray):
     error estimate, one column per s, from the parameters' node table
     (quadrature.LaplaceTable): the weight is evaluated once per parameter
     set, and a batch of times is one product on the table's nodes."""
-    val, err = _phi2_table(params.cutoff, params.omega1,
-                           params.coupling_sq).integrals(s)
+    val, err = _phi2_table(params).integrals(s)
     return -params.coupling_sq * val, params.coupling_sq * err
 
 
@@ -416,25 +415,14 @@ _MOMENTS = 14          # its moments M_1..M_J, J even; the series' rest < 3e-20 
 _THIRDS_FROM = 16.0    # the kernel's range is cut in thirds of octaves past this
 
 
+@lru_cache(maxsize=64)
 def _spike_moments(params: ModelParams, ff: Formfactor):
     """M_j = int rho t^j dt over the spike region, t = x - x0 in
     [max(-x0, -delta), delta], for j = 1.._MOMENTS, and their error
     estimates.  Each half of the region, t < 0 and t > 0, is one
     quad_segments call in exact offsets (Offsets) with a column per j:
     there t^j keeps its sign, so every column is held to 1e-12 of itself.
-    Memoized for the built-in weights."""
-    if ff.is_builtin:
-        return _moments_cached(params.cutoff, params.omega1,
-                               params.coupling_sq, ff.id)
-    return _moments(params, ff)
-
-
-@lru_cache(maxsize=64)
-def _moments_cached(cutoff, omega1, coupling_sq, ff_id):
-    return _moments(ModelParams(cutoff, omega1, coupling_sq), builtin(ff_id))
-
-
-def _moments(params: ModelParams, ff: Formfactor):
+    Memoized on (params, ff), built-in or custom."""
     x0, width = spectral_peak(params, ff)
     pts = _window_breakpoints(x0, width, max(x0 - _SPIKE_REACH, 0.0),
                               x0 + _SPIKE_REACH)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import BoundStateError, ContinuationUnsupportedError, ConvergenceError
 from .formfactors import (PHI1, PHI2, PHI3, Formfactor, ModelParams,
-                          bound_state_margin, builtin)
+                          bound_state_margin)
 from .quadrature import pv_dispersion, quad_tail
 
 
@@ -304,39 +304,37 @@ def _phi1_cubic_roots(params) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _roots_cached(cutoff, omega1, coupling_sq, ff_id):
-    params = ModelParams(cutoff, omega1, coupling_sq)
-    ff = builtin(ff_id)
+def _roots_cached(params: ModelParams, ff: Formfactor):
     margin = bound_state_margin(params, ff)
     if margin <= 0:
         raise BoundStateError(margin)
     w, g2 = params.omega_ratio, params.coupling_sq
-    out = []
-    if ff_id == PHI1:
+    if ff.id == PHI1:
+        # W_k, the coefficient of exp(izs) once the pole's Faddeeva term
+        # turns exponential, is -2 pi i g2 u_k / prod_m (z_k - z_m), z = u^2.
+        # At a root of p(u) = u^3 + i u^2 - w u - i (w - pi g2) the u_k - u_m
+        # multiply to p'(u_k) and the u_k + u_m to -pi g2 / (1 - i u_k); the
+        # near roots' z_1 - z_2 would keep only eps w / g2 of its accuracy
         us = _phi1_cubic_roots(params)
         zs = us * us
-        for k, u in enumerate(us):
-            # coefficient of exp(izs) when this pole's Faddeeva term
-            # crosses into its exponential regime
-            prod = np.prod([zs[k] - zs[m] for m in range(3) if m != k])
-            weight = -2j * math.pi * g2 * u / prod
-            out.append(ResonanceRoot(complex(zs[k]), complex(weight),
-                                     _classify(zs[k]), True))
-        return tuple(out)
+        weights = 2j * us * (1 - 1j * us) / (3 * us * us + 2j * us - w)
+        return tuple(ResonanceRoot(complex(z), complex(W), _classify(z), True)
+                     for z, W in zip(zs, weights))
 
     lam = math.sqrt(g2)
-    if ff_id == PHI2:
+    if ff.id == PHI2:
         seeds = [w * (1 + 1j * math.pi * g2),
                  math.sqrt(math.pi) / 2 * lam + 1j,
                  -math.sqrt(math.pi) / 2 * lam + 1j]
-    elif ff_id == PHI3:
+    elif ff.id == PHI3:
         c = math.sqrt(lam) * (math.pi / 8) ** 0.25
         seeds = [w * (1 + 1j * math.pi * g2),
                  1j * (1 - c * cmath.exp(1j * math.pi / 8)),
                  1j * (1 - c * cmath.exp(5j * math.pi / 8))]
     else:
         raise ContinuationUnsupportedError(
-            f"resonance roots undefined for formfactor {ff_id!r}")
+            f"resonance roots undefined for formfactor {ff.id!r}")
+    out = []
     for seed in seeds:
         z = _newton_polish(params, ff, seed)
         weight = -1.0 / _eta_second_sheet_prime(params, ff, z)
@@ -355,8 +353,7 @@ def resonance_roots(params: ModelParams, ff: Formfactor):
     if not ff.is_builtin:
         raise ContinuationUnsupportedError(
             "resonance roots require an analytically continuable formfactor")
-    return list(_roots_cached(params.cutoff, params.omega1,
-                              params.coupling_sq, ff.id))
+    return list(_roots_cached(params, ff))
 
 
 def decaying_resonance(params: ModelParams, ff: Formfactor) -> ResonanceRoot:
@@ -381,23 +378,11 @@ def spectral_density(params: ModelParams, ff: Formfactor, x) -> np.ndarray:
     return g2 * ph / (re * re + (math.pi * g2 * ph) ** 2)
 
 
+@lru_cache(maxsize=64)
 def spectral_peak(params: ModelParams, ff: Formfactor):
     """Location and half-width of the resonance spike of the density:
     the zero of Re eta on the cut and pi*g2*phi there over |d Re eta/dx|.
-    Memoized for the built-in weights."""
-    if ff.is_builtin:
-        return _peak_cached(params.cutoff, params.omega1, params.coupling_sq,
-                            ff.id)
-    return _spectral_peak(params, ff)
-
-
-@lru_cache(maxsize=64)
-def _peak_cached(cutoff, omega1, coupling_sq, ff_id):
-    return _spectral_peak(ModelParams(cutoff, omega1, coupling_sq),
-                          builtin(ff_id))
-
-
-def _spectral_peak(params: ModelParams, ff: Formfactor):
+    Memoized on (params, ff), built-in or custom."""
     from scipy import optimize
 
     w = params.omega_ratio

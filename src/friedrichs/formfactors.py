@@ -83,10 +83,14 @@ class Formfactor:
     tail_exponent a means phi ~ C x^-a as x -> inf; head_exponent b means
     phi ~ C x^b as x -> 0.  Both are trusted metadata used to decide
     moment convergence and to pick integration maps.
+
+    Equality takes in the evaluator, which the built-ins share, so every
+    memo keyed on a Formfactor gives each custom weight its own entry; the
+    hash leaves it out, so an unhashable callable still makes a weight.
     """
 
     id: str
-    evaluator: Callable = field(compare=False)
+    evaluator: Callable = field(hash=False)
     tail_exponent: float
     head_exponent: float
 
@@ -236,26 +240,15 @@ def eval_formfactor(ff: Formfactor, x: float) -> float:
     return val
 
 
-def _integral(ff: Formfactor, kind: str, k: int) -> float:
+@lru_cache(maxsize=64)
+def _weighted_integral(ff: Formfactor, kind: str, k: int = 0) -> float:
+    """int_0^inf of x^k phi ("moment"), phi^2 ("square") or phi/x ("head")
+    by quad_tail from 0, checked against its error estimate.  Memoized on
+    the weight, built-in or custom."""
     f = {"moment": lambda x: ff(x) * x ** k, "square": lambda x: ff(x) ** 2,
          "head": lambda x: ff(x) / x}[kind]
     val, err = quad_tail(f, 0.0)
     return float(converged(val.real, err, f"{kind} integral"))
-
-
-@lru_cache(maxsize=64)
-def _builtin_integral(ff_id: str, kind: str, k: int) -> float:
-    return _integral(builtin(ff_id), kind, k)
-
-
-def _weighted_integral(ff: Formfactor, kind: str, k: int = 0) -> float:
-    """int_0^inf of x^k phi ("moment"), phi^2 ("square") or phi/x ("head")
-    by quad_tail from 0, checked against its error estimate.  Memoized
-    for the built-in weights, which their id fixes; custom weights all
-    share one id and are integrated on every call."""
-    if ff.is_builtin:
-        return _builtin_integral(ff.id, kind, k)
-    return _integral(ff, kind, k)
 
 
 def moment(ff: Formfactor, k: int):

@@ -1,6 +1,7 @@
 import cmath
 import copy
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -87,6 +88,50 @@ def test_quadrature_engine_on_custom_clone(qdot, s):
     t = s / params.cutoff
     a = survival_amplitude_quadrature(params, ff, t)
     assert abs(survival_amplitude_quadrature(params, clone, t) - a) < 1e-10
+
+
+@dataclass
+class _ScaledPhi2:
+    """c phi2 as a callable object that cannot be hashed: a dataclass with
+    its generated __eq__ sets __hash__ to None."""
+    c: float
+
+    def __call__(self, x):
+        return self.c * builtin("phi2")(x)
+
+
+def test_unhashable_callable_weight(qdot):
+    params, ff = qdot
+    weight = _ScaledPhi2(1.0)
+    with pytest.raises(TypeError):
+        hash(weight)
+    clone = Formfactor.from_callable(weight, 3.0, 1.0, verify=False)
+    t = 1.0 / params.cutoff
+    a = survival_amplitude(params, clone, t)
+    assert abs(a - survival_amplitude_quadrature(params, ff, t)) < 1e-10
+    assert survival_amplitude(params, clone, t) == a
+
+
+def test_custom_deficit_reuses_its_spike_moments(qdot, monkeypatch):
+    # a second deficit on one custom weight takes the spike moments from
+    # the memo: it evaluates the density on exactly their nodes fewer
+    params, ff = qdot
+    clone = Formfactor.from_callable(lambda x: ff(x), 3.0, 1.0, verify=False)
+    nodes = []
+    density = amplitude.spectral_density
+    monkeypatch.setattr(amplitude, "spectral_density", lambda p, f, x:
+                        nodes.append(np.size(x)) or density(p, f, x))
+    amplitude._spike_moments.__wrapped__(params, clone)
+    counts = [sum(nodes)]
+    t = 0.3 / params.cutoff
+    deficits = []
+    for _ in range(2):
+        nodes.clear()
+        deficits.append(survival_deficit(params, clone, t))
+        counts.append(sum(nodes))
+    moment_nodes, first, second = counts
+    assert moment_nodes > 0 and first == second + moment_nodes
+    assert deficits[0] == deficits[1]
 
 
 def test_scaling_reduction(qdot):
@@ -368,8 +413,8 @@ def test_deficit_kernel_unconverged_raises(photo, monkeypatch):
     monkeypatch.setattr(quadrature, "_adapt",
                         lambda f, edges, epsabs, limit, m:
                         adapt(f, edges, epsabs, 1, m))
-    monkeypatch.setattr(amplitude, "_moments_cached",
-                        amplitude._moments_cached.__wrapped__)
+    monkeypatch.setattr(amplitude, "_spike_moments",
+                        amplitude._spike_moments.__wrapped__)
     params, ff = photo
     with pytest.raises(ConvergenceError) as info:
         survival_deficit(params, ff, 1e-3 / params.cutoff)
@@ -460,8 +505,7 @@ def test_background_weight_near_one(params):
     # N_I and N_II nearly cancel as x -> 1, and both vanish at x = 1.  The
     # table's nodes within 1e-3 of 1 (the closest 3.6e-6 and 6.1e-8 away)
     # hold the weight to 3.2e-12 and the s = 0 integral to 3.4e-14
-    table = amplitude._phi2_table(params.cutoff, params.omega1,
-                                  params.coupling_sq)
+    table = amplitude._phi2_table(params)
     near = np.abs(table.x - 1.0) <= 1e-3
     assert near.any() and not (table.x == 1.0).any()
     got = amplitude.background_weight(params, builtin("phi2"), table.x[near])
@@ -484,7 +528,7 @@ def test_phi2_table_refines_beyond_its_reach(qdot, monkeypatch):
     refine = quadrature.LaplaceTable._refine
     monkeypatch.setattr(quadrature.LaplaceTable, "_refine",
                         lambda self, s: refined.append(s) or refine(self, s))
-    table = amplitude._phi2_table(params.cutoff, params.omega1, params.coupling_sq)
+    table = amplitude._phi2_table(params)
     strict = quadrature.LaplaceTable(table.wvec, table.edges, epsabs=0.0)
     got, est = strict.integrals(np.array([1.0, 1e17]))
     assert [s.tolist() for s in refined] == [[1e17]]

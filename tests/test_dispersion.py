@@ -1,13 +1,15 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from friedrichs import (Formfactor, ModelParams, RootKind, Side, builtin,
-                        decaying_resonance, eta_boundary, eta_first_sheet,
-                        eta_second_sheet, resonance_roots, spectral_density,
-                        spectral_peak)
+from friedrichs import (Formfactor, ModelParams, RootKind, Side,
+                        bound_state_margin, builtin, decaying_resonance,
+                        eta_boundary, eta_first_sheet, eta_second_sheet,
+                        resonance_roots, spectral_density, spectral_peak,
+                        survival_amplitude_phi1_exact)
 from friedrichs.dispersion import (Offsets, _eta_second_sheet_prime,
                                    _newton_polish, dispersion_real_part)
 from friedrichs.errors import ContinuationUnsupportedError
@@ -220,6 +222,59 @@ def test_phi1_cubic_vieta():
             assert abs(eta_second_sheet(params, ff, r.z)) < 1e-10
 
 
+def _phi1_box(n, seed=7):
+    """n phi1 parameter sets without a bound state at cutoff 1e12,
+    omega1/cutoff log-uniform in [1e-6, 1e-2] and coupling_sq in
+    [1e-9, 1e-3]."""
+    rng, out = np.random.default_rng(seed), []
+    while len(out) < n:
+        w, g2 = 10.0 ** rng.uniform(-6, -2), 10.0 ** rng.uniform(-9, -3)
+        params = ModelParams(1e12, w * 1e12, g2)
+        if bound_state_margin(params, builtin("phi1")) > 0:
+            out.append(params)
+    return out
+
+
+def test_phi1_weights_hold_amplitude_at_zero():
+    # A(0) = (1/2) sum W_k.  Weights formed from the pairwise differences
+    # z_k - z_m of the roots missed it by more than 1e-12 on 67 of these
+    # draws, by up to 2.7e-9; the closed form misses it by at most 4.4e-16
+    worst = max(abs(survival_amplitude_phi1_exact(p, 0.0) - 1.0)
+                for p in _phi1_box(2000))
+    assert worst < 1e-14
+
+
+def _phi1_weights_mp(params, dps=50):
+    """(z_k, W_k) in dps-digit mpmath: the roots u of
+    (w - u^2)(1 - iu) - pi g2, z = u^2 and
+    W = -2 pi i g2 u / prod (z - z'), where the differences are exact."""
+    with mpmath.workdps(dps):
+        w = mpmath.mpf(params.omega1) / params.cutoff
+        g2 = mpmath.mpf(params.coupling_sq)
+        us = mpmath.polyroots([1, 1j, -w, -1j * (w - mpmath.pi * g2)],
+                              maxsteps=200, extraprec=200)
+        zs = [u * u for u in us]
+        return [(complex(zs[k]), complex(-2j * mpmath.pi * g2 * us[k] / (
+            (zs[k] - zs[k - 1]) * (zs[k] - zs[k - 2])))) for k in range(3)]
+
+
+# the three box draws where the pairwise differences lost most: their
+# weights were 2.7e-9, 2.4e-9 and 2.1e-9 off, now at most 2.2e-16
+@pytest.mark.parametrize("w, g2", [
+    (0.004480998665255814, 2.264918059399614e-09),
+    (0.0013353217669300464, 1.1921439391413271e-09),
+    (0.004597711753964958, 1.9050809212150346e-09),
+    (2e-6, 3.18e-7),
+])
+def test_phi1_weights_vs_mpmath(w, g2):
+    params = ModelParams(1e12, w * 1e12, g2)
+    want = _phi1_weights_mp(params)
+    for root in resonance_roots(params, builtin("phi1")):
+        z, weight = min(want, key=lambda zw: abs(zw[0] - root.z))
+        assert abs(root.z - z) <= 1e-15 * abs(z)
+        assert abs(root.residue_weight - weight) <= 1e-15
+
+
 def test_phi1_resonance_matches_table_shift():
     params, ff = preset("photodetachment")
     res = decaying_resonance(params, ff)
@@ -305,3 +360,9 @@ def test_spike_local_density_matches_absolute(name):
 def test_builtin_spectral_peak_is_memoized():
     params, ff = preset("hydrogen")
     assert spectral_peak(params, ff) is spectral_peak(params, builtin("phi3"))
+    # builtin() and the class constructors give one weight, so one entry
+    params = preset("quantum-dot")[0]
+    assert builtin("phi2") == Formfactor.phi2()
+    assert hash(builtin("phi2")) == hash(Formfactor.phi2())
+    assert spectral_peak(params, builtin("phi2")) is spectral_peak(
+        params, Formfactor.phi2())

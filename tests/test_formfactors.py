@@ -6,7 +6,8 @@ import pytest
 from friedrichs import ConvergenceError
 from friedrichs import (DIVERGENT, Formfactor, ModelParams,
                         bound_state_margin, builtin, eval_formfactor,
-                        head_integral, moment, squared_norm)
+                        head_integral, moment, spectral_peak, squared_norm)
+from friedrichs.amplitude import _spike_moments
 from friedrichs.presets import preset
 
 
@@ -177,9 +178,12 @@ def test_model_params_validation():
 
 
 def test_custom_weight_never_served_builtin_integral():
-    """Built-in integrals are memoized by id; custom weights share the id
-    "custom" and are integrated afresh every call."""
+    """Every memo of per-weight work is keyed on the weight, evaluator
+    included: 2 phi2 and 3 phi2, both with the id "custom" and phi2's
+    exponents, get their own integrals, spectral peak and spike moments,
+    never each other's or the built-in's."""
     ref = builtin("phi2")
+    params = preset("quantum-dot")[0]
     i0, i1, norm, head = (moment(ref, 0), moment(ref, 1), squared_norm(ref),
                           head_integral(ref))
     for c in (2.0, 3.0):
@@ -189,6 +193,15 @@ def test_custom_weight_never_served_builtin_integral():
         assert moment(ff, 1) == pytest.approx(c * i1, rel=1e-9)
         assert squared_norm(ff) == pytest.approx(c * c * norm, rel=1e-9)
         assert head_integral(ff) == pytest.approx(c * head, rel=1e-9)
+        # the density of c phi at g2 is that of phi at c g2
+        scaled = ModelParams(params.cutoff, params.omega1,
+                             c * params.coupling_sq)
+        x0, width = spectral_peak(params, ff)
+        want_x0, want_width = spectral_peak(scaled, ref)
+        assert x0 == pytest.approx(want_x0, rel=1e-12)
+        assert width == pytest.approx(want_width, rel=1e-6)
+        np.testing.assert_allclose(_spike_moments(params, ff)[0],
+                                   _spike_moments(scaled, ref)[0], rtol=1e-8)
     assert moment(builtin("phi2"), 0) == i0
 
 
