@@ -58,12 +58,12 @@ the double-exponential tail of each time, in one call.  Each deficit is
 held to about 1e-12 of itself and raises ConvergenceError past 1e-8.
 
 survival_amplitude, survival_probability, survival_deficit, log_survival
-and the phi1-exact and phi2-poles engines take one time or an array of
-times.  On an array the phi1 closed form is evaluated elementwise, the
-phi2 background takes every time on its table's fixed nodes, and the
-deficit kernel integrates every time as one column on a shared node set,
-so the density is evaluated once per node for all times; the quadrature
-engine takes the times one by one.  batches(params, ff, t) says which of
+and the three amplitude engines take one time or an array of times.  On
+an array the phi1 closed form is evaluated elementwise, the phi2
+background takes every time on its table's fixed nodes, and the deficit
+kernel integrates every time as one column on a shared node set, so the
+density is evaluated once per node for all times; the quadrature engine
+integrates the times one by one.  batches(params, ff, t) says which of
 the two a time gets, for callers that fetch times ahead of need.
 """
 
@@ -98,17 +98,16 @@ class Engine(Enum):
     SERIES_SHORT = "series-short"
 
 
+_CLOSED_FORM = {PHI1: Engine.PHI1_EXACT, PHI2: Engine.PHI2_POLES}
+
+
 def resolve_engine(ff: Formfactor, engine: Engine = Engine.AUTO) -> Engine:
     if engine is Engine.AUTO:
-        if ff.id == PHI1:
-            return Engine.PHI1_EXACT
-        if ff.id == PHI2:
-            return Engine.PHI2_POLES
-        return Engine.QUADRATURE
-    if engine is Engine.PHI1_EXACT and ff.id != PHI1:
-        raise EngineMismatchError("phi1-exact engine requires the phi1 formfactor")
-    if engine is Engine.PHI2_POLES and ff.id != PHI2:
-        raise EngineMismatchError("phi2-poles engine requires the phi2 formfactor")
+        return _CLOSED_FORM.get(ff.id, Engine.QUADRATURE)
+    for weight, closed in _CLOSED_FORM.items():
+        if engine is closed and ff.id != weight:
+            raise EngineMismatchError(
+                f"{engine.value} engine requires the {weight} formfactor")
     return engine
 
 
@@ -213,16 +212,19 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: float,
     return v_left + v_spike + v_tail, err
 
 
-def survival_amplitude_quadrature(params: ModelParams, ff: Formfactor,
-                                  t: float, with_error: bool = False):
-    """Spectral-density Fourier engine; raises ConvergenceError when the
-    achieved error estimate is worse than 1e-7."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    val, est = _amp_quadrature(params, ff, params.cutoff * t)
-    if est > 1e-7:
-        raise ConvergenceError("oscillatory quadrature accuracy not reached",
-                               achieved=est)
+def survival_amplitude_quadrature(params: ModelParams, ff: Formfactor, t,
+                                  with_error: bool = False):
+    """Spectral-density Fourier engine for a time or an array of times,
+    taken one by one; with_error adds the error estimates.  Raises
+    ConvergenceError when an estimate is worse than 1e-7."""
+    ts, scalar = _times(t)
+    val, est = np.empty(ts.shape, dtype=complex), np.empty(ts.shape)
+    for k, s in enumerate((params.cutoff * ts).tolist()):
+        val[k], est[k] = _amp_quadrature(params, ff, s)
+        if est[k] > 1e-7:
+            raise ConvergenceError("oscillatory quadrature accuracy not reached",
+                                   achieved=float(est[k]))
+    val, est = _unwrap(val, scalar), _unwrap(est, scalar)
     return (val, est) if with_error else val
 
 
@@ -235,25 +237,17 @@ def _sqrt_lower(z: complex) -> complex:
     return -u if u.imag > 0 or (u.imag == 0 and u.real >= 0) else u
 
 
-def _phi1_machine(params: ModelParams):
-    roots = resonance_roots(params, Formfactor.phi1())
-    us = np.array([_sqrt_lower(r.z) for r in roots])
-    ws = np.array([r.residue_weight for r in roots])
-    return us, ws
-
-
-def _amp_phi1(params: ModelParams, s: np.ndarray) -> np.ndarray:
-    if params.coupling_sq == 0.0:
-        return np.exp(1j * params.omega_ratio * s)
-    us, ws = _phi1_machine(params)
-    beta = cmath.exp(3j * math.pi / 4) * us * np.sqrt(s)[:, None]
-    return 0.5 * (ws * wofz(beta)).sum(axis=1)
-
-
 def survival_amplitude_phi1_exact(params: ModelParams, t):
     """A(t) for a time or an array of times."""
     ts, scalar = _times(t)
-    return _unwrap(_amp_phi1(params, params.cutoff * ts), scalar)
+    s = params.cutoff * ts
+    if params.coupling_sq == 0.0:
+        return _unwrap(np.exp(1j * params.omega_ratio * s), scalar)
+    roots = resonance_roots(params, Formfactor.phi1())
+    us = np.array([_sqrt_lower(r.z) for r in roots])
+    ws = np.array([r.residue_weight for r in roots])
+    beta = cmath.exp(3j * math.pi / 4) * us * np.sqrt(s)[:, None]
+    return _unwrap(0.5 * (ws * wofz(beta)).sum(axis=1), scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -300,24 +294,22 @@ def _phi2_poles(params: ModelParams):
     return roots
 
 
-def _amp_phi2(params: ModelParams, s: np.ndarray):
-    """A(s) and the error estimate of its background integral; raises
-    ConvergenceError when an estimate is worse than 1e-7."""
-    if params.coupling_sq == 0.0:
-        return np.exp(1j * params.omega_ratio * s), np.zeros(s.shape)
-    poles = sum(r.residue_weight * np.exp(1j * r.z * s) for r in _phi2_poles(params))
-    bg, est = _phi2_background(params, s)
-    if est.max(initial=0.0) > 1e-7:
-        raise ConvergenceError("phi2 background integral accuracy not reached",
-                               achieved=float(est.max()))
-    return poles + bg, est
-
-
 def survival_amplitude_phi2(params: ModelParams, t, with_error: bool = False):
     """A(t) for a time or an array of times; with_error adds the error
-    estimate of the background integral."""
+    estimate of the background integral.  Raises ConvergenceError when an
+    estimate is worse than 1e-7."""
     ts, scalar = _times(t)
-    val, est = _amp_phi2(params, params.cutoff * ts)
+    s = params.cutoff * ts
+    if params.coupling_sq == 0.0:
+        val, est = np.exp(1j * params.omega_ratio * s), np.zeros(s.shape)
+    else:
+        poles = sum(r.residue_weight * np.exp(1j * r.z * s)
+                    for r in _phi2_poles(params))
+        bg, est = _phi2_background(params, s)
+        if est.max(initial=0.0) > 1e-7:
+            raise ConvergenceError("phi2 background integral accuracy not reached",
+                                   achieved=float(est.max()))
+        val = poles + bg
     val, est = _unwrap(val, scalar), _unwrap(est, scalar)
     return (val, est) if with_error else val
 
@@ -345,21 +337,23 @@ def _abs2(a):
     return abs(a) ** 2 if np.ndim(a) == 0 else np.hypot(a.real, a.imag) ** 2
 
 
+def _amplitude(params: ModelParams, ff: Formfactor, t, eng: Engine):
+    """(A, its error estimate or None) for a time or an array of times:
+    the one map from an amplitude Engine to its function, looked up by
+    name at each call, so that a wrapper rebound in its place sees it."""
+    if eng is Engine.QUADRATURE:
+        return survival_amplitude_quadrature(params, ff, t, with_error=True)
+    if eng is Engine.PHI2_POLES:
+        return survival_amplitude_phi2(params, t, with_error=True)
+    if eng is Engine.PHI1_EXACT:
+        return survival_amplitude_phi1_exact(params, t), None
+    raise EngineMismatchError(f"{eng.value} does not produce an amplitude")
+
+
 def survival_amplitude(params: ModelParams, ff: Formfactor, t,
                        engine: Engine = Engine.AUTO):
-    """A(t) for a time or an array of times; the quadrature engine takes
-    the times one by one."""
-    eng = resolve_engine(ff, engine)
-    if eng is Engine.PHI1_EXACT:
-        return survival_amplitude_phi1_exact(params, t)
-    if eng is Engine.PHI2_POLES:
-        return survival_amplitude_phi2(params, t)
-    if eng is Engine.QUADRATURE:
-        if np.ndim(t):
-            return np.array([survival_amplitude_quadrature(params, ff, x)
-                             for x in t], dtype=complex)
-        return survival_amplitude_quadrature(params, ff, t)
-    raise EngineMismatchError(f"{eng.value} does not produce an amplitude")
+    """A(t) for a time or an array of times."""
+    return _amplitude(params, ff, t, resolve_engine(ff, engine))[0]
 
 
 def survival_probability(params: ModelParams, ff: Formfactor, t,
@@ -370,7 +364,7 @@ def survival_probability(params: ModelParams, ff: Formfactor, t,
         return long_time_asymptote(params, ff, t)
     if eng is Engine.SERIES_SHORT:
         return short_time_expansion(params, ff).evaluate(t)
-    return _abs2(survival_amplitude(params, ff, t, eng))
+    return _abs2(_amplitude(params, ff, t, eng)[0])
 
 
 def _on_kernel(params: ModelParams, t):
@@ -705,27 +699,19 @@ class SurvivalCurve:
 def sample_curve(params: ModelParams, ff: Formfactor, times,
                  engine: Engine = Engine.AUTO,
                  decay_time: Optional[float] = None) -> SurvivalCurve:
-    """p on the sorted distinct times, with an error estimate per time:
-    twice the amplitude estimate for the quadrature engine (time by time)
-    and for phi2-poles (its background integral, all times in one batch).
-    phi1-exact (one batch) and the asymptotic and series engines carry no
-    estimate and report the placeholder 1e-12."""
+    """p on the sorted distinct times, from one call of the amplitude
+    engine, with an error estimate per time: twice the amplitude estimate
+    for the quadrature engine and for phi2-poles (its background
+    integral).  phi1-exact and the asymptotic and series engines (time by
+    time) carry no estimate and report the placeholder 1e-12."""
     eng = resolve_engine(ff, engine)
     times = np.asarray(sorted(set(float(t) for t in times)))
-    if eng is Engine.QUADRATURE:
-        amps, est = np.empty(times.shape, dtype=complex), np.empty(times.shape)
-        for k, t in enumerate(times):
-            amps[k], est[k] = survival_amplitude_quadrature(params, ff, t,
-                                                            with_error=True)
-        ps, errs = _abs2(amps), 2.0 * est
-    elif eng is Engine.PHI2_POLES:
-        amps, est = survival_amplitude_phi2(params, times, with_error=True)
-        ps, errs = _abs2(amps), 2.0 * est
-    elif eng is Engine.PHI1_EXACT:
-        ps = _abs2(survival_amplitude_phi1_exact(params, times))
-        errs = np.full(times.shape, 1e-12)
-    else:
+    if eng in (Engine.ASYMPTOTIC_LONG, Engine.SERIES_SHORT):
+        est = None
         ps = np.array([survival_probability(params, ff, t, eng) for t in times])
-        errs = np.full(times.shape, 1e-12)
+    else:
+        amps, est = _amplitude(params, ff, times, eng)
+        ps = _abs2(amps)
+    errs = np.full(times.shape, 1e-12) if est is None else 2.0 * est
     return SurvivalCurve(params, ff.id, eng, times, ps, errs,
                          decay_time=decay_time)

@@ -103,15 +103,15 @@ class Formfactor:
 
     @classmethod
     def phi1(cls) -> "Formfactor":
-        return cls(PHI1, _phi1, tail_exponent=0.5, head_exponent=0.5)
+        return _BUILTINS[PHI1]
 
     @classmethod
     def phi2(cls) -> "Formfactor":
-        return cls(PHI2, _phi2, tail_exponent=3.0, head_exponent=1.0)
+        return _BUILTINS[PHI2]
 
     @classmethod
     def phi3(cls) -> "Formfactor":
-        return cls(PHI3, _phi3, tail_exponent=7.0, head_exponent=1.0)
+        return _BUILTINS[PHI3]
 
     @classmethod
     def from_callable(cls, func, tail_exponent, head_exponent,
@@ -184,16 +184,17 @@ def _verify_declared_exponents(ff: Formfactor) -> None:
         )
 
 
+# one shared instance per built-in weight: memo lookups match it by identity
 _BUILTINS = {
-    PHI1: Formfactor.phi1,
-    PHI2: Formfactor.phi2,
-    PHI3: Formfactor.phi3,
+    PHI1: Formfactor(PHI1, _phi1, tail_exponent=0.5, head_exponent=0.5),
+    PHI2: Formfactor(PHI2, _phi2, tail_exponent=3.0, head_exponent=1.0),
+    PHI3: Formfactor(PHI3, _phi3, tail_exponent=7.0, head_exponent=1.0),
 }
 
 
 def builtin(name: str) -> Formfactor:
     try:
-        return _BUILTINS[name]()
+        return _BUILTINS[name]
     except KeyError:
         raise ValueError(f"unknown built-in formfactor {name!r}") from None
 

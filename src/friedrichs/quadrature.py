@@ -373,13 +373,13 @@ def panel_integrals(fvec, start, n_panels, h, s):
 
 
 def endpoint_derivatives(fvec, x, h):
-    """f, f', ..., f'''' at x from a 9-point central stencil of spacing h."""
-    vals = fvec(x + h * np.arange(-4.0, 5.0))
-    d0 = vals[4]
-    d1 = (-vals[6] + 8 * vals[5] - 8 * vals[3] + vals[2]) / (12 * h)
-    d2 = (-vals[6] + 16 * vals[5] - 30 * vals[4] + 16 * vals[3] - vals[2]) / (12 * h * h)
-    d3 = (vals[6] - 2 * vals[5] + 2 * vals[3] - vals[2]) / (2 * h ** 3)
-    d4 = (vals[6] - 4 * vals[5] + 6 * vals[4] - 4 * vals[3] + vals[2]) / h ** 4
+    """f, f', ..., f'''' at x from a 5-point central stencil of spacing h."""
+    vals = fvec(x + h * np.arange(-2.0, 3.0))
+    d0 = vals[2]
+    d1 = (-vals[4] + 8 * vals[3] - 8 * vals[1] + vals[0]) / (12 * h)
+    d2 = (-vals[4] + 16 * vals[3] - 30 * vals[2] + 16 * vals[1] - vals[0]) / (12 * h * h)
+    d3 = (vals[4] - 2 * vals[3] + 2 * vals[1] - vals[0]) / (2 * h ** 3)
+    d4 = (vals[4] - 4 * vals[3] + 6 * vals[2] - 4 * vals[1] + vals[0]) / h ** 4
     return (d0, d1, d2, d3, d4)
 
 

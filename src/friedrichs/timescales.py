@@ -34,8 +34,7 @@ from scipy import optimize
 from .amplitude import asymptote_terms, short_time_expansion
 from .dispersion import decaying_resonance
 from .errors import EngineMismatchError
-from .formfactors import (PHI1, PHI2, PHI3, Formfactor, ModelParams,
-                          bound_state_margin)
+from .formfactors import PHI1, PHI2, Formfactor, ModelParams, bound_state_margin
 
 
 class Provenance(Enum):
@@ -72,51 +71,40 @@ _FACTOR2_NOTE = (
 def compute_timescales(params: ModelParams, ff: Formfactor) -> Timescales:
     cut, lam, g2 = params.cutoff, params.coupling, params.coupling_sq
     exp = short_time_expansion(params, ff)
-    prov = {"t_a": Provenance.CLOSED_FORM, "t_b": Provenance.CLOSED_FORM,
-            "t_z": Provenance.CLOSED_FORM}
+    if not ff.is_builtin:
+        # custom weights: only the generic weak-coupling trio is defined
+        raise EngineMismatchError(
+            "timescales beyond (t_a, t_b, t_Z) need a built-in formfactor; "
+            "use short_time_expansion for the generic scales")
 
+    root = decaying_resonance(params, ff)
+    omega_tilde = root.z.real * cut
     if ff.id == PHI1:
-        root = decaying_resonance(params, ff)
-        omega_tilde = root.z.real * cut
         gamma = root.z.imag / (2.0 * math.sqrt(root.z.real))
         t_z = 32.0 / (9.0 * math.pi * cut)
         t_d = 1.0 / (math.pi * g2 * math.sqrt(cut * omega_tilde))
         t_ep = (-5.0 * math.log(g2 * g2 * cut / omega_tilde)
                 / (4.0 * math.pi * g2 * math.sqrt(cut * omega_tilde)))
-        prov.update(t_d=Provenance.ROOT_BASED, t_ep=Provenance.ROOT_BASED,
-                    gamma=Provenance.ROOT_BASED, omega_tilde=Provenance.ROOT_BASED)
-        return Timescales(exp.t_a, exp.leading_exponent, exp.t_b, t_z, t_d,
-                          t_ep, gamma, omega_tilde, prov, (_FACTOR2_NOTE,))
-
-    if ff.id == PHI2:
-        root = decaying_resonance(params, ff)
-        omega_tilde = root.z.real * cut
-        gamma1 = 2.0 * root.z.imag
-        q0 = bound_state_margin(params, ff)
-        t_z = exp.validity_time
+        t_d_from = t_ep_from = Provenance.ROOT_BASED
+    else:
+        gamma = 2.0 * root.z.imag
         t_d = 1.0 / (2.0 * math.pi * g2 * params.omega1)
-        t_ep = 4.0 / (gamma1 * cut) * math.log(q0 / (lam * gamma1))
-        prov.update(t_d=Provenance.CLOSED_FORM, t_ep=Provenance.ROOT_BASED,
-                    gamma=Provenance.ROOT_BASED, omega_tilde=Provenance.ROOT_BASED)
-        return Timescales(exp.t_a, exp.leading_exponent, exp.t_b, t_z, t_d,
-                          t_ep, gamma1, omega_tilde, prov)
-
-    if ff.id == PHI3:
-        root = decaying_resonance(params, ff)
-        omega_tilde = root.z.real * cut
-        gamma1 = 2.0 * root.z.imag
-        t_z = 2.0 * math.sqrt(6.0) / cut
-        t_d = 1.0 / (2.0 * math.pi * g2 * params.omega1)
-        t_ep = -2.0 * math.log(2.0 * math.pi * lam ** 3) / (math.pi * g2 * params.omega1)
-        prov.update(t_d=Provenance.CLOSED_FORM, t_ep=Provenance.CLOSED_FORM,
-                    gamma=Provenance.ROOT_BASED, omega_tilde=Provenance.ROOT_BASED)
-        return Timescales(exp.t_a, exp.leading_exponent, exp.t_b, t_z, t_d,
-                          t_ep, gamma1, omega_tilde, prov)
-
-    # custom weights: only the generic weak-coupling trio is defined
-    raise EngineMismatchError(
-        "timescales beyond (t_a, t_b, t_Z) need a built-in formfactor; "
-        "use short_time_expansion for the generic scales")
+        t_d_from = Provenance.CLOSED_FORM
+        if ff.id == PHI2:
+            q0 = bound_state_margin(params, ff)
+            t_z = exp.validity_time
+            t_ep = 4.0 / (gamma * cut) * math.log(q0 / (lam * gamma))
+            t_ep_from = Provenance.ROOT_BASED
+        else:
+            t_z = 2.0 * math.sqrt(6.0) / cut
+            t_ep = -2.0 * math.log(2.0 * math.pi * lam ** 3) / (math.pi * g2 * params.omega1)
+            t_ep_from = Provenance.CLOSED_FORM
+    prov = {"t_a": Provenance.CLOSED_FORM, "t_b": Provenance.CLOSED_FORM,
+            "t_z": Provenance.CLOSED_FORM, "t_d": t_d_from, "t_ep": t_ep_from,
+            "gamma": Provenance.ROOT_BASED, "omega_tilde": Provenance.ROOT_BASED}
+    notes = (_FACTOR2_NOTE,) if ff.id == PHI1 else ()
+    return Timescales(exp.t_a, exp.leading_exponent, exp.t_b, t_z, t_d, t_ep,
+                      gamma, omega_tilde, prov, notes)
 
 
 def generic_timescales(params: ModelParams, ff: Formfactor):

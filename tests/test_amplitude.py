@@ -1,5 +1,6 @@
 import cmath
 import copy
+import functools
 import math
 from dataclasses import dataclass
 
@@ -268,6 +269,8 @@ def test_negative_time_rejected(photo):
         survival_amplitude_phi1_exact(params, -1e-9)
     with pytest.raises(ValueError):
         survival_amplitude_quadrature(params, ff, -1e-9)
+    with pytest.raises(ValueError, match="nonnegative"):
+        survival_amplitude_quadrature(params, ff, np.array([1e-9, -1e-9, 2e-9]))
     with pytest.raises(ValueError):
         survival_deficit(params, ff, -1e-9)
 
@@ -813,18 +816,30 @@ def test_sample_curve_bounded_and_sorted(qdot):
     assert not curve.clamped
 
 
-def test_sample_curve_phi2_reports_background_estimate(qdot):
+@pytest.mark.parametrize("engine", [Engine.PHI2_POLES, Engine.QUADRATURE])
+def test_sample_curve_phi2_reports_background_estimate(qdot, engine):
+    """The curve's estimates are twice the engine's, from one call on all
+    times.  That call agrees with per-time calls to 1e-13 for phi2-poles
+    (its background is one contraction over the times) and bit for bit
+    for the quadrature engine, which integrates each time by itself."""
     params, ff = qdot
     ts = compute_timescales(params, ff)
     times = np.geomspace(1e-3 * ts.t_z, 3 * ts.t_d, 25)
-    curve = sample_curve(params, ff, times)
-    amps, est = survival_amplitude_phi2(params, curve.times, with_error=True)
+    curve = sample_curve(params, ff, times, engine)
+    if engine is Engine.QUADRATURE:
+        amp = functools.partial(survival_amplitude_quadrature, params, ff)
+    else:
+        amp = functools.partial(survival_amplitude_phi2, params)
+    amps, est = amp(curve.times, with_error=True)
     assert np.array_equal(curve.error_estimates, 2.0 * est)
     assert np.all(curve.error_estimates > 0.0)
     assert np.all(curve.error_estimates < 1e-7)
     assert len(set(curve.error_estimates)) > 1
-    for t, a in zip(curve.times, amps):
-        assert abs(survival_amplitude_phi2(params, t) - a) < 1e-13
+    for t, a, e in zip(curve.times, amps, est):
+        if engine is Engine.QUADRATURE:
+            assert amp(t, with_error=True) == (a, e)
+        else:
+            assert abs(amp(t) - a) < 1e-13
 
 
 @pytest.mark.parametrize("name", ["photodetachment", "quantum-dot", "hydrogen"])

@@ -3,13 +3,16 @@ function that bench/run.py lists in LAYERS, looked up by module and name
 after `import friedrichs`, and bench/run.py reads the root memo's
 cache_info().  A rename in the package breaks that contract without
 breaking any other test, and a traced run then only reports
-`correct: false`."""
+`correct: false`; so does a caller that bypasses a traced function."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import friedrichs
 
@@ -44,3 +47,23 @@ def test_bench_layers_resolve_on_a_fresh_import():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, cwd=src)
     assert out.stdout.split("\n")[:2] == ["[]", "True"]
+
+
+def _workloads():
+    return [w["name"] for w in
+            json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("workload", _workloads())
+def test_traced_bench_run_is_correct(workload):
+    """A short traced run of each workload: every layer its prediction
+    list names must record calls, and every item must pass its check, so
+    that a caller routed around a traced function fails here and not
+    only in the benchmark."""
+    out = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, cwd=ROOT, timeout=600)
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout.strip().splitlines()[-1])
+    assert report["correct"] is True, out.stderr
