@@ -39,7 +39,12 @@ PHI2_POLES    Two contour poles plus a background integral along the
               x = 1 where the raw factors almost cancel.  w does not
               depend on s, so it is integrated once per parameter set
               into a cached node table (quadrature.LaplaceTable), and a
-              batch of times is exp(-xs) on those nodes, one contraction.
+              batch of times is one contraction of exp(-xs) on the
+              nodes between two bounds the batch sets: below
+              x = 1/(4 max s) cached moments of the table's head give
+              the integral as a power series in s, and past
+              x = 42/min s exp(-xs) < 6e-19 is left out.  The poles'
+              roots and weights are cached per parameter set as arrays.
 
 ASYMPTOTIC_LONG  Exponential + power tail + oscillatory cross term,
               evaluated as |pole + tail|^2 for every built-in weight:
@@ -118,6 +123,7 @@ def resolve_engine(ff: Formfactor, engine: Engine = Engine.AUTO) -> Engine:
 _SPIKE_HALFWIDTHS = 80.0   # spike window extent in units of the half width
 _X_FAR = 60.0              # beyond this every built-in density is tiny
 _HEAD_FLOOR = 1e-12        # the head ladder stops above x = _HEAD_FLOOR * x0
+_TOL = 1e-10               # the engine's absolute tolerance on A(s)
 
 
 def _window_breakpoints(x0, width, a, b):
@@ -137,8 +143,7 @@ def _window_breakpoints(x0, width, a, b):
     return sorted(set(pts))
 
 
-def _amp_quadrature(params: ModelParams, ff: Formfactor, s: float,
-                    tol: float = 1e-10):
+def _amp_quadrature(params: ModelParams, ff: Formfactor, s: float):
     """A(s) with an error estimate; dimensionless time s >= 0.
 
     The spike window, and the whole mass integral at s = 0, is integrated
@@ -157,8 +162,8 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: float,
     if s == 0.0:
         X1 = x0 + 1e7 * width
         v, e = quadlib.quad_segments(rho_t, _window_breakpoints(x0, width, 0.0, X1),
-                                     epsabs=tol / 8)
-        vt, et = quadlib.quad_tail(rho, X1, epsabs=tol / 8)
+                                     epsabs=_TOL / 8)
+        vt, et = quadlib.quad_tail(rho, X1, epsabs=_TOL / 8)
         return v + vt, e + et
 
     D = max(_SPIKE_HALFWIDTHS * width, 40.0 * math.pi / s)
@@ -170,7 +175,7 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: float,
     if sw < 25.0:
         v_spike, e = quadlib.quad_segments(
             lambda t: rho_t(t) * np.exp(1j * s * t),
-            _window_breakpoints(x0, width, a, b), epsabs=tol / 32, limit=900)
+            _window_breakpoints(x0, width, a, b), epsabs=_TOL / 32, limit=900)
     else:
         ncap, h = 24, math.pi / s
         lo, hi = a - x0, b - x0
@@ -189,10 +194,10 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: float,
     if a > 0.0:
         h = min(math.pi / s, a)
         v_left, e = quadlib.quad_complex(
-            osc, 0.0, h, epsabs=tol / 8,
+            osc, 0.0, h, epsabs=_TOL / 8,
             points=quadlib.geometric_ladder(0.0, h * 4.0 ** -6, 0.0, h))
         v, e2 = quadlib.oscillatory_finite(rho, h, a, s, scale_a=None,
-                                           scale_b=D, epsabs=tol / 8)
+                                           scale_b=D, epsabs=_TOL / 8)
         v_left += v
         err += e + e2
 
@@ -203,7 +208,7 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: float,
     if s * (_X_FAR - b) <= 24.0:
         X1 = max(_X_FAR, 2 * b)
         segs = [b] + quadlib.geometric_ladder(x0, width, b, X1) + [X1]
-        v_tail, e = quadlib.quad_segments(osc, segs, epsabs=tol / 8)
+        v_tail, e = quadlib.quad_segments(osc, segs, epsabs=_TOL / 8)
         err += e
     vt, e = quadlib.oscillatory_tail(rho_t, X1 - x0, s)
     v_tail += vt * cmath.exp(1j * s * x0)
@@ -237,15 +242,22 @@ def _sqrt_lower(z: complex) -> complex:
     return -u if u.imag > 0 or (u.imag == 0 and u.real >= 0) else u
 
 
+@lru_cache(maxsize=64)
+def _phi1_roots(params: ModelParams):
+    """The lower square roots u_k of the roots z_k and their residue
+    weights W_k, as arrays."""
+    roots = resonance_roots(params, Formfactor.phi1())
+    return (np.array([_sqrt_lower(r.z) for r in roots]),
+            np.array([r.residue_weight for r in roots]))
+
+
 def survival_amplitude_phi1_exact(params: ModelParams, t):
     """A(t) for a time or an array of times."""
     ts, scalar = _times(t)
     s = params.cutoff * ts
     if params.coupling_sq == 0.0:
         return _unwrap(np.exp(1j * params.omega_ratio * s), scalar)
-    roots = resonance_roots(params, Formfactor.phi1())
-    us = np.array([_sqrt_lower(r.z) for r in roots])
-    ws = np.array([r.residue_weight for r in roots])
+    us, ws = _phi1_roots(params)
     beta = cmath.exp(3j * math.pi / 4) * us * np.sqrt(s)[:, None]
     return _unwrap(0.5 * (ws * wofz(beta)).sum(axis=1), scalar)
 
@@ -278,8 +290,10 @@ def _phi2_background(params: ModelParams, s: np.ndarray):
     return -params.coupling_sq * val, params.coupling_sq * err
 
 
+@lru_cache(maxsize=64)
 def _phi2_poles(params: ModelParams):
-    """The contributing roots; raises ConvergenceError when two of them
+    """The contributing roots z_k and their residue weights W_k, as
+    arrays; raises ConvergenceError, on every call, when two of them
     coincide, |z_i - z_j| < 1e-8 (1 + |z_i|): two Newton seeds then
     converged onto one root, whose residue would be counted twice."""
     roots = [r for r in resonance_roots(params, Formfactor.phi2())
@@ -291,7 +305,8 @@ def _phi2_poles(params: ModelParams):
                     f"two Newton seeds converged onto one resonance root "
                     f"{ri.z:.6g}", achieved=abs(ri.z - rj.z),
                     last_iterate=ri.z)
-    return roots
+    return (np.array([r.z for r in roots], dtype=complex),
+            np.array([r.residue_weight for r in roots], dtype=complex))
 
 
 def survival_amplitude_phi2(params: ModelParams, t, with_error: bool = False):
@@ -303,8 +318,8 @@ def survival_amplitude_phi2(params: ModelParams, t, with_error: bool = False):
     if params.coupling_sq == 0.0:
         val, est = np.exp(1j * params.omega_ratio * s), np.zeros(s.shape)
     else:
-        poles = sum(r.residue_weight * np.exp(1j * r.z * s)
-                    for r in _phi2_poles(params))
+        z, w = _phi2_poles(params)
+        poles = (w * np.exp(np.multiply.outer(s, 1j * z))).sum(axis=1)
         bg, est = _phi2_background(params, s)
         if est.max(initial=0.0) > 1e-7:
             raise ConvergenceError("phi2 background integral accuracy not reached",
@@ -373,12 +388,13 @@ def _on_kernel(params: ModelParams, t):
     return params.cutoff * t <= 1.0
 
 
-def batches(params: ModelParams, ff: Formfactor, t: float) -> bool:
+def batches(params: ModelParams, ff: Formfactor, t):
     """Whether log_survival takes time t together with the other times of
     its call (closed form, or one column on a shared node set), so that an
-    extra time in a call costs little.  The quadrature engine takes each
-    time past the kernel's reach by itself."""
-    return resolve_engine(ff) is not Engine.QUADRATURE or _on_kernel(params, t)
+    extra time in a call costs little, for a time or, elementwise, an
+    array of times.  The quadrature engine takes each time past the
+    kernel's reach by itself."""
+    return (resolve_engine(ff) is not Engine.QUADRATURE) | _on_kernel(params, t)
 
 
 def survival_deficit(params: ModelParams, ff: Formfactor, t):
@@ -404,15 +420,16 @@ def survival_deficit(params: ModelParams, ff: Formfactor, t):
     return _unwrap(out, scalar)
 
 
-_SPIKE_REACH = 0.25    # the kernel's spike region |x - x0| <= delta: |st| <= 1/4
-_MOMENTS = 14          # its moments M_1..M_J, J even; the series' rest < 3e-20 Re D
+# the kernel's spike region |x - x0| <= delta, with |st| <= 1/4 for s <= 1:
+# its moments M_1..M_J, J = MOMENT_ORDER (even), leave a rest < 3e-20 Re D
+_SPIKE_REACH = quadlib.MOMENT_REACH
 _THIRDS_FROM = 16.0    # the kernel's range is cut in thirds of octaves past this
 
 
 @lru_cache(maxsize=64)
 def _spike_moments(params: ModelParams, ff: Formfactor):
     """M_j = int rho t^j dt over the spike region, t = x - x0 in
-    [max(-x0, -delta), delta], for j = 1.._MOMENTS, and their error
+    [max(-x0, -delta), delta], for j = 1..MOMENT_ORDER, and their error
     estimates.  Each half of the region, t < 0 and t > 0, is one
     quad_segments call in exact offsets (Offsets) with a column per j:
     there t^j keeps its sign, so every column is held to 1e-12 of itself.
@@ -420,7 +437,7 @@ def _spike_moments(params: ModelParams, ff: Formfactor):
     x0, width = spectral_peak(params, ff)
     pts = _window_breakpoints(x0, width, max(x0 - _SPIKE_REACH, 0.0),
                               x0 + _SPIKE_REACH)
-    j = np.arange(1, _MOMENTS + 1)
+    j = np.arange(1, quadlib.MOMENT_ORDER + 1)
     f = lambda t: (spectral_density(params, ff, Offsets(x0, t))[:, None]
                    * t[:, None] ** j)
     val, err = 0.0, 0.0
@@ -486,7 +503,7 @@ def _deficit_kernel(params: ModelParams, ff: Formfactor, s: np.ndarray,
     # the spike region.  For j > J, |t|^j <= delta^(j-J) t^J, so the rest
     # of the series is below e^(s delta) s^(J+1) delta M_J / (J+1)!
     moments, moment_err = _spike_moments(params, ff)
-    j = np.arange(1, _MOMENTS + 1)
+    j = np.arange(1, quadlib.MOMENT_ORDER + 1)
     terms = np.power.outer(s, j) / np.cumprod(j)          # s^j / j!
     d = terms @ (-np.array([1.0, 1j, -1.0, -1j])[j % 4] * moments)
     rem = (np.exp(s * _SPIKE_REACH) * s ** (j[-1] + 1) * _SPIKE_REACH
@@ -536,12 +553,13 @@ def log_survival(params: ModelParams, ff: Formfactor, t):
     ts, scalar = _times(t)
     out = np.empty(ts.shape)
     short = _on_kernel(params, ts)
+    late = ~short
     if short.any():
         out[short] = [-math.inf if d >= 1.0 else math.log1p(-d)
-                      for d in survival_deficit(params, ff, ts[short])]
-    if not short.all():
-        out[~short] = [math.log(p) if p > 0.0 else -math.inf
-                       for p in survival_probability(params, ff, ts[~short])]
+                      for d in survival_deficit(params, ff, ts[short]).tolist()]
+    if late.any():
+        out[late] = [math.log(p) if p > 0.0 else -math.inf
+                     for p in survival_probability(params, ff, ts[late]).tolist()]
     return _unwrap(out, scalar)
 
 

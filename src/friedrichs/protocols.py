@@ -22,10 +22,11 @@ times share its batch only in the last bits: on the photodetachment,
 quantum-dot and hydrogen presets it moves by up to 6e-16 relative
 against the same times one by one or in random sub-batches.  The phi2
 background takes every time on one fixed node set per parameter set (its
-cached table), so there too the batch moves only the last bits, through
-rounding and the nodes left out past x = 42/min(s).  A search whose
-answer hangs on such differences can answer differently from
-one-at-a-time evaluation:
+cached table), so there too the batch moves only the last bits: through
+rounding, the nodes left out past x = 42/min(s), and the table's head
+below x = 1/(4 max(s)), whose nodes a power series over cached moments
+replaces.  A search whose answer hangs on such differences can answer
+differently from one-at-a-time evaluation:
 on a flat anti-Zeno minimum, protocol_curve's minimum (scan batched with
 the N grid) can lie a few N from that of a standalone anti_zeno_minimum.
 """
@@ -65,7 +66,8 @@ def _logp_memo(params: ModelParams, ff: Formfactor):
         return val
 
     def prefetch(taus, ahead=()):
-        want = list(taus) + [tau for tau in ahead if batches(params, ff, tau)]
+        ahead = np.asarray(ahead, dtype=float)
+        want = list(taus) + ahead[batches(params, ff, ahead)].tolist()
         missing = [tau for tau in dict.fromkeys(want) if tau not in cache]
         if missing:
             cache.update(zip(missing, log_survival(params, ff, missing).tolist()))
@@ -201,8 +203,10 @@ def n_epsilon(params: ModelParams, ff: Formfactor, T: float, eps: float,
     logp = _logp_memo(params, ff)
 
     def ok(n: int, ahead) -> bool:
+        """p_n(T) >= threshold; on a miss, prefetch with the candidates
+        ahead() lists."""
         if T / n not in logp.cache:
-            logp.prefetch([T / n], [T / k for k in ahead])
+            logp.prefetch([T / n], [T / k for k in ahead()])
         return repeated_measurement_survival(params, ff, T, n, _logp=logp) >= threshold
 
     def step(n: int) -> int:
@@ -227,7 +231,7 @@ def n_epsilon(params: ModelParams, ff: Formfactor, T: float, eps: float,
 
     last_good, n = 1, 2
     while n <= cap:
-        if not ok(n, scan_from(n)):
+        if not ok(n, lambda: scan_from(n)):
             break
         last_good, n = n, step(n)
     else:
@@ -236,7 +240,7 @@ def n_epsilon(params: ModelParams, ff: Formfactor, T: float, eps: float,
     lo, hi = last_good, n          # ok(lo), not ok(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if ok(mid, tree(lo, hi, _BISECT_AHEAD)):
+        if ok(mid, lambda: tree(lo, hi, _BISECT_AHEAD)):
             lo = mid
         else:
             hi = mid

@@ -279,6 +279,15 @@ def _tail_map(u, X):
 
 _LAPLACE_CUT = 42.0       # exp(-xs) < 6e-19 past x = _LAPLACE_CUT / s
 
+# exp(-u) for |u| <= MOMENT_REACH as its power series through u^MOMENT_ORDER:
+# the rest is below MOMENT_REACH^15 / 15! < 7e-22.  The deficit kernel's
+# spike region and LaplaceTable's head both take exp this way, from moments.
+MOMENT_REACH = 0.25
+MOMENT_ORDER = 14
+_FACTORIALS = np.array([math.factorial(k) for k in range(MOMENT_ORDER + 2)],
+                       dtype=float)          # 0! .. (MOMENT_ORDER + 1)!
+_HEAD_TOP = 0.5           # LaplaceTable's head ends at or below this x
+
 
 class LaplaceTable:
     """int_a^inf w(x) exp(-xs) dx for any batch of s >= 0 on nodes fixed
@@ -287,13 +296,28 @@ class LaplaceTable:
     w does not depend on s, so one adaptive integration of w fixes the
     partition: [a, X] cut at the breakpoints, and the tail past X in
     quad_tail's variable.  The table keeps that partition's Gauss-Kronrod
-    nodes x and values w(x) dx/du.  A batch of s is then exp(-xs) times
-    those values, reduced per interval by the qk21 value and estimate;
-    intervals that start past _LAPLACE_CUT / min(s) are left out.  A
-    column whose estimate exceeds its tolerance max(epsabs, 1e-12 |I|) is
-    integrated again by quad_segments from the table's partition.  The
-    table resolves exp(-xs) only for s up to about the inverse of its
-    smallest interval at a, so callers cut [a, X] geometrically toward a.
+    nodes x and values w(x) dx/du, interval by interval in order of their
+    start.  A batch of s is then exp(-xs) times those values, reduced per
+    interval by the qk21 value and estimate, over the one contiguous run
+    of intervals between a head and a cut:
+
+      * the head, the intervals ending at or below min(MOMENT_REACH /
+        max(s), _HEAD_TOP), where every s x <= 1/4, is one power series
+        sum_k (-s)^k M_k / k! for k <= MOMENT_ORDER, over the moments
+        M_k = sum h w_gk v x^k of its nodes.  The table keeps their
+        prefix sums over the intervals ending at or below _HEAD_TOP
+        (the ladder toward a = 0), with those of the intervals' s = 0
+        estimates from the adaptive integration.  The head's estimate is
+        the sum of those estimates plus a bound on the series' rest,
+        (sum h w_gk |v|) (s x_end)^15 / 15!;
+      * intervals that start past _LAPLACE_CUT / min(s) are left out.
+
+    So the nodes a batch contracts, and the last bits of its values,
+    depend on its largest and smallest s.  A column whose estimate
+    exceeds its tolerance max(epsabs, 1e-12 |I|) is integrated again by
+    quad_segments from the table's partition.  The table resolves
+    exp(-xs) only for s up to about the inverse of its smallest interval
+    at a, so callers cut [a, X] geometrically toward a.
     """
 
     def __init__(self, wvec, breakpoints, epsabs):
@@ -304,8 +328,11 @@ class LaplaceTable:
             return wvec(x) * jac
 
         edges = np.unique(np.asarray(breakpoints, dtype=float))
-        lo, hi, _, _ = _adapt(wvec, edges, epsabs, _LIMIT, 1)
+        lo, hi, _, err = _adapt(wvec, edges, epsabs, _LIMIT, 1)
         ulo, uhi, _, _ = _adapt(tail, np.array([0.0, 1.0]), epsabs, _LIMIT, 1)
+        order, uorder = np.argsort(lo), np.argsort(ulo)
+        lo, hi, err = lo[order], hi[order], err[order]
+        ulo, uhi = ulo[uorder], uhi[uorder]
         x, h = _gk_nodes(lo, hi)
         u, hu = _gk_nodes(ulo, uhi)
         xt, jac = _tail_map(u, self.X)
@@ -316,23 +343,48 @@ class LaplaceTable:
         self.h = np.concatenate([h, hu])
         self.start = np.concatenate([lo, _tail_map(ulo, self.X)[0]])
 
+        # the head's candidate intervals: prefix sums, row k over the first
+        # k + 1 of them, of M_j / j!, of the s = 0 estimates and of
+        # sum h w_gk |v| / 15!, the mass that bounds the series' rest
+        n = np.searchsorted(hi, _HEAD_TOP, side="right")
+        mass = self.v[:n] * (_GK_WEIGHTS * h[:n, None])
+        powers = np.empty((MOMENT_ORDER + 1, n, _GK_NODES.size))   # x^k
+        powers[0] = 1.0
+        for k in range(MOMENT_ORDER):          # one cumulative product
+            np.multiply(powers[k], x[:n], out=powers[k + 1])
+        moments = (powers.transpose(1, 0, 2) @ mass[:, :, None])[:, :, 0]
+        self.head_hi = hi[:n]
+        self.head_moments = np.cumsum(moments / _FACTORIALS[:-1], axis=0)
+        self.head_err = np.cumsum(err[:n])
+        self.head_mass = np.cumsum(np.abs(mass).sum(axis=1)) / _FACTORIALS[-1]
+
     def integrals(self, s):
         """Values and error estimates, one per s in the 1-D array s."""
         m = s.size
         if not m:
             return np.zeros(0, dtype=complex), np.zeros(0)
-        with np.errstate(divide="ignore"):
-            keep = self.start < _LAPLACE_CUT / s.min()
-        x, v, h = self.x[keep], self.v[keep], self.h[keep]
-        val, err = np.zeros(m, dtype=complex), np.zeros(m)
+        smin, smax = float(s.min()), float(s.max())
+        # min(MOMENT_REACH / smax, _HEAD_TOP), smax = 0 included
+        reach = MOMENT_REACH / smax if smax * _HEAD_TOP > MOMENT_REACH else _HEAD_TOP
+        j = self.head_hi.searchsorted(reach, side="right")    # the head's size
+        if j:
+            val = (np.vander(-s, MOMENT_ORDER + 1, increasing=True)
+                   @ self.head_moments[j - 1])
+            err = self.head_err[j - 1] + self.head_mass[j - 1] * (
+                s * self.head_hi[j - 1]) ** (MOMENT_ORDER + 1)
+        else:
+            val, err = np.zeros(m, dtype=complex), np.zeros(m)
+        # the kept intervals: from the head to the last start before the cut
+        stop = self.start.searchsorted(_LAPLACE_CUT / smin if smin else math.inf)
+        x, v, h = self.x[j:stop], self.v[j:stop], self.h[j:stop]
         cols = max(1, MAX_NODES // x.size)
         for k in range(0, m, cols):
             sk = s[k:k + cols]
             f = v[:, None, :] * np.exp(-x[:, None, :] * sk[:, None])
             vk, ek = _qk21(f.reshape(-1, _GK_NODES.size),
                            np.repeat(h, sk.size))
-            val[k:k + cols] = vk.reshape(-1, sk.size).sum(axis=0)
-            err[k:k + cols] = ek.reshape(-1, sk.size).sum(axis=0)
+            val[k:k + cols] += vk.reshape(-1, sk.size).sum(axis=0)
+            err[k:k + cols] += ek.reshape(-1, sk.size).sum(axis=0)
         bad = err > _tolerance(val, self.epsabs)
         if bad.any():
             val[bad], err[bad] = self._refine(s[bad])

@@ -307,8 +307,30 @@ def test_protocol_curve_batches_its_integrals(quad_calls):
 
 
 @pytest.mark.parametrize("ratio,eps", _NEPS_GRID)
-def test_n_epsilon_batches_its_integrals(qdot, qdot_scales, quad_calls, ratio, eps):
-    # 25-26 quad_complex calls when every tau had its own integral
+def test_n_epsilon_batches_its_integrals(qdot, qdot_scales, quad_calls,
+                                         monkeypatch, ratio, eps):
+    # 25-26 quad_complex calls when every tau had its own integral.  The
+    # phi2 table's contractions reduce 5,250-9,555 node x column values
+    # per grid point with its moment head, 18,669-43,932 without it
+    import friedrichs.quadrature as quadrature
+    reduced, inside = [], []
+    qk21, integrals = quadrature._qk21, quadrature.LaplaceTable.integrals
+
+    def counted_qk21(f, h):
+        if inside:
+            reduced.append(f.size)
+        return qk21(f, h)
+
+    def counted_integrals(self, s):
+        inside.append(s)
+        try:
+            return integrals(self, s)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(quadrature, "_qk21", counted_qk21)
+    monkeypatch.setattr(quadrature.LaplaceTable, "integrals", counted_integrals)
     quad_calls.clear()
     n_epsilon(*qdot, ratio * qdot_scales.t_d, eps)
     assert len(quad_calls) <= 10
+    assert 0 < sum(reduced) <= 12000

@@ -9,8 +9,9 @@ import pytest
 
 import friedrichs
 from friedrichs.errors import ConvergenceError
-from friedrichs.quadrature import (MAX_NODES, byparts_segment, byparts_tail,
-                                   geometric_ladder, oscillatory_finite,
+from friedrichs.quadrature import (MAX_NODES, LaplaceTable, byparts_segment,
+                                   byparts_tail, geometric_ladder,
+                                   oscillatory_finite,
                                    oscillatory_tail,
                                    panel_integrals, principal_value,
                                    pv_dispersion, quad_complex, quad_segments,
@@ -457,3 +458,19 @@ def test_quad_tail_columns():
                          columns=ps.size)
     want = 2.0 ** (1.0 - ps) / (ps - 1.0)
     assert np.all(np.abs(val - want) <= 1e-12 * want)
+
+
+def test_laplace_table_moment_head_vs_closed_form():
+    # int_0^inf x e^-x e^-xs dx = 1/(1 + s)^2.  On a ladder 0.5 / 2^k
+    # toward x = 0 the table's head, below 1/(4 max s), is a power series
+    # over cached moments: a lone s and the same s in a batch spanning 8x
+    # (another head and cut) are exact to 1e-13, within their estimates
+    w = lambda x: x * np.exp(-x)
+    ladder = (0.5 * 2.0 ** -np.arange(1, 50)).tolist()
+    table = LaplaceTable(w, [0.0, *ladder[::-1], 0.5, 1.0, 2.0, 10.0], 1e-15)
+    for s in np.geomspace(1e-3, 1e13, 17):
+        for batch in (np.array([s]), s * 2.0 ** np.linspace(-3.0, 0.0, 9)):
+            val, err = table.integrals(batch)
+            want = 1.0 / (1.0 + s) ** 2
+            assert abs(val[-1] - want) <= 1e-13 * want
+            assert abs(val[-1] - want) <= err[-1] + 1e-16 * want
