@@ -62,14 +62,14 @@ integral up to a split X1 >= 30/s on a power-of-two grid, and past it
 the double-exponential tail of each time, in one call.  Each deficit is
 held to about 1e-12 of itself and raises ConvergenceError past 1e-8.
 
-survival_amplitude, survival_probability, survival_deficit, log_survival
-and the three amplitude engines take one time or an array of times.  On
-an array the phi1 closed form is evaluated elementwise, the phi2
-background takes every time on its table's fixed nodes, and the deficit
-kernel integrates every time as one column on a shared node set, so the
-density is evaluated once per node for all times; the quadrature engine
-integrates the times one by one.  batches(params, ff, t) says which of
-the two a time gets, for callers that fetch times ahead of need.
+Every engine and every public function of a time takes one time or an
+array of times.  On an array the phi1 closed form, the asymptote and the
+series are evaluated elementwise, the phi2 background takes every time
+on its table's fixed nodes, and the deficit kernel integrates every time
+as one column on a shared node set, so the density is evaluated once per
+node for all times; the quadrature engine integrates the times one by
+one.  batches(params, ff, t) says which of the two a time gets, for
+callers that fetch times ahead of need.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import wofz
+from scipy.special import wofz, xlogy
 
 from .errors import ConvergenceError, EngineMismatchError, ExpansionUnavailableError
 from .formfactors import (DIVERGENT, PHI1, PHI2, PHI3, Formfactor,
@@ -168,11 +168,9 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: float):
 
     D = max(_SPIKE_HALFWIDTHS * width, 40.0 * math.pi / s)
     a, b = max(x0 - D, 0.0), x0 + D
-    sw = s * width
-    err = 0.0
 
     # spike window, in offsets from x0
-    if sw < 25.0:
+    if s * width < 25.0:
         v_spike, e = quadlib.quad_segments(
             lambda t: rho_t(t) * np.exp(1j * s * t),
             _window_breakpoints(x0, width, a, b), epsabs=_TOL / 32, limit=900)
@@ -185,7 +183,7 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: float):
                                              s, width, width)
         v_spike += cap_a + cap_b
     v_spike *= cmath.exp(1j * s * x0)
-    err += e
+    err = e
 
     # left of the window.  Its first half period is adaptive, with a
     # geometric ladder toward the head at x = 0 (the sqrt of phi1): one
@@ -196,8 +194,8 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: float):
         v_left, e = quadlib.quad_complex(
             osc, 0.0, h, epsabs=_TOL / 8,
             points=quadlib.geometric_ladder(0.0, h * 4.0 ** -6, 0.0, h))
-        v, e2 = quadlib.oscillatory_finite(rho, h, a, s, scale_a=None,
-                                           scale_b=D, epsabs=_TOL / 8)
+        v, e2 = quadlib.oscillatory_finite(rho, h, a, s, scale_b=D,
+                                           epsabs=_TOL / 8)
         v_left += v
         err += e + e2
 
@@ -346,10 +344,10 @@ def _unwrap(values, scalar):
 
 
 def _abs2(a):
-    """|a|^2 for a complex number or array, rounded alike: numpy's complex
-    abs differs from abs() of a Python complex in the last bit, hypot
-    does not."""
-    return abs(a) ** 2 if np.ndim(a) == 0 else np.hypot(a.real, a.imag) ** 2
+    """|a|^2 for a complex array.  abs() of a Python complex is the C
+    library's hypot of its parts, as np.hypot is; numpy's complex abs
+    differs from both in the last bit."""
+    return np.hypot(a.real, a.imag) ** 2
 
 
 def _amplitude(params: ModelParams, ff: Formfactor, t, eng: Engine):
@@ -371,15 +369,24 @@ def survival_amplitude(params: ModelParams, ff: Formfactor, t,
     return _amplitude(params, ff, t, resolve_engine(ff, engine))[0]
 
 
+def _probability(params: ModelParams, ff: Formfactor, t, eng: Engine):
+    """(p, its error estimate or None) for a time or an array of times:
+    the one map from an Engine to p.  An estimate of A is doubled for p."""
+    ts, scalar = _times(t)
+    if eng is Engine.ASYMPTOTIC_LONG:
+        p, est = long_time_asymptote(params, ff, ts), None
+    elif eng is Engine.SERIES_SHORT:
+        p, est = short_time_expansion(params, ff).evaluate(ts), None
+    else:
+        amp, est = _amplitude(params, ff, ts, eng)
+        p = _abs2(amp)
+    return _unwrap(p, scalar), None if est is None else _unwrap(2.0 * est, scalar)
+
+
 def survival_probability(params: ModelParams, ff: Formfactor, t,
                          engine: Engine = Engine.AUTO):
-    """p(t); the amplitude engines take an array of times as well."""
-    eng = resolve_engine(ff, engine)
-    if eng is Engine.ASYMPTOTIC_LONG:
-        return long_time_asymptote(params, ff, t)
-    if eng is Engine.SERIES_SHORT:
-        return short_time_expansion(params, ff).evaluate(t)
-    return _abs2(_amplitude(params, ff, t, eng)[0])
+    """p(t) for a time or an array of times, from any engine."""
+    return _probability(params, ff, t, resolve_engine(ff, engine))[0]
 
 
 def _on_kernel(params: ModelParams, t):
@@ -411,7 +418,7 @@ def survival_deficit(params: ModelParams, ff: Formfactor, t):
             out[late] = 1.0 - survival_probability(params, ff, ts[late])
         short = (s > 0.0) & ~late
         if short.any():
-            val, est = _deficit_kernel(params, ff, s[short], with_error=True)
+            val, est = _deficit_kernel(params, ff, s[short])
             bad = ~(est <= 1e-8 * val)
             if bad.any():
                 raise ConvergenceError("deficit kernel accuracy not reached",
@@ -472,10 +479,9 @@ def _range_breakpoints(a, b, X1):
     return segs
 
 
-def _deficit_kernel(params: ModelParams, ff: Formfactor, s: np.ndarray,
-                    with_error: bool = False):
+def _deficit_kernel(params: ModelParams, ff: Formfactor, s: np.ndarray):
     """2 Re D - |D|^2 with D = int rho (1 - exp(is(x - x0))) dx for each
-    s <= 1; with_error adds the error estimates.
+    s <= 1, and the error estimates.
 
     Anchoring the phase at the spike center removes the mean-frequency
     phase from D, so no catastrophic cancellation occurs between the two
@@ -540,8 +546,6 @@ def _deficit_kernel(params: ModelParams, ff: Formfactor, s: np.ndarray,
     re_d = d.real + val[:m] + mass.real - osc.real
     im_d = d.imag + val[m:] - osc.imag
     val = 2.0 * re_d - re_d * re_d - im_d * im_d
-    if not with_error:
-        return val
     err_re += e[:m] + e_mass + e_osc
     err_im += e[m:] + e_osc
     return val, 2.0 * (1.0 + np.abs(re_d)) * err_re + 2.0 * np.abs(im_d) * err_im
@@ -588,16 +592,19 @@ class ShortTimeExpansion:
     def has_log_correction(self) -> bool:
         return self.log_coefficient is not None
 
-    def deficit(self, t: float) -> float:
-        out = (t / self.t_a) ** self.leading_exponent
+    def deficit(self, t):
+        """1 - p for a time or an array of times; t^4 ln t is 0 at t = 0."""
+        ts, scalar = _times(t)
+        out = (ts / self.t_a) ** self.leading_exponent
         if self.has_log_correction:
-            out += self.log_coefficient * math.log(self.log_frequency * t) * t ** 4
+            out += self.log_coefficient * xlogy(ts ** 4, self.log_frequency * ts)
         elif self.t_b is not None:
             q = 2.0 if self.leading_exponent == 1.5 else 4.0
-            out -= (t / self.t_b) ** q
-        return out
+            out -= (ts / self.t_b) ** q
+        return _unwrap(out, scalar)
 
-    def evaluate(self, t: float) -> float:
+    def evaluate(self, t):
+        """p for a time or an array of times."""
         return 1.0 - self.deficit(t)
 
 
@@ -651,39 +658,43 @@ def short_time_expansion(params: ModelParams, ff: Formfactor) -> ShortTimeExpans
 _VALID_FROM = {PHI1: 24.0, PHI2: 4.0, PHI3: 4.0}
 
 
-def _asymptote(params: ModelParams, ff: Formfactor, s: float):
-    """(pole term, power term) of A(s) at late s.  The pole term is the
-    decaying root's W exp(izs).  The power term is Watson's lemma on the
-    weight's head phi ~ x^a: g2 Gamma(a+1) i^(a+1) s^-(a+1) / m^2, with m
-    the bound-state margin eta_I(0) (Fonda, Ghirardi & Rimini, Rep. Prog.
-    Phys. 41 (1978) 587).  The head coefficient is 1 for every built-in
-    weight; a custom weight has no roots and raises."""
+def _asymptote(params: ModelParams, ff: Formfactor, s):
+    """(pole term, power term) of A(s) at late s > 0, a number or an array.
+    The pole term is the decaying root's W exp(izs); the power term is
+    Watson's lemma on the weight's head phi ~ x^a, g2 Gamma(a+1) i^(a+1)
+    s^-(a+1) / m^2 with m the bound-state margin eta_I(0) (Fonda, Ghirardi
+    & Rimini, Rep. Prog. Phys. 41 (1978) 587).  The head coefficient is 1
+    for every built-in weight; a custom weight has no roots and raises."""
+    if not np.all(s > 0.0):
+        raise ValueError("the long-time asymptote needs a time t > 0")
     res = decaying_resonance(params, ff)
-    pole = res.residue_weight * cmath.exp(1j * res.z * s)
+    pole = res.residue_weight * np.exp(1j * res.z * s)
     a, m = ff.head_exponent, bound_state_margin(params, ff)
     tail = (params.coupling_sq * math.gamma(a + 1) * 1j ** (a + 1) / (m * m)
             * s ** -(a + 1))
     return pole, tail
 
 
-def long_time_asymptote(params: ModelParams, ff: Formfactor, t: float) -> float:
-    """|pole + tail|^2: exponential, power law and their oscillatory cross
-    term, the pole from the decaying root and the power tail from the
-    weight's head (_asymptote), for each built-in weight."""
-    pole, tail = _asymptote(params, ff, params.cutoff * t)
+def long_time_asymptote(params: ModelParams, ff: Formfactor, t):
+    """|pole + tail|^2 for a time or an array of times t > 0: exponential,
+    power law and their oscillatory cross term (_asymptote).  Warns once,
+    naming the earliest time, if any lies below the validity threshold."""
+    ts, scalar = _times(t)
+    pole, tail = _asymptote(params, ff, params.cutoff * ts)
     threshold = _VALID_FROM[ff.id] / params.omega1
-    if t < threshold:
+    if (ts < threshold).any():
         warnings.warn(
-            f"long-time asymptote evaluated at t={t:.3g}s below its "
+            f"long-time asymptote evaluated at t={ts.min():.3g}s below its "
             f"validity threshold {threshold:.3g}s", stacklevel=2)
-    return abs(pole + tail) ** 2
+    return _unwrap(_abs2(pole + tail), scalar)
 
 
-def asymptote_terms(params: ModelParams, ff: Formfactor, t: float):
-    """(exponential term, power term) of the asymptote, for crossover
-    bracketing."""
-    pole, tail = _asymptote(params, ff, params.cutoff * t)
-    return abs(pole) ** 2, abs(tail) ** 2
+def asymptote_terms(params: ModelParams, ff: Formfactor, t):
+    """(exponential term, power term) of the asymptote for a time or an
+    array of times t > 0, for crossover bracketing."""
+    ts, scalar = _times(t)
+    pole, tail = _asymptote(params, ff, params.cutoff * ts)
+    return _unwrap(_abs2(pole), scalar), _unwrap(_abs2(tail), scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -717,19 +728,14 @@ class SurvivalCurve:
 def sample_curve(params: ModelParams, ff: Formfactor, times,
                  engine: Engine = Engine.AUTO,
                  decay_time: Optional[float] = None) -> SurvivalCurve:
-    """p on the sorted distinct times, from one call of the amplitude
-    engine, with an error estimate per time: twice the amplitude estimate
-    for the quadrature engine and for phi2-poles (its background
-    integral).  phi1-exact and the asymptotic and series engines (time by
-    time) carry no estimate and report the placeholder 1e-12."""
+    """p on the sorted distinct times, from one call of the engine, with
+    an error estimate per time: twice the amplitude estimate for the
+    quadrature engine and for phi2-poles (its background integral).
+    phi1-exact and the asymptotic and series engines carry no estimate
+    and report the placeholder 1e-12."""
     eng = resolve_engine(ff, engine)
     times = np.asarray(sorted(set(float(t) for t in times)))
-    if eng in (Engine.ASYMPTOTIC_LONG, Engine.SERIES_SHORT):
-        est = None
-        ps = np.array([survival_probability(params, ff, t, eng) for t in times])
-    else:
-        amps, est = _amplitude(params, ff, times, eng)
-        ps = _abs2(amps)
-    errs = np.full(times.shape, 1e-12) if est is None else 2.0 * est
+    ps, est = _probability(params, ff, times, eng)
+    errs = np.full(times.shape, 1e-12) if est is None else est
     return SurvivalCurve(params, ff.id, eng, times, ps, errs,
                          decay_time=decay_time)

@@ -255,13 +255,13 @@ def background_weight(params: ModelParams, ff: Formfactor, x) -> np.ndarray:
     return c * x * den.real / (n_first * n_second)
 
 
-def _newton_polish(params, ff, seed, tol_step=1e-15, max_iter=100):
+def _newton_polish(params, ff, seed):
     z = complex(seed)
-    for _ in range(max_iter):
+    for _ in range(100):
         fz = eta_second_sheet(params, ff, z)
         dz = fz / _eta_second_sheet_prime(params, ff, z)
         z -= dz
-        if abs(dz) < tol_step * (1.0 + abs(z)):
+        if abs(dz) < 1e-15 * (1.0 + abs(z)):
             return z
     resid = abs(eta_second_sheet(params, ff, z))
     if resid < 1e-12 * max(1.0, params.omega_ratio):

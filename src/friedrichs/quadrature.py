@@ -230,8 +230,8 @@ def _adapt(fvec, edges, epsabs, limit, m):
     return lo, hi, val, err
 
 
-def geometric_ladder(center, width, lo, hi, ratio=4.0):
-    """Breakpoints stepping geometrically away from a feature of the given
+def geometric_ladder(center, width, lo, hi):
+    """Breakpoints stepping by factors of 4 away from a feature of the given
     width at `center`, clipped to the open interval (lo, hi).  Adaptive
     quadrature subdivides each rung cheaply, so narrow features are never
     missed by coarse initial sampling."""
@@ -243,9 +243,9 @@ def geometric_ladder(center, width, lo, hi, ratio=4.0):
             pts.append(center - d)
         if lo < center + d < hi:
             pts.append(center + d)
-        if d > ratio * span:
+        if d > 4.0 * span:
             break
-        d *= ratio
+        d *= 4.0
     return sorted(set(pts))
 
 
@@ -458,10 +458,9 @@ def byparts_segment(fvec, a, b, s, scale_a, scale_b):
     return vb - va, 3.0 * abs(lb - la)
 
 
-def oscillatory_finite(fvec, a, b, s, scale_a, scale_b, epsabs=1e-12):
-    """int_a^b f exp(isx) dx for smooth f; dispatch on oscillation count."""
-    if b <= a:
-        return 0j, 0.0
+def oscillatory_finite(fvec, a, b, s, scale_b, epsabs=1e-12):
+    """int_a^b f exp(isx) dx for smooth f; dispatch on oscillation count.
+    By parts, f's smoothness scale is scale_b at b and x at the left."""
     n_half = s * (b - a) / np.pi
     if n_half <= 24:
         return quad_complex(lambda x: fvec(x) * np.exp(1j * s * x),
@@ -477,9 +476,7 @@ def oscillatory_finite(fvec, a, b, s, scale_a, scale_b, epsabs=1e-12):
     cap_a = panel_integrals(fvec, a, ncap, h, s).sum()
     cap_b = panel_integrals(fvec, b - ncap * h, ncap, h, s).sum()
     c, d = a + ncap * h, b - ncap * h
-    sc = min(scale_a, c) if scale_a is not None else c
-    sd = scale_b if scale_b is not None else (b - a)
-    mid, err = byparts_segment(fvec, c, d, s, sc, sd)
+    mid, err = byparts_segment(fvec, c, d, s, c, scale_b)
     return cap_a + mid + cap_b, err
 
 
@@ -527,29 +524,25 @@ def oscillatory_tail(fvec, b, s):
     to 0; returns (value, error estimate).  It is exp(isb)/s times
     int_0^inf f(b + u/s) exp(iu) du by the Ooura-Mori rule at steps 0.1
     and 0.2, one table of nodes for every s; the estimate is their
-    difference, at least the roundoff eps sum |w f|.
-
-    b and s may be numpy arrays of one shape, a tail per pair (b_k, s_k):
-    fvec then sees the nodes of all of them in one call, and the values
-    and estimates are arrays of that shape."""
-    if isinstance(b, np.ndarray) or isinstance(s, np.ndarray):
-        return _oscillatory_tails(fvec, *np.broadcast_arrays(b, s))
-    f = np.asarray(fvec(b + _DE_NODES / s))
-    fine, coarse = f[:_DE_W1.size] @ _DE_W1, f[_DE_W1.size:] @ _DE_W2
-    err = max(abs(fine - coarse),
-              10.0 * _EPS * (np.abs(f[:_DE_W1.size]) @ np.abs(_DE_W1)))
-    return fine * cmath.exp(1j * s * b) / s, err / s
-
-
-def _oscillatory_tails(fvec, b, s):
-    """oscillatory_tail on arrays b and s of one shape."""
+    difference, at least the roundoff eps sum |w f|.  b and s are numbers
+    or arrays that broadcast to one shape, a tail per pair (b_k, s_k):
+    fvec sees the nodes of all of them in one call, and the values and
+    estimates have that shape."""
+    b, s = np.asarray(b, dtype=float), np.asarray(s, dtype=float)
     x = b[..., None] + _DE_NODES / s[..., None]
     f = np.asarray(fvec(x.ravel())).reshape(x.shape)
     n = _DE_W1.size
-    fine, coarse = f[..., :n] @ _DE_W1, f[..., n:] @ _DE_W2
-    err = np.maximum(np.abs(fine - coarse),
-                     10.0 * _EPS * (np.abs(f[..., :n]) @ np.abs(_DE_W1)))
+    fine, coarse = _row_dots(f[..., :n], _DE_W1), _row_dots(f[..., n:], _DE_W2)
+    diff = fine - coarse
+    err = np.maximum(np.hypot(diff.real, diff.imag),
+                     10.0 * _EPS * _row_dots(np.abs(f[..., :n]), np.abs(_DE_W1)))
     return fine * np.exp(1j * s * b) / s, err / s
+
+
+def _row_dots(f, w):
+    """f @ w by one dot product per row: a matrix-vector product of many
+    rows may add a row in another order than the row alone."""
+    return (f[..., None, :] @ w[:, None])[..., 0, 0]
 
 
 def converged(val, err, what):

@@ -2,6 +2,7 @@ import cmath
 import copy
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 
 import mpmath
@@ -301,7 +302,7 @@ def test_deficit_kernel_meets_phi2_poles_at_the_seam(qdot):
     # exact residues the two agree there and below it
     params, ff = qdot
     s = np.array([0.25, 0.5, 1.0])
-    kernel = amplitude._deficit_kernel(params, ff, s)
+    kernel = amplitude._deficit_kernel(params, ff, s)[0]
     a = survival_amplitude_phi2(params, s / params.cutoff)
     np.testing.assert_allclose(1.0 - np.abs(a) ** 2, kernel, rtol=1e-8, atol=0.0)
 
@@ -387,11 +388,11 @@ def test_deficit_kernel_free_of_its_split(name, monkeypatch):
     photodetachment by up to 1.8e-3, at s = 1e-6."""
     params, ff = preset(name)
     s = np.concatenate([np.geomspace(1e-6, 1.0, 13), [0.999]])
-    base = amplitude._deficit_kernel(params, ff, s)
+    base = amplitude._deficit_kernel(params, ff, s)[0]
     split = amplitude._tail_splits
     monkeypatch.setattr(amplitude, "_tail_splits",
                         lambda s, x0: 3.0 * split(s, x0))
-    moved = amplitude._deficit_kernel(params, ff, s)
+    moved = amplitude._deficit_kernel(params, ff, s)[0]
     np.testing.assert_allclose(moved, base, rtol=1e-13, atol=0.0)
 
 
@@ -800,6 +801,72 @@ def test_asymptotic_engine_dispatch(qdot):
     pa = survival_probability(params, ff, t, Engine.ASYMPTOTIC_LONG)
     pe = survival_probability(params, ff, t)
     assert pa == pytest.approx(pe, rel=1e-3)
+
+
+@pytest.mark.parametrize("name", ["photodetachment", "quantum-dot", "hydrogen"])
+def test_asymptote_and_series_reject_bad_times(name):
+    """A negative time raises on the asymptotic and series engines, as on
+    the amplitude engines, alone and inside an array.  At t = 0 the
+    asymptote's power tail diverges, which raises; the series is p = 1
+    exactly, the limit of phi2's t^4 ln t term."""
+    params, ff = preset(name)
+    t = compute_timescales(params, ff).t_z
+    for engine in (Engine.ASYMPTOTIC_LONG, Engine.SERIES_SHORT):
+        for bad in (-t, np.array([t, -t])):
+            with pytest.raises(ValueError, match="nonnegative"):
+                survival_probability(params, ff, bad, engine)
+    for zero in (0.0, np.array([t, 0.0])):
+        with pytest.raises(ValueError, match="t > 0"):
+            long_time_asymptote(params, ff, zero)
+        with pytest.raises(ValueError, match="t > 0"):
+            asymptote_terms(params, ff, zero)
+    assert survival_probability(params, ff, 0.0, Engine.SERIES_SHORT) == 1.0
+    both = survival_probability(params, ff, np.array([0.0, t]), Engine.SERIES_SHORT)
+    assert both[0] == 1.0
+
+
+@pytest.mark.parametrize("name", ["photodetachment", "quantum-dot", "hydrogen"])
+def test_asymptote_on_an_array(name):
+    """long_time_asymptote and asymptote_terms on an array are their calls
+    on each time alone, bit for bit."""
+    params, ff = preset(name)
+    t = compute_timescales(params, ff).t_d * np.geomspace(1.0, 30.0, 9)
+    p = long_time_asymptote(params, ff, t)
+    expo, power = asymptote_terms(params, ff, t)
+    assert p.shape == expo.shape == power.shape == t.shape
+    for k, tk in enumerate(t.tolist()):
+        assert long_time_asymptote(params, ff, tk) == p[k]
+        assert asymptote_terms(params, ff, tk) == (expo[k], power[k])
+
+
+@pytest.mark.parametrize("engine", [Engine.ASYMPTOTIC_LONG, Engine.SERIES_SHORT])
+def test_sample_curve_asymptotic_and_series(qdot, engine):
+    """One call of the engine on all times: each p is survival_probability
+    at that time alone, bit for bit, every estimate is the 1e-12
+    placeholder, and the asymptote warns once, naming the earliest of the
+    times below its threshold."""
+    params, ff = qdot
+    ts = compute_timescales(params, ff)
+    threshold = amplitude._VALID_FROM[ff.id] / params.omega1
+    if engine is Engine.ASYMPTOTIC_LONG:
+        times = np.geomspace(0.25 * threshold, 3.0 * ts.t_d, 25)
+    else:
+        times = np.geomspace(1e-3 * ts.t_z, 0.1 * ts.t_z, 25)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        curve = sample_curve(params, ff, times, engine)
+    if engine is Engine.ASYMPTOTIC_LONG:
+        assert len(caught) == 1
+        assert f"t={times[0]:.3g}s" in str(caught[0].message)
+    else:
+        assert not caught
+    assert np.array_equal(curve.times, times)
+    assert np.all(curve.error_estimates == 1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        one = [survival_probability(params, ff, t, engine) for t in times.tolist()]
+    assert curve.probabilities.tolist() == one
+    assert not curve.clamped
 
 
 def test_eta_on_sheet_points(qdot):
