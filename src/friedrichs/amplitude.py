@@ -20,8 +20,10 @@ QUADRATURE    A(s) = int_0^inf rho(x) exp(isx) dx over the spectral
               is one fixed table of double-exponential nodes
               (quadrature.oscillatory_tail) in the same offsets, so its
               phase matches the window's at their common end; while
-              few oscillations reach x = 60 an adaptive stretch comes
-              first.
+              few oscillations reach x = 60 an adaptive stretch, also in
+              offsets, comes first.  Left of the window the integral is
+              in absolute x (quadrature.oscillatory_finite), from an
+              adaptive first half period at x = 0.
 
 PHI1_EXACT    For the sqrt-head weight the density is rational in
               u = sqrt(x), and the transform reduces to three Faddeeva
@@ -67,9 +69,13 @@ array of times.  On an array the phi1 closed form, the asymptote and the
 series are evaluated elementwise, the phi2 background takes every time
 on its table's fixed nodes, and the deficit kernel integrates every time
 as one column on a shared node set, so the density is evaluated once per
-node for all times; the quadrature engine integrates the times one by
-one.  batches(params, ff, t) says which of the two a time gets, for
-callers that fetch times ahead of need.
+node for all times.  The quadrature engine gives each time integrals of
+its own, with its own intervals, but advances them all together: each
+pass of its adaptive integrals evaluates the new nodes of every time in
+one density call (quadrature.quad_complex's K integrals).  A time there
+costs its own nodes, not its own passes.  batches(params, ff, t) says
+whether a time shares its nodes with the others of its call, for callers
+that fetch times ahead of need.
 """
 
 from __future__ import annotations
@@ -143,90 +149,116 @@ def _window_breakpoints(x0, width, a, b):
     return sorted(set(pts))
 
 
-def _amp_quadrature(params: ModelParams, ff: Formfactor, s: float):
-    """A(s) with an error estimate; dimensionless time s >= 0.
+def _amp_quadrature(params: ModelParams, ff: Formfactor, s: np.ndarray):
+    """A(s) and error estimates for a 1-D array of dimensionless times
+    s >= 0, in two steps.
 
-    The spike window, and the whole mass integral at s = 0, is integrated
-    over the offset t = x - x0 from the spike center: Re eta is formed from
-    t exactly (Offsets), the phase is exp(ist), and the global factor
-    exp(isx0) is applied once (see the module docstring)."""
+    Plan: each time's pieces.  At s = 0 they are the mass integral's body
+    and tail; past it the spike window, adaptive while s width < 25 and
+    otherwise panel caps and by parts, the left part when the window
+    leaves one, an adaptive stretch right of the window while few
+    oscillations reach x = 60, and the double-exponential tail.  The
+    window, the body, the tail and the stretch are taken over the offset
+    t = x - x0 from the spike center: Re eta is formed from t exactly
+    (Offsets), the phase is exp(ist), and the global factor exp(isx0) is
+    applied once (see the module docstring).
+
+    Execute: the adaptive pieces in offsets of all times are one
+    quad_segments call of independent integrals (two when s = 0 is among
+    the times: the mass integrals are real), the left parts one
+    oscillatory_finite call in absolute x and the double-exponential
+    tails one oscillatory_tail call; only the fixed-rule windows are
+    taken time by time.  Each time's integrals are its own, so its A and
+    estimate do not depend on the other times of the call."""
     w_ratio, g2 = params.omega_ratio, params.coupling_sq
     if g2 == 0.0:
-        return cmath.exp(1j * w_ratio * s), 0.0
-
-    rho = lambda x: spectral_density(params, ff, x)
-    osc = lambda x: rho(x) * np.exp(1j * s * x)
+        return np.exp(1j * w_ratio * s), np.zeros(s.shape)
     x0, width = spectral_peak(params, ff)
+    rho = lambda x: spectral_density(params, ff, x)
     rho_t = lambda t: spectral_density(params, ff, Offsets(x0, t))
 
-    if s == 0.0:
-        X1 = x0 + 1e7 * width
-        v, e = quadlib.quad_segments(rho_t, _window_breakpoints(x0, width, 0.0, X1),
-                                     epsabs=_TOL / 8)
-        vt, et = quadlib.quad_tail(rho, X1, epsabs=_TOL / 8)
-        return v + vt, e + et
+    # plan.  The adaptive pieces in offsets, of the real mass integral at
+    # s = 0 or with a phase: their time, breakpoints, tolerance and
+    # interval budget (600 is quad_complex's default)
+    mass, phased = ([], [], [], []), ([], [], [], [])
 
-    D = max(_SPIKE_HALFWIDTHS * width, 40.0 * math.pi / s)
-    a, b = max(x0 - D, 0.0), x0 + D
+    def adaptive(k, breakpoints, tol, budget=600):
+        for plan, item in zip(mass if s[k] == 0.0 else phased,
+                              (k, breakpoints, tol, budget)):
+            plan.append(item)
 
-    # spike window, in offsets from x0
-    if s * width < 25.0:
-        v_spike, e = quadlib.quad_segments(
-            lambda t: rho_t(t) * np.exp(1j * s * t),
-            _window_breakpoints(x0, width, a, b), epsabs=_TOL / 32, limit=900)
-    else:
-        ncap, h = 24, math.pi / s
-        lo, hi = a - x0, b - x0
-        cap_a = quadlib.panel_integrals(rho_t, lo, ncap, h, s).sum()
-        cap_b = quadlib.panel_integrals(rho_t, hi - ncap * h, ncap, h, s).sum()
-        v_spike, e = quadlib.byparts_segment(rho_t, lo + ncap * h, hi - ncap * h,
-                                             s, width, width)
-        v_spike += cap_a + cap_b
-    v_spike *= cmath.exp(1j * s * x0)
-    err = e
+    offs, err = np.zeros(s.shape, dtype=complex), np.zeros(s.shape)
+    left, right = [], []      # (time, window start a, reach D), (time, X1 - x0)
+    for k, sk in enumerate(s.tolist()):
+        if sk == 0.0:
+            X1 = x0 + 1e7 * width
+            adaptive(k, _window_breakpoints(x0, width, 0.0, X1), _TOL / 8)
+            adaptive(k, [X1 - x0, math.inf], _TOL / 8)
+            continue
+        D = max(_SPIKE_HALFWIDTHS * width, 40.0 * math.pi / sk)
+        a, b = max(x0 - D, 0.0), x0 + D
+        if sk * width < 25.0:
+            adaptive(k, _window_breakpoints(x0, width, a, b), _TOL / 32, 900)
+        else:
+            ncap, h = 24, math.pi / sk
+            lo, hi = a - x0, b - x0
+            cap_a = quadlib.panel_integrals(rho_t, lo, ncap, h, sk).sum()
+            cap_b = quadlib.panel_integrals(rho_t, hi - ncap * h, ncap, h, sk).sum()
+            v, err[k] = quadlib.byparts_segment(rho_t, lo + ncap * h,
+                                                hi - ncap * h, sk, width, width)
+            offs[k] = v + cap_a + cap_b
+        # left of the window.  oscillatory_finite takes the first half
+        # period adaptively, with a ladder toward the head at x = 0 (the
+        # sqrt of phi1): one Gauss-Legendre panel there misses by up to
+        # 8e-12, unestimated
+        if a > 0.0:
+            left.append((k, a, D))
+        # right of it: adaptive out to X1 while that holds few
+        # oscillations, then the double-exponential rule
+        X1 = b
+        if sk * (_X_FAR - b) <= 24.0:
+            X1 = max(_X_FAR, 2 * b)
+            adaptive(k, [b - x0, *quadlib.geometric_ladder(0.0, width, b - x0,
+                                                            X1 - x0), X1 - x0],
+                     _TOL / 8)
+        right.append((k, X1 - x0))
 
-    # left of the window.  Its first half period is adaptive, with a
-    # geometric ladder toward the head at x = 0 (the sqrt of phi1): one
-    # Gauss-Legendre panel there misses by up to 8e-12, unestimated
-    v_left = 0j
-    if a > 0.0:
-        h = min(math.pi / s, a)
-        v_left, e = quadlib.quad_complex(
-            osc, 0.0, h, epsabs=_TOL / 8,
-            points=quadlib.geometric_ladder(0.0, h * 4.0 ** -6, 0.0, h))
-        v, e2 = quadlib.oscillatory_finite(rho, h, a, s, scale_b=D,
-                                           epsabs=_TOL / 8)
-        v_left += v
-        err += e + e2
-
-    # right tail: adaptive out to X1 while that holds few oscillations,
-    # then the double-exponential rule, in offsets like the window, so
-    # that at b both see one phase when the rule starts there
-    X1, v_tail = b, 0j
-    if s * (_X_FAR - b) <= 24.0:
-        X1 = max(_X_FAR, 2 * b)
-        segs = [b] + quadlib.geometric_ladder(x0, width, b, X1) + [X1]
-        v_tail, e = quadlib.quad_segments(osc, segs, epsabs=_TOL / 8)
-        err += e
-    vt, e = quadlib.oscillatory_tail(rho_t, X1 - x0, s)
-    v_tail += vt * cmath.exp(1j * s * x0)
-    err += e
-
-    return v_left + v_spike + v_tail, err
+    # execute
+    integrands = (lambda t, o: rho_t(t),
+                  lambda t, o: rho_t(t) * np.exp(1j * phase[o] * t))
+    for (owner, segs, eps, limit), f in zip((mass, phased), integrands):
+        if owner:
+            phase = s[owner]
+            v, e = quadlib.quad_segments(f, segs, epsabs=np.array(eps),
+                                         limit=np.array(limit))
+            np.add.at(offs, owner, v)
+            np.add.at(err, owner, e)
+    if right:
+        k, start = (np.array(v) for v in zip(*right))
+        v, e = quadlib.oscillatory_tail(rho_t, start, s[k])
+        offs[k] += v
+        err[k] += e
+    val = offs * np.exp(1j * s * x0)
+    if left:
+        k, a, D = (np.array(v) for v in zip(*left))
+        v, e = quadlib.oscillatory_finite(rho, 0.0, a, s[k], D, epsabs=_TOL / 8)
+        val[k] += v
+        err[k] += e
+    return val, err
 
 
 def survival_amplitude_quadrature(params: ModelParams, ff: Formfactor, t,
                                   with_error: bool = False):
     """Spectral-density Fourier engine for a time or an array of times,
-    taken one by one; with_error adds the error estimates.  Raises
-    ConvergenceError when an estimate is worse than 1e-7."""
+    taken together through each integrator (_amp_quadrature); with_error
+    adds the error estimates.  Raises ConvergenceError when an estimate
+    is worse than 1e-7."""
     ts, scalar = _times(t)
-    val, est = np.empty(ts.shape, dtype=complex), np.empty(ts.shape)
-    for k, s in enumerate((params.cutoff * ts).tolist()):
-        val[k], est[k] = _amp_quadrature(params, ff, s)
-        if est[k] > 1e-7:
-            raise ConvergenceError("oscillatory quadrature accuracy not reached",
-                                   achieved=float(est[k]))
+    val, est = _amp_quadrature(params, ff, params.cutoff * ts)
+    bad = np.flatnonzero(est > 1e-7)
+    if bad.size:
+        raise ConvergenceError("oscillatory quadrature accuracy not reached",
+                               achieved=float(est[bad[0]]))
     val, est = _unwrap(val, scalar), _unwrap(est, scalar)
     return (val, est) if with_error else val
 
@@ -399,8 +431,9 @@ def batches(params: ModelParams, ff: Formfactor, t):
     """Whether log_survival takes time t together with the other times of
     its call (closed form, or one column on a shared node set), so that an
     extra time in a call costs little, for a time or, elementwise, an
-    array of times.  The quadrature engine takes each time past the
-    kernel's reach by itself."""
+    array of times.  Past the kernel's reach the quadrature engine shares
+    its passes among the times of a call but gives each time integrals of
+    its own, so an extra time there still costs all of its nodes."""
     return (resolve_engine(ff) is not Engine.QUADRATURE) | _on_kernel(params, t)
 
 

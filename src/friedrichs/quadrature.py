@@ -23,9 +23,23 @@ node.  An integrand may also return m columns, m integrals on one node set
 integrand covers at most MAX_NODES node x column values and is reduced to
 per-interval sums before the next, so memory stays bounded for any m.
 
+Columns share their intervals.  K independent integrals, each with its
+own range, breakpoints, tolerance and interval budget (quad_complex with
+arrays of bounds, or quad_segments with K breakpoint lists), run in one
+adaptive loop instead: each keeps the partition it reaches alone, but a
+pass bisects the intervals of all integrals still at work and evaluates
+their nodes in one integrand call fvec(x, owner).  Most of the cost of a
+pass is fixed, so K integrals take about as many passes as the slowest
+of them.  Each interval's values are reduced by themselves and each
+integral's sums are its own, so an integral's value and estimate are
+the same, bit for bit, in any company; an integral that stops leaves
+the loop.  oscillatory_finite takes arrays this way, one set of K
+integrals for the adaptive pieces of all its elements.
+
 A Laplace-type integral int w(x) exp(-xs) dx whose weight w does not
-depend on s keeps the Gauss-Kronrod nodes of one adaptive integration of
-w (LaplaceTable); each batch of s is then exp(-xs) on those nodes,
+depend on s keeps the Gauss-Kronrod nodes and weight values of one
+adaptive integration of w (LaplaceTable), its body and tail as two
+integrals of one loop; each batch of s is then exp(-xs) on those nodes,
 reduced by the same qk21 value and estimate as quad_complex.
 
 Principal values fold onto t = |x - y|, where (f(y + t) - f(y - t))/t
@@ -79,10 +93,13 @@ _LIMIT = 600              # the default interval budget of an integral
 
 def _qk21(f, h):
     """QUADPACK qk21 on rows f of 21 node values over intervals of half
-    width h: the Kronrod values and their error estimates."""
+    width h: the Kronrod values and their error estimates.  Rows f of
+    shape (rows, 21) are reduced by one matrix-vector product; a stack of
+    rows (rows, 1, 21), with h of shape (rows, 1), by one dot product per
+    row (as _row_dots), which a row's neighbours cannot change."""
     resk = f @ _GK_WEIGHTS
-    err = h * np.abs(resk - f[:, 1::2] @ _G_WEIGHTS)
-    resasc = h * (np.abs(f - 0.5 * resk[:, None]) @ _GK_WEIGHTS)
+    err = h * np.abs(resk - f[..., 1::2] @ _G_WEIGHTS)
+    resasc = h * (np.abs(f - 0.5 * resk[..., None]) @ _GK_WEIGHTS)
     both = (resasc > 0) & (err > 0)
     err[both] = resasc[both] * np.minimum(
         1.0, (200.0 * err[both] / resasc[both]) ** 1.5)
@@ -101,10 +118,21 @@ def _gk_nodes(lo, hi):
     return lo[:, None] + h[:, None] * _GK_OFFSETS, h
 
 
-def _gk21(fvec, lo, hi, m):
+def _gk21(fvec, lo, hi, m, own=None, tail=None, values=False):
     """Kronrod values and QUADPACK error estimates on each [lo_k, hi_k]
     for the m columns of the integrand, shape (intervals, m), or
-    (intervals,) when m = 1.
+    (intervals,) when m = 1, and when `values` is set (one column) the
+    node values, shape (intervals, 21), else None.
+
+    With own = None the intervals belong to one integral of fvec(x), and
+    each call's rows are reduced by one matrix-vector product.  Otherwise
+    interval k belongs to integral own[k], fvec(x, owner) gets the owner
+    of each node, and each row is reduced by a dot product of its own
+    (_qk21 on a stack of rows), so that an interval's value does not
+    depend on the other intervals of its pass.  An integral k with a
+    finite tail[k] is quad_tail's [tail[k], inf): its nodes u are mapped
+    to x = tail[k] + (u/(1-u))^2 before fvec sees them, and the values are
+    weighted by dx/du.
 
     fvec sees at most MAX_NODES node x column values per call (one
     interval's 21 nodes at least), and each call's values are reduced to
@@ -114,23 +142,37 @@ def _gk21(fvec, lo, hi, m):
     x, h = _gk_nodes(lo, hi)
     shape = (-1,) if m == 1 else (-1, m)
     rows = max(1, MAX_NODES // (_GK_NODES.size * m))
-    vals, errs = [], []
+    vals, errs, nodes = [], [], []
     for k in range(0, len(x), rows):
-        xk = x[k:k + rows]
-        f = np.asarray(fvec(xk.ravel()))
+        xk, jac = x[k:k + rows], None
+        if own is None:
+            f = fvec(xk.ravel())
+        else:
+            ok, xs = own[k:k + rows], xk
+            mapped = None if tail is None else ~np.isnan(tail[ok])
+            if mapped is not None and mapped.any():
+                xs = xk.copy()
+                xs[mapped], jac = _tail_map(xk[mapped], tail[ok[mapped], None])
+            f = fvec(xs.ravel(), ok.repeat(_GK_NODES.size))
+        f = np.asarray(f).reshape(len(xk), _GK_NODES.size, m)
+        if jac is not None:
+            f[mapped] *= jac[:, :, None]
         if not np.isfinite(f).all():
             raise ConvergenceError("integrand is not finite at a quadrature node",
                                    achieved=math.inf)
         # one row of 21 node values per interval and column
-        f = f.reshape(len(xk), _GK_NODES.size, m).transpose(0, 2, 1)
-        f = f.reshape(-1, _GK_NODES.size)
+        f = f.transpose(0, 2, 1).reshape(-1, _GK_NODES.size)
         hk = h[k:k + rows] if m == 1 else np.repeat(h[k:k + rows], m)
-        val, err = _qk21(f, hk)
+        val, err = (_qk21(f, hk) if own is None
+                    else _qk21(f[:, None, :], hk[:, None]))
         vals.append(val.reshape(shape))
         errs.append(err.reshape(shape))
+        if values:
+            nodes.append(f)
     if len(vals) == 1:
-        return vals[0], errs[0]
-    return np.concatenate(vals), np.concatenate(errs)
+        return vals[0], errs[0], nodes[0] if values else None
+    return (np.concatenate(vals), np.concatenate(errs),
+            np.concatenate(nodes) if values else None)
 
 
 def quad_complex(fvec, a, b, points=None, epsabs=1e-12, limit=_LIMIT,
@@ -157,7 +199,18 @@ def quad_complex(fvec, a, b, points=None, epsabs=1e-12, limit=_LIMIT,
     estimates.  A non-finite integrand value raises
     ConvergenceError.  An empty range gives zero values and estimates, and
     zero columns give empty arrays.
+
+    K independent integrals: a and b arrays of K bounds, `points` None or
+    K sequences, epsabs and limit a number or one per integral.  Each
+    integral keeps its own intervals, tolerance, limit and stopping rule,
+    and reaches the partition, values and estimates it reaches alone, bit
+    for bit; a pass bisects the intervals of all integrals still at work
+    and evaluates their nodes in one call fvec(x, owner), owner the index
+    of each node's integral.  An infinite b_k makes integral k quad_tail's
+    [a_k, inf).  The values and estimates are arrays of K, or (K, m).
     """
+    if np.ndim(a):
+        return _quad_many(fvec, a, b, points, epsabs, limit, columns)
     if b < a:
         val, err = quad_complex(fvec, b, a, points, epsabs, limit, columns)
         return -val, err
@@ -167,11 +220,59 @@ def quad_complex(fvec, a, b, points=None, epsabs=1e-12, limit=_LIMIT,
     if edges.size < 2 or m == 0:
         return (0j, 0.0) if columns is None else (np.zeros(m, dtype=complex),
                                                   np.zeros(m))
-    _, _, val, err = _adapt(fvec, edges, epsabs, limit, m)
+    if m == 1 and isinstance(epsabs, np.ndarray):   # the 1-D path ranks
+        epsabs = float(epsabs.max())                 # by a float tolerance
+    _, _, val, err, _, _ = _adapt(fvec, edges[:-1], edges[1:], None,
+                                  np.asarray(epsabs, dtype=float),
+                                  np.array([limit]), m)
     val, err = val.sum(axis=0), err.sum(axis=0)
     if columns is None:
         return complex(val), float(err)
     return val.reshape(m), err.reshape(m)
+
+
+def _quad_many(fvec, a, b, points, epsabs, limit, columns):
+    """quad_complex's K independent integrals (see there)."""
+    m = 1 if columns is None else columns
+    a, b = np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
+    K = len(a)
+    # each integral's intervals between its sorted edges; an empty range
+    # has none, and the integrals with intervals are renumbered
+    lo, hi, own, index, tail, flip = [], [], [], [], [], []
+    for k, (ak, bk) in enumerate(zip(a, b)):
+        start, stop = min(ak, bk), max(ak, bk)
+        if stop == math.inf:             # quad_tail's [start, inf), in u
+            edges = [0.0, 1.0]
+        else:
+            inner = () if points is None or points[k] is None else points[k]
+            edges = sorted({start, stop, *[p for p in inner if start < p < stop]})
+        if len(edges) > 1:
+            lo += edges[:-1]
+            hi += edges[1:]
+            own += [len(index)] * (len(edges) - 1)
+            index.append(k)
+            tail.append(start if stop == math.inf else math.nan)
+            if bk < ak:
+                flip.append(k)
+    val, err = np.zeros((K, m), dtype=complex), np.zeros((K, m))
+    if index and m:
+        index = np.array(index)
+        eps, limit = np.asarray(epsabs, dtype=float), np.asarray(limit)
+        eps = eps[index] if eps.ndim else np.full(index.size, eps)
+        _, _, v, e, o, _ = _adapt(
+            fvec if index.size == K else lambda x, j: fvec(x, index[j]),
+            np.array(lo), np.array(hi),
+            np.array(own), eps if m == 1 else eps[:, None],
+            limit[index] if limit.ndim else np.full(index.size, limit), m,
+            np.array(tail) if math.inf in b else None)
+        starts = o.searchsorted(np.arange(index.size))
+        val[index] = np.add.reduceat(v, starts).reshape(-1, m)
+        err[index] = np.add.reduceat(e, starts).reshape(-1, m)
+        if flip:
+            val[flip] *= -1.0
+    if columns is None:
+        return val[:, 0], err[:, 0]
+    return val, err
 
 
 def _tolerance(total, epsabs):
@@ -179,55 +280,141 @@ def _tolerance(total, epsabs):
     return np.maximum(epsabs, 1e-12 * abs(total))
 
 
-def _adapt(fvec, edges, epsabs, limit, m):
-    """quad_complex's adaptive loop from the intervals between the sorted
-    edges; returns the final intervals lo, hi and their values and
-    estimates, shape (intervals, m), or (intervals,) when m = 1.  epsabs
-    is a float or one per column."""
-    if m == 1 and isinstance(epsabs, np.ndarray):   # the 1-D path ranks
-        epsabs = float(epsabs.max())                 # by a float tolerance
-    lo, hi = edges[:-1], edges[1:]
-    val, err = _gk21(fvec, lo, hi, m)
+def _adapt(fvec, lo, hi, own, epsabs, limit, m, tail=None, values=False):
+    """The adaptive loop of quad_complex from the intervals [lo, hi];
+    returns the final intervals lo, hi, their values and estimates,
+    shape (intervals, m), or (intervals,) when m = 1, their integrals and,
+    when `values` is set (one column, K integrals), their node values,
+    shape (intervals, 21), else None.
+
+    With own = None the intervals are one integral of fvec(x), with a
+    tolerance per column (epsabs, a float or one per column), and its
+    values and estimates are summed by numpy's pairwise sum.  Otherwise
+    interval k belongs to integral own[k], the intervals come grouped by
+    integral 0..K-1, epsabs holds a tolerance per integral and fvec is
+    fvec(x, owner); each integral's values and estimates are then summed
+    in order, and each of its intervals is reduced by itself (_gk21), so
+    that it reaches what it reaches alone, bit for bit.  An integral that
+    stops leaves the loop, so later passes handle only the intervals of
+    those still at work; the final intervals come grouped by integral.
+    limit holds the interval budget of each integral, tail the start of
+    each integral that is quad_tail's tail (nan for the others).
+    """
+    owned = own is not None
+    K = int(own[-1]) + 1 if owned else 1
+    ids = np.arange(K)            # the integrals at work, which own indexes
+    counts = np.bincount(own, minlength=K) if owned else np.array([lo.size])
+    val, err, f = _gk21(fvec, lo, hi, m, own, tail, values)
+    # with `values`: the node values, pass by pass, and each interval's row
+    blocks, rows = [f], np.arange(lo.size) if values else None
+    done = []                     # the intervals of integrals that stopped
     while True:
-        # a column is active while above its tolerance, unless narrow
-        # intervals already hold more.  An interval's score is its worst
-        # err_k / tol_k over the active columns, in units of their largest
-        # tol_k: once the unbisected scores sum under an eighth of that
-        # unit, every column is under tol_k / 8.
-        tol = _tolerance(val.sum(axis=0), epsabs)
-        active = err.sum(axis=0) > tol
-        if not np.count_nonzero(active):
-            break
+        one = ids.size == 1
+        # v[own] spreads a value per integral over its intervals
+        at = (lambda v: v[0]) if one else (lambda v: v[own])
+        if owned:
+            starts = [0] if one else counts.cumsum() - counts
+            sums = lambda v: np.add.reduceat(v, starts)
+        else:
+            sums = lambda v: v.sum(axis=0)[None]
+        # an integral's column is active while above its tolerance, unless
+        # narrow intervals already hold more.  An interval's score is its
+        # worst err_k / tol_k over the active columns, in units of their
+        # largest tol_k: once the unbisected scores sum under an eighth
+        # of that unit, every column is under tol_k / 8.
+        tol = _tolerance(sums(val), epsabs)
+        total = sums(err)
+        active = total > tol
         wide = (hi - lo) > _MIN_ULPS * _EPS * np.maximum(np.abs(lo), np.abs(hi))
-        narrow = ~wide
-        if narrow.any():
-            active &= err[narrow].sum(axis=0) <= tol
-        if not np.count_nonzero(active):
+        if not wide.all():
+            active &= sums(np.where(wide if m == 1 else wide[:, None],
+                                    0.0, err)) <= tol
+        busy = active if m == 1 else active.any(axis=1)
+        if not busy.any():
             break
         if m == 1:     # unit = tol, so the score is err itself
             unit, score = tol, err
         else:
-            tol = tol[active]
-            unit = tol.max()
-            score = (err[:, active] * (unit / tol)).max(axis=1)
-        worst = np.argsort(-score, kind="stable")
-        worst = worst[wide[worst]]
-        n = np.searchsorted(np.cumsum(score[worst]), score.sum() - unit / 8) + 1
-        n = min(n, worst.size, limit - lo.size)
-        if n <= 0:
+            unit = np.where(active, tol, -np.inf).max(axis=1)
+            scale = np.where(active, unit[:, None], 0.0) / np.where(active, tol, 1.0)
+            score = (err * at(scale)).max(axis=1)
+            total = sums(score)
+        pick, n = _worst(score, wide if one else wide & at(busy),
+                         None if one else own, ids.size, total - unit / 8,
+                         limit - counts)
+        if not pick.size:
             break
-        pick = worst[:n]
+        if not (one or n.all()):      # the integrals that stopped leave
+            gone = (n == 0)[own]
+            done.append((ids[own[gone]], lo[gone], hi[gone], val[gone],
+                         err[gone], rows[gone] if values else None))
+            stay, live = ~gone, n > 0
+            pick = (stay.cumsum() - 1)[pick]
+            lo, hi, val, err = lo[stay], hi[stay], val[stay], err[stay]
+            own = (live.cumsum() - 1)[own[stay]]
+            if values:
+                rows = rows[stay]
+            ids, counts, n = ids[live], counts[live], n[live]
+            epsabs, limit = epsabs[live], limit[live]
         mid = 0.5 * (lo[pick] + hi[pick])
         new_lo = np.concatenate([lo[pick], mid])
         new_hi = np.concatenate([mid, hi[pick]])
-        new_val, new_err = _gk21(fvec, new_lo, new_hi, m)
+        new_own = own[np.concatenate([pick, pick])] if owned else None
+        new_val, new_err, new_f = _gk21(fvec, new_lo, new_hi, m,
+                                        ids[new_own] if done else new_own,
+                                        tail, values)
         keep = np.ones(lo.size, dtype=bool)
         keep[pick] = False
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
         val = np.concatenate([val[keep], new_val])
         err = np.concatenate([err[keep], new_err])
-    return lo, hi, val, err
+        if values:
+            first = sum(b.shape[0] for b in blocks)
+            blocks.append(new_f)
+            rows = np.concatenate([rows[keep], np.arange(first, first + new_f.shape[0])])
+        if owned:
+            own = np.concatenate([own[keep], new_own])
+        if not one:   # grouped by integral again, each in its own order
+            order = own.argsort(kind="stable")
+            lo, hi, val, err, own = (lo[order], hi[order], val[order],
+                                     err[order], own[order])
+            if values:
+                rows = rows[order]
+        counts = counts + n
+    if not owned:
+        return lo, hi, val, err, None, None
+    if done:          # with the integrals that left first, grouped again
+        done.append((ids[own], lo, hi, val, err, rows))
+        own, lo, hi, val, err, rows = (
+            None if p[0] is None else np.concatenate(p) for p in zip(*done))
+        order = own.argsort(kind="stable")
+        lo, hi, val, err, own = lo[order], hi[order], val[order], err[order], own[order]
+        rows = rows[order] if values else None
+    return lo, hi, val, err, own, np.concatenate(blocks)[rows] if values else None
+
+
+def _worst(score, wide, own, K, threshold, room):
+    """The intervals to bisect, and how many of each integral: its wide
+    intervals worst first, until its unbisected scores would sum under
+    its threshold, at most room of them.  own is None for one integral.
+    Each integral's scores are summed by themselves, in the order of the
+    integral alone."""
+    if own is None:
+        worst = (-score).argsort(kind="stable")
+        worst = worst[wide[worst]]
+        take = score[worst].cumsum().searchsorted(threshold[0]) + 1
+        n = max(min(take, worst.size, room[0]), 0)
+        return worst[:n], np.array([n])
+    cand = wide.nonzero()[0]             # grouped by integral, worst first
+    worst = cand[np.lexsort((-score[cand], own[cand]))]
+    bounds = own[worst].searchsorted(np.arange(K + 1)).tolist()
+    n = np.zeros(K, dtype=np.intp)
+    for k in range(K):
+        first, stop = bounds[k], bounds[k + 1]
+        take = score[worst[first:stop]].cumsum().searchsorted(threshold[k]) + 1
+        n[k] = max(min(take, stop - first, room[k]), 0)
+    return np.concatenate([worst[b:b + c] for b, c in zip(bounds, n.tolist())]), n
 
 
 def geometric_ladder(center, width, lo, hi):
@@ -250,7 +437,14 @@ def geometric_ladder(center, width, lo, hi):
 
 
 def quad_segments(fvec, breakpoints, epsabs=1e-12, limit=_LIMIT, columns=None):
-    """quad_complex from the first to the last breakpoint, split at all."""
+    """quad_complex from the first to the last breakpoint, split at all;
+    with a list of K sequences of breakpoints, quad_complex's K
+    independent integrals, one per sequence."""
+    if np.ndim(breakpoints[0]):
+        return quad_complex(fvec, np.array([p[0] for p in breakpoints]),
+                            np.array([p[-1] for p in breakpoints]),
+                            points=[p[1:-1] for p in breakpoints],
+                            epsabs=epsabs, limit=limit, columns=columns)
     return quad_complex(fvec, breakpoints[0], breakpoints[-1],
                         points=breakpoints[1:-1], epsabs=epsabs, limit=limit,
                         columns=columns)
@@ -323,23 +517,24 @@ class LaplaceTable:
     def __init__(self, wvec, breakpoints, epsabs):
         self.wvec, self.X, self.epsabs = wvec, breakpoints[-1], epsabs
 
-        def tail(u):
-            x, jac = _tail_map(u, self.X)
-            return wvec(x) * jac
-
+        # the body [a, X] and the tail past X in one lockstep run, which
+        # keeps the weight's values on the final nodes
         edges = np.unique(np.asarray(breakpoints, dtype=float))
-        lo, hi, _, err = _adapt(wvec, edges, epsabs, _LIMIT, 1)
-        ulo, uhi, _, _ = _adapt(tail, np.array([0.0, 1.0]), epsabs, _LIMIT, 1)
-        order, uorder = np.argsort(lo), np.argsort(ulo)
-        lo, hi, err = lo[order], hi[order], err[order]
-        ulo, uhi = ulo[uorder], uhi[uorder]
+        lo, hi, _, err, own, nodes = _adapt(
+            lambda x, k: wvec(x), np.append(edges[:-1], 0.0),
+            np.append(edges[1:], 1.0), np.repeat([0, 1], [edges.size - 1, 1]),
+            np.full(2, epsabs, dtype=float), np.full(2, _LIMIT), 1,
+            np.array([np.nan, self.X]), values=True)
+        # interval by interval in order of their start, the body first
+        order = np.lexsort((lo, own))
+        lo, hi, err, own = lo[order], hi[order], err[order], own[order]
+        self.v = nodes[order]
+        body = own == 0
+        lo, hi, err, ulo, uhi = lo[body], hi[body], err[body], lo[~body], hi[~body]
         x, h = _gk_nodes(lo, hi)
         u, hu = _gk_nodes(ulo, uhi)
-        xt, jac = _tail_map(u, self.X)
         self.edges = np.union1d(lo, hi)          # the partition of [a, X]
-        self.x = np.concatenate([x, xt])
-        self.v = (wvec(self.x.ravel()).reshape(self.x.shape)
-                  * np.concatenate([np.ones(x.shape), jac]))
+        self.x = np.concatenate([x, _tail_map(u, self.X)[0]])
         self.h = np.concatenate([h, hu])
         self.start = np.concatenate([lo, _tail_map(ulo, self.X)[0]])
 
@@ -459,25 +654,64 @@ def byparts_segment(fvec, a, b, s, scale_a, scale_b):
 
 
 def oscillatory_finite(fvec, a, b, s, scale_b, epsabs=1e-12):
-    """int_a^b f exp(isx) dx for smooth f; dispatch on oscillation count.
-    By parts, f's smoothness scale is scale_b at b and x at the left."""
-    n_half = s * (b - a) / np.pi
-    if n_half <= 24:
-        return quad_complex(lambda x: fvec(x) * np.exp(1j * s * x),
-                            a, b, epsabs=epsabs)
-    h = np.pi / s
-    n = int(n_half)
-    if n <= 3000:
-        head = panel_integrals(fvec, a, n, h, s).sum()
-        rest, err = quad_complex(lambda x: fvec(x) * np.exp(1j * s * x),
-                                 a + n * h, b, epsabs=epsabs)
-        return head + rest, err
-    ncap = 24
-    cap_a = panel_integrals(fvec, a, ncap, h, s).sum()
-    cap_b = panel_integrals(fvec, b - ncap * h, ncap, h, s).sum()
-    c, d = a + ncap * h, b - ncap * h
-    mid, err = byparts_segment(fvec, c, d, s, c, scale_b)
-    return cap_a + mid + cap_b, err
+    """int_a^b f exp(isx) dx for f smooth on (a, b]; returns (value, error
+    estimate).  a, b, s and scale_b are numbers or 1-D arrays of one
+    length, an integral per element (a number stands for every element),
+    and the values and estimates are arrays when any of them is.
+
+    The first half period from a (all of [a, b] when shorter) is adaptive,
+    with a geometric ladder toward a, where f may have a head such as the
+    sqrt of phi1 at x = 0.  The rest dispatches on its number n of half
+    periods: up to 24 it is adaptive; up to 3000 it is n half-period
+    panels (panel_integrals) and an adaptive remainder; past that it is
+    24-panel caps at both ends and, between them, by parts, where f's
+    smoothness scale is scale_b at b and x at the left.  The adaptive
+    pieces of all elements are one quad_complex call of K integrals.
+    """
+    args = [np.ravel(v).tolist() for v in (a, b, s, scale_b)]
+    size = max(map(len, args))
+    fixed, fixed_err = np.zeros(size, dtype=complex), np.zeros(size)
+    # the adaptive integrals, each element's head and, when adaptive, its
+    # rest; first[k] is the head of element k
+    first, lo, hi, points, phase = [], [], [], [], []
+    for k, (ak, bk, sk, scale) in enumerate(zip(
+            *(v * size if len(v) == 1 else v for v in args))):
+        step = math.pi / sk
+        h = min(step, bk - ak)
+        c = ak + h
+        first.append(len(lo))
+        lo.append(ak)
+        hi.append(c)
+        points.append(geometric_ladder(ak, h * 4.0 ** -6, ak, c))
+        phase.append(sk)
+        n_half = sk * (bk - c) / math.pi
+        n = int(n_half)
+        if n_half <= 24:
+            start = c
+        elif n <= 3000:
+            fixed[k] = panel_integrals(fvec, c, n, step, sk).sum()
+            start = c + n * step
+        else:
+            ncap = 24
+            cap_a = panel_integrals(fvec, c, ncap, step, sk).sum()
+            cap_b = panel_integrals(fvec, bk - ncap * step, ncap, step, sk).sum()
+            c, d = c + ncap * step, bk - ncap * step
+            mid, fixed_err[k] = byparts_segment(fvec, c, d, sk, c, scale)
+            fixed[k] = cap_a + mid + cap_b
+            continue
+        lo.append(start)
+        hi.append(bk)
+        points.append(None)
+        phase.append(sk)
+    phase = np.array(phase)
+    val, err = quad_complex(lambda x, j: fvec(x) * np.exp(1j * phase[j] * x),
+                            np.array(lo), np.array(hi), points=points,
+                            epsabs=epsabs)
+    val = np.add.reduceat(val, first) + fixed
+    err = np.add.reduceat(err, first) + fixed_err
+    if max(map(np.ndim, (a, b, s, scale_b))):
+        return val, err
+    return complex(val[0]), float(err[0])
 
 
 def byparts_tail(fvec, X, s, scale):

@@ -221,6 +221,49 @@ def test_photodetachment_window_passes(monkeypatch, photo):
         assert est <= 1e-10
 
 
+def _curve_grid(params, ff):
+    """The benchmark's curve grid: 12 times from 1e-3 t_Z to 5 t_ep, and
+    t_Z and t_d."""
+    ts = compute_timescales(params, ff)
+    return np.concatenate([np.geomspace(1e-3 * ts.t_z, 5.0 * ts.t_ep, 12),
+                           [ts.t_z, ts.t_d]])
+
+
+def test_quadrature_engine_passes(monkeypatch, hydrogen):
+    """The 14 times of the curve grid advance through each integrator's
+    passes together: 54 Gauss-Kronrod passes when each time ran its own
+    integrals, 8 in lockstep."""
+    passes, times = [], _curve_grid(*hydrogen)
+    gk21 = quadrature._gk21
+    monkeypatch.setattr(quadrature, "_gk21",
+                        lambda *a, **k: passes.append(1) or gk21(*a, **k))
+    survival_amplitude_quadrature(*hydrogen, times)
+    assert 0 < len(passes) <= 8
+
+
+@pytest.mark.parametrize("name, engine", [("hydrogen", Engine.AUTO),
+                                          ("photodetachment", Engine.QUADRATURE)])
+def test_quadrature_engine_batch_equals_alone(name, engine):
+    """Each time's A and estimate from one call equal those of the time
+    alone, bit for bit: every piece of a time is an integral of its own.
+    The curve grid and t = 0 hold every kind of piece: the mass integral
+    at s = 0, adaptive stretches right of the window at small s, left
+    parts at large s and fixed-rule windows past s width = 25."""
+    params, ff = preset(name)
+    times = np.concatenate([[0.0], _curve_grid(params, ff)])
+    s = params.cutoff * times
+    width = spectral_peak(params, ff)[1]
+    assert (s == 0).any() and ((s > 0) & (s * 60.0 <= 24.0)).any()
+    assert (s * width >= 25.0).any()
+    curve = sample_curve(params, ff, times, engine)
+    assert curve.engine is Engine.QUADRATURE
+    amps, est = survival_amplitude_quadrature(params, ff, curve.times,
+                                              with_error=True)
+    assert np.array_equal(curve.error_estimates, 2.0 * est)
+    for t, a, e in zip(curve.times, amps, est):
+        assert survival_amplitude_quadrature(params, ff, t, with_error=True) == (a, e)
+
+
 def _tail_nodes(monkeypatch, params, ff, s):
     """(density nodes of the engine's right tail, A) at s: the nodes the
     density sees inside quadrature.oscillatory_tail."""
@@ -415,8 +458,8 @@ def test_deficit_kernel_unconverged_raises(photo, monkeypatch):
     # kernel's own estimate of the deficit at s = 1e-3 is about 3.5e-3 of it
     adapt = quadrature._adapt
     monkeypatch.setattr(quadrature, "_adapt",
-                        lambda f, edges, epsabs, limit, m:
-                        adapt(f, edges, epsabs, 1, m))
+                        lambda f, lo, hi, own, epsabs, limit, *rest, **kw:
+                        adapt(f, lo, hi, own, epsabs, 0 * limit + 1, *rest, **kw))
     monkeypatch.setattr(amplitude, "_spike_moments",
                         amplitude._spike_moments.__wrapped__)
     params, ff = photo
@@ -445,8 +488,8 @@ def test_phi2_background_unconverged_raises(qdot, monkeypatch):
     # columns are refined: the background's own estimate is about 1e-4
     adapt = quadrature._adapt
     monkeypatch.setattr(quadrature, "_adapt",
-                        lambda f, edges, epsabs, limit, m:
-                        adapt(f, edges, epsabs, 1, m))
+                        lambda f, lo, hi, own, epsabs, limit, *rest, **kw:
+                        adapt(f, lo, hi, own, epsabs, 0 * limit + 1, *rest, **kw))
     monkeypatch.setattr(amplitude, "_phi2_table", amplitude._phi2_table.__wrapped__)
     params, _ = qdot
     with pytest.raises(ConvergenceError) as info:
@@ -560,6 +603,27 @@ def test_phi2_table_built_once_per_parameter_set(qdot, qdot_scales, monkeypatch)
     nodes.clear()
     assert n_epsilon(params, ff, 1e-2 * qdot_scales.t_d, 1e-3) == first
     assert sum(nodes) == 0
+
+
+def test_phi2_table_evaluates_its_weight_once_per_node(qdot, monkeypatch):
+    """A cold table build evaluates the weight once per node of its
+    adaptive run, and keeps the final nodes' values from that run: 2,016
+    weight points at quantum-dot, where evaluating the final nodes again
+    made 3,633."""
+    params, ff = qdot
+    points, intervals = [], []
+    weight, gk21 = amplitude.background_weight, quadrature._gk21
+    monkeypatch.setattr(amplitude, "background_weight",
+                        lambda p, f, x: points.append(x.size) or weight(p, f, x))
+    monkeypatch.setattr(quadrature, "_gk21",
+                        lambda f, lo, *a: intervals.append(lo.size) or gk21(f, lo, *a))
+    table = amplitude._phi2_table.__wrapped__(params)
+    monkeypatch.undo()
+    assert sum(points) == 21 * sum(intervals) < 2100
+    body = table.start < table.X        # past X the values carry dx/du
+    x = table.x[body]
+    assert np.array_equal(table.v[body],
+                          weight(params, builtin("phi2"), x.ravel()).reshape(x.shape))
 
 
 @pytest.mark.parametrize("w, g2", [(8.0e-4, 4.7e-4), (1.0e-2, 1.5e-8)])
@@ -896,7 +960,7 @@ def test_sample_curve_phi2_reports_background_estimate(qdot, engine):
     """The curve's estimates are twice the engine's, from one call on all
     times.  That call agrees with per-time calls to 1e-13 for phi2-poles
     (its background is one contraction over the times) and bit for bit
-    for the quadrature engine, which integrates each time by itself."""
+    for the quadrature engine, whose integrals are each time's own."""
     params, ff = qdot
     ts = compute_timescales(params, ff)
     times = np.geomspace(1e-3 * ts.t_z, 3 * ts.t_d, 25)

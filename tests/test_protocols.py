@@ -253,9 +253,10 @@ def test_anti_zeno_minimum_matches_sequential(ratio):
 
 @pytest.mark.parametrize("eps", [3e-3, 1e-8])
 def test_n_epsilon_fetches_no_extra_quadrature_engine_times(monkeypatch, eps):
-    # the quadrature engine takes times one by one, so prefetching the
-    # scan and bisection candidates it would never visit only adds work;
-    # at eps = 1e-8 the scan stops at its first step, n = 2
+    # the quadrature engine gives each time integrals of its own, so a
+    # prefetched scan or bisection candidate it would never visit costs
+    # all of its nodes and only adds work; at eps = 1e-8 the scan stops at
+    # its first step, n = 2
     import friedrichs.amplitude as amplitude
     params, ff = preset("hydrogen")
     T = 1e-2 * compute_timescales(params, ff).t_d

@@ -184,6 +184,15 @@ def _float_density(name):
     return lambda x: spectral_density(params, ff, np.asarray(x, float))
 
 
+# The quadosc references of the two slowest cases below (about 2 s each),
+# computed once by the test's own mpmath call at 30 digits
+_QUADOSC_MP = {
+    ("photodetachment", 0.02): ("-8.41515420314867867634656222602e-11",
+                                "2.62981853454897235166657263711e-10"),
+    ("quantum-dot", 1e-3): ("6.87859717391577662123388381158e-14",
+                            "5.51320012931642054188320472134e-15")}
+
+
 @pytest.mark.parametrize("name, s", [
     ("x^-2", 30.0), ("x^-2", 1e6), ("x^-2.5", 3.0), ("x^-2.5", 1e3),
     ("photodetachment", 0.02), ("photodetachment", 1e6),
@@ -198,9 +207,12 @@ def test_oscillatory_tail_vs_quadosc(name, s):
     else:
         f, f_mp = _float_density(name), _mp_density(name)
     with mpmath.workdps(30):
-        want = complex(mpmath.expj(s * X) * mpmath.quadosc(
-            lambda y: f_mp(X + y) * mpmath.expj(s * y), [0, mpmath.inf],
-            omega=s))
+        if (name, s) in _QUADOSC_MP:
+            want = complex(mpmath.mpc(*_QUADOSC_MP[name, s]))
+        else:
+            want = complex(mpmath.expj(s * X) * mpmath.quadosc(
+                lambda y: f_mp(X + y) * mpmath.expj(s * y), [0, mpmath.inf],
+                omega=s))
     got, est = oscillatory_tail(f, X, s)
     observed = abs(got - want)
     assert observed <= 1e-13 * abs(want) + 1e-20
@@ -474,3 +486,56 @@ def test_laplace_table_moment_head_vs_closed_form():
             want = 1.0 / (1.0 + s) ** 2
             assert abs(val[-1] - want) <= 1e-13 * want
             assert abs(val[-1] - want) <= err[-1] + 1e-16 * want
+
+
+def _lorentz_osc(w):
+    """exp(iwx) / (1e-3 + (x - 0.3)^2), one frequency per node's owner."""
+    return lambda x, k: np.exp(1j * w[k] * x) / (1e-3 + (x - 0.3) ** 2)
+
+
+def test_quad_complex_integrals_match_each_alone():
+    # K integrals with their own edges, tolerances and limits, one of them
+    # reversed, one empty and one a tail to infinity: each is what it is
+    # alone, bit for bit, and within its estimate of the one-integral call
+    w = np.array([0.5, 3.0, 20.0, 60.0, 0.0])
+    f = _lorentz_osc(w)
+    a, b = np.array([0.0, 0.1, 2.0, 0.2, 2.0]), np.array([1.0, 4.0, -1.0, 0.2, np.inf])
+    points = [[0.5], [1.0, 2.0], [0.3], None, None]
+    eps = np.array([1e-12, 1e-10, 1e-13, 1e-12, 1e-12])
+    limit = np.array([600, 30, 900, 600, 600])
+    val, err = quad_complex(f, a, b, points=points, epsabs=eps, limit=limit)
+    assert val.shape == err.shape == (5,)
+    assert val[3] == 0.0 and err[3] == 0.0
+    for k in range(5):
+        one = lambda x, o: f(x, np.full(x.size, k))
+        alone = quad_complex(one, a[k:k + 1], b[k:k + 1], points=points[k:k + 1],
+                             epsabs=eps[k], limit=limit[k])
+        assert (alone[0][0], alone[1][0]) == (val[k], err[k])
+        if np.isfinite(b[k]):
+            plain, _ = quad_complex(lambda x: one(x, None), a[k], b[k],
+                                    points=points[k], epsabs=eps[k], limit=limit[k])
+            assert abs(plain - val[k]) <= err[k]
+    g = math.sqrt(1e-3)
+    assert abs(val[4] - (math.pi / 2 - math.atan(1.7 / g)) / g) <= err[4]
+
+
+def test_quad_complex_limit_per_integral():
+    # the same integrand twice, with budgets of 4 and 600 intervals: the
+    # first stops at 4, short of its tolerance, having evaluated at most
+    # 4 + 2 + 1 intervals on the way, while the second converges
+    nodes = []
+    f = _lorentz_osc(np.array([40.0, 40.0]))
+    val, err = quad_complex(lambda x, k: nodes.append(np.bincount(k, minlength=2))
+                            or f(x, k), np.zeros(2), np.ones(2),
+                            epsabs=1e-13, limit=np.array([4, 600]))
+    counts = sum(nodes)
+    assert counts[0] <= 7 * 21 < counts[1]
+    assert err[0] > 1e-11 * abs(val[0]) and err[1] <= 1e-12 * abs(val[1])
+    assert abs(val[0] - val[1]) <= err[0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_quad_complex_integrals_non_finite_raises(bad):
+    f = lambda x, k: np.where((k == 1) & (x > 0.7), bad, 1.0)
+    with pytest.raises(ConvergenceError):
+        quad_complex(f, np.zeros(2), np.ones(2))
