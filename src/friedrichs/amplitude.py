@@ -179,10 +179,10 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: np.ndarray):
 
     # plan.  The adaptive pieces in offsets, of the real mass integral at
     # s = 0 or with a phase: their time, breakpoints, tolerance and
-    # interval budget (600 is quad_complex's default)
+    # interval budget
     mass, phased = ([], [], [], []), ([], [], [], [])
 
-    def adaptive(k, breakpoints, tol, budget=600):
+    def adaptive(k, breakpoints, tol, budget=quadlib.LIMIT):
         for plan, item in zip(mass if s[k] == 0.0 else phased,
                               (k, breakpoints, tol, budget)):
             plan.append(item)
@@ -470,21 +470,20 @@ _THIRDS_FROM = 16.0    # the kernel's range is cut in thirds of octaves past thi
 def _spike_moments(params: ModelParams, ff: Formfactor):
     """M_j = int rho t^j dt over the spike region, t = x - x0 in
     [max(-x0, -delta), delta], for j = 1..MOMENT_ORDER, and their error
-    estimates.  Each half of the region, t < 0 and t > 0, is one
-    quad_segments call in exact offsets (Offsets) with a column per j:
-    there t^j keeps its sign, so every column is held to 1e-12 of itself.
-    Memoized on (params, ff), built-in or custom."""
+    estimates.  The halves of the region, t < 0 and t > 0, are two
+    integrals of one quad_segments call in exact offsets (Offsets) with a
+    column per j: there t^j keeps its sign, so every column is held to
+    1e-12 of itself.  Memoized on (params, ff), built-in or custom."""
     x0, width = spectral_peak(params, ff)
     pts = _window_breakpoints(x0, width, max(x0 - _SPIKE_REACH, 0.0),
                               x0 + _SPIKE_REACH)
     j = np.arange(1, quadlib.MOMENT_ORDER + 1)
-    f = lambda t: (spectral_density(params, ff, Offsets(x0, t))[:, None]
-                   * t[:, None] ** j)
-    val, err = 0.0, 0.0
-    for half in ([p for p in pts if p <= 0.0], [p for p in pts if p >= 0.0]):
-        v, e = quadlib.quad_segments(f, half, epsabs=0.0, columns=j.size)
-        val, err = val + v.real, err + e
-    return val, err
+    f = lambda t, k: (spectral_density(params, ff, Offsets(x0, t))[:, None]
+                      * t[:, None] ** j)
+    val, err = quadlib.quad_segments(f, [[p for p in pts if p <= 0.0],
+                                         [p for p in pts if p >= 0.0]],
+                                     epsabs=0.0, columns=j.size)
+    return val[0] + val[1], err[0] + err[1]
 
 
 def _tail_splits(s, x0):

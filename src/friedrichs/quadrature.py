@@ -26,21 +26,22 @@ per-interval sums before the next, so memory stays bounded for any m.
 Columns share their intervals.  K independent integrals, each with its
 own range, breakpoints, tolerance and interval budget (quad_complex with
 arrays of bounds, or quad_segments with K breakpoint lists), run in one
-adaptive loop instead: each keeps the partition it reaches alone, but a
-pass bisects the intervals of all integrals still at work and evaluates
-their nodes in one integrand call fvec(x, owner).  Most of the cost of a
-pass is fixed, so K integrals take about as many passes as the slowest
-of them.  Each interval's values are reduced by themselves and each
-integral's sums are its own, so an integral's value and estimate are
-the same, bit for bit, in any company; an integral that stops leaves
-the loop.  oscillatory_finite takes arrays this way, one set of K
-integrals for the adaptive pieces of all its elements.
+adaptive loop, and a plain call is the case K = 1; an infinite upper
+bound is quad_tail's [X, inf).  Each integral keeps the partition it
+reaches alone, but a pass bisects the intervals of all integrals still at
+work and evaluates their nodes in one integrand call fvec(x, owner).
+Most of the cost of a pass is fixed, so K integrals take about as many
+passes as the slowest of them.  Each interval is reduced by a dot product
+of its own and each integral's sums are its own, so an integral gives the
+same bits alone, in any company or as a plain call; an integral that
+stops leaves the loop.  oscillatory_finite takes arrays this way, one set
+of K integrals for the adaptive pieces of all its elements.
 
 A Laplace-type integral int w(x) exp(-xs) dx whose weight w does not
 depend on s keeps the Gauss-Kronrod nodes and weight values of one
 adaptive integration of w (LaplaceTable), its body and tail as two
 integrals of one loop; each batch of s is then exp(-xs) on those nodes,
-reduced by the same qk21 value and estimate as quad_complex.
+reduced to qk21's values and estimates by matrix-vector products.
 
 Principal values fold onto t = |x - y|, where (f(y + t) - f(y - t))/t
 has no pole and no node lies on t = 0: one quad_complex column per pole.
@@ -88,15 +89,16 @@ _EPS = np.finfo(float).eps
 # An interval is bisected only while it is wider than this many ulps of its
 # endpoints, so that every node of its halves stays strictly inside them.
 _MIN_ULPS = 4096.0
-_LIMIT = 600              # the default interval budget of an integral
+LIMIT = 600               # the default interval budget of an integral
 
 
 def _qk21(f, h):
     """QUADPACK qk21 on rows f of 21 node values over intervals of half
-    width h: the Kronrod values and their error estimates.  Rows f of
-    shape (rows, 21) are reduced by one matrix-vector product; a stack of
-    rows (rows, 1, 21), with h of shape (rows, 1), by one dot product per
-    row (as _row_dots), which a row's neighbours cannot change."""
+    width h: the Kronrod values and their error estimates.  The adaptive
+    loop passes a stack of rows (rows, 1, 21), with h of shape (rows, 1):
+    each row is reduced by a dot product of its own (as _row_dots), which
+    its neighbours cannot change.  LaplaceTable.integrals passes rows
+    (rows, 21), reduced by one matrix-vector product."""
     resk = f @ _GK_WEIGHTS
     err = h * np.abs(resk - f[..., 1::2] @ _G_WEIGHTS)
     resasc = h * (np.abs(f - 0.5 * resk[..., None]) @ _GK_WEIGHTS)
@@ -118,21 +120,18 @@ def _gk_nodes(lo, hi):
     return lo[:, None] + h[:, None] * _GK_OFFSETS, h
 
 
-def _gk21(fvec, lo, hi, m, own=None, tail=None, values=False):
+def _gk21(fvec, lo, hi, m, own, tail=None, values=False):
     """Kronrod values and QUADPACK error estimates on each [lo_k, hi_k]
     for the m columns of the integrand, shape (intervals, m), or
     (intervals,) when m = 1, and when `values` is set (one column) the
     node values, shape (intervals, 21), else None.
 
-    With own = None the intervals belong to one integral of fvec(x), and
-    each call's rows are reduced by one matrix-vector product.  Otherwise
-    interval k belongs to integral own[k], fvec(x, owner) gets the owner
-    of each node, and each row is reduced by a dot product of its own
-    (_qk21 on a stack of rows), so that an interval's value does not
-    depend on the other intervals of its pass.  An integral k with a
-    finite tail[k] is quad_tail's [tail[k], inf): its nodes u are mapped
-    to x = tail[k] + (u/(1-u))^2 before fvec sees them, and the values are
-    weighted by dx/du.
+    Interval k belongs to integral own[k], and fvec(x, owner) gets the
+    owner of each node.  Each row of 21 node values is reduced by a dot
+    product of its own (_qk21 on a stack of rows), so an interval's value
+    does not depend on the other intervals of its pass.  An integral k
+    with a finite tail[k] is [tail[k], inf): fvec sees its nodes u as
+    x = tail[k] + (u/(1-u))^2, and the values are weighted by dx/du.
 
     fvec sees at most MAX_NODES node x column values per call (one
     interval's 21 nodes at least), and each call's values are reduced to
@@ -144,27 +143,26 @@ def _gk21(fvec, lo, hi, m, own=None, tail=None, values=False):
     rows = max(1, MAX_NODES // (_GK_NODES.size * m))
     vals, errs, nodes = [], [], []
     for k in range(0, len(x), rows):
-        xk, jac = x[k:k + rows], None
-        if own is None:
-            f = fvec(xk.ravel())
-        else:
-            ok, xs = own[k:k + rows], xk
-            mapped = None if tail is None else ~np.isnan(tail[ok])
-            if mapped is not None and mapped.any():
-                xs = xk.copy()
-                xs[mapped], jac = _tail_map(xk[mapped], tail[ok[mapped], None])
-            f = fvec(xs.ravel(), ok.repeat(_GK_NODES.size))
-        f = np.asarray(f).reshape(len(xk), _GK_NODES.size, m)
+        xk, ok, jac = x[k:k + rows], own[k:k + rows], None
+        if tail is not None:        # dx/du = 1 on the rows of finite ranges
+            start = tail[ok, None]
+            plain = np.isnan(start)
+            if not plain.any():
+                xk, jac = _tail_map(xk, start)
+            elif not plain.all():
+                u, jac = _tail_map(np.where(plain, 0.0, xk), np.where(plain, 0.0, start))
+                xk, jac = np.where(plain, xk, u), np.where(plain, 1.0, jac)
+        f = np.asarray(fvec(xk.ravel(), ok.repeat(_GK_NODES.size)))
+        f = f.reshape(len(xk), _GK_NODES.size, m)
         if jac is not None:
-            f[mapped] *= jac[:, :, None]
+            f = f * jac[:, :, None]
         if not np.isfinite(f).all():
             raise ConvergenceError("integrand is not finite at a quadrature node",
                                    achieved=math.inf)
         # one row of 21 node values per interval and column
         f = f.transpose(0, 2, 1).reshape(-1, _GK_NODES.size)
         hk = h[k:k + rows] if m == 1 else np.repeat(h[k:k + rows], m)
-        val, err = (_qk21(f, hk) if own is None
-                    else _qk21(f[:, None, :], hk[:, None]))
+        val, err = _qk21(f[:, None, :], hk[:, None])
         vals.append(val.reshape(shape))
         errs.append(err.reshape(shape))
         if values:
@@ -175,7 +173,7 @@ def _gk21(fvec, lo, hi, m, own=None, tail=None, values=False):
             np.concatenate(nodes) if values else None)
 
 
-def quad_complex(fvec, a, b, points=None, epsabs=1e-12, limit=_LIMIT,
+def quad_complex(fvec, a, b, points=None, epsabs=1e-12, limit=LIMIT,
                  columns=None):
     """int_a^b fvec(x) dx for a vectorized, possibly complex integrand;
     returns (value, error estimate).
@@ -183,57 +181,44 @@ def quad_complex(fvec, a, b, points=None, epsabs=1e-12, limit=_LIMIT,
     fvec maps a 1-D array of n nodes to their values, shape (n,), and the
     result is a complex value and a float.  With `columns` = m it returns
     m integrands at once, shape (n, m), which share one set of intervals
-    and give arrays of m values and estimates.  A plain integrand is the
-    one-column case.  With one column the per-interval arrays are kept
-    1-D, which numpy handles several times faster than (intervals, 1).
+    and give arrays of m values, of the integrand's type, and estimates.
+    A plain integrand is the one-column case.
 
     Adaptive 21-point Gauss-Kronrod over the intervals that `points`
-    (repeats allowed) cut [a, b] into.  Column k's tolerance is
-    tol_k = max(epsabs, 1e-12 |I_k|), with epsabs a float or one per
-    column.  Each pass ranks the intervals by their largest err_k / tol_k
-    and bisects them, worst first, until every column still above its
+    (repeats allowed) cut [a, b] into; an infinite b makes it quad_tail's
+    [a, inf).  Column k's tolerance is tol_k = max(epsabs, 1e-12 |I_k|).
+    Each pass ranks the intervals by their largest err_k / tol_k and
+    bisects them, worst first, until every column still above its
     tolerance would hold under an eighth of it; the nodes of all new
     halves are evaluated in batches.  It stops when every column meets
     its tolerance or has more error than that in intervals too narrow to
     bisect, or at `limit` intervals; callers act on the returned error
-    estimates.  A non-finite integrand value raises
-    ConvergenceError.  An empty range gives zero values and estimates, and
-    zero columns give empty arrays.
+    estimates.  A non-finite integrand value raises ConvergenceError.  An
+    empty range gives zero values and estimates, and zero columns give
+    empty arrays.
 
     K independent integrals: a and b arrays of K bounds, `points` None or
-    K sequences, epsabs and limit a number or one per integral.  Each
-    integral keeps its own intervals, tolerance, limit and stopping rule,
-    and reaches the partition, values and estimates it reaches alone, bit
-    for bit; a pass bisects the intervals of all integrals still at work
-    and evaluates their nodes in one call fvec(x, owner), owner the index
-    of each node's integral.  An infinite b_k makes integral k quad_tail's
-    [a_k, inf).  The values and estimates are arrays of K, or (K, m).
+    K sequences, epsabs and limit a number or one per integral, and
+    fvec(x, owner) with the index of each node's integral.  Each keeps its
+    own intervals, tolerance, limit and stopping rule; a pass bisects the
+    intervals of all still at work and evaluates their nodes in one call.
+    The values and estimates are arrays of K, or (K, m).  A plain call is
+    the case K = 1, so an integral gives the same bits in any company.
     """
+    m = 1 if columns is None else columns
     if np.ndim(a):
-        return _quad_many(fvec, a, b, points, epsabs, limit, columns)
-    if b < a:
-        val, err = quad_complex(fvec, b, a, points, epsabs, limit, columns)
-        return -val, err
-    m = 1 if columns is None else columns
-    inner = [p for p in (points if points is not None else ()) if a < p < b]
-    edges = np.unique(np.array([a, b] + inner, dtype=float))
-    if edges.size < 2 or m == 0:
-        return (0j, 0.0) if columns is None else (np.zeros(m, dtype=complex),
-                                                  np.zeros(m))
-    if m == 1 and isinstance(epsabs, np.ndarray):   # the 1-D path ranks
-        epsabs = float(epsabs.max())                 # by a float tolerance
-    _, _, val, err, _, _ = _adapt(fvec, edges[:-1], edges[1:], None,
-                                  np.asarray(epsabs, dtype=float),
-                                  np.array([limit]), m)
-    val, err = val.sum(axis=0), err.sum(axis=0)
+        val, err = _integrals(fvec, a, b, points, epsabs, limit, m)
+        return (val[:, 0], err[:, 0]) if columns is None else (val, err)
+    val, err = _integrals(lambda x, k: fvec(x), [a], [b], [points], epsabs,
+                          limit, m)
     if columns is None:
-        return complex(val), float(err)
-    return val.reshape(m), err.reshape(m)
+        return complex(val[0, 0]), float(err[0, 0])
+    return val[0], err[0]
 
 
-def _quad_many(fvec, a, b, points, epsabs, limit, columns):
-    """quad_complex's K independent integrals (see there)."""
-    m = 1 if columns is None else columns
+def _integrals(fvec, a, b, points, epsabs, limit, m):
+    """quad_complex's K integrals of m columns (see there): values, of the
+    integrand's type, and estimates, shape (K, m)."""
     a, b = np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
     K = len(a)
     # each integral's intervals between its sorted edges; an empty range
@@ -241,7 +226,7 @@ def _quad_many(fvec, a, b, points, epsabs, limit, columns):
     lo, hi, own, index, tail, flip = [], [], [], [], [], []
     for k, (ak, bk) in enumerate(zip(a, b)):
         start, stop = min(ak, bk), max(ak, bk)
-        if stop == math.inf:             # quad_tail's [start, inf), in u
+        if stop == math.inf:             # [start, inf) in the tail variable u
             edges = [0.0, 1.0]
         else:
             inner = () if points is None or points[k] is None else points[k]
@@ -254,24 +239,21 @@ def _quad_many(fvec, a, b, points, epsabs, limit, columns):
             tail.append(start if stop == math.inf else math.nan)
             if bk < ak:
                 flip.append(k)
-    val, err = np.zeros((K, m), dtype=complex), np.zeros((K, m))
-    if index and m:
-        index = np.array(index)
-        eps, limit = np.asarray(epsabs, dtype=float), np.asarray(limit)
-        eps = eps[index] if eps.ndim else np.full(index.size, eps)
-        _, _, v, e, o, _ = _adapt(
-            fvec if index.size == K else lambda x, j: fvec(x, index[j]),
-            np.array(lo), np.array(hi),
-            np.array(own), eps if m == 1 else eps[:, None],
-            limit[index] if limit.ndim else np.full(index.size, limit), m,
-            np.array(tail) if math.inf in b else None)
-        starts = o.searchsorted(np.arange(index.size))
-        val[index] = np.add.reduceat(v, starts).reshape(-1, m)
-        err[index] = np.add.reduceat(e, starts).reshape(-1, m)
-        if flip:
-            val[flip] *= -1.0
-    if columns is None:
-        return val[:, 0], err[:, 0]
+    if not (index and m):
+        return np.zeros((K, m), dtype=complex), np.zeros((K, m))
+    index = np.array(index)
+    eps, limit = (given[index] if given.ndim else given.repeat(index.size)
+                  for given in (np.asarray(epsabs, dtype=float), np.asarray(limit)))
+    _, _, v, e, o, _ = _adapt(
+        fvec if index.size == K else lambda x, j: fvec(x, index[j]),
+        np.array(lo), np.array(hi), np.array(own),
+        eps if m == 1 else eps[:, None], limit, m,
+        np.array(tail) if math.inf in b else None)
+    starts = o.searchsorted(np.arange(index.size))
+    val, err = np.zeros((K, m), dtype=v.dtype), np.zeros((K, m))
+    val[index] = np.add.reduceat(v, starts).reshape(-1, m)
+    err[index] = np.add.reduceat(e, starts).reshape(-1, m)
+    val[flip] *= -1.0
     return val, err
 
 
@@ -284,39 +266,33 @@ def _adapt(fvec, lo, hi, own, epsabs, limit, m, tail=None, values=False):
     """The adaptive loop of quad_complex from the intervals [lo, hi];
     returns the final intervals lo, hi, their values and estimates,
     shape (intervals, m), or (intervals,) when m = 1, their integrals and,
-    when `values` is set (one column, K integrals), their node values,
-    shape (intervals, 21), else None.
+    when `values` is set (one column), their node values, shape
+    (intervals, 21), else None.
 
-    With own = None the intervals are one integral of fvec(x), with a
-    tolerance per column (epsabs, a float or one per column), and its
-    values and estimates are summed by numpy's pairwise sum.  Otherwise
-    interval k belongs to integral own[k], the intervals come grouped by
-    integral 0..K-1, epsabs holds a tolerance per integral and fvec is
-    fvec(x, owner); each integral's values and estimates are then summed
-    in order, and each of its intervals is reduced by itself (_gk21), so
-    that it reaches what it reaches alone, bit for bit.  An integral that
-    stops leaves the loop, so later passes handle only the intervals of
-    those still at work; the final intervals come grouped by integral.
-    limit holds the interval budget of each integral, tail the start of
-    each integral that is quad_tail's tail (nan for the others).
+    Interval k belongs to integral own[k], and the intervals come grouped
+    by integral 0..K-1.  epsabs holds each integral's tolerance, limit
+    its interval budget and tail its start when it is [tail_k, inf) in
+    the tail variable u (nan for the others); fvec is fvec(x, owner).
+    Each interval is reduced by itself (_gk21) and each integral's values
+    and estimates are summed in order, so an integral reaches what it
+    reaches alone, bit for bit.  An integral that stops leaves the loop,
+    so later passes handle only the intervals of those still at work; the
+    final intervals come grouped by integral.
     """
-    owned = own is not None
-    K = int(own[-1]) + 1 if owned else 1
+    K = int(own[-1]) + 1
     ids = np.arange(K)            # the integrals at work, which own indexes
-    counts = np.bincount(own, minlength=K) if owned else np.array([lo.size])
+    counts = np.bincount(own, minlength=K)
     val, err, f = _gk21(fvec, lo, hi, m, own, tail, values)
     # with `values`: the node values, pass by pass, and each interval's row
     blocks, rows = [f], np.arange(lo.size) if values else None
     done = []                     # the intervals of integrals that stopped
     while True:
         one = ids.size == 1
-        # v[own] spreads a value per integral over its intervals
+        # v[own] spreads a value per integral over its intervals, and sums
+        # adds up each integral's intervals in order
         at = (lambda v: v[0]) if one else (lambda v: v[own])
-        if owned:
-            starts = [0] if one else counts.cumsum() - counts
-            sums = lambda v: np.add.reduceat(v, starts)
-        else:
-            sums = lambda v: v.sum(axis=0)[None]
+        starts = [0] if one else counts.cumsum() - counts
+        sums = lambda v: np.add.reduceat(v, starts)
         # an integral's column is active while above its tolerance, unless
         # narrow intervals already hold more.  An interval's score is its
         # worst err_k / tol_k over the active columns, in units of their
@@ -359,7 +335,7 @@ def _adapt(fvec, lo, hi, own, epsabs, limit, m, tail=None, values=False):
         mid = 0.5 * (lo[pick] + hi[pick])
         new_lo = np.concatenate([lo[pick], mid])
         new_hi = np.concatenate([mid, hi[pick]])
-        new_own = own[np.concatenate([pick, pick])] if owned else None
+        new_own = own[np.concatenate([pick, pick])]
         new_val, new_err, new_f = _gk21(fvec, new_lo, new_hi, m,
                                         ids[new_own] if done else new_own,
                                         tail, values)
@@ -369,12 +345,11 @@ def _adapt(fvec, lo, hi, own, epsabs, limit, m, tail=None, values=False):
         hi = np.concatenate([hi[keep], new_hi])
         val = np.concatenate([val[keep], new_val])
         err = np.concatenate([err[keep], new_err])
+        own = np.concatenate([own[keep], new_own])
         if values:
             first = sum(b.shape[0] for b in blocks)
             blocks.append(new_f)
             rows = np.concatenate([rows[keep], np.arange(first, first + new_f.shape[0])])
-        if owned:
-            own = np.concatenate([own[keep], new_own])
         if not one:   # grouped by integral again, each in its own order
             order = own.argsort(kind="stable")
             lo, hi, val, err, own = (lo[order], hi[order], val[order],
@@ -382,8 +357,6 @@ def _adapt(fvec, lo, hi, own, epsabs, limit, m, tail=None, values=False):
             if values:
                 rows = rows[order]
         counts = counts + n
-    if not owned:
-        return lo, hi, val, err, None, None
     if done:          # with the integrals that left first, grouped again
         done.append((ids[own], lo, hi, val, err, rows))
         own, lo, hi, val, err, rows = (
@@ -436,37 +409,33 @@ def geometric_ladder(center, width, lo, hi):
     return sorted(set(pts))
 
 
-def quad_segments(fvec, breakpoints, epsabs=1e-12, limit=_LIMIT, columns=None):
+def quad_segments(fvec, breakpoints, epsabs=1e-12, limit=LIMIT, columns=None):
     """quad_complex from the first to the last breakpoint, split at all;
     with a list of K sequences of breakpoints, quad_complex's K
     independent integrals, one per sequence."""
-    if np.ndim(breakpoints[0]):
-        return quad_complex(fvec, np.array([p[0] for p in breakpoints]),
-                            np.array([p[-1] for p in breakpoints]),
-                            points=[p[1:-1] for p in breakpoints],
-                            epsabs=epsabs, limit=limit, columns=columns)
-    return quad_complex(fvec, breakpoints[0], breakpoints[-1],
-                        points=breakpoints[1:-1], epsabs=epsabs, limit=limit,
-                        columns=columns)
+    plain = not np.ndim(breakpoints[0])
+    lists = [breakpoints] if plain else breakpoints
+    a, b = (np.array([p[end] for p in lists]) for end in (0, -1))
+    points = [p[1:-1] for p in lists]
+    if plain:                   # a list of one, and quad_complex's plain call
+        a, b, points = a[0], b[0], points[0]
+    return quad_complex(fvec, a, b, points, epsabs, limit, columns)
 
 
 def quad_tail(fvec, X, epsabs=1e-12, columns=None):
-    """int_X^inf fvec(x) dx by quad_complex over x = X + (u/(1-u))^2.
+    """int_X^inf fvec(x) dx: quad_complex with an infinite upper bound,
+    which integrates over x = X + (u/(1-u))^2 (_tail_map).
 
     A tail x^(-p) maps to (1-u)^(2p-3), bounded at u = 1 for p >= 3/2; the
     plain map x = X + u/(1-u) gives (1-u)^(p-2), which leaves an endpoint
     singularity for p < 2 and a cusp for p < 3 that bisection resolves
     slowly and float resolution at u = 1 cuts short.
     """
-    def g(u):
-        x, jac = _tail_map(u, X)
-        return fvec(x) * (jac if columns is None else jac[:, None])
-
-    return quad_complex(g, 0.0, 1.0, epsabs=epsabs, columns=columns)
+    return quad_complex(fvec, X, math.inf, epsabs=epsabs, columns=columns)
 
 
 def _tail_map(u, X):
-    """x = X + (u/(1-u))^2 and dx/du, quad_tail's change of variable."""
+    """x = X + (u/(1-u))^2 and dx/du, the change of variable of [X, inf)."""
     r = u / (1.0 - u)
     return X + r * r, 2.0 * r / (1.0 - u) ** 2
 
@@ -508,8 +477,8 @@ class LaplaceTable:
 
     So the nodes a batch contracts, and the last bits of its values,
     depend on its largest and smallest s.  A column whose estimate
-    exceeds its tolerance max(epsabs, 1e-12 |I|) is integrated again by
-    quad_segments from the table's partition.  The table resolves
+    exceeds its tolerance max(epsabs, 1e-12 |I|) is integrated again,
+    adaptively from the table's partition (_refine).  The table resolves
     exp(-xs) only for s up to about the inverse of its smallest interval
     at a, so callers cut [a, X] geometrically toward a.
     """
@@ -523,7 +492,7 @@ class LaplaceTable:
         lo, hi, _, err, own, nodes = _adapt(
             lambda x, k: wvec(x), np.append(edges[:-1], 0.0),
             np.append(edges[1:], 1.0), np.repeat([0, 1], [edges.size - 1, 1]),
-            np.full(2, epsabs, dtype=float), np.full(2, _LIMIT), 1,
+            np.full(2, epsabs, dtype=float), np.full(2, LIMIT), 1,
             np.array([np.nan, self.X]), values=True)
         # interval by interval in order of their start, the body first
         order = np.lexsort((lo, own))
@@ -587,20 +556,22 @@ class LaplaceTable:
 
     def _refine(self, s):
         """The adaptive integrals for the columns s, from the table's
-        partition with a breakpoint at each column's cut."""
+        partition with a breakpoint at each column's cut: the body up to
+        the largest cut and, when that lies past X, the tail from X, two
+        integrals of one quad_complex call."""
         m = s.size
         with np.errstate(divide="ignore"):
             cut = _LAPLACE_CUT / s
         top = min(cut.max(), self.X)
         segs = np.union1d(self.edges, cut)
         segs = np.append(segs[segs < top], top)
-        f = lambda x: self.wvec(x)[:, None] * np.exp(np.multiply.outer(-x, s))
-        val, err = quad_segments(f, segs, epsabs=self.epsabs,
-                                 limit=_LIMIT + 4 * m, columns=m)
-        if top == self.X:
-            vt, et = quad_tail(f, self.X, epsabs=self.epsabs, columns=m)
-            val, err = val + vt, err + et
-        return val, err
+        f = lambda x, k: self.wvec(x)[:, None] * np.exp(np.multiply.outer(-x, s))
+        val, err = quad_complex(
+            f, np.array([segs[0], self.X]),
+            np.array([top, math.inf if top == self.X else self.X]),
+            points=[segs[1:-1], None], epsabs=self.epsabs,
+            limit=np.array([LIMIT + 4 * m, LIMIT]), columns=m)
+        return val.sum(axis=0), err.sum(axis=0)
 
 
 def panel_integrals(fvec, start, n_panels, h, s):

@@ -140,6 +140,14 @@ def test_criterion_04_short_time_exponents():
     assert ok, line + " | " + "; ".join(failures)
 
 
+def test_criterion_04_companion_slope_pinned():
+    # criterion 4 fails honestly at this value: a drift of the deficit
+    # kernel moves it
+    params, ff = preset("photodetachment")
+    slope = _loglog_slope(params, ff, short_time_expansion(params, ff).validity_time)
+    assert slope == pytest.approx(1.4421, abs=5e-5)
+
+
 def test_criterion_05_residue_constants():
     failures = []
     # photodetachment: squared modulus of the decaying pole's coefficient,
@@ -176,6 +184,12 @@ def test_criterion_05_residue_constants():
     assert ok, line + " | " + "; ".join(failures)
 
 
+def test_criterion_05_companion_residue_pinned():
+    # criterion 5 fails honestly at this value of |A1|^2 - 1
+    res = decaying_resonance(*preset("photodetachment"))
+    assert abs(res.residue_weight) ** 2 - 1.0 == pytest.approx(2.247e-6, abs=5e-10)
+
+
 def test_criterion_06_anti_zeno_minimum():
     params, ff = preset("quantum-dot")
     ts = compute_timescales(params, ff)
@@ -190,6 +204,14 @@ def test_criterion_06_anti_zeno_minimum():
                     f"min p_N = {m.probability:.4f} vs exp reference "
                     f"{reference:.4f}; tau*/t_Z = {factor:.2f} (need <= 3)")
     assert ok, line
+
+
+def test_criterion_06_companion_location_pinned():
+    # criterion 6 fails honestly at this tau*/t_Z
+    params, ff = preset("quantum-dot")
+    ts = compute_timescales(params, ff)
+    m = anti_zeno_minimum(params, ff, 1e-2 * ts.t_d)
+    assert m.tau / ts.t_z == pytest.approx(3.49, abs=5e-3)
 
 
 def test_criterion_07_zeno_limit():
@@ -274,6 +296,12 @@ def test_criterion_09_crossover_consistency():
     ok = not failures
     line = _verdict(9, "crossover-time consistency", ok, "; ".join(details))
     assert ok, line + " | " + "; ".join(failures)
+
+
+def test_criterion_09_companion_crossover_pinned():
+    # criterion 9 fails honestly at this quantum-dot crossover time
+    params, ff = preset("quantum-dot")
+    assert crossover_time_numeric(params, ff) == pytest.approx(5.289e-7, abs=5e-11)
 
 
 def test_criterion_10_hierarchy_and_gap():

@@ -384,7 +384,7 @@ def test_quad_complex_one_column_matches_plain_integrand():
     val, err = quad_complex(lambda x: f(x)[:, None], 0.0, 2.0, points=[0.5, 1.0],
                             columns=1)
     assert (val[0], err[0]) == plain
-    # a tolerance per column, here one, as a multi-column caller passes it
+    # a tolerance per integral, here one, as a caller of K integrals passes it
     val, err = quad_complex(lambda x: f(x)[:, None], 0.0, 2.0, points=[0.5, 1.0],
                             epsabs=np.array([1e-12]), columns=1)
     assert (val[0], err[0]) == plain
@@ -496,7 +496,7 @@ def _lorentz_osc(w):
 def test_quad_complex_integrals_match_each_alone():
     # K integrals with their own edges, tolerances and limits, one of them
     # reversed, one empty and one a tail to infinity: each is what it is
-    # alone, bit for bit, and within its estimate of the one-integral call
+    # alone and as a plain call (quad_tail for the tail), bit for bit
     w = np.array([0.5, 3.0, 20.0, 60.0, 0.0])
     f = _lorentz_osc(w)
     a, b = np.array([0.0, 0.1, 2.0, 0.2, 2.0]), np.array([1.0, 4.0, -1.0, 0.2, np.inf])
@@ -511,10 +511,13 @@ def test_quad_complex_integrals_match_each_alone():
         alone = quad_complex(one, a[k:k + 1], b[k:k + 1], points=points[k:k + 1],
                              epsabs=eps[k], limit=limit[k])
         assert (alone[0][0], alone[1][0]) == (val[k], err[k])
+        plain = lambda x: one(x, None)
         if np.isfinite(b[k]):
-            plain, _ = quad_complex(lambda x: one(x, None), a[k], b[k],
-                                    points=points[k], epsabs=eps[k], limit=limit[k])
-            assert abs(plain - val[k]) <= err[k]
+            got = quad_complex(plain, a[k], b[k], points=points[k],
+                               epsabs=eps[k], limit=limit[k])
+        else:
+            got = quad_tail(plain, a[k], epsabs=eps[k])
+        assert got == (val[k], err[k])
     g = math.sqrt(1e-3)
     assert abs(val[4] - (math.pi / 2 - math.atan(1.7 / g)) / g) <= err[4]
 
