@@ -16,7 +16,13 @@ QUADRATURE    A(s) = int_0^inf rho(x) exp(isx) dx over the spectral
               is resolved only to 6e-9 of its width, noise that bisection
               cannot remove.  When the window reaches x = 0, geometric
               breakpoints x0 / 4^k step toward that head (the sqrt of
-              phi1, the y log y of P for phi2 and phi3).  The right tail
+              phi1, the y log y of P for phi2 and phi3).  The adaptive
+              integrals start at their integrands' own scales, not at
+              scales bisection would have to find: while a period of
+              exp(isx) is at most about 100 half widths of the spike, the
+              window has a breakpoint every period, and the mass
+              integral's tail at s = 0 starts at x >= 1, where the unit
+              scale of its map to [0, 1) fits the density.  The right tail
               is one fixed table of double-exponential nodes
               (quadrature.oscillatory_tail) in the same offsets, so its
               phase matches the window's at their common end; while
@@ -132,15 +138,25 @@ _HEAD_FLOOR = 1e-12        # the head ladder stops above x = _HEAD_FLOOR * x0
 _TOL = 1e-10               # the engine's absolute tolerance on A(s)
 
 
-def _window_breakpoints(x0, width, a, b):
+def _window_breakpoints(x0, width, a, b, s=0.0):
     """Breakpoints of the window [a, b] in offsets t = x - x0: the spike
     ladder around t = 0 and, when the window starts at x = 0, a geometric
     ladder x0 / 4^k toward the head, where phi1 has its sqrt and P of phi2
     and phi3 its y log y.  The head ladder stops at x = _HEAD_FLOOR * x0,
     so that the nodes of its first interval, x0 + t, stay clear of 0 after
-    rounding (offsets near -x0 are spaced by ulp(x0))."""
+    rounding (offsets near -x0 are spaced by ulp(x0)).
+
+    With a phase exp(ist) whose period 2 pi / s is at most about 100 half
+    widths, s width >= 1/16 (the decay time has s width = 1/2), the window
+    spans 40 periods or more and its outer rungs hold several each: a
+    breakpoint every period splits them at once, not by bisection.  At
+    longer periods the spike ladder alone resolves the window."""
     lo, hi = a - x0, b - x0
     pts = [lo, 0.0, hi] + quadlib.geometric_ladder(0.0, width, lo, hi)
+    if s * width >= 1.0 / 16.0:
+        period = 2.0 * math.pi / s
+        pts += (period * np.arange(math.ceil(lo / period),
+                                   math.floor(hi / period) + 1)).tolist()
     if a == 0.0:
         x = x0 / 4.0
         while x > _HEAD_FLOOR * x0:
@@ -154,14 +170,20 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: np.ndarray):
     s >= 0, in two steps.
 
     Plan: each time's pieces.  At s = 0 they are the mass integral's body
-    and tail; past it the spike window, adaptive while s width < 25 and
-    otherwise panel caps and by parts, the left part when the window
-    leaves one, an adaptive stretch right of the window while few
-    oscillations reach x = 60, and the double-exponential tail.  The
-    window, the body, the tail and the stretch are taken over the offset
-    t = x - x0 from the spike center: Re eta is formed from t exactly
-    (Offsets), the phase is exp(ist), and the global factor exp(isx0) is
-    applied once (see the module docstring).
+    and tail, split at X1 = max(x0 + 1e7 width, 1): the body's spike
+    ladder reaches X1, and from x = 1 on the density varies on the unit
+    scale of quad_tail's map, so the tail needs no bisection toward its
+    start (from x0 + 1e7 width, about 2 x0 in the weak-coupling box, it
+    took 3-10 passes).  Past s = 0 they are the spike window, adaptive
+    while s width < 25, with a breakpoint every period from s width =
+    1/16 (_window_breakpoints), and otherwise panel caps and by parts;
+    the left part when the window leaves one; an adaptive stretch right
+    of the window while few oscillations reach x = 60; and the
+    double-exponential tail.  The window, the body, the tail and the
+    stretch are taken over the offset t = x - x0 from the spike center:
+    Re eta is formed from t exactly (Offsets), the phase is exp(ist), and
+    the global factor exp(isx0) is applied once (see the module
+    docstring).
 
     Execute: the adaptive pieces in offsets of all times are one
     quad_segments call of independent integrals (two when s = 0 is among
@@ -191,14 +213,14 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: np.ndarray):
     left, right = [], []      # (time, window start a, reach D), (time, X1 - x0)
     for k, sk in enumerate(s.tolist()):
         if sk == 0.0:
-            X1 = x0 + 1e7 * width
+            X1 = max(x0 + 1e7 * width, 1.0)
             adaptive(k, _window_breakpoints(x0, width, 0.0, X1), _TOL / 8)
             adaptive(k, [X1 - x0, math.inf], _TOL / 8)
             continue
         D = max(_SPIKE_HALFWIDTHS * width, 40.0 * math.pi / sk)
         a, b = max(x0 - D, 0.0), x0 + D
         if sk * width < 25.0:
-            adaptive(k, _window_breakpoints(x0, width, a, b), _TOL / 32, 900)
+            adaptive(k, _window_breakpoints(x0, width, a, b, sk), _TOL / 32, 900)
         else:
             ncap, h = 24, math.pi / sk
             lo, hi = a - x0, b - x0
@@ -299,12 +321,15 @@ def survival_amplitude_phi1_exact(params: ModelParams, t):
 @lru_cache(maxsize=64)
 def _phi2_table(params: ModelParams):
     """The background's node table: breakpoints at 0.5, 1 +- d, 1 +- 10d
-    (d = sqrt(pi) lambda / 2) and 2 on [0, 10], a tail from x = 10, and a
-    ladder 0.5 / 2^k toward x = 0 down to 1e-15, which resolves exp(-xs)
-    up to s ~ 1e14."""
+    (d = sqrt(pi) lambda / 2) and 2 on [0, 10], a ladder 1 -+ 10d 4^k
+    from there out to 0.5 and 2, so that the table starts at the scale
+    of w's feature at x = 1 and does not bisect toward it, a tail from
+    x = 10, and a ladder 0.5 / 2^k toward x = 0 down to 1e-15, which
+    resolves exp(-xs) up to s ~ 1e14."""
     ff = Formfactor.phi2()
     d = math.sqrt(math.pi) / 2 * params.coupling
     segs = [0.0, 0.5, 1 - 10 * d, 1 - d, 1.0, 1 + d, 1 + 10 * d, 2.0, 10.0]
+    segs += quadlib.geometric_ladder(1.0, 10 * d, 0.5, 2.0)
     segs += (0.5 * 2.0 ** -np.arange(1, 50)).tolist()
     segs = sorted(t for t in segs if 0.0 <= t <= 10.0)
     return quadlib.LaplaceTable(

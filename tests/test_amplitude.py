@@ -229,16 +229,102 @@ def _curve_grid(params, ff):
                            [ts.t_z, ts.t_d]])
 
 
+def _counting_passes(monkeypatch):
+    """A list that gets one entry per Gauss-Kronrod pass from now on."""
+    passes, gk21 = [], quadrature._gk21
+    monkeypatch.setattr(quadrature, "_gk21",
+                        lambda *a, **k: passes.append(1) or gk21(*a, **k))
+    return passes
+
+
 def test_quadrature_engine_passes(monkeypatch, hydrogen):
     """The 14 times of the curve grid advance through each integrator's
     passes together: 54 Gauss-Kronrod passes when each time ran its own
-    integrals, 8 in lockstep."""
-    passes, times = [], _curve_grid(*hydrogen)
-    gk21 = quadrature._gk21
-    monkeypatch.setattr(quadrature, "_gk21",
-                        lambda *a, **k: passes.append(1) or gk21(*a, **k))
+    integrals, 8 in lockstep, and 5 since the spike window has a
+    breakpoint every period."""
+    times = _curve_grid(*hydrogen)
+    passes = _counting_passes(monkeypatch)
     survival_amplitude_quadrature(*hydrogen, times)
-    assert 0 < len(passes) <= 8
+    assert 0 < len(passes) <= 5
+
+
+def _box(name, n, seed=23):
+    """n parameter sets of the benchmark's sweep box for the built-in
+    weight `name`: cutoff 1e12, omega1/cutoff log-uniform in [1e-6, 1e-2]
+    and coupling_sq in [1e-9, 1e-3], without a bound state."""
+    rng, ff, out = np.random.default_rng(seed), builtin(name), []
+    while len(out) < n:
+        w, g2 = 10.0 ** rng.uniform(-6, -2), 10.0 ** rng.uniform(-9, -3)
+        params = ModelParams(1e12, w * 1e12, g2)
+        if bound_state_margin(params, ff) > 0:
+            out.append(params)
+    return out
+
+
+@pytest.fixture(scope="module")
+def phi3_box():
+    """120 phi3 draws of the sweep box and their t_d."""
+    ff = builtin("phi3")
+    return [(p, compute_timescales(p, ff).t_d) for p in _box("phi3", 120)]
+
+
+def _passes_per_call(monkeypatch, draws, time):
+    """Gauss-Kronrod passes of the phi3 quadrature engine at time(t_d) on
+    each of the draws."""
+    passes = _counting_passes(monkeypatch)
+    out = []
+    for params, t_d in draws:
+        passes.clear()
+        survival_amplitude_quadrature(params, builtin("phi3"), time(t_d))
+        out.append(len(passes))
+    return out
+
+
+def test_sweep_box_mass_passes(monkeypatch, phi3_box):
+    """A(0) on 120 phi3 draws of the sweep box: its mass tail starts at
+    x >= 1, where the tail map has its unit scale.  From x0 + 1e7 width,
+    about 2 x0, the loop halved u toward 0 for a mean of 4.3 passes a
+    call, up to 11."""
+    assert max(_passes_per_call(monkeypatch, phi3_box, lambda t_d: 0.0)) <= 3
+
+
+def test_sweep_box_decay_time_passes(monkeypatch, phi3_box):
+    """A(t_d) on 120 phi3 draws of the sweep box: the spike window has a
+    breakpoint every period, where bisection split its outer rungs for a
+    mean of 5.0 passes a call."""
+    assert np.mean(_passes_per_call(monkeypatch, phi3_box, lambda t_d: t_d)) <= 3.0
+
+
+def test_sweep_box_phi2_table_passes(monkeypatch):
+    """A cold phi2 table build on 120 draws of the sweep box: with a
+    ladder from 1 -+ 10d out to 0.5 and 2 the loop no longer halves
+    toward 1 -+ 10d (a mean of 7.6 passes a build, up to 12)."""
+    draws = _box("phi2", 120)
+    passes = _counting_passes(monkeypatch)
+    for params in draws:
+        passes.clear()
+        amplitude._phi2_table.__wrapped__(params)
+        assert len(passes) <= 5
+
+
+@pytest.mark.parametrize("name", ["phi1", "phi2", "phi3"])
+def test_quadrature_engine_on_box_draws(name):
+    """The quadrature engine on 20 draws of the sweep box, not only at the
+    presets.  A(0) is within 2.5e-11 of 1, the tolerance of its two mass
+    integrals (_TOL / 8 each; worst 1.2e-11, on phi3).  On phi1 A is
+    within 1e-9 of the 40-digit closed form at 0.3, 1 and 3 t_d (worst
+    2.2e-10 over 200 draws), the reference because phi1-exact itself is
+    up to 1.1e-9 off it on these draws, at coupling_sq about 2e-9."""
+    ff = builtin(name)
+    for params in _box(name, 20, seed=29):
+        a0 = survival_amplitude_quadrature(params, ff, 0.0)
+        assert abs(a0 - 1.0) <= 2.5e-11
+        if name == "phi1":
+            t = np.array([0.3, 1.0, 3.0]) * compute_timescales(params, ff).t_d
+            a = survival_amplitude_quadrature(params, ff, t)
+            for ak, tk in zip(a, t):
+                exact = _phi1_amplitude_mp(params, params.cutoff * tk)
+                assert abs(ak - complex(exact)) <= 1e-9
 
 
 @pytest.mark.parametrize("name, engine", [("hydrogen", Engine.AUTO),
@@ -375,10 +461,10 @@ def test_deficit_kernel_pinned(name, s, want):
     assert abs(got - want) <= max(1e-9 * want, 1e-17)
 
 
-def _phi1_deficit_mp(params, s, dps=40):
-    """1 - |A(s)|^2 for phi1 from its closed form in dps-digit mpmath: the
-    three roots u of (w - u^2)(1 - iu) - pi g2, the weights
-    W = -2 pi i g2 u / prod (z - z'), z = u^2, and
+def _phi1_amplitude_mp(params, s, dps=40):
+    """A(s) for phi1 from its closed form in dps-digit mpmath, as an mpc of
+    that precision: the three roots u of (w - u^2)(1 - iu) - pi g2, the
+    weights W = -2 pi i g2 u / prod (z - z'), z = u^2, and
     A = (1/2) sum W w(exp(3i pi/4) v sqrt(s)), v the lower root of z and
     w(z) = exp(-z^2) erfc(-iz) the Faddeeva function."""
     with mpmath.workdps(dps):
@@ -396,7 +482,13 @@ def _phi1_deficit_mp(params, s, dps=40):
             beta = mpmath.exp(0.75j * mpmath.pi) * v * mpmath.sqrt(s)
             amp += (-2j * mpmath.pi * g2 * u / prod
                     * mpmath.exp(-beta ** 2) * mpmath.erfc(-1j * beta))
-        return float(1 - abs(amp / 2) ** 2)
+        return amp / 2
+
+
+def _phi1_deficit_mp(params, s, dps=40):
+    """1 - |A(s)|^2 for phi1 from its closed form (_phi1_amplitude_mp)."""
+    with mpmath.workdps(dps):
+        return float(1 - abs(_phi1_amplitude_mp(params, s, dps)) ** 2)
 
 
 _PHI1_DEFICITS_MP = [(1e-3, 3.2623428880310953e-11),
@@ -607,9 +699,9 @@ def test_phi2_table_built_once_per_parameter_set(qdot, qdot_scales, monkeypatch)
 
 def test_phi2_table_evaluates_its_weight_once_per_node(qdot, monkeypatch):
     """A cold table build evaluates the weight once per node of its
-    adaptive run, and keeps the final nodes' values from that run: 2,016
-    weight points at quantum-dot, where evaluating the final nodes again
-    made 3,633."""
+    adaptive run, and keeps the final nodes' values from that run: 1,932
+    weight points at quantum-dot (2,016 before the ladder toward 1 -+ 10d),
+    where evaluating the final nodes again made 3,633."""
     params, ff = qdot
     points, intervals = [], []
     weight, gk21 = amplitude.background_weight, quadrature._gk21
@@ -619,7 +711,7 @@ def test_phi2_table_evaluates_its_weight_once_per_node(qdot, monkeypatch):
                         lambda f, lo, *a: intervals.append(lo.size) or gk21(f, lo, *a))
     table = amplitude._phi2_table.__wrapped__(params)
     monkeypatch.undo()
-    assert sum(points) == 21 * sum(intervals) < 2100
+    assert sum(points) == 21 * sum(intervals) < 2000
     body = table.start < table.X        # past X the values carry dx/du
     x = table.x[body]
     assert np.array_equal(table.v[body],

@@ -54,16 +54,36 @@ def _workloads():
             json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
+@pytest.fixture(scope="module")
+def traced_runs():
+    """A short traced run of each workload, one bench/run.py process per
+    workload, all launched at once: {workload: (return code, stdout,
+    stderr)}.  Each run writes its own record,
+    .bench_out/<workload>-seed1-trace1.json."""
+    runs = {workload: subprocess.Popen(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=ROOT)
+        for workload in _workloads()}
+    try:
+        out = {workload: run.communicate(timeout=600)
+               for workload, run in runs.items()}
+    finally:                  # a run left over from a timeout
+        for run in runs.values():
+            if run.poll() is None:
+                run.kill()
+                run.wait()
+    return {workload: (run.returncode, *out[workload])
+            for workload, run in runs.items()}
+
+
 @pytest.mark.parametrize("workload", _workloads())
-def test_traced_bench_run_is_correct(workload):
+def test_traced_bench_run_is_correct(workload, traced_runs):
     """A short traced run of each workload: every layer its prediction
     list names must record calls, and every item must pass its check, so
     that a caller routed around a traced function fails here and not
     only in the benchmark."""
-    out = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
-         "--seconds", "1", "--trace", "1"],
-        capture_output=True, text=True, cwd=ROOT, timeout=600)
-    assert out.returncode == 0, out.stderr
-    report = json.loads(out.stdout.strip().splitlines()[-1])
-    assert report["correct"] is True, out.stderr
+    returncode, stdout, stderr = traced_runs[workload]
+    assert returncode == 0, stderr
+    report = json.loads(stdout.strip().splitlines()[-1])
+    assert report["correct"] is True, stderr
