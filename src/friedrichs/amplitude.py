@@ -320,18 +320,21 @@ def survival_amplitude_phi1_exact(params: ModelParams, t):
 
 @lru_cache(maxsize=64)
 def _phi2_table(params: ModelParams):
-    """The background's node table: breakpoints at 0.5, 1 +- d, 1 +- 10d
-    (d = sqrt(pi) lambda / 2) and 2 on [0, 10], a ladder 1 -+ 10d 4^k
-    from there out to 0.5 and 2, so that the table starts at the scale
-    of w's feature at x = 1 and does not bisect toward it, a tail from
-    x = 10, and a ladder 0.5 / 2^k toward x = 0 down to 1e-15, which
-    resolves exp(-xs) up to s ~ 1e14."""
+    """The background's node table: breakpoints at 0.5, 1, 2, 4, 6 and
+    10, a ladder 1 +- d 2^k (k >= 0, d = sqrt(pi) lambda / 2) out to 0.5
+    and 2 around w's feature at x = 1, a tail from x = 10 (which the
+    table starts split in u, see quadrature.LaplaceTable), and a ladder
+    0.5 / 2^k toward x = 0 down to 1e-15, which resolves exp(-xs) up to
+    s ~ 1e14.  These are the splits that bisection would reach, so a
+    cold build on the sweep box and at quantum-dot takes one
+    Gauss-Kronrod pass."""
     ff = Formfactor.phi2()
-    d = math.sqrt(math.pi) / 2 * params.coupling
-    segs = [0.0, 0.5, 1 - 10 * d, 1 - d, 1.0, 1 + d, 1 + 10 * d, 2.0, 10.0]
-    segs += quadlib.geometric_ladder(1.0, 10 * d, 0.5, 2.0)
+    rungs = math.sqrt(math.pi) / 2 * params.coupling * 2.0 ** np.arange(64)
+    segs = [0.0, 0.5, 1.0, 2.0, 4.0, 6.0, 10.0]
+    segs += (1 - rungs[rungs < 0.5]).tolist()
+    segs += (1 + rungs[rungs < 1.0]).tolist()
     segs += (0.5 * 2.0 ** -np.arange(1, 50)).tolist()
-    segs = sorted(t for t in segs if 0.0 <= t <= 10.0)
+    segs = sorted(segs)
     return quadlib.LaplaceTable(
         lambda x: background_weight(params, ff, x), segs, epsabs=1e-14)
 

@@ -183,8 +183,8 @@ def dispersion_real_part(params: ModelParams, ff: Formfactor, y) -> np.ndarray:
     w, g2 = params.omega_ratio, params.coupling_sq
     if isinstance(y, Offsets):
         ys, linear = y.x, (w - y.center) - y.t
-    else:
-        ys = np.asarray(y, dtype=float)
+    else:   # a single point as a numpy scalar: 0-d array arithmetic is slower
+        ys = np.asarray(y, dtype=float)[()]
         linear = w - ys
     if g2 == 0.0:
         return linear
@@ -321,13 +321,16 @@ def _roots_cached(params: ModelParams, ff: Formfactor):
         return tuple(ResonanceRoot(complex(z), complex(W), _classify(z), True)
                      for z, W in zip(zs, weights))
 
-    lam = math.sqrt(g2)
     if ff.id == PHI2:
-        seeds = [w * (1 + 1j * math.pi * g2),
-                 math.sqrt(math.pi) / 2 * lam + 1j,
-                 -math.sqrt(math.pi) / 2 * lam + 1j]
+        # the cutoff roots sit at i +- eps: near z = i, (1 + z^2)^2 is
+        # -4 eps^2 and p(i) - c i L(i) = 8 pi (L(i) = 3 pi i / 2), so
+        # eta_II = w - i + pi g2 / (2 eps^2) to leading order.  Its zeros,
+        # |eps| = sqrt(pi/2) lambda about 45 degrees off the real axis,
+        # are each Newton's nearest root in a few steps
+        eps = cmath.sqrt(-math.pi * g2 / (2 * (w - 1j)))
+        seeds = [w * (1 + 1j * math.pi * g2), 1j + eps, 1j - eps]
     elif ff.id == PHI3:
-        c = math.sqrt(lam) * (math.pi / 8) ** 0.25
+        c = math.sqrt(math.sqrt(g2)) * (math.pi / 8) ** 0.25
         seeds = [w * (1 + 1j * math.pi * g2),
                  1j * (1 - c * cmath.exp(1j * math.pi / 8)),
                  1j * (1 - c * cmath.exp(5j * math.pi / 8))]

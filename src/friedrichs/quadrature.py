@@ -450,6 +450,9 @@ MOMENT_ORDER = 14
 _FACTORIALS = np.array([math.factorial(k) for k in range(MOMENT_ORDER + 2)],
                        dtype=float)          # 0! .. (MOMENT_ORDER + 1)!
 _HEAD_TOP = 0.5           # LaplaceTable's head ends at or below this x
+# LaplaceTable's tail starts as these intervals of u, x = X + 1 and X + 9:
+# the splits bisection reaches on a tail decaying like a power of x
+_TAIL_SPLITS = np.array([0.0, 0.5, 0.75, 1.0])
 
 
 class LaplaceTable:
@@ -458,11 +461,12 @@ class LaplaceTable:
 
     w does not depend on s, so one adaptive integration of w fixes the
     partition: [a, X] cut at the breakpoints, and the tail past X in
-    quad_tail's variable.  The table keeps that partition's Gauss-Kronrod
-    nodes x and values w(x) dx/du, interval by interval in order of their
-    start.  A batch of s is then exp(-xs) times those values, reduced per
-    interval by the qk21 value and estimate, over the one contiguous run
-    of intervals between a head and a cut:
+    quad_tail's variable u, from [0, 1] split at u = 1/2 and 3/4.  The
+    table keeps that partition's Gauss-Kronrod nodes x and values
+    w(x) dx/du, interval by interval in order of their start.  A batch
+    of s is then exp(-xs) times those values, reduced per interval by the
+    qk21 value and estimate, over the one contiguous run of intervals
+    between a head and a cut:
 
       * the head, the intervals ending at or below min(MOMENT_REACH /
         max(s), _HEAD_TOP), where every s x <= 1/4, is one power series
@@ -490,8 +494,9 @@ class LaplaceTable:
         # keeps the weight's values on the final nodes
         edges = np.unique(np.asarray(breakpoints, dtype=float))
         lo, hi, _, err, own, nodes = _adapt(
-            lambda x, k: wvec(x), np.append(edges[:-1], 0.0),
-            np.append(edges[1:], 1.0), np.repeat([0, 1], [edges.size - 1, 1]),
+            lambda x, k: wvec(x), np.append(edges[:-1], _TAIL_SPLITS[:-1]),
+            np.append(edges[1:], _TAIL_SPLITS[1:]),
+            np.repeat([0, 1], [edges.size - 1, _TAIL_SPLITS.size - 1]),
             np.full(2, epsabs, dtype=float), np.full(2, LIMIT), 1,
             np.array([np.nan, self.X]), values=True)
         # interval by interval in order of their start, the body first

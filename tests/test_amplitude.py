@@ -18,7 +18,8 @@ from friedrichs import (Engine, Formfactor, ModelParams, bound_state_margin,
                         survival_probability)
 from friedrichs import amplitude, quadrature
 from friedrichs.amplitude import asymptote_terms, log_survival, resolve_engine
-from friedrichs.dispersion import Offsets, spectral_peak
+from friedrichs.dispersion import Offsets, _num_den, spectral_peak
+from friedrichs.formfactors import PHI2
 from friedrichs.errors import (ConvergenceError, EngineMismatchError,
                                ExpansionUnavailableError, FriedrichsError)
 from friedrichs.presets import preset
@@ -296,15 +297,16 @@ def test_sweep_box_decay_time_passes(monkeypatch, phi3_box):
 
 
 def test_sweep_box_phi2_table_passes(monkeypatch):
-    """A cold phi2 table build on 120 draws of the sweep box: with a
-    ladder from 1 -+ 10d out to 0.5 and 2 the loop no longer halves
-    toward 1 -+ 10d (a mean of 7.6 passes a build, up to 12)."""
+    """A cold phi2 table build on 120 draws of the sweep box takes one
+    Gauss-Kronrod pass: its breakpoints are the splits bisection reached
+    (a ladder 1 -+ 10d 4^k took 4 passes a build, and before it a mean
+    of 7.6, up to 12)."""
     draws = _box("phi2", 120)
     passes = _counting_passes(monkeypatch)
     for params in draws:
         passes.clear()
         amplitude._phi2_table.__wrapped__(params)
-        assert len(passes) <= 5
+        assert len(passes) == 1
 
 
 @pytest.mark.parametrize("name", ["phi1", "phi2", "phi3"])
@@ -577,11 +579,15 @@ def test_log_survival_array_matches_scalar(name):
 
 def test_phi2_background_unconverged_raises(qdot, monkeypatch):
     # no bisection allowed, neither in a fresh node table nor when its
-    # columns are refined: the background's own estimate is about 1e-4
-    adapt = quadrature._adapt
+    # columns are refined, and a table without the ladder around x = 1,
+    # which alone resolves the weight there in one pass: the background's
+    # own estimate is about 5e-2
+    adapt, table = quadrature._adapt, quadrature.LaplaceTable
     monkeypatch.setattr(quadrature, "_adapt",
                         lambda f, lo, hi, own, epsabs, limit, *rest, **kw:
                         adapt(f, lo, hi, own, epsabs, 0 * limit + 1, *rest, **kw))
+    monkeypatch.setattr(quadrature, "LaplaceTable", lambda w, segs, epsabs: table(
+        w, [t for t in segs if not 0.5 < t < 2.0 or t == 1.0], epsabs))
     monkeypatch.setattr(amplitude, "_phi2_table", amplitude._phi2_table.__wrapped__)
     params, _ = qdot
     with pytest.raises(ConvergenceError) as info:
@@ -699,8 +705,9 @@ def test_phi2_table_built_once_per_parameter_set(qdot, qdot_scales, monkeypatch)
 
 def test_phi2_table_evaluates_its_weight_once_per_node(qdot, monkeypatch):
     """A cold table build evaluates the weight once per node of its
-    adaptive run, and keeps the final nodes' values from that run: 1,932
-    weight points at quantum-dot (2,016 before the ladder toward 1 -+ 10d),
+    adaptive run, and keeps the final nodes' values from that run: 1,617
+    weight points at quantum-dot, the 77 final intervals of its one pass
+    (1,932 in 4 passes from a ladder 1 -+ 10d 4^k, 2,016 before it),
     where evaluating the final nodes again made 3,633."""
     params, ff = qdot
     points, intervals = [], []
@@ -711,7 +718,7 @@ def test_phi2_table_evaluates_its_weight_once_per_node(qdot, monkeypatch):
                         lambda f, lo, *a: intervals.append(lo.size) or gk21(f, lo, *a))
     table = amplitude._phi2_table.__wrapped__(params)
     monkeypatch.undo()
-    assert sum(points) == 21 * sum(intervals) < 2000
+    assert sum(points) == 21 * sum(intervals) < 1700
     body = table.start < table.X        # past X the values carry dx/du
     x = table.x[body]
     assert np.array_equal(table.v[body],
@@ -720,27 +727,70 @@ def test_phi2_table_evaluates_its_weight_once_per_node(qdot, monkeypatch):
 
 @pytest.mark.parametrize("w, g2", [(8.0e-4, 4.7e-4), (1.0e-2, 1.5e-8)])
 def test_coincident_phi2_roots(w, g2):
-    # two Newton seeds converge onto the decaying root here, so the pole
-    # sum would count its residue twice (|A| of 2 and 3): phi2-poles
-    # raises.  The root itself is right, so the timescales, which take
-    # only that root, still answer, and so does a quadrature-engine curve,
-    # which needs no root; at s = 1/Im z its A is the root's pole term
+    """Two parameter sets where the cutoff seeds i +- (sqrt(pi)/2) lambda
+    converged onto the decaying root, so the pole sum counted its residue
+    twice and phi2-poles raised.  From i +- eps each seed finds its own
+    cutoff root: three distinct roots, A(0) = 1, and phi2-poles agrees
+    with the quadrature engine at every time sampled here to 2e-9 (worst
+    1.1e-9, at w = 1e-2, where the two engines are known to differ by up
+    to about 1e-8 on weak-coupling draws).
+    The timescales take only the decaying root; at s = 1/Im z the
+    quadrature engine's A is that root's pole term."""
     params, ff = ModelParams(1e12, w * 1e12, g2), builtin("phi2")
     scales = compute_timescales(params, ff)
-    for _ in range(2):     # the pole arrays' cache keeps no failed lookup
-        with pytest.raises(ConvergenceError):
-            survival_amplitude(params, ff, scales.t_d)
+    z = [r.z for r in resonance_roots(params, ff)]
+    assert len(z) == 3 and _distinct(z)
+    assert abs(survival_amplitude_phi2(params, 0.0) - 1.0) <= 1e-12
     root = decaying_resonance(params, ff)
     assert scales.omega_tilde == root.z.real * params.cutoff
     assert scales.gamma == 2.0 * root.z.imag
     s = 1.0 / root.z.imag
     a = survival_amplitude(params, ff, s / params.cutoff, Engine.QUADRATURE)
     assert abs(a - root.residue_weight * cmath.exp(1j * root.z * s)) < 1e-8
-    curve = sample_curve(params, ff, np.linspace(0.0, 2.0 * scales.t_d, 9),
-                         Engine.QUADRATURE)
+    assert abs(survival_amplitude_phi2(params, s / params.cutoff) - a) <= 2e-9
+    times = np.linspace(0.0, 2.0 * scales.t_d, 9)
+    curve = sample_curve(params, ff, times, Engine.QUADRATURE)
     assert abs(curve.probabilities[0] - 1.0) < 1e-10
     assert (curve.probabilities <= 1.0).all()
     assert (curve.error_estimates < 1e-10).all()
+    quad = survival_amplitude(params, ff, times, Engine.QUADRATURE)
+    assert (np.abs(survival_amplitude_phi2(params, times) - quad) <= 2e-9).all()
+
+
+def _distinct(z):
+    """No two of the roots z within 1e-8 (1 + |z_i|), phi2-poles' test
+    for two seeds converged onto one root."""
+    return all(abs(a - b) > 1e-8 * (1.0 + abs(a))
+               for i, a in enumerate(z) for b in z[i + 1:])
+
+
+def _winding_phi2(params, n=256):
+    """The number of zeros of (1 + z^2)^2 eta_II inside |z - i| = 1/2 by
+    the argument principle (Delves & Lyness 1967): the phase of
+    N = D (w - z) - g2 (p(z) - c z L), D = c (1 + z^2)^2, summed over n
+    steps of the circle, all in one array.  The circle stays in the upper
+    half plane, where L = log z + i pi is analytic, and each step must
+    turn the phase by less than pi / 4."""
+    z = 1j + 0.5 * np.exp(2j * np.pi * np.arange(n + 1) / n)
+    num, den = _num_den(PHI2, z, np.log(z) + 1j * np.pi)
+    f = den * (params.omega_ratio - z) - params.coupling_sq * num
+    turn = np.angle(f[1:] / f[:-1])
+    assert np.abs(turn).max() < np.pi / 4
+    return round(turn.sum() / (2 * np.pi))
+
+
+def test_phi2_cutoff_roots_counted():
+    """On 150 draws of the sweep box (seed 12345) resonance_roots finds as
+    many distinct roots inside |z - i| = 1/2 as the argument principle
+    counts there, 2 on every draw, and phi2-poles gives A(0) = 1 to
+    1e-12 (worst 4.5e-16).  From the seeds i +- (sqrt(pi)/2) lambda, 24 of
+    these draws had a seed converge onto the resonance root instead."""
+    ff = builtin("phi2")
+    for params in _box("phi2", 150, seed=12345):
+        inside = [r.z for r in resonance_roots(params, ff)
+                  if abs(r.z - 1j) < 0.5]
+        assert len(inside) == _winding_phi2(params) and _distinct(inside)
+        assert abs(survival_amplitude_phi2(params, 0.0) - 1.0) <= 1e-12
 
 
 def test_phi2_poles_at_the_bound_state_edge():

@@ -10,6 +10,7 @@ from friedrichs import (Formfactor, ModelParams, RootKind, Side,
                         eta_boundary, eta_first_sheet, eta_second_sheet,
                         resonance_roots, spectral_density, spectral_peak,
                         survival_amplitude_phi1_exact)
+from friedrichs import dispersion
 from friedrichs.dispersion import (Offsets, _eta_second_sheet_prime,
                                    _newton_polish, dispersion_real_part)
 from friedrichs.errors import ContinuationUnsupportedError
@@ -147,13 +148,42 @@ def test_phi2_roots_near_analytic_seeds():
     roots = resonance_roots(params, ff)
     assert len(roots) == 3
     w, g2 = params.omega_ratio, params.coupling_sq
-    lam = params.coupling
     seed1 = w * (1 + 1j * math.pi * g2)
-    seed2 = math.sqrt(math.pi) / 2 * lam + 1j
+    eps = cmath.sqrt(-math.pi * g2 / (2 * (w - 1j)))
     z1 = min(roots, key=lambda r: abs(r.z - seed1)).z
-    z2 = min(roots, key=lambda r: abs(r.z - seed2)).z
     assert abs(z1 - seed1) < 0.1 * abs(seed1)
+    # the cutoff roots lie 1.2e-3 |eps| from their seeds i +- eps
+    for seed in (1j + eps, 1j - eps):
+        z = min(roots, key=lambda r: abs(r.z - seed)).z
+        assert abs(z - seed) < 1e-2 * abs(eps)
+    z2 = min(roots, key=lambda r: abs(r.z - (1j + eps))).z
     assert abs(z2 - (1.68e-3 + 1j)) < 0.1 * abs(1.68e-3 + 1j)
+
+
+def test_phi2_cutoff_seeds_converge_fast(monkeypatch):
+    """Newton from each phi2 cutoff seed i +- eps evaluates eta_II at most
+    6 times on 120 draws of the sweep box (a median of 3).  From
+    i +- (sqrt(pi)/2) lambda it took a median of 14, and on about one
+    draw in six a seed ended on the resonance root."""
+    calls, per_seed = [0], []
+    eta, polish = dispersion.eta_second_sheet, dispersion._newton_polish
+
+    def counted_eta(*args):
+        calls[0] += 1
+        return eta(*args)
+
+    def counted_polish(*args):
+        calls[0] = 0
+        z = polish(*args)
+        per_seed.append(calls[0])
+        return z
+
+    monkeypatch.setattr(dispersion, "eta_second_sheet", counted_eta)
+    monkeypatch.setattr(dispersion, "_newton_polish", counted_polish)
+    for params in _box("phi2", 120, seed=23):
+        per_seed.clear()
+        dispersion._roots_cached.__wrapped__(params, builtin("phi2"))
+        assert len(per_seed) == 3 and max(per_seed[1:]) <= 6
 
 
 def test_phi2_root_residuals_and_flags():
@@ -222,15 +252,15 @@ def test_phi1_cubic_vieta():
             assert abs(eta_second_sheet(params, ff, r.z)) < 1e-10
 
 
-def _phi1_box(n, seed=7):
-    """n phi1 parameter sets without a bound state at cutoff 1e12,
-    omega1/cutoff log-uniform in [1e-6, 1e-2] and coupling_sq in
-    [1e-9, 1e-3]."""
+def _box(name, n, seed=7):
+    """n parameter sets without a bound state for the built-in weight
+    `name` at cutoff 1e12, omega1/cutoff log-uniform in [1e-6, 1e-2] and
+    coupling_sq in [1e-9, 1e-3]."""
     rng, out = np.random.default_rng(seed), []
     while len(out) < n:
         w, g2 = 10.0 ** rng.uniform(-6, -2), 10.0 ** rng.uniform(-9, -3)
         params = ModelParams(1e12, w * 1e12, g2)
-        if bound_state_margin(params, builtin("phi1")) > 0:
+        if bound_state_margin(params, builtin(name)) > 0:
             out.append(params)
     return out
 
@@ -240,7 +270,7 @@ def test_phi1_weights_hold_amplitude_at_zero():
     # z_k - z_m of the roots missed it by more than 1e-12 on 67 of these
     # draws, by up to 2.7e-9; the closed form misses it by at most 4.4e-16
     worst = max(abs(survival_amplitude_phi1_exact(p, 0.0) - 1.0)
-                for p in _phi1_box(2000))
+                for p in _box("phi1", 2000))
     assert worst < 1e-14
 
 
@@ -355,6 +385,30 @@ def test_spike_local_density_matches_absolute(name):
     want = spectral_density(params, ff, local.x)
     got = spectral_density(params, ff, local)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["phi1", "phi2", "phi3"])
+def test_dispersion_real_part_on_a_scalar(name, monkeypatch):
+    """A single point is worked on as a numpy scalar, not as a 0-d array,
+    whose every operation costs several times more, and gives the bits of
+    the same point in a 1-element array; so spectral_peak, which takes
+    Re eta point by point, finds on 40 box draws the peak it finds
+    through 1-element arrays, bit for bit."""
+    ff, draws = builtin(name), _box(name, 40, seed=31)
+    points, shift = [], dispersion._level_shift
+    monkeypatch.setattr(dispersion, "_level_shift",
+                        lambda f, g2, y: points.append(type(y)) or shift(f, g2, y))
+    for params in draws:
+        for y in (0.5 * params.omega_ratio, params.omega_ratio, 3.0):
+            got = dispersion_real_part(params, ff, y)
+            assert points.pop() is type(got) is np.float64
+            assert got == dispersion_real_part(params, ff, np.array([y]))[0]
+    monkeypatch.undo()
+    got = [spectral_peak.__wrapped__(p, ff) for p in draws]
+    real = dispersion.dispersion_real_part
+    monkeypatch.setattr(dispersion, "dispersion_real_part",
+                        lambda p, f, y: real(p, f, np.array([y]))[0])
+    assert got == [spectral_peak.__wrapped__(p, ff) for p in draws]
 
 
 def test_builtin_spectral_peak_is_memoized():
