@@ -69,12 +69,38 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-_FLOAT_KEYS = ("lambda_cutoff_per_s", "omega1_per_s", "coupling_lambda_sq",
-               "t_min_seconds", "t_max_seconds",
-               "custom_tail_exponent", "custom_head_exponent")
-_INT_KEYS = ("n_points",)
-_LIST_KEYS = ("T_over_td_list", "epsilon_list")
-_STR_KEYS = ("formfactor", "engine", "custom_table", "preset")
+def _parser(convert, what, ok=lambda v: True, rule=""):
+    """A config value's parser: convert(text), checked by ok."""
+    def parse(key, text):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise ConfigError(f"config key {key}: bad {what} {text!r}") from None
+        if not ok(value):
+            raise ConfigError(f"config key {key}: {rule}, got {text!r}")
+        return value
+    return parse
+
+
+def _floats(text):
+    return [float(v) for v in text.split(",") if v.strip()]
+
+
+_REAL, _TEXT = _parser(float, "float"), _parser(str, "string")
+_TIME = _parser(float, "float", lambda t: 0 < t < math.inf, "must be positive")
+_CONFIG_KEYS = {
+    "lambda_cutoff_per_s": _REAL, "omega1_per_s": _REAL,
+    "coupling_lambda_sq": _REAL, "custom_tail_exponent": _REAL,
+    "custom_head_exponent": _REAL, "t_min_seconds": _TIME,
+    "t_max_seconds": _TIME,
+    "n_points": _parser(int, "integer", lambda n: n >= 1, "must be at least 1"),
+    "T_over_td_list": _parser(_floats, "list",
+                              lambda v: all(0 < r < math.inf for r in v),
+                              "every value must be positive"),
+    "epsilon_list": _parser(_floats, "list", lambda v: all(0 < e < 1 for e in v),
+                            "every value must lie in (0, 1)"),
+    "formfactor": _TEXT, "engine": _TEXT, "custom_table": _TEXT, "preset": _TEXT,
+}
 
 
 def _resolve_config(args) -> dict:
@@ -89,27 +115,10 @@ def _resolve_config(args) -> dict:
                    lambda_cutoff_per_s=p["cutoff"], omega1_per_s=p["omega1"],
                    coupling_lambda_sq=p["coupling_sq"])
     if args.config:
-        raw = parse_config_file(args.config)
-        for key, val in raw.items():
-            if key in _FLOAT_KEYS:
-                try:
-                    cfg[key] = float(val)
-                except ValueError:
-                    raise ConfigError(f"config key {key}: bad float {val!r}")
-            elif key in _INT_KEYS:
-                try:
-                    cfg[key] = int(val)
-                except ValueError:
-                    raise ConfigError(f"config key {key}: bad integer {val!r}")
-            elif key in _LIST_KEYS:
-                try:
-                    cfg[key] = [float(v) for v in val.split(",") if v.strip()]
-                except ValueError:
-                    raise ConfigError(f"config key {key}: bad list {val!r}")
-            elif key in _STR_KEYS:
-                cfg[key] = val
-            else:
+        for key, val in parse_config_file(args.config).items():
+            if key not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
+            cfg[key] = _CONFIG_KEYS[key](key, val)
     if args.engine:
         cfg["engine"] = args.engine
     missing = [k for k in ("formfactor", "lambda_cutoff_per_s",

@@ -33,9 +33,11 @@ work and evaluates their nodes in one integrand call fvec(x, owner).
 Most of the cost of a pass is fixed, so K integrals take about as many
 passes as the slowest of them.  Each interval is reduced by a dot product
 of its own and each integral's sums are its own, so an integral gives the
-same bits alone, in any company or as a plain call; an integral that
-stops leaves the loop.  oscillatory_finite takes arrays this way, one set
-of K integrals for the adaptive pieces of all its elements.
+same bits alone, in any company or as a plain call.  The intervals of
+all K integrals are one store, and an integral that stops keeps its
+intervals there, where no later pass picks them.  oscillatory_finite
+takes arrays this way, one set of K integrals for the adaptive pieces of
+all its elements.
 
 A Laplace-type integral int w(x) exp(-xs) dx whose weight w does not
 depend on s keeps the Gauss-Kronrod nodes and weight values of one
@@ -275,23 +277,18 @@ def _adapt(fvec, lo, hi, own, epsabs, limit, m, tail=None, values=False):
     the tail variable u (nan for the others); fvec is fvec(x, owner).
     Each interval is reduced by itself (_gk21) and each integral's values
     and estimates are summed in order, so an integral reaches what it
-    reaches alone, bit for bit.  An integral that stops leaves the loop,
-    so later passes handle only the intervals of those still at work; the
-    final intervals come grouped by integral.
+    reaches alone, bit for bit.  The intervals are one store of rows,
+    grouped by integral: a pass replaces the rows it bisects by their
+    halves, which follow the integral's other rows.  An integral that
+    stops keeps its rows where they are, and no later pass picks them.
     """
     K = int(own[-1]) + 1
-    ids = np.arange(K)            # the integrals at work, which own indexes
     counts = np.bincount(own, minlength=K)
-    val, err, f = _gk21(fvec, lo, hi, m, own, tail, values)
-    # with `values`: the node values, pass by pass, and each interval's row
-    blocks, rows = [f], np.arange(lo.size) if values else None
-    done = []                     # the intervals of integrals that stopped
+    rows = [lo, hi, own, *_gk21(fvec, lo, hi, m, own, tail, values)]
     while True:
-        one = ids.size == 1
-        # v[own] spreads a value per integral over its intervals, and sums
-        # adds up each integral's intervals in order
-        at = (lambda v: v[0]) if one else (lambda v: v[own])
-        starts = [0] if one else counts.cumsum() - counts
+        lo, hi, own, val, err, f = rows
+        # sums adds up each integral's intervals in order
+        starts = counts.cumsum() - counts
         sums = lambda v: np.add.reduceat(v, starts)
         # an integral's column is active while above its tolerance, unless
         # narrow intervals already hold more.  An interval's score is its
@@ -313,81 +310,46 @@ def _adapt(fvec, lo, hi, own, epsabs, limit, m, tail=None, values=False):
         else:
             unit = np.where(active, tol, -np.inf).max(axis=1)
             scale = np.where(active, unit[:, None], 0.0) / np.where(active, tol, 1.0)
-            score = (err * at(scale)).max(axis=1)
+            score = (err * scale[own]).max(axis=1)
             total = sums(score)
-        pick, n = _worst(score, wide if one else wide & at(busy),
-                         None if one else own, ids.size, total - unit / 8,
+        pick, n = _worst(score, wide & busy[own], own, total - unit / 8,
                          limit - counts)
         if not pick.size:
             break
-        if not (one or n.all()):      # the integrals that stopped leave
-            gone = (n == 0)[own]
-            done.append((ids[own[gone]], lo[gone], hi[gone], val[gone],
-                         err[gone], rows[gone] if values else None))
-            stay, live = ~gone, n > 0
-            pick = (stay.cumsum() - 1)[pick]
-            lo, hi, val, err = lo[stay], hi[stay], val[stay], err[stay]
-            own = (live.cumsum() - 1)[own[stay]]
-            if values:
-                rows = rows[stay]
-            ids, counts, n = ids[live], counts[live], n[live]
-            epsabs, limit = epsabs[live], limit[live]
         mid = 0.5 * (lo[pick] + hi[pick])
         new_lo = np.concatenate([lo[pick], mid])
         new_hi = np.concatenate([mid, hi[pick]])
         new_own = own[np.concatenate([pick, pick])]
-        new_val, new_err, new_f = _gk21(fvec, new_lo, new_hi, m,
-                                        ids[new_own] if done else new_own,
-                                        tail, values)
-        keep = np.ones(lo.size, dtype=bool)
-        keep[pick] = False
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        val = np.concatenate([val[keep], new_val])
-        err = np.concatenate([err[keep], new_err])
-        own = np.concatenate([own[keep], new_own])
-        if values:
-            first = sum(b.shape[0] for b in blocks)
-            blocks.append(new_f)
-            rows = np.concatenate([rows[keep], np.arange(first, first + new_f.shape[0])])
-        if not one:   # grouped by integral again, each in its own order
-            order = own.argsort(kind="stable")
-            lo, hi, val, err, own = (lo[order], hi[order], val[order],
-                                     err[order], own[order])
-            if values:
-                rows = rows[order]
+        halves = (new_lo, new_hi, new_own,
+                  *_gk21(fvec, new_lo, new_hi, m, new_own, tail, values))
+        # the rows and their halves grouped by integral again, each in its
+        # own order; the bisected rows sort past every integral and drop off
+        key = np.concatenate([own, new_own])
+        key[pick] = K
+        order = key.argsort(kind="stable")[:key.size - pick.size]
+        rows = [r if r is None else np.concatenate([r, h])[order]
+                for r, h in zip(rows, halves)]
         counts = counts + n
-    if done:          # with the integrals that left first, grouped again
-        done.append((ids[own], lo, hi, val, err, rows))
-        own, lo, hi, val, err, rows = (
-            None if p[0] is None else np.concatenate(p) for p in zip(*done))
-        order = own.argsort(kind="stable")
-        lo, hi, val, err, own = lo[order], hi[order], val[order], err[order], own[order]
-        rows = rows[order] if values else None
-    return lo, hi, val, err, own, np.concatenate(blocks)[rows] if values else None
+    return lo, hi, val, err, own, f
 
 
-def _worst(score, wide, own, K, threshold, room):
-    """The intervals to bisect, and how many of each integral: its wide
-    intervals worst first, until its unbisected scores would sum under
-    its threshold, at most room of them.  own is None for one integral.
-    Each integral's scores are summed by themselves, in the order of the
-    integral alone."""
-    if own is None:
-        worst = (-score).argsort(kind="stable")
-        worst = worst[wide[worst]]
-        take = score[worst].cumsum().searchsorted(threshold[0]) + 1
-        n = max(min(take, worst.size, room[0]), 0)
-        return worst[:n], np.array([n])
-    cand = wide.nonzero()[0]             # grouped by integral, worst first
-    worst = cand[np.lexsort((-score[cand], own[cand]))]
-    bounds = own[worst].searchsorted(np.arange(K + 1)).tolist()
-    n = np.zeros(K, dtype=np.intp)
-    for k in range(K):
-        first, stop = bounds[k], bounds[k + 1]
+def _worst(score, cand, own, threshold, room):
+    """The intervals to bisect, and how many of each integral: of the
+    candidates cand, an integral's worst first, until its unbisected
+    scores would sum under its threshold, at most room of them.  Only the
+    integrals with candidates are visited, and each integral's scores are
+    summed by themselves, in the order of the integral alone."""
+    worst = np.lexsort((-score, own))        # grouped by integral, worst first
+    worst = worst[cand[worst]]
+    bounds = own[worst].searchsorted(np.arange(room.size + 1))
+    n = np.zeros(room.size, dtype=np.intp)
+    picks = [worst[:0]]
+    for k in np.flatnonzero(bounds[1:] > bounds[:-1]).tolist():
+        first, stop = bounds[k:k + 2].tolist()
         take = score[worst[first:stop]].cumsum().searchsorted(threshold[k]) + 1
         n[k] = max(min(take, stop - first, room[k]), 0)
-    return np.concatenate([worst[b:b + c] for b, c in zip(bounds, n.tolist())]), n
+        picks.append(worst[first:first + n[k]])
+    return np.concatenate(picks), n
 
 
 def geometric_ladder(center, width, lo, hi):

@@ -19,7 +19,7 @@ from friedrichs import (Engine, Formfactor, ModelParams, bound_state_margin,
 from friedrichs import amplitude, quadrature
 from friedrichs.amplitude import asymptote_terms, log_survival, resolve_engine
 from friedrichs.dispersion import Offsets, _num_den, spectral_peak
-from friedrichs.formfactors import PHI2
+from friedrichs.formfactors import PHI2, PHI3
 from friedrichs.errors import (ConvergenceError, EngineMismatchError,
                                ExpansionUnavailableError, FriedrichsError)
 from friedrichs.presets import preset
@@ -725,6 +725,23 @@ def test_phi2_table_evaluates_its_weight_once_per_node(qdot, monkeypatch):
                           weight(params, builtin("phi2"), x.ravel()).reshape(x.shape))
 
 
+def test_phi2_table_keeps_its_weight_values():
+    """On 30 draws of the sweep box the body rows of the table's values
+    are the weight at its nodes, bit for bit: for the cached table, built
+    in one pass, and for one from the coarse breakpoints 0, 0.5, 1, 2 and
+    10, whose body bisects for 9 to 19 passes after its tail has
+    stopped."""
+    ff = builtin("phi2")
+    for params in _box("phi2", 30):
+        weight = lambda x: amplitude.background_weight(params, ff, x)
+        for table in (amplitude._phi2_table.__wrapped__(params),
+                      quadrature.LaplaceTable(weight, [0.0, 0.5, 1.0, 2.0, 10.0],
+                                              epsabs=1e-14)):
+            body = table.start < table.X       # past X the values carry dx/du
+            x = table.x[body]
+            assert np.array_equal(table.v[body], weight(x.ravel()).reshape(x.shape))
+
+
 @pytest.mark.parametrize("w, g2", [(8.0e-4, 4.7e-4), (1.0e-2, 1.5e-8)])
 def test_coincident_phi2_roots(w, g2):
     """Two parameter sets where the cutoff seeds i +- (sqrt(pi)/2) lambda
@@ -791,6 +808,37 @@ def test_phi2_cutoff_roots_counted():
                   if abs(r.z - 1j) < 0.5]
         assert len(inside) == _winding_phi2(params) and _distinct(inside)
         assert abs(survival_amplitude_phi2(params, 0.0) - 1.0) <= 1e-12
+
+
+def _winding_phi3_first_quadrant(params):
+    """The number of zeros of (1 + z^2)^4 eta_II inside the right half of
+    |z - i| = 1/2 by the argument principle: the phase of
+    N = D (w - z) - g2 num, D = c (1 + z^2)^4, summed counterclockwise
+    along the arc and back down the imaginary axis, where L = log z + i pi
+    is analytic, all in one array.  The roots lie within about 1e-2 of
+    z = i, so the segment's points are geometric toward it; each step
+    must turn the phase by less than pi / 2."""
+    arc = 1j + 0.5 * np.exp(1j * np.linspace(-0.5 * np.pi, 0.5 * np.pi, 257))
+    d = np.geomspace(0.5, 1e-9, 128)
+    z = np.concatenate([arc, 1j * (1.0 + d[1:]), 1j * (1.0 - d[::-1])])
+    num, den = _num_den(PHI3, z, np.log(z) + 1j * np.pi)
+    f = den * (params.omega_ratio - z) - params.coupling_sq * num
+    turn = np.angle(f[1:] / f[:-1])
+    assert np.abs(turn).max() < np.pi / 2
+    return round(turn.sum() / (2 * np.pi))
+
+
+def test_phi3_first_quadrant_roots_counted():
+    """On 60 draws of the sweep box resonance_roots finds every zero of
+    eta_II in the first-quadrant half of |z - i| = 1/2, 2 on every draw.
+    The whole disk holds 4; the other 2 lie in the second quadrant, not
+    mirror images of these."""
+    ff = builtin("phi3")
+    for params in _box("phi3", 60):
+        inside = [r.z for r in resonance_roots(params, ff)
+                  if abs(r.z - 1j) < 0.5 and r.z.real > 0]
+        assert len(inside) == _winding_phi3_first_quadrant(params)
+        assert _distinct(inside)
 
 
 def test_phi2_poles_at_the_bound_state_edge():

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +137,21 @@ def test_malformed_config_exit_2(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command, line", [
+    ("curve", "n_points = -3"), ("curve", "n_points = 0"),
+    ("curve", "t_min_seconds = -1"), ("neps", "epsilon_list = 2"),
+    ("protocol", "T_over_td_list = -1e-3")])
+def test_out_of_range_config_exit_2(tmp_path, capsys, command, line):
+    # values that parse but lie out of range: each one a traceback from
+    # deep in the library without its range check, or for n_points = 0 a
+    # curve of the two anchor times only
+    cfg = tmp_path / "range.cfg"
+    cfg.write_text(line + "\n")
+    assert main([command, "--preset", "quantum-dot", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 2
+    assert line.split(" = ")[0] in capsys.readouterr().err
+
+
 def test_bound_state_exit_3(tmp_path):
     cfg = tmp_path / "bound.cfg"
     cfg.write_text(
@@ -156,6 +173,26 @@ def test_convergence_error_exit_4(tmp_path, monkeypatch):
     monkeypatch.setitem(cli._COMMANDS, "timescales", boom)
     assert main(["timescales", "--preset", "quantum-dot",
                  "--out", str(tmp_path)]) == 4
+
+
+def test_compare_outputs_exit_status(tmp_path, capsys):
+    # 0 only when both trees hold the same files, byte for byte
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", Path(__file__).parents[1] / "tools" / "compare_outputs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root in (a, b):
+        (root / "x").mkdir(parents=True)
+        (root / "x" / "curve.csv").write_text("t,p\n1,0.5\n")
+    run = lambda: tool.main([str(a), str(b)])
+    assert run() == 0
+    (b / "x" / "curve.csv").write_text("t,p\n1,0.25\n")
+    assert run() == 1
+    (b / "x" / "curve.csv").write_text("t,p\n1,0.5\n")
+    (a / "extra.txt").write_text("s = 1\n")
+    assert run() == 1
+    assert "extra.txt: only in" in capsys.readouterr().out
 
 
 def test_parse_config_roundtrip(tmp_path):

@@ -525,16 +525,22 @@ def test_quad_complex_integrals_match_each_alone():
 def test_quad_complex_limit_per_integral():
     # the same integrand twice, with budgets of 4 and 600 intervals: the
     # first stops at 4, short of its tolerance, having evaluated at most
-    # 4 + 2 + 1 intervals on the way, while the second converges
+    # 4 + 2 + 1 intervals on the way, while the second converges.  A
+    # cubic on 3 starting intervals converges in the first pass, and the
+    # passes after it evaluate none of its nodes
     nodes = []
-    f = _lorentz_osc(np.array([40.0, 40.0]))
-    val, err = quad_complex(lambda x, k: nodes.append(np.bincount(k, minlength=2))
-                            or f(x, k), np.zeros(2), np.ones(2),
-                            epsabs=1e-13, limit=np.array([4, 600]))
+    f = _lorentz_osc(np.array([40.0, 40.0, 0.0]))
+    g = lambda x, k: np.where(k == 2, x ** 3, f(x, k))
+    val, err = quad_complex(lambda x, k: nodes.append(np.bincount(k, minlength=3))
+                            or g(x, k), np.zeros(3), np.ones(3),
+                            points=[None, None, [0.25, 0.5]], epsabs=1e-13,
+                            limit=np.array([4, 600, 600]))
     counts = sum(nodes)
     assert counts[0] <= 7 * 21 < counts[1]
     assert err[0] > 1e-11 * abs(val[0]) and err[1] <= 1e-12 * abs(val[1])
     assert abs(val[0] - val[1]) <= err[0]
+    assert len(nodes) > 2 and counts[2] == 3 * 21
+    assert abs(val[2] - 0.25) <= 1e-15 and err[2] <= 1e-13
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -12,6 +12,7 @@ before its first `=` (or its first word) and k their order in the line.
 A field that is not a number counts as moved when its text differs.
 Identical files are counted, not listed; a file in one tree only is
 named.  `diff -r A B` shows which lines differ; this shows by how much.
+It exits 0 when the two trees hold the same files, byte for byte, else 1.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def main(argv=None) -> int:
             print(f"{rel}:")
             print("\n".join(compare(fa, fb)))
     print(f"{same} of {len(files)} files identical")
-    return 0
+    return 0 if same == len(files) else 1
 
 
 if __name__ == "__main__":
