@@ -79,9 +79,7 @@ node for all times.  The quadrature engine gives each time integrals of
 its own, with its own intervals, but advances them all together: each
 pass of its adaptive integrals evaluates the new nodes of every time in
 one density call (quadrature.quad_complex's K integrals).  A time there
-costs its own nodes, not its own passes.  batches(params, ff, t) says
-whether a time shares its nodes with the others of its call, for callers
-that fetch times ahead of need.
+costs its own nodes, not its own passes.
 """
 
 from __future__ import annotations
@@ -455,16 +453,6 @@ def _on_kernel(params: ModelParams, t):
     return params.cutoff * t <= 1.0
 
 
-def batches(params: ModelParams, ff: Formfactor, t):
-    """Whether log_survival takes time t together with the other times of
-    its call (closed form, or one column on a shared node set), so that an
-    extra time in a call costs little, for a time or, elementwise, an
-    array of times.  Past the kernel's reach the quadrature engine shares
-    its passes among the times of a call but gives each time integrals of
-    its own, so an extra time there still costs all of its nodes."""
-    return (resolve_engine(ff) is not Engine.QUADRATURE) | _on_kernel(params, t)
-
-
 def survival_deficit(params: ModelParams, ff: Formfactor, t):
     """1 - p(t), accurate in relative terms even when it underflows the
     absolute tolerance of the amplitude engines (short-time regime), for a
@@ -669,6 +657,8 @@ class ShortTimeExpansion:
 
 
 def short_time_expansion(params: ModelParams, ff: Formfactor) -> ShortTimeExpansion:
+    if params.coupling_sq == 0.0:
+        raise ValueError("coupling_sq = 0: free evolution has no short-time expansion")
     lam = params.coupling
     cut = params.cutoff
     if ff.id == PHI1:

@@ -87,18 +87,20 @@ def _floats(text):
 
 
 _REAL, _TEXT = _parser(float, "float"), _parser(str, "string")
-_TIME = _parser(float, "float", lambda t: 0 < t < math.inf, "must be positive")
+_POSITIVE = _parser(float, "float", lambda v: 0 < v < math.inf,
+                    "must be positive and finite")
 _CONFIG_KEYS = {
-    "lambda_cutoff_per_s": _REAL, "omega1_per_s": _REAL,
-    "coupling_lambda_sq": _REAL, "custom_tail_exponent": _REAL,
-    "custom_head_exponent": _REAL, "t_min_seconds": _TIME,
-    "t_max_seconds": _TIME,
+    "lambda_cutoff_per_s": _POSITIVE, "omega1_per_s": _POSITIVE,
+    "coupling_lambda_sq": _parser(float, "float", lambda g: 0 < g < 1,
+                                  "must lie in (0, 1)"),
+    "custom_tail_exponent": _REAL, "custom_head_exponent": _REAL,
+    "t_min_seconds": _POSITIVE, "t_max_seconds": _POSITIVE,
     "n_points": _parser(int, "integer", lambda n: n >= 1, "must be at least 1"),
     "T_over_td_list": _parser(_floats, "list",
-                              lambda v: all(0 < r < math.inf for r in v),
-                              "every value must be positive"),
-    "epsilon_list": _parser(_floats, "list", lambda v: all(0 < e < 1 for e in v),
-                            "every value must lie in (0, 1)"),
+                              lambda v: v and all(0 < r < math.inf for r in v),
+                              "needs values, each positive and finite"),
+    "epsilon_list": _parser(_floats, "list", lambda v: v and all(0 < e < 1 for e in v),
+                            "needs values, each in (0, 1)"),
     "formfactor": _TEXT, "engine": _TEXT, "custom_table": _TEXT, "preset": _TEXT,
 }
 

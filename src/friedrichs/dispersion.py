@@ -305,6 +305,8 @@ def _phi1_cubic_roots(params) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _roots_cached(params: ModelParams, ff: Formfactor):
+    if params.coupling_sq == 0.0:
+        raise ValueError("coupling_sq = 0: free evolution has no resonance roots")
     margin = bound_state_margin(params, ff)
     if margin <= 0:
         raise BoundStateError(margin)

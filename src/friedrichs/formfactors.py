@@ -209,10 +209,10 @@ class ModelParams:
     coupling_sq: float
 
     def __post_init__(self):
-        if not self.cutoff > 0:
-            raise ValueError("cutoff must be positive")
-        if not self.omega1 > 0:
-            raise ValueError("omega1 must be positive")
+        if not 0 < self.cutoff < math.inf:
+            raise ValueError("cutoff must be positive and finite")
+        if not 0 < self.omega1 < math.inf:
+            raise ValueError("omega1 must be positive and finite")
         if not 0 <= self.coupling_sq < 1:
             raise ValueError("coupling_sq must lie in [0, 1)")
 

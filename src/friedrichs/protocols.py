@@ -40,8 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .amplitude import (ShortTimeExpansion, batches, log_survival,
-                        short_time_expansion)
+from .amplitude import ShortTimeExpansion, log_survival, short_time_expansion
 from .formfactors import Formfactor, ModelParams, Sentinel
 
 
@@ -49,13 +48,10 @@ UNBOUNDED = Sentinel("UNBOUNDED", True)
 
 
 def _logp_memo(params: ModelParams, ff: Formfactor):
-    """ln p(tau) memoized on tau.  logp.prefetch(taus, ahead) fills the
-    cache with one batched log_survival call for the missing taus, and
-    for those of the speculative `ahead` that log_survival batches
-    (amplitude.batches): a time it would take by itself costs as much
-    fetched ahead as when looked up, so it waits for the lookup.  A
-    lookup hits only for the very same float, so callers compute
-    prefetched taus with the expression they look them up with."""
+    """ln p(tau) memoized on tau.  logp.prefetch(taus) fills the cache
+    with one log_survival call for the taus it lacks.  A lookup hits only
+    for the very same float, so callers compute prefetched taus with the
+    expression they look them up with."""
     cache = {}
 
     def logp(tau: float) -> float:
@@ -65,10 +61,8 @@ def _logp_memo(params: ModelParams, ff: Formfactor):
             cache[tau] = val
         return val
 
-    def prefetch(taus, ahead=()):
-        ahead = np.asarray(ahead, dtype=float)
-        want = list(taus) + ahead[batches(params, ff, ahead)].tolist()
-        missing = [tau for tau in dict.fromkeys(want) if tau not in cache]
+    def prefetch(taus):
+        missing = [tau for tau in dict.fromkeys(taus) if tau not in cache]
         if missing:
             cache.update(zip(missing, log_survival(params, ff, missing).tolist()))
 
@@ -189,12 +183,10 @@ def n_epsilon(params: ModelParams, ff: Formfactor, T: float, eps: float,
 
     Geometric scan brackets the first violation, integer bisection pins
     it; UNBOUNDED when no violation occurs up to the cap.  Whenever the
-    next N is not cached, ln p is prefetched in one batch for the next
-    _SCAN_AHEAD scan candidates, or for the next _BISECT_AHEAD levels of
-    the bisection tree; the walk itself is the sequential one.  Only the
-    intervals that log_survival batches are fetched ahead (see
-    _logp_memo), so the search never evaluates more intervals one by one
-    than the sequential walk does.
+    next N is not cached, one log_survival call fetches it with the next
+    scan candidates (_SCAN_AHEAD in all) or bisection levels
+    (_BISECT_AHEAD); the walk is the sequential one, so it makes no more
+    log_survival calls than that walk, though some times go unvisited.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("accuracy must lie in (0, 1)")
@@ -203,10 +195,10 @@ def n_epsilon(params: ModelParams, ff: Formfactor, T: float, eps: float,
     logp = _logp_memo(params, ff)
 
     def ok(n: int, ahead) -> bool:
-        """p_n(T) >= threshold; on a miss, prefetch with the candidates
-        ahead() lists."""
+        """p_n(T) >= threshold; on a miss, prefetch the candidates ahead()
+        lists, n first."""
         if T / n not in logp.cache:
-            logp.prefetch([T / n], [T / k for k in ahead()])
+            logp.prefetch([T / k for k in ahead()])
         return repeated_measurement_survival(params, ff, T, n, _logp=logp) >= threshold
 
     def step(n: int) -> int:
@@ -225,7 +217,7 @@ def n_epsilon(params: ModelParams, ff: Formfactor, T: float, eps: float,
         mid = (lo + hi) // 2
         return [mid] + tree(lo, mid, depth - 1) + tree(mid, hi, depth - 1)
 
-    logp.prefetch([T / 1], [T / k for k in scan_from(2)])
+    logp.prefetch([T / 1, *(T / k for k in scan_from(2))])
     p1 = repeated_measurement_survival(params, ff, T, 1, _logp=logp)
     threshold = (1.0 - eps) * p1
 

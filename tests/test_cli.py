@@ -140,11 +140,14 @@ def test_malformed_config_exit_2(tmp_path):
 @pytest.mark.parametrize("command, line", [
     ("curve", "n_points = -3"), ("curve", "n_points = 0"),
     ("curve", "t_min_seconds = -1"), ("neps", "epsilon_list = 2"),
-    ("protocol", "T_over_td_list = -1e-3")])
+    ("protocol", "T_over_td_list = -1e-3"), ("curve", "coupling_lambda_sq = 0"),
+    ("timescales", "lambda_cutoff_per_s = inf"), ("curve", "omega1_per_s = inf"),
+    ("protocol", "T_over_td_list = ,"), ("neps", "epsilon_list = ,")])
 def test_out_of_range_config_exit_2(tmp_path, capsys, command, line):
-    # values that parse but lie out of range: each one a traceback from
-    # deep in the library without its range check, or for n_points = 0 a
-    # curve of the two anchor times only
+    # values that parse but lie out of range: without its range check each
+    # one ends in a traceback from deep in the library or in exit 3 or 4,
+    # or writes a curve of the two anchor times only (n_points = 0) or a
+    # CSV of its header only (an empty list)
     cfg = tmp_path / "range.cfg"
     cfg.write_text(line + "\n")
     assert main([command, "--preset", "quantum-dot", "--config", str(cfg),
@@ -193,6 +196,21 @@ def test_compare_outputs_exit_status(tmp_path, capsys):
     (a / "extra.txt").write_text("s = 1\n")
     assert run() == 1
     assert "extra.txt: only in" in capsys.readouterr().out
+
+
+def test_cli_outputs_prints_each_run_time(tmp_path, capsys, monkeypatch):
+    # one wall-time line per CLI run, ending in the run's subdirectory
+    spec = importlib.util.spec_from_file_location(
+        "cli_outputs", Path(__file__).parents[1] / "tools" / "cli_outputs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool.subprocess, "run", lambda *a, **k: None)
+    assert tool.main([str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    subs = [sub for sub, _ in tool.runs()]
+    assert len(subs) == 16
+    assert [line.split("  ")[1] for line in lines] == subs
+    assert all(line.split("  ")[0].endswith(" s") for line in lines)
 
 
 def test_parse_config_roundtrip(tmp_path):

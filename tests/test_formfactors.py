@@ -172,6 +172,10 @@ def test_model_params_validation():
         ModelParams(1.0, 0.0, 1e-6)
     with pytest.raises(ValueError):
         ModelParams(1.0, 1.0, 1.5)
+    with pytest.raises(ValueError):
+        ModelParams(math.inf, 1.0, 1e-6)
+    with pytest.raises(ValueError):
+        ModelParams(1.0, math.inf, 1e-6)
     p = ModelParams(1e10, 2e4, 3.18e-7)
     assert p.omega_ratio == pytest.approx(2e-6, rel=1e-15)
     assert p.weak_coupling

@@ -5,8 +5,9 @@ import pytest
 
 from friedrichs import (UNBOUNDED, ModelParams, ZenoLimitKind, anti_zeno_minimum,
                         builtin, compute_timescales, n_epsilon, protocol_curve,
-                        repeated_measurement_survival, short_time_expansion,
-                        survival_probability, zeno_limit_class)
+                        repeated_measurement_survival, resonance_roots,
+                        short_time_expansion, survival_probability,
+                        zeno_limit_class)
 from friedrichs.amplitude import ShortTimeExpansion, log_survival
 from friedrichs.presets import preset
 
@@ -34,6 +35,18 @@ def test_zero_coupling_protocol_trivial():
     for n in (1, 5, 1000):
         assert repeated_measurement_survival(params, ff, 1e-6, n) == \
             pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["phi1", "phi2", "phi3"])
+def test_zero_coupling_scales_fail_typed(name):
+    # free evolution has no decay scales, resonance roots or anti-Zeno
+    # minimum to find
+    params, ff = ModelParams(1e10, 2e4, 0.0), builtin(name)
+    for call in (lambda: compute_timescales(params, ff),
+                 lambda: resonance_roots(params, ff),
+                 lambda: protocol_curve(params, ff, 1e-6)):
+        with pytest.raises(ValueError, match="coupling_sq"):
+            call()
 
 
 def test_exponential_survival_is_protocol_fixed_point(qdot):
@@ -252,23 +265,29 @@ def test_anti_zeno_minimum_matches_sequential(ratio):
 
 
 @pytest.mark.parametrize("eps", [3e-3, 1e-8])
-def test_n_epsilon_fetches_no_extra_quadrature_engine_times(monkeypatch, eps):
-    # the quadrature engine gives each time integrals of its own, so a
-    # prefetched scan or bisection candidate it would never visit costs
-    # all of its nodes and only adds work; at eps = 1e-8 the scan stops at
-    # its first step, n = 2
+def test_n_epsilon_shares_quadrature_engine_passes(monkeypatch, eps):
+    # the quadrature engine advances all times of a call together, so the
+    # prefetched scan candidates and bisection levels share its adaptive
+    # passes: 38 and 5 passes against the sequential walk's 208 and 10,
+    # though at eps = 1e-8 the scan stops at its first step, n = 2, and
+    # leaves its prefetched candidates unvisited
     import friedrichs.amplitude as amplitude
+    import friedrichs.quadrature as quadrature
     params, ff = preset("hydrogen")
     T = 1e-2 * compute_timescales(params, ff).t_d
-    calls = []
-    engine = amplitude.survival_amplitude_quadrature
+    calls, passes = [], []
+    engine, gk21 = amplitude.survival_amplitude_quadrature, quadrature._gk21
     monkeypatch.setattr(amplitude, "survival_amplitude_quadrature",
                         lambda *a, **k: calls.append(1) or engine(*a, **k))
+    monkeypatch.setattr(quadrature, "_gk21",
+                        lambda *a, **k: passes.append(1) or gk21(*a, **k))
     n = n_epsilon(params, ff, T, eps)
-    batched = len(calls)
+    batched = len(calls), len(passes)
     calls.clear()
+    passes.clear()
     assert n == _n_epsilon_sequential(params, ff, T, eps)
-    assert batched <= len(calls)
+    assert batched[0] <= len(calls)
+    assert batched[1] <= len(passes) / 2
 
 
 @pytest.mark.parametrize("ratio", [1e-3, 1e-2, 1e-1])
