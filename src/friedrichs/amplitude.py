@@ -70,6 +70,10 @@ integral up to a split X1 >= 30/s on a power-of-two grid, and past it
 the double-exponential tail of each time, in one call.  Each deficit is
 held to about 1e-12 of itself and raises ConvergenceError past 1e-8.
 
+The three amplitude engines are numerical bodies behind one boundary,
+_engine, which reads the times, answers free evolution at zero coupling
+and raises ConvergenceError when an estimate is worse than 1e-7.
+
 Every engine and every public function of a time takes one time or an
 array of times.  On an array the phi1 closed form, the asymptote and the
 series are evaluated elementwise, the phi2 background takes every time
@@ -97,7 +101,7 @@ from scipy.special import wofz, xlogy
 
 from .errors import ConvergenceError, EngineMismatchError, ExpansionUnavailableError
 from .formfactors import (DIVERGENT, PHI1, PHI2, PHI3, Formfactor,
-                          ModelParams, bound_state_margin, moment,
+                          ModelParams, bound_state_margin, builtin, moment,
                           squared_norm)
 from .dispersion import (Offsets, background_weight, decaying_resonance,
                          resonance_roots, spectral_density, spectral_peak)
@@ -190,9 +194,6 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: np.ndarray):
     tails one oscillatory_tail call; only the fixed-rule windows are
     taken time by time.  Each time's integrals are its own, so its A and
     estimate do not depend on the other times of the call."""
-    w_ratio, g2 = params.omega_ratio, params.coupling_sq
-    if g2 == 0.0:
-        return np.exp(1j * w_ratio * s), np.zeros(s.shape)
     x0, width = spectral_peak(params, ff)
     rho = lambda x: spectral_density(params, ff, x)
     rho_t = lambda t: spectral_density(params, ff, Offsets(x0, t))
@@ -220,13 +221,8 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: np.ndarray):
         if sk * width < 25.0:
             adaptive(k, _window_breakpoints(x0, width, a, b, sk), _TOL / 32, 900)
         else:
-            ncap, h = 24, math.pi / sk
-            lo, hi = a - x0, b - x0
-            cap_a = quadlib.panel_integrals(rho_t, lo, ncap, h, sk).sum()
-            cap_b = quadlib.panel_integrals(rho_t, hi - ncap * h, ncap, h, sk).sum()
-            v, err[k] = quadlib.byparts_segment(rho_t, lo + ncap * h,
-                                                hi - ncap * h, sk, width, width)
-            offs[k] = v + cap_a + cap_b
+            offs[k], err[k] = quadlib.byparts_segment(rho_t, a - x0, b - x0, sk,
+                                                      width, width)
         # left of the window.  oscillatory_finite takes the first half
         # period adaptively, with a ladder toward the head at x = 0 (the
         # sqrt of phi1): one Gauss-Legendre panel there misses by up to
@@ -273,13 +269,8 @@ def survival_amplitude_quadrature(params: ModelParams, ff: Formfactor, t,
     taken together through each integrator (_amp_quadrature); with_error
     adds the error estimates.  Raises ConvergenceError when an estimate
     is worse than 1e-7."""
-    ts, scalar = _times(t)
-    val, est = _amp_quadrature(params, ff, params.cutoff * ts)
-    bad = np.flatnonzero(est > 1e-7)
-    if bad.size:
-        raise ConvergenceError("oscillatory quadrature accuracy not reached",
-                               achieved=float(est[bad[0]]))
-    val, est = _unwrap(val, scalar), _unwrap(est, scalar)
+    val, est = _engine(params, t, lambda s: _amp_quadrature(params, ff, s),
+                       "oscillatory quadrature")
     return (val, est) if with_error else val
 
 
@@ -296,20 +287,18 @@ def _sqrt_lower(z: complex) -> complex:
 def _phi1_roots(params: ModelParams):
     """The lower square roots u_k of the roots z_k and their residue
     weights W_k, as arrays."""
-    roots = resonance_roots(params, Formfactor.phi1())
+    roots = resonance_roots(params, builtin(PHI1))
     return (np.array([_sqrt_lower(r.z) for r in roots]),
             np.array([r.residue_weight for r in roots]))
 
 
 def survival_amplitude_phi1_exact(params: ModelParams, t):
     """A(t) for a time or an array of times."""
-    ts, scalar = _times(t)
-    s = params.cutoff * ts
-    if params.coupling_sq == 0.0:
-        return _unwrap(np.exp(1j * params.omega_ratio * s), scalar)
-    us, ws = _phi1_roots(params)
-    beta = cmath.exp(3j * math.pi / 4) * us * np.sqrt(s)[:, None]
-    return _unwrap(0.5 * (ws * wofz(beta)).sum(axis=1), scalar)
+    def body(s):
+        us, ws = _phi1_roots(params)
+        beta = cmath.exp(3j * math.pi / 4) * us * np.sqrt(s)[:, None]
+        return 0.5 * (ws * wofz(beta)).sum(axis=1), None
+    return _engine(params, t, body, "phi1 closed form")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +315,7 @@ def _phi2_table(params: ModelParams):
     s ~ 1e14.  These are the splits that bisection would reach, so a
     cold build on the sweep box and at quantum-dot takes one
     Gauss-Kronrod pass."""
-    ff = Formfactor.phi2()
+    ff = builtin(PHI2)
     rungs = math.sqrt(math.pi) / 2 * params.coupling * 2.0 ** np.arange(64)
     segs = [0.0, 0.5, 1.0, 2.0, 4.0, 6.0, 10.0]
     segs += (1 - rungs[rungs < 0.5]).tolist()
@@ -337,22 +326,13 @@ def _phi2_table(params: ModelParams):
         lambda x: background_weight(params, ff, x), segs, epsabs=1e-14)
 
 
-def _phi2_background(params: ModelParams, s: np.ndarray):
-    """-g2 * int_0^inf of the background weight times exp(-xs) and its
-    error estimate, one column per s, from the parameters' node table
-    (quadrature.LaplaceTable): the weight is evaluated once per parameter
-    set, and a batch of times is one product on the table's nodes."""
-    val, err = _phi2_table(params).integrals(s)
-    return -params.coupling_sq * val, params.coupling_sq * err
-
-
 @lru_cache(maxsize=64)
 def _phi2_poles(params: ModelParams):
     """The contributing roots z_k and their residue weights W_k, as
     arrays; raises ConvergenceError, on every call, when two of them
     coincide, |z_i - z_j| < 1e-8 (1 + |z_i|): two Newton seeds then
     converged onto one root, whose residue would be counted twice."""
-    roots = [r for r in resonance_roots(params, Formfactor.phi2())
+    roots = [r for r in resonance_roots(params, builtin(PHI2))
              if r.contributing]
     for i, ri in enumerate(roots):
         for rj in roots[i + 1:]:
@@ -366,28 +346,41 @@ def _phi2_poles(params: ModelParams):
 
 
 def survival_amplitude_phi2(params: ModelParams, t, with_error: bool = False):
-    """A(t) for a time or an array of times; with_error adds the error
-    estimate of the background integral.  Raises ConvergenceError when an
-    estimate is worse than 1e-7."""
+    """A(t) for a time or an array of times: the poles plus -g2 times the
+    background integral, which the parameters' node table takes on its
+    fixed nodes for every time at once (_phi2_table); with_error adds the
+    error estimate of the background integral.  Raises ConvergenceError
+    when an estimate is worse than 1e-7."""
+    def body(s):
+        z, w = _phi2_poles(params)
+        poles = (w * np.exp(np.multiply.outer(s, 1j * z))).sum(axis=1)
+        bg, err = _phi2_table(params).integrals(s)
+        return poles - params.coupling_sq * bg, params.coupling_sq * err
+    val, est = _engine(params, t, body, "phi2 background integral")
+    return (val, est) if with_error else val
+
+
+# ---------------------------------------------------------------------------
+# the engines' boundary, probability, engine dispatch, deficits
+# ---------------------------------------------------------------------------
+
+def _engine(params: ModelParams, t, body, what: str):
+    """(A, its error estimates or None) for a time or an array of times,
+    from body(s) on the 1-D array s = cutoff * t, or at zero coupling free
+    evolution exp(i omega_ratio s) with zero estimates.  Raises
+    ConvergenceError, naming the engine by what, when an estimate is
+    worse than 1e-7."""
     ts, scalar = _times(t)
     s = params.cutoff * ts
     if params.coupling_sq == 0.0:
         val, est = np.exp(1j * params.omega_ratio * s), np.zeros(s.shape)
     else:
-        z, w = _phi2_poles(params)
-        poles = (w * np.exp(np.multiply.outer(s, 1j * z))).sum(axis=1)
-        bg, est = _phi2_background(params, s)
-        if est.max(initial=0.0) > 1e-7:
-            raise ConvergenceError("phi2 background integral accuracy not reached",
+        val, est = body(s)
+        if est is not None and est.max(initial=0.0) > 1e-7:
+            raise ConvergenceError(f"{what} accuracy not reached",
                                    achieved=float(est.max()))
-        val = poles + bg
-    val, est = _unwrap(val, scalar), _unwrap(est, scalar)
-    return (val, est) if with_error else val
+    return _unwrap(val, scalar), None if est is None else _unwrap(est, scalar)
 
-
-# ---------------------------------------------------------------------------
-# probability, engine dispatch, deficits
-# ---------------------------------------------------------------------------
 
 def _times(t):
     """(1-D float array of the times, whether t was a single time)."""

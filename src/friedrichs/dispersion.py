@@ -44,11 +44,6 @@ from .formfactors import (PHI1, PHI2, PHI3, Formfactor, ModelParams,
 from .quadrature import pv_dispersion, quad_tail
 
 
-class Sheet(Enum):
-    I = "I"
-    II = "II"
-
-
 class Side(Enum):
     PLUS = "plus"    # boundary value from above the cut
     MINUS = "minus"  # boundary value from below (the one continued upward)
@@ -57,12 +52,6 @@ class Side(Enum):
 class RootKind(Enum):
     RESONANCE = "resonance"  # near the real axis
     CUTOFF = "cutoff"        # near the cutoff scale, |z| ~ 1
-
-
-@dataclass(frozen=True)
-class SheetPoint:
-    z: complex
-    sheet: Sheet
 
 
 @dataclass(frozen=True)
@@ -218,12 +207,6 @@ def eta_second_sheet(params: ModelParams, ff: Formfactor, z: complex) -> complex
         return params.omega_ratio - z - g2 * (num / den)
     raise ContinuationUnsupportedError(
         f"no analytic continuation for formfactor {ff.id!r}")
-
-
-def eta_on_sheet(params: ModelParams, ff: Formfactor, pt: SheetPoint) -> complex:
-    if pt.sheet is Sheet.I:
-        return eta_first_sheet(params, ff, pt.z)
-    return eta_second_sheet(params, ff, pt.z)
 
 
 def _eta_second_sheet_prime(params, ff, z):

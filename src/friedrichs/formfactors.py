@@ -102,18 +102,6 @@ class Formfactor:
         return self.id in (PHI1, PHI2, PHI3)
 
     @classmethod
-    def phi1(cls) -> "Formfactor":
-        return _BUILTINS[PHI1]
-
-    @classmethod
-    def phi2(cls) -> "Formfactor":
-        return _BUILTINS[PHI2]
-
-    @classmethod
-    def phi3(cls) -> "Formfactor":
-        return _BUILTINS[PHI3]
-
-    @classmethod
     def from_callable(cls, func, tail_exponent, head_exponent,
                       verify=True) -> "Formfactor":
         ff = cls(CUSTOM, func, float(tail_exponent), float(head_exponent))

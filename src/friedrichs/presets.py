@@ -1,6 +1,6 @@
 """Built-in parameter sets for the three reference systems."""
 
-from .formfactors import Formfactor, ModelParams
+from .formfactors import ModelParams, builtin
 
 PRESETS = {
     "photodetachment": {
@@ -33,5 +33,4 @@ def preset(name: str):
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         ) from None
     params = ModelParams(cfg["cutoff"], cfg["omega1"], cfg["coupling_sq"])
-    from .formfactors import builtin
     return params, builtin(cfg["formfactor"])

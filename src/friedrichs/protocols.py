@@ -79,8 +79,6 @@ def repeated_measurement_survival(params: ModelParams, ff: Formfactor,
     if not T > 0:
         raise ValueError("observation time must be positive")
     lp = (_logp or (lambda tau: log_survival(params, ff, tau)))(T / N)
-    if lp == -math.inf:
-        return 0.0
     return math.exp(N * lp)
 
 
@@ -136,7 +134,7 @@ def anti_zeno_minimum(params: ModelParams, ff: Formfactor,
 
     vals = np.array([cost(x) for x in grid])
     k = int(np.argmin(vals))
-    degenerate = k in (0, len(grid) - 1) or (vals.max() - vals.min()) < 1e-15
+    degenerate = k in (0, len(grid) - 1) or bool(vals.max() - vals.min() < 1e-15)
     a = grid[max(k - 1, 0)]
     b = grid[min(k + 1, len(grid) - 1)]
 
@@ -159,13 +157,9 @@ def anti_zeno_minimum(params: ModelParams, ff: Formfactor,
     n_best = max(1, round(T / tau_star))
     ns = range(max(1, n_best - 3), n_best + 4)
     logp.prefetch([T / n for n in ns])
-    best = None
-    for n in ns:
-        p = repeated_measurement_survival(params, ff, T, n, _logp=logp)
-        if best is None or p < best[1]:
-            best = (n, p)
-    n_star, p_star = best
-    return AntiZenoMinimum(T / n_star, p_star, n_star, degenerate)
+    p_n = lambda n: repeated_measurement_survival(params, ff, T, n, _logp=logp)
+    n_star = min(ns, key=p_n)
+    return AntiZenoMinimum(T / n_star, p_n(n_star), n_star, degenerate)
 
 
 def _anti_zeno_grid(T: float, t_z: float) -> np.ndarray:
@@ -254,6 +248,8 @@ def protocol_curve(params: ModelParams, ff: Formfactor, T: float,
                    decay_time: Optional[float] = None) -> ProtocolResult:
     """p_N(T) sampled on a log grid of intervals tau in [1e-3 t_Z, T];
     duplicate integer N collapsed."""
+    if not T > 0:
+        raise ValueError("observation time must be positive")
     logp = _logp_memo(params, ff)
     t_z = short_time_expansion(params, ff).validity_time
     taus = np.geomspace(1e-3 * t_z, T, n_tau)

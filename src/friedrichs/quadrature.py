@@ -579,16 +579,24 @@ def _byparts_terms(fvec, x, s, scale):
     return sum(terms), terms[-1]
 
 
+_CAP_PANELS = 24      # byparts_segment: half-period panels at each end
+
+
 def byparts_segment(fvec, a, b, s, scale_a, scale_b):
-    """int_a^b f exp(isx) dx by five integrations by parts.
+    """int_a^b f exp(isx) dx: _CAP_PANELS half-period panels
+    (panel_integrals) at each end and, between them, five integrations by
+    parts.
 
     Valid when s * min(scale) >> 1, where scale_a/scale_b bound the
-    smoothness scale of f at each endpoint; the error estimate is a few
-    times the last retained term.
+    smoothness scale of f at the inner ends of the caps; the error
+    estimate is a few times the last retained term, and the caps add none.
     """
-    va, la = _byparts_terms(fvec, a, s, scale_a)
-    vb, lb = _byparts_terms(fvec, b, s, scale_b)
-    return vb - va, 3.0 * abs(lb - la)
+    h = math.pi / s
+    cap_a = panel_integrals(fvec, a, _CAP_PANELS, h, s).sum()
+    cap_b = panel_integrals(fvec, b - _CAP_PANELS * h, _CAP_PANELS, h, s).sum()
+    va, la = _byparts_terms(fvec, a + _CAP_PANELS * h, s, scale_a)
+    vb, lb = _byparts_terms(fvec, b - _CAP_PANELS * h, s, scale_b)
+    return vb - va + cap_a + cap_b, 3.0 * abs(lb - la)
 
 
 def oscillatory_finite(fvec, a, b, s, scale_b, epsabs=1e-12):
@@ -630,12 +638,8 @@ def oscillatory_finite(fvec, a, b, s, scale_b, epsabs=1e-12):
             fixed[k] = panel_integrals(fvec, c, n, step, sk).sum()
             start = c + n * step
         else:
-            ncap = 24
-            cap_a = panel_integrals(fvec, c, ncap, step, sk).sum()
-            cap_b = panel_integrals(fvec, bk - ncap * step, ncap, step, sk).sum()
-            c, d = c + ncap * step, bk - ncap * step
-            mid, fixed_err[k] = byparts_segment(fvec, c, d, sk, c, scale)
-            fixed[k] = cap_a + mid + cap_b
+            fixed[k], fixed_err[k] = byparts_segment(
+                fvec, c, bk, sk, c + _CAP_PANELS * step, scale)
             continue
         lo.append(start)
         hi.append(bk)

@@ -107,12 +107,6 @@ def compute_timescales(params: ModelParams, ff: Formfactor) -> Timescales:
                       gamma, omega_tilde, prov, notes)
 
 
-def generic_timescales(params: ModelParams, ff: Formfactor):
-    """(t_a, t_b, t_Z) for any formfactor with the needed moments."""
-    exp = short_time_expansion(params, ff)
-    return exp.t_a, exp.t_b, exp.validity_time
-
-
 def crossover_time_numeric(params: ModelParams, ff: Formfactor) -> float:
     """Time where the exponential and power terms of the long-time
     asymptote are equal; bracketed root find on the log of their ratio."""

@@ -64,6 +64,34 @@ def test_free_evolution_unit_modulus():
             assert survival_probability(params, ff, t) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_engines_free_evolution_at_zero_coupling():
+    # every engine called directly: exp(i omega1 t), with zero estimates
+    params = ModelParams(1e10, 2e4, 0.0)
+    times = np.array([0.0, 1e-8, 1e-3])
+    want = np.exp(1j * params.omega1 * times)
+    engines = [functools.partial(survival_amplitude_quadrature, params, builtin(name))
+               for name in ("phi1", "phi2", "phi3")]
+    engines.append(functools.partial(survival_amplitude_phi2, params))
+    for engine in engines:
+        one, est = engine(1e-3, with_error=True)
+        assert isinstance(one, complex) and abs(one - want[-1]) < 1e-14
+        assert est == 0.0
+        many, est = engine(times, with_error=True)
+        assert np.abs(many - want).max() < 1e-14 and not est.any()
+    one = survival_amplitude_phi1_exact(params, 1e-3)
+    assert isinstance(one, complex) and abs(one - want[-1]) < 1e-14
+    assert np.abs(survival_amplitude_phi1_exact(params, times) - want).max() < 1e-14
+
+
+def test_quadrature_gate_reports_largest_estimate(monkeypatch):
+    params, ff = preset("hydrogen")
+    monkeypatch.setattr(amplitude, "_amp_quadrature", lambda p, f, s: (
+        np.ones(s.shape, dtype=complex), np.array([2e-7, 5e-7])))
+    with pytest.raises(ConvergenceError, match="oscillatory quadrature") as info:
+        survival_amplitude_quadrature(params, ff, [1e-17, 2e-17])
+    assert info.value.achieved == 5e-7
+
+
 @pytest.mark.parametrize("name,exact_engine", [
     ("photodetachment", Engine.PHI1_EXACT),
     ("quantum-dot", Engine.PHI2_POLES),
@@ -577,7 +605,7 @@ def test_log_survival_array_matches_scalar(name):
         assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
-def test_phi2_background_unconverged_raises(qdot, monkeypatch):
+def test_phi2_unconverged_background_raises(qdot, monkeypatch):
     # no bisection allowed, neither in a fresh node table nor when its
     # columns are refined, and a table without the ladder around x = 1,
     # which alone resolves the weight there in one pass: the background's
@@ -596,7 +624,7 @@ def test_phi2_background_unconverged_raises(qdot, monkeypatch):
 
 
 def _background_reference(params, s, epsabs=1e-16):
-    """-g2 int_0^inf w(x) exp(-xs) dx for one s by adaptive quadrature from
+    """int_0^inf w(x) exp(-xs) dx for one s by adaptive quadrature from
     the background's own breakpoints, with a cut at x = 42/s: the
     one-column integral the node table replaces."""
     ff, d = builtin("phi2"), math.sqrt(math.pi) / 2 * params.coupling
@@ -607,7 +635,7 @@ def _background_reference(params, s, epsabs=1e-16):
     val, _ = quadrature.quad_segments(f, segs, epsabs=epsabs)
     if top == 10.0:
         val += quadrature.quad_tail(f, 10.0, epsabs=epsabs)[0]
-    return -params.coupling_sq * val
+    return val
 
 
 _BOX = [ModelParams(1e12, w * 1e12, g2)
@@ -624,14 +652,15 @@ def test_phi2_table_matches_adaptive_background(params):
     # of its time alone only in the last bits
     decades = np.concatenate([[0.0], np.geomspace(1e-4, 1e14, 19)])
     spans = np.geomspace(1e-4, 1e14, 10)[:, None] * 2.0 ** np.linspace(0, 3, 9)
+    table = amplitude._phi2_table(params)
     for s in [decades, *decades[:, None], *spans]:
-        got, est = amplitude._phi2_background(params, s)
+        got, est = table.integrals(s)
         for sk, v, e in zip(s, got, est):
             want = _background_reference(params, sk)
-            tol = max(1e-14 * params.coupling_sq, 1e-12 * abs(want))
+            tol = max(1e-14, 1e-12 * abs(want))
             assert abs(v - want) <= tol
             assert e <= tol
-            alone = amplitude._phi2_background(params, np.array([sk]))[0][0]
+            alone = table.integrals(np.array([sk]))[0][0]
             assert abs(v - alone) <= 2e-15 * abs(alone)
 
 
@@ -685,7 +714,7 @@ def test_phi2_table_refines_beyond_its_reach(qdot, monkeypatch):
     got, est = strict.integrals(np.array([1.0, 1e17]))
     assert [s.tolist() for s in refined] == [[1e17]]
     for sk, v, e in zip([1.0, 1e17], got, est):
-        want = _background_reference(params, sk, epsabs=0.0) / -params.coupling_sq
+        want = _background_reference(params, sk, epsabs=0.0)
         assert abs(v - want) <= 1e-12 * abs(want) and e <= 1e-12 * abs(want)
 
 
@@ -1123,13 +1152,12 @@ def test_sample_curve_asymptotic_and_series(qdot, engine):
     assert not curve.clamped
 
 
-def test_eta_on_sheet_points(qdot):
-    from friedrichs import Sheet, SheetPoint
-    from friedrichs.dispersion import eta_on_sheet
+def test_eta_second_minus_first_sheet(qdot):
+    from friedrichs import eta_first_sheet, eta_second_sheet
     params, ff = qdot
     z = 0.3 + 0.4j
-    on_i = eta_on_sheet(params, ff, SheetPoint(z, Sheet.I))
-    on_ii = eta_on_sheet(params, ff, SheetPoint(z, Sheet.II))
+    on_i = eta_first_sheet(params, ff, z)
+    on_ii = eta_second_sheet(params, ff, z)
     want = 2j * math.pi * params.coupling_sq * z / (1 + z * z) ** 2
     assert on_ii - on_i == pytest.approx(want, rel=1e-12)
 

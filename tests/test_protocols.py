@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -79,6 +81,19 @@ def test_protocol_argument_validation(qdot):
         n_epsilon(params, ff, 1e-9, 1.5)
     with pytest.raises(ValueError):
         anti_zeno_minimum(params, ff, 0.0)
+    for T in (0.0, -1e-9):
+        with pytest.raises(ValueError, match="observation time"):
+            protocol_curve(params, ff, T)
+
+
+def test_anti_zeno_minimum_is_plain_json(qdot, qdot_scales):
+    # the degenerate flag is a Python bool, so a minimum serializes as is
+    params, ff = qdot
+    T = 1e-2 * qdot_scales.t_d
+    for m in (anti_zeno_minimum(params, ff, T),
+              protocol_curve(params, ff, T).minimum):
+        assert type(m.degenerate) is bool
+        json.dumps(asdict(m))
 
 
 def test_zeno_limit_classification():

@@ -3,8 +3,8 @@ import math
 import pytest
 
 from friedrichs import (ModelParams, Provenance, builtin, compute_timescales,
-                        crossover_time_numeric, generic_timescales, moment,
-                        render_table1)
+                        crossover_time_numeric, moment, render_table1,
+                        short_time_expansion)
 from friedrichs.errors import EngineMismatchError, FriedrichsError
 from friedrichs.formfactors import Formfactor
 from friedrichs.presets import preset
@@ -41,12 +41,12 @@ def test_generic_matches_special_closed_forms():
     lam_sq = 3.58e-6
     params = ModelParams(1.67e16, 7.25e12, lam_sq)
     lam = math.sqrt(lam_sq)
-    t_a, _, _ = generic_timescales(params, builtin("phi2"))
+    t_a = short_time_expansion(params, builtin("phi2")).t_a
     assert t_a == pytest.approx(math.sqrt(2) / (lam * params.cutoff), rel=1e-9)
 
     params3, ff3 = preset("hydrogen")
     lam3 = params3.coupling
-    t_a3, _, _ = generic_timescales(params3, ff3)
+    t_a3 = short_time_expansion(params3, ff3).t_a
     assert t_a3 == pytest.approx(math.sqrt(6) / (lam3 * params3.cutoff), rel=1e-9)
     # balance point from the simplified quartic coefficient: (12 I0/I2)^1/2
     i0, i2 = moment(ff3, 0), moment(ff3, 2)
@@ -129,8 +129,8 @@ def test_custom_formfactor_only_generic():
     custom = Formfactor.from_callable(builtin("phi3").evaluator,
                                       tail_exponent=7.0, head_exponent=1.0,
                                       verify=False)
-    t_a, t_b, t_z = generic_timescales(params, custom)
-    assert t_z < t_a and t_b is not None
+    exp = short_time_expansion(params, custom)
+    assert exp.validity_time < exp.t_a and exp.t_b is not None
     with pytest.raises(EngineMismatchError):
         compute_timescales(params, custom)
 
