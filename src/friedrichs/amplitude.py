@@ -581,7 +581,11 @@ def _deficit_kernel(params: ModelParams, ff: Formfactor, s: np.ndarray):
 
     val, e = quadlib.quad_segments(body, _range_breakpoints(a, b, X1),
                                    epsabs=0.0, columns=2 * m)
-    mass, e_mass = quadlib.quad_tail(rho, X1.max(), epsabs=0.0)
+    # the mass past X in y = x/X - 1: the density varies on the scale X,
+    # quad_tail's map on the unit scale
+    X = X1.max()
+    mass, e_mass = quadlib.quad_tail(lambda y: X * rho(X * (1.0 + y)), 0.0,
+                                     epsabs=0.0)
     osc, e_osc = quadlib.oscillatory_tail(
         lambda t: spectral_density(params, ff, Offsets(x0, t)), X1 - x0, s)
     re_d = d.real + val[:m] + mass.real - osc.real

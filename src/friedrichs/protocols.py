@@ -10,11 +10,14 @@ intervals deep below the Zeno time, accelerated decay (anti-Zeno) in a
 broad region above it, and the unperturbed exponential once intervals
 reach the decay era.
 
-ln p comes from a memo that is filled in batches, one log_survival call
-for many intervals: protocol_curve prefetches its N grid together with
-the anti-Zeno scan, and n_epsilon prefetches the next few scan candidates
-or bisection levels it may visit.  The searches then walk the memo in the
-order they always did.
+ln p comes from memos filled in batches, one log_survival call for many
+intervals.  protocol_curve fetches its N grid into a memo that lives for
+the call, and hands it to anti_zeno_minimum, which fetches each round of
+its search into it and so starts from the N grid just fetched.
+n_epsilon fetches the next few scan candidates or bisection levels it
+may visit into a memo per observation time that its calls at that time
+share: the accuracies of one T walk one scan.
+repeated_measurement_survival evaluates its one interval directly.
 
 The deficit kernel's times share one node set, cut at the power-of-two
 splits of the whole batch, so a batched ln p depends on which other
@@ -26,16 +29,19 @@ cached table), so there too the batch moves only the last bits: through
 rounding, the nodes left out past x = 42/min(s), and the table's head
 below x = 1/(4 max(s)), whose nodes a power series over cached moments
 replaces.  A search whose answer hangs on such differences can answer
-differently from one-at-a-time evaluation:
-on a flat anti-Zeno minimum, protocol_curve's minimum (scan batched with
-the N grid) can lie a few N from that of a standalone anti_zeno_minimum.
+differently from one-at-a-time evaluation: on a flat anti-Zeno minimum,
+a few N apart.  A memoized value is the one from the first batch that
+fetched it, so an n_epsilon answer can also depend in those bits on the
+n_epsilon calls at the same T that came before it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -48,38 +54,47 @@ UNBOUNDED = Sentinel("UNBOUNDED", True)
 
 
 def _logp_memo(params: ModelParams, ff: Formfactor):
-    """ln p(tau) memoized on tau.  logp.prefetch(taus) fills the cache
-    with one log_survival call for the taus it lacks.  A lookup hits only
-    for the very same float, so callers compute prefetched taus with the
-    expression they look them up with."""
+    """ln p(tau) memoized on tau: fetch(taus) returns ln p at taus as a
+    list, with one log_survival call for those not in fetch.cache.  A
+    lookup hits only for the very same float, so callers compute fetched
+    taus with the expression they look them up with."""
     cache = {}
 
-    def logp(tau: float) -> float:
-        val = cache.get(tau)
-        if val is None:
-            val = log_survival(params, ff, tau)
-            cache[tau] = val
-        return val
-
-    def prefetch(taus):
+    def fetch(taus) -> list:
         missing = [tau for tau in dict.fromkeys(taus) if tau not in cache]
         if missing:
             cache.update(zip(missing, log_survival(params, ff, missing).tolist()))
+        return [cache[tau] for tau in taus]
 
-    logp.cache, logp.prefetch = cache, prefetch
-    return logp
+    fetch.cache = cache
+    return fetch
+
+
+@lru_cache(maxsize=32)
+def _n_epsilon_memo(params: ModelParams, ff: Formfactor, T: float):
+    """The ln p memo that the n_epsilon calls at one observation time
+    share, for the 32 most recent (params, ff, T); a walk adds a few dozen
+    intervals to it."""
+    return _logp_memo(params, ff)
+
+
+def _check_time(T: float):
+    if not 0.0 < T < math.inf:
+        raise ValueError("observation time must be positive and finite")
+
+
+def _check_count(n, least: int, what: str):
+    if not isinstance(n, numbers.Integral) or n < least:
+        raise ValueError(f"{what} must be an integer >= {least}")
 
 
 def repeated_measurement_survival(params: ModelParams, ff: Formfactor,
-                                  T: float, N: int,
-                                  _logp=None) -> float:
+                                  T: float, N: int) -> float:
     """p_N(T) = p(T/N)^N for N ideal measurements over [0, T]."""
     if N < 1 or N != int(N):
         raise ValueError("measurement count must be a positive integer")
-    if not T > 0:
-        raise ValueError("observation time must be positive")
-    lp = (_logp or (lambda tau: log_survival(params, ff, tau)))(T / N)
-    return math.exp(N * lp)
+    _check_time(T)
+    return math.exp(N * log_survival(params, ff, T / N))
 
 
 class ZenoLimitKind(Enum):
@@ -114,61 +129,86 @@ class AntiZenoMinimum:
     degenerate: bool
 
 
+_ROUND = 17            # anti_zeno_minimum: integers per round
+_FIT = 1e-3            # anti_zeno_minimum: relative reach of the vertex fit
+
+
 def anti_zeno_minimum(params: ModelParams, ff: Formfactor,
-                      T: float, _logp=None) -> AntiZenoMinimum:
-    """Deepest point of p_N(T) over the measurement interval.
+                      T: float, _ns=None, _fetch=None) -> AntiZenoMinimum:
+    """Deepest point of p_N(T) over the number of measurements N.
 
-    Coarse scan on log tau, golden-section refinement, then integer
-    refinement of N = T/tau.  A flat curve (no interior minimum) is
-    returned with the degenerate flag set.
+    A coarse grid of N, then rounds over integers, each one log_survival
+    call.  A round takes _ROUND integers spread geometrically over the
+    bracket, ends included, and the best N so far, whose value is already
+    known; the next bracket is the two samples next to the best one, so a
+    unimodal p_N keeps its minimum inside.  Once the bracket is narrower
+    than _ROUND, the last round takes every integer within _ROUND - 1 of
+    _vertex's estimate of the minimum, and the best N.  The coarse grid
+    is _ns, protocol_curve's N grid (whose ln p its memo _fetch holds),
+    or else _n_grid's 161 intervals.  Returns the best p_N seen, coarse
+    grid included.  A flat curve or a coarse minimum at an end of the
+    grid (no interior minimum) sets the degenerate flag.
     """
-    if not T > 0:
-        raise ValueError("observation time must be positive")
-    logp = _logp or _logp_memo(params, ff)
-    grid = _anti_zeno_grid(T, short_time_expansion(params, ff).validity_time)
-    logp.prefetch([math.exp(x) for x in grid])
+    _check_time(T)
+    if _ns is None:
+        _ns = _n_grid(T, short_time_expansion(params, ff).validity_time, 161)
+    fetch = _fetch or _logp_memo(params, ff)
+    seen = {}
 
-    def cost(ltau: float) -> float:
-        tau = math.exp(ltau)
-        return (T / tau) * logp(tau)   # minimize = deepest p_N
+    def costs(ns: np.ndarray) -> np.ndarray:     # N ln p, one fetch
+        vals = ns * np.array(fetch([T / n for n in ns.tolist()]))
+        seen.update(zip(ns.tolist(), vals.tolist()))
+        return vals
 
-    vals = np.array([cost(x) for x in grid])
+    ns = np.unique(_ns)
+    vals = costs(ns)
     k = int(np.argmin(vals))
-    degenerate = k in (0, len(grid) - 1) or bool(vals.max() - vals.min() < 1e-15)
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, len(grid) - 1)]
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
-    f1, f2 = cost(x1), cost(x2)
-    for _ in range(80):
-        if b - a < 1e-12:
+    degenerate = k in (0, ns.size - 1) or bool(vals.max() - vals.min() < 1e-15)
+    while True:
+        lo, hi = ns[max(k - 1, 0)], ns[min(k + 1, ns.size - 1)]
+        if hi - lo < _ROUND:
             break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = cost(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = cost(x2)
-    tau_star = math.exp(0.5 * (a + b))
-
-    n_best = max(1, round(T / tau_star))
-    ns = range(max(1, n_best - 3), n_best + 4)
-    logp.prefetch([T / n for n in ns])
-    p_n = lambda n: repeated_measurement_survival(params, ff, T, n, _logp=logp)
-    n_star = min(ns, key=p_n)
-    return AntiZenoMinimum(T / n_star, p_n(n_star), n_star, degenerate)
+        ns = np.unique(np.append(np.rint(np.geomspace(lo, hi, _ROUND)), ns[k])
+                       .astype(np.int64))
+        vals = costs(ns)
+        k = int(np.argmin(vals))
+    best = int(ns[k])
+    c = _vertex(seen, best)
+    ns = np.unique(np.append(np.arange(max(1, c - _ROUND + 1), c + _ROUND), best))
+    vals = costs(ns)
+    k = int(np.argmin(vals))
+    n_star = int(ns[k])
+    return AntiZenoMinimum(T / n_star, math.exp(vals[k]), n_star, degenerate)
 
 
-def _anti_zeno_grid(T: float, t_z: float) -> np.ndarray:
-    """The coarse scan of anti_zeno_minimum: 161 values of ln tau."""
-    return np.linspace(math.log(1e-3 * t_z), math.log(T), 161)
+def _vertex(seen: dict, best: int) -> int:
+    """The integer nearest the vertex of the least-squares parabola through
+    the costs N ln p seen within _FIT of best; best itself when fewer than
+    five lie there, or the parabola does not open upward with its vertex
+    in that reach.  Past the deficit kernel's seam, rounding jitters p_N
+    from one N to the next (3.5e-9 relative rms at T = 1e-2 t_d on
+    photodetachment), so on a flat bottom the best sample can lie hundreds
+    of N from the minimum; the fit averages the jitter out."""
+    ns = np.array([n for n in seen if abs(n - best) <= _FIT * best])
+    if ns.size < 5:
+        return best
+    x = ns / (_FIT * best) - 1.0 / _FIT
+    y = np.array([seen[n] for n in ns.tolist()]) - seen[best]
+    a2, a1, _ = np.polyfit(x, y, 2)
+    if not (a2 > 0 and abs(a1) <= 2 * a2):
+        return best
+    return int(round(best - _FIT * best * a1 / (2 * a2)))
 
 
-_SCAN_AHEAD = 8        # n_epsilon: geometric-scan candidates per prefetch
-_BISECT_AHEAD = 4      # n_epsilon: bisection-tree levels per prefetch
+def _n_grid(T: float, t_z: float, n_tau: int) -> np.ndarray:
+    """Distinct N = T/tau, descending, for n_tau intervals tau on a log
+    grid over [1e-3 t_Z, T]."""
+    taus = np.geomspace(1e-3 * t_z, T, n_tau)
+    return np.unique(np.maximum(1, np.rint(T / taus)).astype(np.int64))[::-1]
+
+
+_SCAN_AHEAD = 8        # n_epsilon: geometric-scan candidates per fetch
+_BISECT_AHEAD = 4      # n_epsilon: bisection-tree levels per fetch
 
 
 def n_epsilon(params: ModelParams, ff: Formfactor, T: float, eps: float,
@@ -181,19 +221,25 @@ def n_epsilon(params: ModelParams, ff: Formfactor, T: float, eps: float,
     scan candidates (_SCAN_AHEAD in all) or bisection levels
     (_BISECT_AHEAD); the walk is the sequential one, so it makes no more
     log_survival calls than that walk, though some times go unvisited.
+    The calls at one T share their memo (_n_epsilon_memo), so another
+    accuracy at that T finds the scan fetched and fetches only its own
+    bisection levels, and a repeated call fetches nothing.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("accuracy must lie in (0, 1)")
-    if not T > 0:
-        raise ValueError("observation time must be positive")
-    logp = _logp_memo(params, ff)
+    _check_time(T)
+    _check_count(cap, 1, "measurement cap")
+    fetch = _n_epsilon_memo(params, ff, T)
+
+    def p_n(n: int) -> float:          # n is fetched
+        return math.exp(n * fetch.cache[T / n])
 
     def ok(n: int, ahead) -> bool:
-        """p_n(T) >= threshold; on a miss, prefetch the candidates ahead()
+        """p_n(T) >= threshold; on a miss, fetch the candidates ahead()
         lists, n first."""
-        if T / n not in logp.cache:
-            logp.prefetch([T / k for k in ahead()])
-        return repeated_measurement_survival(params, ff, T, n, _logp=logp) >= threshold
+        if T / n not in fetch.cache:
+            fetch([T / k for k in ahead()])
+        return p_n(n) >= threshold
 
     def step(n: int) -> int:
         return max(n + 1, int(n * 1.35))
@@ -211,9 +257,8 @@ def n_epsilon(params: ModelParams, ff: Formfactor, T: float, eps: float,
         mid = (lo + hi) // 2
         return [mid] + tree(lo, mid, depth - 1) + tree(mid, hi, depth - 1)
 
-    logp.prefetch([T / 1, *(T / k for k in scan_from(2))])
-    p1 = repeated_measurement_survival(params, ff, T, 1, _logp=logp)
-    threshold = (1.0 - eps) * p1
+    fetch([T / 1, *(T / k for k in scan_from(2))])
+    threshold = (1.0 - eps) * p_n(1)
 
     last_good, n = 1, 2
     while n <= cap:
@@ -247,19 +292,14 @@ def protocol_curve(params: ModelParams, ff: Formfactor, T: float,
                    n_tau: int = 400,
                    decay_time: Optional[float] = None) -> ProtocolResult:
     """p_N(T) sampled on a log grid of intervals tau in [1e-3 t_Z, T];
-    duplicate integer N collapsed."""
-    if not T > 0:
-        raise ValueError("observation time must be positive")
-    logp = _logp_memo(params, ff)
-    t_z = short_time_expansion(params, ff).validity_time
-    taus = np.geomspace(1e-3 * t_z, T, n_tau)
-    ns = sorted(set(max(1, int(round(T / tau))) for tau in taus), reverse=True)
-    # the N grid and the anti-Zeno scan in one batch
-    logp.prefetch([T / n for n in ns]
-                  + [math.exp(x) for x in _anti_zeno_grid(T, t_z)])
-    ns = np.array(ns, dtype=np.int64)
-    ps = np.array([repeated_measurement_survival(params, ff, T, int(n), _logp=logp)
-                   for n in ns])
+    duplicate integer N collapsed.  Its minimum is anti_zeno_minimum's,
+    searched from this N grid."""
+    _check_time(T)
+    _check_count(n_tau, 2, "interval count")
+    ns = _n_grid(T, short_time_expansion(params, ff).validity_time, n_tau)
+    fetch = _logp_memo(params, ff)
+    lps = fetch([T / n for n in ns.tolist()])
+    ps = np.array([math.exp(n * lp) for n, lp in zip(ns.tolist(), lps)])
     ref = math.exp(-T / decay_time) if decay_time else None
-    minimum = anti_zeno_minimum(params, ff, T, _logp=logp)
+    minimum = anti_zeno_minimum(params, ff, T, _ns=ns, _fetch=fetch)
     return ProtocolResult(T, ns, T / ns, ps, ref, minimum)

@@ -16,7 +16,7 @@ from friedrichs import (Engine, Formfactor, ModelParams, bound_state_margin,
                         survival_amplitude_phi1_exact, survival_amplitude_phi2,
                         survival_amplitude_quadrature, survival_deficit,
                         survival_probability)
-from friedrichs import amplitude, quadrature
+from friedrichs import amplitude, protocols, quadrature
 from friedrichs.amplitude import asymptote_terms, log_survival, resolve_engine
 from friedrichs.dispersion import Offsets, _num_den, spectral_peak
 from friedrichs.formfactors import PHI2, PHI3
@@ -725,9 +725,11 @@ def test_phi2_table_built_once_per_parameter_set(qdot, qdot_scales, monkeypatch)
     monkeypatch.setattr(amplitude, "background_weight",
                         lambda p, f, x: nodes.append(x.size) or weight(p, f, x))
     amplitude._phi2_table.cache_clear()
+    protocols._n_epsilon_memo.cache_clear()
     first = n_epsilon(params, ff, 1e-2 * qdot_scales.t_d, 1e-3)
     assert sum(nodes) > 0
     nodes.clear()
+    protocols._n_epsilon_memo.cache_clear()     # ln p again, from the same table
     assert n_epsilon(params, ff, 1e-2 * qdot_scales.t_d, 1e-3) == first
     assert sum(nodes) == 0
 

@@ -10,6 +10,7 @@ from friedrichs import (UNBOUNDED, ModelParams, ZenoLimitKind, anti_zeno_minimum
                         repeated_measurement_survival, resonance_roots,
                         short_time_expansion, survival_probability,
                         zeno_limit_class)
+import friedrichs.protocols as protocols
 from friedrichs.amplitude import ShortTimeExpansion, log_survival
 from friedrichs.presets import preset
 
@@ -22,6 +23,12 @@ def qdot():
 @pytest.fixture(scope="module")
 def qdot_scales(qdot):
     return compute_timescales(*qdot)
+
+
+@pytest.fixture
+def cold_memo():
+    """n_epsilon's memos emptied, for tests of one call's own work."""
+    protocols._n_epsilon_memo.cache_clear()
 
 
 def test_single_measurement_is_plain_survival(qdot):
@@ -51,14 +58,15 @@ def test_zero_coupling_scales_fail_typed(name):
             call()
 
 
-def test_exponential_survival_is_protocol_fixed_point(qdot):
+def test_exponential_survival_is_protocol_fixed_point(qdot, monkeypatch):
     params, ff = qdot
     rate = 3.7e8
-    exact = lambda tau: -rate * tau
+    monkeypatch.setattr(protocols, "log_survival",
+                        lambda params, ff, tau: -rate * tau)
     T = 1e-8
     want = math.exp(-rate * T)
     for n in (1, 7, 1000, 10 ** 9):
-        got = repeated_measurement_survival(params, ff, T, n, _logp=exact)
+        got = repeated_measurement_survival(params, ff, T, n)
         assert abs(got - want) < 1e-12 * want
 
 
@@ -84,6 +92,19 @@ def test_protocol_argument_validation(qdot):
     for T in (0.0, -1e-9):
         with pytest.raises(ValueError, match="observation time"):
             protocol_curve(params, ff, T)
+    # an infinite observation time fails typed, not by dividing by it
+    for call in (lambda: repeated_measurement_survival(params, ff, math.inf, 3),
+                 lambda: n_epsilon(params, ff, math.inf, 1e-3),
+                 lambda: anti_zeno_minimum(params, ff, math.inf),
+                 lambda: protocol_curve(params, ff, math.inf)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            call()
+    for cap in (0, -5, 2.5):
+        with pytest.raises(ValueError, match="measurement cap"):
+            n_epsilon(params, ff, 1e-9, 1e-3, cap=cap)
+    for n_tau in (0, 1, -3, 2.5):
+        with pytest.raises(ValueError, match="interval count"):
+            protocol_curve(params, ff, 1e-9, n_tau=n_tau)
 
 
 def test_anti_zeno_minimum_is_plain_json(qdot, qdot_scales):
@@ -197,21 +218,21 @@ def test_protocol_curve_structure(qdot, qdot_scales):
 # batched ln p against the one-time-at-a-time algorithms
 # ---------------------------------------------------------------------------
 
-def _logp_sequential(params, ff):
+def _p_n_sequential(params, ff, T):
+    """p_n(T) with one log_survival call per tau, memoized on n."""
     cache = {}
 
-    def logp(tau):
-        if tau not in cache:
-            cache[tau] = log_survival(params, ff, tau)
-        return cache[tau]
+    def p_n(n):
+        if n not in cache:
+            cache[n] = math.exp(n * log_survival(params, ff, T / n))
+        return cache[n]
 
-    return logp
+    return p_n
 
 
 def _n_epsilon_sequential(params, ff, T, eps, cap=10 ** 9):
     """n_epsilon as it was before prefetching: one log_survival per tau."""
-    logp = _logp_sequential(params, ff)
-    p_n = lambda n: repeated_measurement_survival(params, ff, T, n, _logp=logp)
+    p_n = _p_n_sequential(params, ff, T)
     threshold = (1.0 - eps) * p_n(1)
     last_good, n = 1, 2
     while n <= cap:
@@ -231,8 +252,15 @@ def _n_epsilon_sequential(params, ff, T, eps, cap=10 ** 9):
 
 
 def _anti_zeno_sequential(params, ff, T):
-    """anti_zeno_minimum as it was before prefetching."""
-    logp = _logp_sequential(params, ff)
+    """anti_zeno_minimum as it was before prefetching: a coarse scan on
+    ln tau, golden-section refinement, then N within 3 of the result."""
+    cache = {}
+
+    def logp(tau):
+        if tau not in cache:
+            cache[tau] = log_survival(params, ff, tau)
+        return cache[tau]
+
     t_z = short_time_expansion(params, ff).validity_time
     cost = lambda ltau: (T / math.exp(ltau)) * logp(math.exp(ltau))
     grid = np.linspace(math.log(1e-3 * t_z), math.log(T), 161)
@@ -254,7 +282,7 @@ def _anti_zeno_sequential(params, ff, T):
             x2 = a + invphi * (b - a)
             f2 = cost(x2)
     n_best = max(1, round(T / math.exp(0.5 * (a + b))))
-    p_n = lambda n: repeated_measurement_survival(params, ff, T, n, _logp=logp)
+    p_n = lambda n: math.exp(n * logp(T / n))
     n_star = min(range(max(1, n_best - 3), n_best + 4), key=p_n)
     return T / n_star, p_n(n_star), n_star
 
@@ -264,23 +292,31 @@ _NEPS_GRID = [(ratio, eps) for eps in (1e-2, 3e-3, 1e-3)
 
 
 @pytest.mark.parametrize("ratio,eps", _NEPS_GRID)
-def test_n_epsilon_matches_sequential(qdot, qdot_scales, ratio, eps):
+def test_n_epsilon_matches_sequential(qdot, qdot_scales, cold_memo, ratio, eps):
     T = ratio * qdot_scales.t_d
     assert n_epsilon(*qdot, T, eps) == _n_epsilon_sequential(*qdot, T, eps)
 
 
 @pytest.mark.parametrize("ratio", [1e-4, 1e-3, 1e-2, 1e-1])
-def test_anti_zeno_minimum_matches_sequential(ratio):
+def test_anti_zeno_minimum_no_shallower_than_sequential(ratio):
+    # The integer search must reach the golden section's depth and land
+    # within 0.1% of its N.  At the minimum s = 1.6, past the kernel's seam,
+    # so ln p comes from 1 - |A|^2, whose rounding N multiplies into a
+    # jitter of p_N from one N to the next: 3.5e-9 relative (rms) at
+    # T = 1e-2 t_d and 3.5e-8 at 1e-1, where the search ends 2.4e-10 and
+    # 4.5e-8 below the reference.  Without its vertex fit the search ends
+    # 427 N from the closed form's N* at 1e-2 and 3.5e-9 above it.
     params, ff = preset("photodetachment")
     T = ratio * compute_timescales(params, ff).t_d
     m = anti_zeno_minimum(params, ff, T)
     tau, p, n = _anti_zeno_sequential(params, ff, T)
-    assert (m.tau, m.n_measurements) == (tau, n)
-    assert m.probability == pytest.approx(p, rel=1e-9)
+    assert m.probability <= p * (1.0 + 1e-13)
+    assert abs(m.n_measurements - n) <= 1e-3 * n
+    assert m.tau == T / m.n_measurements
 
 
 @pytest.mark.parametrize("eps", [3e-3, 1e-8])
-def test_n_epsilon_shares_quadrature_engine_passes(monkeypatch, eps):
+def test_n_epsilon_shares_quadrature_engine_passes(monkeypatch, cold_memo, eps):
     # the quadrature engine advances all times of a call together, so the
     # prefetched scan candidates and bisection levels share its adaptive
     # passes: 38 and 5 passes against the sequential walk's 208 and 10,
@@ -307,9 +343,9 @@ def test_n_epsilon_shares_quadrature_engine_passes(monkeypatch, eps):
 
 @pytest.mark.parametrize("ratio", [1e-3, 1e-2, 1e-1])
 def test_protocol_curve_minimum_matches_anti_zeno_minimum(qdot, qdot_scales, ratio):
-    # protocol_curve batches the anti-Zeno scan with its N grid, so its ln p
-    # values may differ from a standalone search's in the last bits; on a
-    # flat minimum that can move N, but only within the flat bottom
+    # protocol_curve's search starts from its own N grid, a standalone one
+    # from 161 intervals; on a flat minimum the two can end on different N,
+    # but only within the flat bottom
     T = ratio * qdot_scales.t_d
     a = protocol_curve(*qdot, T, decay_time=qdot_scales.t_d).minimum
     b = anti_zeno_minimum(*qdot, T)
@@ -343,7 +379,7 @@ def test_protocol_curve_batches_its_integrals(quad_calls):
 
 @pytest.mark.parametrize("ratio,eps", _NEPS_GRID)
 def test_n_epsilon_batches_its_integrals(qdot, qdot_scales, quad_calls,
-                                         monkeypatch, ratio, eps):
+                                         monkeypatch, cold_memo, ratio, eps):
     # 25-26 quad_complex calls when every tau had its own integral.  The
     # phi2 table's contractions reduce 5,250-9,555 node x column values
     # per grid point with its moment head, 18,669-43,932 without it
@@ -369,3 +405,41 @@ def test_n_epsilon_batches_its_integrals(qdot, qdot_scales, quad_calls,
     n_epsilon(*qdot, ratio * qdot_scales.t_d, eps)
     assert len(quad_calls) <= 10
     assert 0 < sum(reduced) <= 12000
+
+
+@pytest.fixture
+def log_survival_calls(monkeypatch, cold_memo):
+    calls = []
+    monkeypatch.setattr(protocols, "log_survival",
+                        lambda *a: calls.append(1) or log_survival(*a))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["photodetachment", "quantum-dot", "hydrogen"])
+@pytest.mark.parametrize("ratio", [1e-4, 1e-1])
+def test_anti_zeno_search_is_a_few_batched_rounds(name, ratio, log_survival_calls):
+    # each round of the search is one log_survival call: 4-10 in all,
+    # where the golden section took 59-60
+    params, ff = preset(name)
+    T = ratio * compute_timescales(params, ff).t_d
+    for search in (lambda: anti_zeno_minimum(params, ff, T),
+                   lambda: protocol_curve(params, ff, T).minimum):
+        log_survival_calls.clear()
+        m = search()
+        assert len(log_survival_calls) <= 12
+        assert not m.degenerate
+
+
+
+def test_n_epsilon_calls_share_their_fetches(qdot, qdot_scales, log_survival_calls):
+    # the calls at one T share a memo: another accuracy walks the scan the
+    # first call fetched, and a repeated call fetches nothing
+    T = 1e-2 * qdot_scales.t_d
+    first = n_epsilon(*qdot, T, 1e-3)
+    assert len(log_survival_calls) > 2
+    log_survival_calls.clear()
+    n_epsilon(*qdot, T, 3e-3)
+    assert len(log_survival_calls) <= 2
+    log_survival_calls.clear()
+    assert n_epsilon(*qdot, T, 1e-3) == first
+    assert len(log_survival_calls) == 0
