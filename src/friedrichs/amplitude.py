@@ -14,22 +14,26 @@ QUADRATURE    A(s) = int_0^inf rho(x) exp(isx) dx over the spectral
               is exp(ist), and exp(isx0) multiplies the window once.  In
               absolute x the hydrogen spike, 3.7e-11 wide at x0 = 1.8e-3,
               is resolved only to 6e-9 of its width, noise that bisection
-              cannot remove.  When the window reaches x = 0, geometric
-              breakpoints x0 / 4^k step toward that head (the sqrt of
-              phi1, the y log y of P for phi2 and phi3).  The adaptive
-              integrals start at their integrands' own scales, not at
-              scales bisection would have to find: while a period of
-              exp(isx) is at most about 100 half widths of the spike, the
-              window has a breakpoint every period, and the mass
-              integral's tail at s = 0 starts at x >= 1, where the unit
-              scale of its map to [0, 1) fits the density.  The right tail
-              is one fixed table of double-exponential nodes
-              (quadrature.oscillatory_tail) in the same offsets, so its
-              phase matches the window's at their common end; while
+              cannot remove.  Geometric breakpoints x0 / 4^k step toward
+              the head at x = 0 (the sqrt of phi1, the y log y of P for
+              phi2 and phi3) where the window reaches it.  While s width
+              < 25 the window comes from one table of Filon panels per
+              parameter set (quadrature.FourierTable): the density on
+              Gauss-Legendre panels cut at rungs t = +-(width/4) 2^j and
+              at that head ladder, whose Legendre coefficients integrate
+              exactly against exp(ist) at any s.  A time costs a
+              contraction of the table, and a moment series where the
+              phase barely turns, not density nodes of its own.  The
+              adaptive mass integral's tail at s = 0 starts at x >= 1,
+              where the unit scale of its map to [0, 1) fits the density.
+              The right tail is one fixed table of double-exponential
+              nodes (quadrature.oscillatory_tail) in the same offsets, so
+              its phase matches the window's at their common end; while
               few oscillations reach x = 60 an adaptive stretch, also in
               offsets, comes first.  Left of the window the integral is
               in absolute x (quadrature.oscillatory_finite), from an
-              adaptive first half period at x = 0.
+              adaptive first half period at x = 0, on Filon panels graded
+              in the distances from x = 0 and from the spike.
 
 PHI1_EXACT    For the sqrt-head weight the density is rational in
               u = sqrt(x), and the transform reduces to three Faddeeva
@@ -83,7 +87,9 @@ node for all times.  The quadrature engine gives each time integrals of
 its own, with its own intervals, but advances them all together: each
 pass of its adaptive integrals evaluates the new nodes of every time in
 one density call (quadrature.quad_complex's K integrals).  A time there
-costs its own nodes, not its own passes.
+costs its own nodes, not its own passes, and its spike window costs a
+contraction of the parameters' table, which grows outward by whole rungs
+when a time reaches past it.
 """
 
 from __future__ import annotations
@@ -140,31 +146,41 @@ _HEAD_FLOOR = 1e-12        # the head ladder stops above x = _HEAD_FLOOR * x0
 _TOL = 1e-10               # the engine's absolute tolerance on A(s)
 
 
-def _window_breakpoints(x0, width, a, b, s=0.0):
-    """Breakpoints of the window [a, b] in offsets t = x - x0: the spike
-    ladder around t = 0 and, when the window starts at x = 0, a geometric
-    ladder x0 / 4^k toward the head, where phi1 has its sqrt and P of phi2
-    and phi3 its y log y.  The head ladder stops at x = _HEAD_FLOOR * x0,
-    so that the nodes of its first interval, x0 + t, stay clear of 0 after
-    rounding (offsets near -x0 are spaced by ulp(x0)).
+def _head_ladder(x0):
+    """Offsets x0 / 4^k - x0 (k >= 1) of a geometric ladder toward the
+    head at x = 0, where phi1 has its sqrt and P of phi2 and phi3 its
+    y log y.  It stops at x = _HEAD_FLOOR * x0, so that the nodes of the
+    first interval, x0 + t, stay clear of 0 after rounding (offsets near
+    -x0 are spaced by ulp(x0))."""
+    pts, x = [], x0 / 4.0
+    while x > _HEAD_FLOOR * x0:
+        pts.append(x - x0)
+        x /= 4.0
+    return pts
 
-    With a phase exp(ist) whose period 2 pi / s is at most about 100 half
-    widths, s width >= 1/16 (the decay time has s width = 1/2), the window
-    spans 40 periods or more and its outer rungs hold several each: a
-    breakpoint every period splits them at once, not by bisection.  At
-    longer periods the spike ladder alone resolves the window."""
+
+def _window_breakpoints(x0, width, a, b):
+    """Breakpoints of the window [a, b] in offsets t = x - x0: the spike
+    ladder around t = 0 and, when the window starts at x = 0, the head
+    ladder (_head_ladder)."""
     lo, hi = a - x0, b - x0
     pts = [lo, 0.0, hi] + quadlib.geometric_ladder(0.0, width, lo, hi)
-    if s * width >= 1.0 / 16.0:
-        period = 2.0 * math.pi / s
-        pts += (period * np.arange(math.ceil(lo / period),
-                                   math.floor(hi / period) + 1)).tolist()
     if a == 0.0:
-        x = x0 / 4.0
-        while x > _HEAD_FLOOR * x0:
-            pts.append(x - x0)
-            x /= 4.0
+        pts += _head_ladder(x0)
     return sorted(set(pts))
+
+
+@lru_cache(maxsize=64)
+def _spike_table(params: ModelParams, ff: Formfactor):
+    """The spike window's Filon table (quadrature.FourierTable) in offsets
+    t = x - x0 from the spike center: panels cut at the rungs
+    +-(width/4) 2^j and, toward x = 0, at the head ladder, each refined
+    to _TOL / 512 (a window holds 40 to 200 panels).  Memoized on
+    (params, ff), built-in or custom."""
+    x0, width = spectral_peak(params, ff)
+    return quadlib.FourierTable(
+        lambda t: spectral_density(params, ff, Offsets(x0, t)), width, x0,
+        _head_ladder(x0), _TOL / 512)
 
 
 def _amp_quadrature(params: ModelParams, ff: Formfactor, s: np.ndarray):
@@ -176,51 +192,54 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: np.ndarray):
     ladder reaches X1, and from x = 1 on the density varies on the unit
     scale of quad_tail's map, so the tail needs no bisection toward its
     start (from x0 + 1e7 width, about 2 x0 in the weak-coupling box, it
-    took 3-10 passes).  Past s = 0 they are the spike window, adaptive
-    while s width < 25, with a breakpoint every period from s width =
-    1/16 (_window_breakpoints), and otherwise panel caps and by parts;
-    the left part when the window leaves one; an adaptive stretch right
-    of the window while few oscillations reach x = 60; and the
-    double-exponential tail.  The window, the body, the tail and the
-    stretch are taken over the offset t = x - x0 from the spike center:
-    Re eta is formed from t exactly (Offsets), the phase is exp(ist), and
-    the global factor exp(isx0) is applied once (see the module
-    docstring).
+    took 3-10 passes).  Past s = 0 they are the spike window, of reach D
+    = max(80 width, 40 pi / s) on either side of x0: while s width < 25
+    from the parameters' spike table (_spike_table), D snapped out to its
+    next rung, and otherwise panel caps and by parts; the left part when
+    the window leaves one; an adaptive stretch right of the window while
+    few oscillations reach x = 60; and the double-exponential tail.  The
+    window, the body, the tail and the stretch are taken over the offset
+    t = x - x0 from the spike center: Re eta is formed from t exactly
+    (Offsets), the phase is exp(ist), and the global factor exp(isx0) is
+    applied once (see the module docstring).
 
     Execute: the adaptive pieces in offsets of all times are one
     quad_segments call of independent integrals (two when s = 0 is among
-    the times: the mass integrals are real), the left parts one
-    oscillatory_finite call in absolute x and the double-exponential
-    tails one oscillatory_tail call; only the fixed-rule windows are
-    taken time by time.  Each time's integrals are its own, so its A and
-    estimate do not depend on the other times of the call."""
+    the times: the mass integrals are real), the table windows one
+    contraction of the table, the left parts one oscillatory_finite call
+    in absolute x and the double-exponential tails one oscillatory_tail
+    call; only the by-parts windows are taken time by time.  Each time's
+    integrals and table panels are its own, so its A and estimate depend
+    only on the parameters, the weight and its s, not on the other times
+    of the call or the calls before it."""
     x0, width = spectral_peak(params, ff)
     rho = lambda x: spectral_density(params, ff, x)
     rho_t = lambda t: spectral_density(params, ff, Offsets(x0, t))
 
     # plan.  The adaptive pieces in offsets, of the real mass integral at
-    # s = 0 or with a phase: their time, breakpoints, tolerance and
-    # interval budget
-    mass, phased = ([], [], [], []), ([], [], [], [])
+    # s = 0 or with a phase: their times and breakpoints
+    mass, phased = ([], []), ([], [])
 
-    def adaptive(k, breakpoints, tol, budget=quadlib.LIMIT):
-        for plan, item in zip(mass if s[k] == 0.0 else phased,
-                              (k, breakpoints, tol, budget)):
+    def adaptive(k, breakpoints):
+        for plan, item in zip(mass if s[k] == 0.0 else phased, (k, breakpoints)):
             plan.append(item)
 
     offs, err = np.zeros(s.shape, dtype=complex), np.zeros(s.shape)
     left, right = [], []      # (time, window start a, reach D), (time, X1 - x0)
+    windows = []              # (time, rung of its reach in the spike table)
     for k, sk in enumerate(s.tolist()):
         if sk == 0.0:
             X1 = max(x0 + 1e7 * width, 1.0)
-            adaptive(k, _window_breakpoints(x0, width, 0.0, X1), _TOL / 8)
-            adaptive(k, [X1 - x0, math.inf], _TOL / 8)
+            adaptive(k, _window_breakpoints(x0, width, 0.0, X1))
+            adaptive(k, [X1 - x0, math.inf])
             continue
         D = max(_SPIKE_HALFWIDTHS * width, 40.0 * math.pi / sk)
-        a, b = max(x0 - D, 0.0), x0 + D
         if sk * width < 25.0:
-            adaptive(k, _window_breakpoints(x0, width, a, b, sk), _TOL / 32, 900)
-        else:
+            rung = _spike_table(params, ff).rung(D)
+            D = _spike_table(params, ff).reach(rung)
+            windows.append((k, rung))
+        a, b = max(x0 - D, 0.0), x0 + D
+        if sk * width >= 25.0:
             offs[k], err[k] = quadlib.byparts_segment(rho_t, a - x0, b - x0, sk,
                                                       width, width)
         # left of the window.  oscillatory_finite takes the first half
@@ -235,20 +254,23 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: np.ndarray):
         if sk * (_X_FAR - b) <= 24.0:
             X1 = max(_X_FAR, 2 * b)
             adaptive(k, [b - x0, *quadlib.geometric_ladder(0.0, width, b - x0,
-                                                            X1 - x0), X1 - x0],
-                     _TOL / 8)
+                                                            X1 - x0), X1 - x0])
         right.append((k, X1 - x0))
 
     # execute
     integrands = (lambda t, o: rho_t(t),
                   lambda t, o: rho_t(t) * np.exp(1j * phase[o] * t))
-    for (owner, segs, eps, limit), f in zip((mass, phased), integrands):
+    for (owner, segs), f in zip((mass, phased), integrands):
         if owner:
             phase = s[owner]
-            v, e = quadlib.quad_segments(f, segs, epsabs=np.array(eps),
-                                         limit=np.array(limit))
+            v, e = quadlib.quad_segments(f, segs, epsabs=_TOL / 8)
             np.add.at(offs, owner, v)
             np.add.at(err, owner, e)
+    if windows:
+        k, rung = (np.array(v) for v in zip(*windows))
+        v, e = _spike_table(params, ff).integrals(s[k], rung)
+        offs[k] += v
+        err[k] += e
     if right:
         k, start = (np.array(v) for v in zip(*right))
         v, e = quadlib.oscillatory_tail(rho_t, start, s[k])

@@ -216,7 +216,11 @@ def n_epsilon(params: ModelParams, ff: Formfactor, T: float, eps: float,
     """Largest N with p_n(T) >= (1 - eps) p_1(T) for every n <= N.
 
     Geometric scan brackets the first violation, integer bisection pins
-    it; UNBOUNDED when no violation occurs up to the cap.  Whenever the
+    it.  When no scan point fails, p_n is tested at anti_zeno_minimum's
+    N and at the cap, and the first of them that fails is bisected from
+    the last scan point below it; UNBOUNDED when neither fails (when no
+    violation occurs up to the cap, for a p_n that falls to one minimum
+    and climbs back).  Whenever the
     next N is not cached, one log_survival call fetches it with the next
     scan candidates (_SCAN_AHEAD in all) or bisection levels
     (_BISECT_AHEAD); the walk is the sequential one, so it makes no more
@@ -260,15 +264,25 @@ def n_epsilon(params: ModelParams, ff: Formfactor, T: float, eps: float,
     fetch([T / 1, *(T / k for k in scan_from(2))])
     threshold = (1.0 - eps) * p_n(1)
 
-    last_good, n = 1, 2
+    good, n = [1], 2               # the scan points that pass
     while n <= cap:
         if not ok(n, lambda: scan_from(n)):
             break
-        last_good, n = n, step(n)
+        good.append(n)
+        n = step(n)
     else:
-        return UNBOUNDED
+        # no scan point fails.  The deepest point, anti_zeno_minimum's N,
+        # may still: p_n falls to it and climbs back, so a narrow window
+        # of violations can lie between two scan points.  So may the cap,
+        # past the last scan point
+        deepest = anti_zeno_minimum(params, ff, T).n_measurements
+        for n in (deepest, cap):
+            if n <= cap and n not in good and not ok(n, lambda: [n]):
+                break
+        else:
+            return UNBOUNDED
 
-    lo, hi = last_good, n          # ok(lo), not ok(hi)
+    lo, hi = max(k for k in good if k < n), n      # ok(lo), not ok(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if ok(mid, lambda: tree(lo, hi, _BISECT_AHEAD)):

@@ -7,8 +7,11 @@ integrals dispatch per region:
 
   * few oscillations  -> quad_complex, the vectorized adaptive Gauss-Kronrod
                          rule, with geometric breakpoint ladders;
-  * up to 3000 half   -> phase-aligned half-period panels with a fixed
-    periods              Gauss-Legendre rule (panel_integrals);
+  * up to 3000 half   -> Filon panels: the Legendre interpolant of f on 16
+    periods              Gauss-Legendre nodes, integrated against exp(isx)
+                         exactly (_legendre_panels, _filon_sums), on panels
+                         graded in the distance from f's singularities
+                         (oscillatory_finite);
   * more              -> short panel caps at the ends and, between them,
                          five integrations by parts in exp(isx) with
                          finite-difference derivatives;
@@ -44,6 +47,12 @@ depend on s keeps the Gauss-Kronrod nodes and weight values of one
 adaptive integration of w (LaplaceTable), its body and tail as two
 integrals of one loop; each batch of s is then exp(-xs) on those nodes,
 reduced to qk21's values and estimates by matrix-vector products.
+
+A Fourier-type integral around a spike, int f(t) exp(ist) dt with f
+free of s, keeps its Filon panels in a table the same way (FourierTable):
+panels cut at rungs width/4 2^j on both sides of the spike, refined once,
+and each batch of s one contraction of their Legendre coefficients with
+the exact weights 2 i^k j_k(sh) (spherical_j).
 
 Principal values fold onto t = |x - y|, where (f(y + t) - f(y - t))/t
 has no pole and no node lies on t = 0: one quad_complex column per pole.
@@ -541,6 +550,304 @@ class LaplaceTable:
         return val.sum(axis=0), err.sum(axis=0)
 
 
+# Legendre coefficients c_0..c_15 of the degree-15 polynomial through 16
+# values v at the Gauss-Legendre nodes, c = v @ _GL_LEGENDRE, and 2 i^k
+_GL_LEGENDRE = (np.polynomial.legendre.legvander(_GL_NODES, _GL_NODES.size - 1)
+                * (_GL_WEIGHTS[:, None] * (np.arange(_GL_NODES.size) + 0.5)))
+_GL_OFFSETS = 1.0 + _GL_NODES          # node positions in half widths from lo
+_TWO_I_K = 2.0 * 1j ** np.arange(_GL_NODES.size)
+_J_TINY = 1e-9      # spherical_j: j_0 = 1, j_1 = w/3 and j_k = 0 below this w,
+_J_UPWARD = 20.0    # the upward recurrence from this one on,
+_J_MILLER = 40      # and between them the downward one from this order
+
+
+def spherical_j(w):
+    """The spherical Bessel functions j_0(w) .. j_15(w) for a 1-D array of
+    w >= 0, shape (w.size, 16), to about 5e-16 absolute.
+
+    Below _J_TINY the leading terms; up to _J_UPWARD Miller's downward
+    recurrence y_(k-1) = (2k+1)/w y_k - y_(k+1) from order 40, scaled to
+    the closed forms j_0 = sin w / w and j_1 = (j_0 - cos w) / w by least
+    squares (they have no common zero); past it the same recurrence
+    upward from j_0 and j_1, stable there for every k <= 15.  Each w
+    takes the same operations whatever its companions, so a value does
+    not depend on the batch."""
+    tiny, up = w < _J_TINY, w >= _J_UPWARD
+    parts = [(mask, method(w[mask])) for mask, method in (
+        (tiny, _j_tiny), (~(tiny | up), _j_miller), (up, _j_upward)) if mask.any()]
+    if len(parts) == 1:
+        return parts[0][1].T
+    out = np.empty((_GL_NODES.size, w.size))
+    for mask, j in parts:
+        out[:, mask] = j
+    return out.T
+
+
+_J_ORDERS = 2.0 * np.arange(_J_MILLER + 1) + 1.0        # 2k + 1
+
+
+def _j_tiny(x):
+    """j_0 .. j_15 as rows, for x < _J_TINY: 1, x/3 and 0 (the rest of
+    j_0 and j_1 is x^2 of them, and j_k is O(x^k))."""
+    j = np.zeros((_GL_NODES.size, x.size))
+    j[0] = 1.0
+    j[1] = x / 3.0
+    return j
+
+
+def _j_miller(x):
+    """j_0 .. j_15 as rows by Miller's recurrence from order _J_MILLER."""
+    inv = 1.0 / x
+    a = list(np.multiply.outer(_J_ORDERS, inv))           # (2k+1)/x
+    y = np.empty((_J_MILLER + 2, x.size))
+    rows = list(y)
+    # y_(k-1) / y_k ~ (2k+1) / x: starting at (x/2)^32 keeps y_0 .. y_40
+    # and y_0^2 in range for every _J_TINY <= x < _J_UPWARD
+    rows[-1][:] = 0.0
+    np.power(0.5 * x, 32, out=rows[-2])
+    for k in range(_J_MILLER, 0, -1):       # y_(k-1) = (2k+1)/x y_k - y_(k+1)
+        np.multiply(a[k], rows[k], out=rows[k - 1])
+        np.subtract(rows[k - 1], rows[k + 1], out=rows[k - 1])
+    y = y[:_GL_NODES.size]
+    j0 = np.sin(x) * inv
+    j1 = (j0 - np.cos(x)) * inv
+    return y * ((y[0] * j0 + y[1] * j1) / (y[0] * y[0] + y[1] * y[1]))
+
+
+def _j_upward(x):
+    """j_0 .. j_15 as rows by the upward recurrence, for x >= _J_UPWARD."""
+    inv = 1.0 / x
+    a = list(np.multiply.outer(_J_ORDERS[:_GL_NODES.size], inv))
+    j = np.empty((_GL_NODES.size, x.size))
+    rows = list(j)
+    np.multiply(np.sin(x), inv, out=rows[0])
+    np.multiply(rows[0] - np.cos(x), inv, out=rows[1])
+    for k in range(1, _GL_NODES.size - 1):
+        np.multiply(a[k], rows[k], out=rows[k + 1])
+        np.subtract(rows[k + 1], rows[k - 1], out=rows[k + 1])
+    return j
+
+
+# _legendre_panels: Legendre tails below this fraction of int |f| dx are taken
+# for rounding, which the density near the spike carries up to 2e-9 of
+_ROUNDING = 1e-6
+
+
+def _legendre_panels(fvec, lo, hi, tol):
+    """The panels [lo_k, hi_k] refined for Filon integration; returns the
+    panels' lo, hi, Fourier coefficients, estimates, node values, the
+    index of the panel each comes from, and the number of passes (fvec
+    calls), the panels in order of origin and start (as given, when no
+    panel is split).
+
+    Each pass evaluates f on the 16 Gauss-Legendre nodes of every open
+    panel in one call and takes the Legendre coefficients c_k of the
+    polynomial through them; the panel's estimate is its width times
+    |c_14| + |c_15|.  A panel is halved while its estimate exceeds tol,
+    unless the estimate is below _ROUNDING of int |f| dx over the panel
+    and the tail no longer falls: halving its parent did not cut the
+    estimate below a quarter of the parent's, or |c_14| + |c_15| is not
+    below a quarter of |c_12| + |c_13|.  There the tail is the rounding
+    of f, or a singularity at an end that halving barely helps.  (A
+    larger tail is a feature of f narrower than the panel, which
+    halving resolves.)  The Fourier coefficients are c_k h 2 i^k, h the
+    half width, ready for _filon_sums.  Each panel's refinement is its
+    own, so its values do not depend on its company.
+    """
+    origin = np.arange(lo.size)
+    parent = np.full(lo.size, math.inf)
+    done, passes = [], 0
+    while lo.size:
+        passes += 1
+        h = 0.5 * (hi - lo)
+        v = np.asarray(fvec((lo[:, None] + h[:, None] * _GL_OFFSETS).ravel())
+                       ).reshape(-1, _GL_NODES.size)
+        if not np.isfinite(v).all():
+            raise ConvergenceError("integrand is not finite at a quadrature node",
+                                   achieved=math.inf)
+        c = (v[:, None, :] @ _GL_LEGENDRE)[:, 0, :] * h[:, None]
+        tail = np.abs(c[:, -4:])
+        est = 2.0 * (tail[:, 2] + tail[:, 3])
+        split = est > tol
+        if split.any():      # wide enough, and not at rounding level
+            split &= (h > 0.5 * _MIN_ULPS * _EPS * np.maximum(np.abs(lo), np.abs(hi))) & (
+                ((4.0 * est < parent) & (2.0 * est < tail[:, 0] + tail[:, 1]))
+                | (est > _ROUNDING * h * _row_dots(np.abs(v), _GL_WEIGHTS)))
+        if split.any():
+            keep = ~split
+            done.append((lo[keep], hi[keep], c[keep], est[keep], v[keep],
+                         origin[keep]))
+            lo, hi, mid = lo[split], hi[split], 0.5 * (lo[split] + hi[split])
+            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+            origin = np.concatenate([origin[split], origin[split]])
+            parent = np.concatenate([est[split], est[split]])
+        else:
+            done.append((lo, hi, c, est, v, origin))
+            break
+    if passes > 1:
+        lo, hi, c, est, v, origin = (np.concatenate(part) for part in zip(*done))
+        order = np.lexsort((lo, origin))
+        lo, hi, c, est, v, origin = (a[order] for a in (lo, hi, c, est, v, origin))
+    return lo, hi, c * _TWO_I_K, est, v, origin, passes
+
+
+def _filon_sums(lo, hi, coef, s, counts):
+    """sum over panels of int f exp(isx) dx from their Fourier
+    coefficients (_legendre_panels), for consecutive groups of counts[k]
+    panels with phases s[k], one value per group (0 for an empty group).
+
+    Over a panel of centre c and half width h, int P_k(u) exp(iwu) du =
+    2 i^k j_k(w) (DLMF 10.54.2), so the panel's integral is exp(isc) h
+    sum_k c_k 2 i^k j_k(sh): exact for the polynomial at any s.  Each
+    group is summed by itself, so its value does not depend on the
+    others."""
+    sp = np.repeat(s, counts)
+    j = spherical_j(sp * (0.5 * (hi - lo)))
+    vals = ((j[:, None, :] @ coef[:, :, None])[:, 0, 0]
+            * np.exp(1j * sp * (0.5 * (lo + hi))))
+    out = np.zeros(counts.size, dtype=complex)
+    full = counts > 0
+    out[full] = np.add.reduceat(vals, (np.cumsum(counts) - counts)[full])
+    return out
+
+
+_CORE_RUNGS = 8      # FourierTable: the least core, in rungs, taken as a series
+
+
+class FourierTable:
+    """int f(t) exp(ist) dt over windows [-min(r, head), r] around a spike
+    of the given width at t = 0, for any batch of s > 0 with a reach r
+    each, on panels fixed once for f.
+
+    The reaches are the rungs r_j = (width/4) 2^j, and the table's panels
+    are cut at every +-r_j, down to t = -head, where f has its head, and
+    at the given edges (a ladder toward the head).  Each panel is refined
+    by _legendre_panels, by itself, so the table grows outward a whole
+    rung at a time, when a batch asks for a reach it has not built, and
+    keeps its panels sorted.  A time's window is two parts:
+
+      * the core, the window of the largest rung with s r <= MOMENT_REACH
+        when that is rung _CORE_RUNGS or later, is one power series
+        sum_m (is)^m M_m / m!, m <= MOMENT_ORDER, over the moments
+        M_m = int f t^m dt of its panels' nodes, which the table takes
+        per panel when first asked for (as LaplaceTable's head);
+      * the panels outside the core are one Filon contraction
+        (_filon_sums) for the whole batch.
+
+    The estimate is the sum of the window's panel estimates, plus for the
+    core a bound on the series' rest, (int |f| dt) (s r)^15 / 15!.  A
+    time's panels, value and estimate depend only on f, its s and its
+    rung.
+    """
+
+    def __init__(self, fvec, width, head, edges, tol):
+        self.fvec, self.unit, self.head, self.tol = fvec, 0.25 * width, head, tol
+        self.edges = np.sort(np.asarray(edges, dtype=float))
+        self.top = -1                     # the rungs built
+        self.passes = 0
+
+    def rung(self, d):
+        """The index of the smallest rung at or past d > 0."""
+        j = max(0, math.ceil(math.log2(d / self.unit)))
+        while math.ldexp(self.unit, j) < d:
+            j += 1
+        while j and math.ldexp(self.unit, j - 1) >= d:
+            j -= 1
+        return j
+
+    def reach(self, j):
+        """The rung r_j."""
+        return math.ldexp(self.unit, int(j))
+
+    def _grow(self, top):
+        """Panels for the rungs self.top + 1 .. top on both sides, each
+        interval between the rungs and edges halved to start with.  They
+        lie outside the panels built, so the rows stay sorted: the new
+        negative side, the old rows, the new positive side."""
+        inner = self.reach(self.top) if self.top >= 0 else 0.0
+        rungs = np.ldexp(self.unit, np.arange(self.top + 1, top + 1))
+        sides = [np.concatenate([[inner], rungs])]
+        if inner < self.head:
+            end = min(rungs[-1], self.head)
+            edges = np.sort(np.concatenate([
+                -rungs[rungs < end], [-end, -inner],
+                self.edges[(self.edges > -end) & (self.edges < -inner)]]))
+            sides.insert(0, edges[np.append(True, edges[1:] > edges[:-1])])
+        cuts = []
+        for edges in sides:
+            cut = np.empty(2 * edges.size - 1)
+            cut[::2] = edges
+            cut[1::2] = 0.5 * (edges[:-1] + edges[1:])
+            cuts.append(cut)
+        lo, hi, coef, est, nodes, _, passes = _legendre_panels(
+            self.fvec, np.concatenate([c[:-1] for c in cuts]),
+            np.concatenate([c[1:] for c in cuts]), self.tol)
+        self.passes += passes
+        rows = (lo, hi, est, coef, nodes)
+        if self.top >= 0:
+            at = int(lo.searchsorted(0.0))
+            rows = [np.concatenate([new[:at], old, new[at:]]) for new, old in zip(
+                rows, (self.lo, self.hi, self.est, self.coef, self.nodes))]
+        self.lo, self.hi, self.est, self.coef, self.nodes = rows
+        self.moments = self.mass = None         # taken again when asked for
+        self.top = top
+
+    def _core(self, a, b):
+        """sum M_m / m! and int |f| dt / 15! over the panels a .. b - 1,
+        each panel's taken from its nodes t when first asked for."""
+        if self.mass is None:
+            self.moments = np.full((self.lo.size, MOMENT_ORDER + 1), np.nan)
+            self.mass = np.full(self.lo.size, np.nan)
+        new = a + np.flatnonzero(np.isnan(self.mass[a:b]))
+        if new.size:
+            h = 0.5 * (self.hi[new] - self.lo[new])
+            t = self.lo[new, None] + h[:, None] * _GL_OFFSETS
+            f = self.nodes[new] * (h[:, None] * _GL_WEIGHTS)
+            powers = np.empty((new.size, MOMENT_ORDER + 1, _GL_NODES.size))
+            powers[:, 0] = 1.0
+            for m in range(MOMENT_ORDER):
+                np.multiply(powers[:, m], t, out=powers[:, m + 1])
+            self.moments[new] = (powers @ f[:, :, None])[:, :, 0] / _FACTORIALS[:-1]
+            self.mass[new] = (_row_dots(np.abs(f), np.ones(_GL_NODES.size))
+                              / _FACTORIALS[-1])
+        return self.moments[a:b].sum(axis=0), self.mass[a:b].sum()
+
+    def panels(self, j):
+        """The index range [first, stop) of the panels of rung j's window
+        [-min(r_j, head), r_j]."""
+        r = self.reach(j)
+        return (int(self.lo.searchsorted(-min(r, self.head))),
+                int(self.hi.searchsorted(r, side="right")))
+
+    def integrals(self, s, j):
+        """Values and estimates for the 1-D arrays s > 0 and their rung
+        indices j."""
+        if j.max() > self.top:
+            self._grow(int(j.max()))
+        val, err = np.zeros(s.size, dtype=complex), np.zeros(s.size)
+        ranges = []
+        for k, (sk, jk) in enumerate(zip(s.tolist(), j.tolist())):
+            first, stop = self.panels(jk)
+            core = self.rung(MOMENT_REACH / sk)
+            if self.reach(core) * sk > MOMENT_REACH:
+                core -= 1
+            if _CORE_RUNGS <= core < jk:
+                a, b = self.panels(core)
+                moments, mass = self._core(a, b)
+                val[k] = _row_dots(moments, (1j * sk) ** np.arange(MOMENT_ORDER + 1))
+                err[k] = (self.est[first:a].sum() + self.est[a:b].sum()
+                          + self.est[b:stop].sum()
+                          + mass * (sk * self.reach(core)) ** (MOMENT_ORDER + 1))
+                ranges.append(np.r_[first:a, b:stop])
+            else:
+                ranges.append(np.arange(first, stop))
+                err[k] = self.est[first:stop].sum()
+        counts = np.array([r.size for r in ranges])
+        idx = np.concatenate(ranges)
+        val += _filon_sums(self.lo[idx], self.hi[idx], self.coef[idx], s, counts)
+        return val, err
+
+
 def panel_integrals(fvec, start, n_panels, h, s):
     """Per-panel integrals of f(x) exp(isx) over n consecutive panels of
     width h, one 16-point Gauss-Legendre rule per panel (vectorized).
@@ -599,6 +906,25 @@ def byparts_segment(fvec, a, b, s, scale_a, scale_b):
     return vb - va + cap_a + cap_b, 3.0 * abs(lb - la)
 
 
+_GRADE = 1.5     # oscillatory_finite: graded panels grow by this factor
+
+
+def _graded_edges(a, b, scale):
+    """Edges of panels from a > 0 to b whose widths grow by _GRADE away
+    from x = 0 and away from b + scale, the nearest singularities of f
+    (the head of the weight, the resonance spike): geometric ladders
+    a _GRADE^k from a and b + scale - scale _GRADE^k from b, which meet
+    halfway to b + scale."""
+    far = b + scale
+    mid = min(0.5 * far, b)
+    n = math.ceil(math.log(max(mid / a, 1.0)) / math.log(_GRADE))
+    left = a * _GRADE ** np.arange(1, n)
+    n = math.ceil(math.log(max((far - max(mid, a)) / scale, 1.0)) / math.log(_GRADE))
+    right = far - scale * _GRADE ** np.arange(1, n)
+    inner = np.concatenate([left, [mid], right])
+    return np.unique(np.concatenate([[a], inner[(inner > a) & (inner < b)], [b]]))
+
+
 def oscillatory_finite(fvec, a, b, s, scale_b, epsabs=1e-12):
     """int_a^b f exp(isx) dx for f smooth on (a, b]; returns (value, error
     estimate).  a, b, s and scale_b are numbers or 1-D arrays of one
@@ -608,11 +934,14 @@ def oscillatory_finite(fvec, a, b, s, scale_b, epsabs=1e-12):
     The first half period from a (all of [a, b] when shorter) is adaptive,
     with a geometric ladder toward a, where f may have a head such as the
     sqrt of phi1 at x = 0.  The rest dispatches on its number n of half
-    periods: up to 24 it is adaptive; up to 3000 it is n half-period
-    panels (panel_integrals) and an adaptive remainder; past that it is
-    24-panel caps at both ends and, between them, by parts, where f's
-    smoothness scale is scale_b at b and x at the left.  The adaptive
-    pieces of all elements are one quad_complex call of K integrals.
+    periods: up to 24 it is adaptive; up to 3000 it is Filon panels
+    (_legendre_panels, _filon_sums) graded in the distances from x = 0
+    and from b + scale_b (_graded_edges), exact for the Legendre
+    interpolant of f at any s; past that it is 24-panel caps at both
+    ends and, between them, by parts, where f's smoothness scale is
+    scale_b at b and x at the left.  The adaptive pieces of all elements
+    are one quad_complex call of K integrals, and the Filon panels of all
+    elements are refined in one density call per pass.
     """
     args = [np.ravel(v).tolist() for v in (a, b, s, scale_b)]
     size = max(map(len, args))
@@ -620,6 +949,7 @@ def oscillatory_finite(fvec, a, b, s, scale_b, epsabs=1e-12):
     # the adaptive integrals, each element's head and, when adaptive, its
     # rest; first[k] is the head of element k
     first, lo, hi, points, phase = [], [], [], [], []
+    filon = []               # (element, its s, edges of its graded panels)
     for k, (ak, bk, sk, scale) in enumerate(zip(
             *(v * size if len(v) == 1 else v for v in args))):
         step = math.pi / sk
@@ -631,17 +961,14 @@ def oscillatory_finite(fvec, a, b, s, scale_b, epsabs=1e-12):
         points.append(geometric_ladder(ak, h * 4.0 ** -6, ak, c))
         phase.append(sk)
         n_half = sk * (bk - c) / math.pi
-        n = int(n_half)
-        if n_half <= 24:
-            start = c
-        elif n <= 3000:
-            fixed[k] = panel_integrals(fvec, c, n, step, sk).sum()
-            start = c + n * step
-        else:
+        if 24 < n_half <= 3000:
+            filon.append((k, sk, _graded_edges(c, bk, scale)))
+            continue
+        if n_half > 3000:
             fixed[k], fixed_err[k] = byparts_segment(
                 fvec, c, bk, sk, c + _CAP_PANELS * step, scale)
             continue
-        lo.append(start)
+        lo.append(c)
         hi.append(bk)
         points.append(None)
         phase.append(sk)
@@ -651,6 +978,15 @@ def oscillatory_finite(fvec, a, b, s, scale_b, epsabs=1e-12):
                             epsabs=epsabs)
     val = np.add.reduceat(val, first) + fixed
     err = np.add.reduceat(err, first) + fixed_err
+    if filon:
+        elems, phases, edges = (list(v) for v in zip(*filon))
+        owner = np.repeat(np.arange(len(edges)), [e.size - 1 for e in edges])
+        lo, hi, coef, est, _, origin, _ = _legendre_panels(
+            fvec, np.concatenate([e[:-1] for e in edges]),
+            np.concatenate([e[1:] for e in edges]), epsabs / 64)
+        counts = np.bincount(owner[origin], minlength=len(edges))
+        val[elems] += _filon_sums(lo, hi, coef, np.array(phases), counts)
+        err[elems] += np.add.reduceat(est, np.cumsum(counts) - counts)
     if max(map(np.ndim, (a, b, s, scale_b))):
         return val, err
     return complex(val[0]), float(err[0])

@@ -107,9 +107,18 @@ def compute_timescales(params: ModelParams, ff: Formfactor) -> Timescales:
                       gamma, omega_tilde, prov, notes)
 
 
+_WIDEN = 16     # crossover_time_numeric: bracket widenings, by 4x an end
+
+
 def crossover_time_numeric(params: ModelParams, ff: Formfactor) -> float:
     """Time where the exponential and power terms of the long-time
-    asymptote are equal; bracketed root find on the log of their ratio."""
+    asymptote are equal; bracketed root find on the log of their ratio.
+
+    The bracket is [t_d/4, 400 t_d], with the closed-form t_d.  Where
+    the exponential term does not lead at its start or trail at its end
+    (the closed forms are far off when coupling_sq is near omega1/cutoff),
+    that end moves by a factor of 4, at most _WIDEN times; ValueError
+    when the two terms still do not cross."""
     ts = compute_timescales(params, ff)
 
     def logratio(logt):
@@ -119,9 +128,15 @@ def crossover_time_numeric(params: ModelParams, ff: Formfactor) -> float:
         return math.log(expo) - math.log(power)
 
     lo, hi = math.log(ts.t_d / 4.0), math.log(400.0 * ts.t_d)
-    if logratio(lo) <= 0 or logratio(hi) >= 0:
-        raise ValueError("no sign change in the crossover bracket")
-    return math.exp(optimize.brentq(logratio, lo, hi, xtol=1e-13))
+    for _ in range(_WIDEN + 1):             # the bracket and its widenings
+        if logratio(lo) > 0 and logratio(hi) < 0:
+            return math.exp(optimize.brentq(logratio, lo, hi, xtol=1e-13))
+        if logratio(lo) <= 0:
+            lo -= math.log(4.0)
+        if logratio(hi) >= 0:
+            hi += math.log(4.0)
+    raise ValueError("the exponential and power terms of the asymptote do "
+                     "not cross")
 
 
 _TABLE_SYSTEMS = ("photodetachment", "quantum-dot", "hydrogen")

@@ -241,12 +241,18 @@ def test_hydrogen_late_window_converges(monkeypatch, hydrogen):
     assert est <= 1e-11
 
 
-def test_photodetachment_window_passes(monkeypatch, photo):
-    """With the head ladder the window that reaches x = 0 converges in a
-    few passes; bisecting toward the sqrt head took 13."""
+def test_photodetachment_window_passes(photo):
+    """The window that reaches x = 0 comes from the spike table
+    (_spike_table), cut at the head ladder x0 / 4^k.  A cold table
+    refines its panels in 1 pass at each s (the bound leaves one to
+    spare).  As Gauss-Kronrod windows, bisecting toward the sqrt head
+    took 13 passes, and up to 5 with the ladder."""
+    params, ff = photo
     for s in (1e-3, 1e2, 1e6):
-        _, passes, est = _window_cost(monkeypatch, *photo, s)
-        assert 0 < passes <= 5
+        amplitude._spike_table.cache_clear()
+        _, est = survival_amplitude_quadrature(params, ff, s / params.cutoff,
+                                               with_error=True)
+        assert 1 <= amplitude._spike_table(params, ff).passes <= 2
         assert est <= 1e-10
 
 
@@ -361,10 +367,13 @@ def test_quadrature_engine_on_box_draws(name):
                                           ("photodetachment", Engine.QUADRATURE)])
 def test_quadrature_engine_batch_equals_alone(name, engine):
     """Each time's A and estimate from one call equal those of the time
-    alone, bit for bit: every piece of a time is an integral of its own.
-    The curve grid and t = 0 hold every kind of piece: the mass integral
-    at s = 0, adaptive stretches right of the window at small s, left
-    parts at large s and fixed-rule windows past s width = 25."""
+    alone, bit for bit, whichever came first: every piece of a time is an
+    integral of its own, and its window's panels in the spike table do
+    not depend on the order the table grew in.  The curve grid and t = 0
+    hold every kind of piece: the mass integral at s = 0, adaptive
+    stretches right of the window at small s, left parts at large s,
+    table windows with and without a moment head, and fixed-rule windows
+    past s width = 25."""
     params, ff = preset(name)
     times = np.concatenate([[0.0], _curve_grid(params, ff)])
     s = params.cutoff * times
@@ -378,6 +387,45 @@ def test_quadrature_engine_batch_equals_alone(name, engine):
     assert np.array_equal(curve.error_estimates, 2.0 * est)
     for t, a, e in zip(curve.times, amps, est):
         assert survival_amplitude_quadrature(params, ff, t, with_error=True) == (a, e)
+    # and the other way round: a spike table grown a time at a time, the
+    # batch last
+    amplitude._spike_table.cache_clear()
+    alone = [survival_amplitude_quadrature(params, ff, t, with_error=True)
+             for t in curve.times]
+    again = survival_amplitude_quadrature(params, ff, curve.times, with_error=True)
+    assert np.array_equal(again[0], amps) and np.array_equal(again[1], est)
+    assert alone == list(zip(amps.tolist(), est.tolist()))
+
+
+def test_spike_table_windows_tile():
+    """Each table window is exactly the panels between its rung edges,
+    [-min(D, x0), D], on the curve grids of hydrogen and photodetachment
+    and on 20 phi1 draws of the sweep box near s width = 1, where the
+    reach D = 128 width crosses 40 pi / s; there A is within 1e-9 of the
+    40-digit closed form.  A panel picked by a rounded edge, (x0 - D) -
+    x0 for -D, left A 1.1e-4 off under an estimate of 1.7e-12."""
+    cases = [(*preset(name), _curve_grid(*preset(name)), False)
+             for name in ("hydrogen", "photodetachment")]
+    for params in _box("phi1", 20, seed=29):
+        width = spectral_peak(params, builtin("phi1"))[1]
+        cases.append((params, builtin("phi1"),
+                      np.array([0.5, 0.98, 1.0, 2.0]) / (width * params.cutoff), True))
+    for params, ff, times, exact in cases:
+        x0, width = spectral_peak(params, ff)
+        table = amplitude._spike_table(params, ff)
+        a = survival_amplitude_quadrature(params, ff, times)
+        for t, ak in zip(times, a):
+            s = params.cutoff * t
+            if s * width >= 25.0:
+                continue
+            rung = table.rung(max(80.0 * width, 40.0 * math.pi / s))
+            first, stop = table.panels(rung)
+            reach = table.reach(rung)
+            assert table.lo[first] == -min(reach, x0)
+            assert table.hi[stop - 1] == reach
+            assert np.array_equal(table.lo[first + 1:stop], table.hi[first:stop - 1])
+            if exact:
+                assert abs(ak - complex(_phi1_amplitude_mp(params, s))) <= 1e-9
 
 
 def _tail_nodes(monkeypatch, params, ff, s):

@@ -251,6 +251,16 @@ def _n_epsilon_sequential(params, ff, T, eps, cap=10 ** 9):
     return lo
 
 
+def _n_epsilon_definition(params, ff, T, eps, cap):
+    """n_epsilon's definition itself: p_n(T) at every n up to the cap, in
+    one log_survival call, and the last n before the first that falls
+    below (1 - eps) p_1(T), or UNBOUNDED."""
+    ns = np.arange(1, cap + 1)
+    p = np.exp(ns * log_survival(params, ff, T / ns))
+    bad = np.flatnonzero(p < (1.0 - eps) * p[0])
+    return int(bad[0]) if bad.size else UNBOUNDED
+
+
 def _anti_zeno_sequential(params, ff, T):
     """anti_zeno_minimum as it was before prefetching: a coarse scan on
     ln tau, golden-section refinement, then N within 3 of the result."""
@@ -295,6 +305,47 @@ _NEPS_GRID = [(ratio, eps) for eps in (1e-2, 3e-3, 1e-3)
 def test_n_epsilon_matches_sequential(qdot, qdot_scales, cold_memo, ratio, eps):
     T = ratio * qdot_scales.t_d
     assert n_epsilon(*qdot, T, eps) == _n_epsilon_sequential(*qdot, T, eps)
+
+
+def test_n_epsilon_finds_a_window_between_scan_points(qdot, qdot_scales):
+    """Just below the depth of the anti-Zeno minimum the n that violate
+    the accuracy form a window around its N = 29,729, narrower than a 35%
+    scan step: the scan stepped over it and answered UNBOUNDED.  The
+    minimum is tested before that answer, and the window's falling side
+    bisected (a direct bisection of p_n gives 28,112)."""
+    params, ff = qdot
+    T = 1e-3 * qdot_scales.t_d
+    deepest = anti_zeno_minimum(params, ff, T)
+    p1 = repeated_measurement_survival(params, ff, T, 1)
+    eps = 0.999 * (1.0 - deepest.probability / p1)
+    n = n_epsilon(params, ff, T, eps)
+    assert n is not UNBOUNDED and n < deepest.n_measurements
+    threshold = (1.0 - eps) * p1
+    assert repeated_measurement_survival(params, ff, T, n) >= threshold
+    assert repeated_measurement_survival(params, ff, T, n + 1) < threshold
+
+
+def test_n_epsilon_tests_its_cap():
+    """The first violation at photodetachment, T = 1e-3 t_d, eps = 0.0755,
+    is n = 2,936, between the scan's last point below the cap 3,000 and
+    its next: the cap is tested as the last scan point, and the answer is
+    the definition's, and the one a larger cap gives."""
+    params, ff = preset("photodetachment")
+    T = 1e-3 * compute_timescales(params, ff).t_d
+    assert n_epsilon(params, ff, T, 0.0755, cap=3000) == 2935
+    assert n_epsilon(params, ff, T, 0.0755, cap=10 ** 4) == 2935
+    assert _n_epsilon_definition(params, ff, T, 0.0755, 3000) == 2935
+
+
+@pytest.mark.parametrize("eps", [0.002, 0.02, 0.2])
+def test_n_epsilon_matches_its_definition(eps):
+    """Against the definition at every n up to 4,000 (the scan's own walk
+    is _n_epsilon_sequential): photodetachment at T = 1e-3 t_d, where
+    p_n falls to its minimum at n = 625,729."""
+    params, ff = preset("photodetachment")
+    T = 1e-3 * compute_timescales(params, ff).t_d
+    assert (n_epsilon(params, ff, T, eps, cap=4000)
+            == _n_epsilon_definition(params, ff, T, eps, 4000))
 
 
 @pytest.mark.parametrize("ratio", [1e-4, 1e-3, 1e-2, 1e-1])

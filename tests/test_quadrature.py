@@ -6,16 +6,18 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import spherical_jn
 
 import friedrichs
 from friedrichs.errors import ConvergenceError
-from friedrichs.quadrature import (MAX_NODES, LaplaceTable, byparts_segment,
-                                   byparts_tail, geometric_ladder,
-                                   oscillatory_finite,
+from friedrichs.quadrature import (MAX_NODES, FourierTable, LaplaceTable,
+                                   byparts_segment, byparts_tail,
+                                   geometric_ladder, oscillatory_finite,
                                    oscillatory_tail,
                                    panel_integrals, principal_value,
                                    pv_dispersion, quad_complex, quad_segments,
-                                   quad_tail)
+                                   quad_tail, spherical_j)
+from friedrichs import quadrature
 
 
 def test_principal_value_odd_symmetric_is_zero():
@@ -268,6 +270,103 @@ def test_panel_integrals_match_direct_phase(s, h):
     # the direct phase s*x is itself rounded, by about eps * s * x
     tol = 1e-13 * scale + 4 * np.finfo(float).eps * s * x.max() * scale
     assert np.abs(got - want).max() <= tol
+
+
+def test_spherical_j_matches_scipy():
+    """j_0 .. j_15 on [0, 1e6] within 1e-15 of scipy's spherical_jn, and
+    where the two differ by more, within 1e-15 of the 30-digit value:
+    scipy itself is up to 1.5e-15 off in bands near w = 9.5-12 and 14.7,
+    where it recurs upward past the orders it holds."""
+    w = np.concatenate([[0.0], np.geomspace(1e-12, 1e6, 1801),
+                        np.linspace(0.0, 40.0, 4001)])
+    got = spherical_j(w)
+    assert got.shape == (w.size, 16)
+    ref = spherical_jn(np.arange(16), w[:, None])
+    off = np.argwhere(np.abs(got - ref) > 1e-15)
+    assert off.shape[0] < 200
+    with mpmath.workdps(30):
+        for i, k in off[::4].tolist():
+            x = mpmath.mpf(w[i])
+            exact = mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.besselj(k + 0.5, x)
+            assert abs(got[i, k] - float(exact)) <= 1e-15
+
+
+def _filon(f, lo, hi, s, tol=1e-15):
+    """int f exp(isx) over the Filon panels refined from [lo_k, hi_k]."""
+    lo, hi, coef, est, _, origin, _ = quadrature._legendre_panels(
+        f, np.asarray(lo, float), np.asarray(hi, float), tol)
+    return quadrature._filon_sums(lo, hi, coef, np.array([s]),
+                                  np.array([lo.size]))[0], est.sum()
+
+
+@pytest.mark.parametrize("s", [0.0, 1e-3, 0.7, 8.0, 30.0, 1e3, 1e6])
+def test_filon_panel_exact_for_polynomials(s):
+    """A polynomial of degree 15 is its own interpolant, so one panel's
+    integral against exp(isx) is exact at any s: int_-1^1 x^15 exp(isx)
+    dx from the closed form [exp(isx) sum_m (-1)^m 15!/(15-m)! x^(15-m)
+    / (is)^(m+1)] in 100 digits.  A Gauss-Legendre rule with the node
+    phases is exact only while s is about 1 or less."""
+    got, _ = _filon(lambda x: x ** 15, [-1.0], [1.0], s, tol=math.inf)
+    want = 0.0
+    if s:
+        with mpmath.workdps(100):
+            z = 1j * mpmath.mpf(s)
+            antiderivative = lambda x: mpmath.exp(z * x) * sum(
+                (-1) ** m * mpmath.factorial(15) / mpmath.factorial(15 - m)
+                * mpmath.mpf(x) ** (15 - m) / z ** (m + 1) for m in range(16))
+            want = complex(antiderivative(1) - antiderivative(-1))
+    assert abs(got - want) <= 2e-15
+
+
+def test_filon_panels_refine_a_lorentzian():
+    """exp(isx) / (x^2 + g^2) over [-1, 1] on panels refined from two, far
+    wider than the spike at their common end: against quad_complex with a
+    ladder at the spike, at phases from a fraction of the spike to 5 of
+    its widths a period.  Halving stops on a rounding-level tail only:
+    a tail of the order of the panel's mass is a feature, not noise."""
+    g = 1e-3
+    f = lambda x: 1.0 / (x * x + g * g)
+    pts = geometric_ladder(0.0, g, -1.0, 1.0)
+    for s in (1.0, 300.0, 5e3):
+        got, est = _filon(f, [-1.0, 0.0], [0.0, 1.0], s, tol=1e-13)
+        want, err = quad_complex(lambda x: f(x) * np.exp(1j * s * x), -1.0, 1.0,
+                                 points=pts, epsabs=1e-14, limit=4000)
+        assert abs(got - want) <= 1e-14 * abs(want) + 1e-13
+        assert abs(got - want) <= est
+
+
+def test_fourier_table_windows():
+    """A Lorentzian spike of width g at t = 0 and a head at t = -0.5: each
+    time's window [-min(r, 0.5), r] tiles exactly with the table's
+    panels, matches quad_complex, and takes the same bits alone, in a
+    batch, and from a table grown in another order; a core of 8 rungs or
+    more is the moment series."""
+    g = 1e-4
+    f = lambda t: np.sqrt(t + 0.5) / ((t * t + g * g) * (1.0 + (t + 0.5) ** 2))
+    make = lambda: FourierTable(f, g, 0.5, [0.5 / 4 ** k - 0.5 for k in range(1, 9)],
+                                1e-15)
+    s = np.array([0.05, 3.0, 70.0, 2e3, 5e4, 2e5])
+    table = make()
+    rungs = np.array([table.rung(max(80 * g, 40 * math.pi / sk)) for sk in s])
+    val, err = table.integrals(s, rungs)
+    for k in range(s.size):
+        first, stop = table.panels(rungs[k])
+        r = table.reach(rungs[k])
+        assert table.lo[first] == -min(r, 0.5) and table.hi[stop - 1] == r
+        assert np.array_equal(table.lo[first + 1:stop], table.hi[first:stop - 1])
+        lo = -min(r, 0.5)
+        pts = [p for p in [*geometric_ladder(0.0, g, lo, r), 0.0,
+                           *(0.5 / 4.0 ** np.arange(1, 9) - 0.5)] if lo < p < r]
+        want, e = quad_complex(lambda t: f(t) * np.exp(1j * s[k] * t), lo, r,
+                               points=pts, epsabs=1e-13, limit=4000)
+        assert abs(val[k] - want) <= 1e-10 + e
+        assert abs(val[k] - want) <= err[k] + e + 1e-12
+    assert s[0] * table.reach(8) <= quadrature.MOMENT_REACH
+    other = make()
+    for k in np.argsort(s).tolist():         # grown one rung range at a time
+        assert other.integrals(s[k:k + 1], rungs[k:k + 1]) == (val[k:k + 1],
+                                                              err[k:k + 1])
+    assert np.array_equal(other.lo, table.lo)
 
 
 def test_quad_segments_additivity():

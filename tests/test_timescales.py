@@ -6,6 +6,7 @@ from friedrichs import (ModelParams, Provenance, builtin, compute_timescales,
                         crossover_time_numeric, moment, render_table1,
                         short_time_expansion)
 from friedrichs.errors import EngineMismatchError, FriedrichsError
+from friedrichs.amplitude import asymptote_terms
 from friedrichs.formfactors import Formfactor
 from friedrichs.presets import preset
 
@@ -93,6 +94,21 @@ def test_crossover_numeric_phi2_behaviour():
     t_num = crossover_time_numeric(params, ff)
     assert t_num > ts.t_ep
     assert abs(t_num - ts.t_ep) / ts.t_ep < 0.35
+
+
+def test_crossover_bracket_widens_off_the_presets():
+    """A phi2 draw of the sweep box with coupling_sq above omega1/cutoff:
+    the closed-form t_ep is 819 t_d, past the first bracket [t_d/4,
+    400 t_d], which then had no sign change and raised ValueError.  The
+    widened bracket finds the crossing, where the asymptote's two terms
+    agree."""
+    params, ff = ModelParams(1e12, 3.36e-4 * 1e12, 4.07e-4), builtin("phi2")
+    ts = compute_timescales(params, ff)
+    assert ts.t_ep > 400.0 * ts.t_d
+    t = crossover_time_numeric(params, ff)
+    assert t > 400.0 * ts.t_d
+    expo, power = asymptote_terms(params, ff, t)
+    assert abs(expo - power) <= 1e-9 * power
 
 
 def test_crossover_rejects_other_formfactors():
