@@ -16,8 +16,8 @@ QUADRATURE    A(s) = int_0^inf rho(x) exp(isx) dx over the spectral
               is resolved only to 6e-9 of its width, noise that bisection
               cannot remove.  Geometric breakpoints x0 / 4^k step toward
               the head at x = 0 (the sqrt of phi1, the y log y of P for
-              phi2 and phi3) where the window reaches it.  While s width
-              < 25 the window comes from one table of Filon panels per
+              phi2 and phi3) where the window reaches it.  At every s > 0
+              the window comes from one table of Filon panels per
               parameter set (quadrature.FourierTable): the density on
               Gauss-Legendre panels cut at rungs t = +-(width/4) 2^j and
               at that head ladder, whose Legendre coefficients integrate
@@ -33,7 +33,8 @@ QUADRATURE    A(s) = int_0^inf rho(x) exp(isx) dx over the spectral
               offsets, comes first.  Left of the window the integral is
               in absolute x (quadrature.oscillatory_finite), from an
               adaptive first half period at x = 0, on Filon panels graded
-              in the distances from x = 0 and from the spike.
+              in the distances from x = 0 and from the spike, or past
+              3000 half periods by parts.
 
 PHI1_EXACT    For the sqrt-head weight the density is rational in
               u = sqrt(x), and the transform reduces to three Faddeeva
@@ -192,56 +193,45 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: np.ndarray):
     ladder reaches X1, and from x = 1 on the density varies on the unit
     scale of quad_tail's map, so the tail needs no bisection toward its
     start (from x0 + 1e7 width, about 2 x0 in the weak-coupling box, it
-    took 3-10 passes).  Past s = 0 they are the spike window, of reach D
-    = max(80 width, 40 pi / s) on either side of x0: while s width < 25
-    from the parameters' spike table (_spike_table), D snapped out to its
-    next rung, and otherwise panel caps and by parts; the left part when
-    the window leaves one; an adaptive stretch right of the window while
-    few oscillations reach x = 60; and the double-exponential tail.  The
-    window, the body, the tail and the stretch are taken over the offset
-    t = x - x0 from the spike center: Re eta is formed from t exactly
-    (Offsets), the phase is exp(ist), and the global factor exp(isx0) is
-    applied once (see the module docstring).
+    took 3-10 passes).  Past s = 0 they are the spike window from the
+    parameters' spike table (_spike_table), of reach D = max(80 width,
+    40 pi / s) on either side of x0 snapped out to the table's next rung;
+    the left part when the window leaves one; an adaptive stretch right
+    of the window while few oscillations reach x = 60; and the
+    double-exponential tail.  The window, the body, the tail and the
+    stretch are taken over the offset t = x - x0 from the spike center:
+    Re eta is formed from t exactly (Offsets), the phase is exp(ist), and
+    the global factor exp(isx0) is applied once (see the module
+    docstring).
 
     Execute: the adaptive pieces in offsets of all times are one
-    quad_segments call of independent integrals (two when s = 0 is among
-    the times: the mass integrals are real), the table windows one
-    contraction of the table, the left parts one oscillatory_finite call
-    in absolute x and the double-exponential tails one oscillatory_tail
-    call; only the by-parts windows are taken time by time.  Each time's
+    quad_segments call of independent integrals, each with the phase
+    exp(ist) of its time (1 at s = 0), the windows one contraction of the
+    table, the left parts one oscillatory_finite call in absolute x and
+    the double-exponential tails one oscillatory_tail call.  Each time's
     integrals and table panels are its own, so its A and estimate depend
     only on the parameters, the weight and its s, not on the other times
     of the call or the calls before it."""
     x0, width = spectral_peak(params, ff)
     rho = lambda x: spectral_density(params, ff, x)
     rho_t = lambda t: spectral_density(params, ff, Offsets(x0, t))
+    table = _spike_table(params, ff)
 
-    # plan.  The adaptive pieces in offsets, of the real mass integral at
-    # s = 0 or with a phase: their times and breakpoints
-    mass, phased = ([], []), ([], [])
-
-    def adaptive(k, breakpoints):
-        for plan, item in zip(mass if s[k] == 0.0 else phased, (k, breakpoints)):
-            plan.append(item)
-
+    # plan
     offs, err = np.zeros(s.shape, dtype=complex), np.zeros(s.shape)
-    left, right = [], []      # (time, window start a, reach D), (time, X1 - x0)
-    windows = []              # (time, rung of its reach in the spike table)
+    adaptive = []             # (time, breakpoints in offsets)
+    left = []                 # (time, window start a, reach D)
+    windows = []              # (time, rung of its reach in the spike table,
+                              #  start X1 - x0 of its right tail)
     for k, sk in enumerate(s.tolist()):
         if sk == 0.0:
             X1 = max(x0 + 1e7 * width, 1.0)
-            adaptive(k, _window_breakpoints(x0, width, 0.0, X1))
-            adaptive(k, [X1 - x0, math.inf])
+            adaptive += [(k, _window_breakpoints(x0, width, 0.0, X1)),
+                         (k, [X1 - x0, math.inf])]
             continue
-        D = max(_SPIKE_HALFWIDTHS * width, 40.0 * math.pi / sk)
-        if sk * width < 25.0:
-            rung = _spike_table(params, ff).rung(D)
-            D = _spike_table(params, ff).reach(rung)
-            windows.append((k, rung))
+        rung = table.rung(max(_SPIKE_HALFWIDTHS * width, 40.0 * math.pi / sk))
+        D = table.reach(rung)
         a, b = max(x0 - D, 0.0), x0 + D
-        if sk * width >= 25.0:
-            offs[k], err[k] = quadlib.byparts_segment(rho_t, a - x0, b - x0, sk,
-                                                      width, width)
         # left of the window.  oscillatory_finite takes the first half
         # period adaptively, with a ladder toward the head at x = 0 (the
         # sqrt of phi1): one Gauss-Legendre panel there misses by up to
@@ -253,29 +243,25 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: np.ndarray):
         X1 = b
         if sk * (_X_FAR - b) <= 24.0:
             X1 = max(_X_FAR, 2 * b)
-            adaptive(k, [b - x0, *quadlib.geometric_ladder(0.0, width, b - x0,
-                                                            X1 - x0), X1 - x0])
-        right.append((k, X1 - x0))
+            adaptive.append((k, [b - x0, *quadlib.geometric_ladder(
+                0.0, width, b - x0, X1 - x0), X1 - x0]))
+        windows.append((k, rung, X1 - x0))
 
     # execute
-    integrands = (lambda t, o: rho_t(t),
-                  lambda t, o: rho_t(t) * np.exp(1j * phase[o] * t))
-    for (owner, segs), f in zip((mass, phased), integrands):
-        if owner:
-            phase = s[owner]
-            v, e = quadlib.quad_segments(f, segs, epsabs=_TOL / 8)
-            np.add.at(offs, owner, v)
-            np.add.at(err, owner, e)
+    if adaptive:
+        owner, segs = (list(v) for v in zip(*adaptive))
+        phase = s[owner]
+        v, e = quadlib.quad_segments(
+            lambda t, o: rho_t(t) * np.exp(1j * phase[o] * t), segs,
+            epsabs=_TOL / 8)
+        np.add.at(offs, owner, v)
+        np.add.at(err, owner, e)
     if windows:
-        k, rung = (np.array(v) for v in zip(*windows))
-        v, e = _spike_table(params, ff).integrals(s[k], rung)
-        offs[k] += v
-        err[k] += e
-    if right:
-        k, start = (np.array(v) for v in zip(*right))
-        v, e = quadlib.oscillatory_tail(rho_t, start, s[k])
-        offs[k] += v
-        err[k] += e
+        k, rung, start = (np.array(v) for v in zip(*windows))
+        for v, e in (table.integrals(s[k], rung),
+                     quadlib.oscillatory_tail(rho_t, start, s[k])):
+            offs[k] += v
+            err[k] += e
     val = offs * np.exp(1j * s * x0)
     if left:
         k, a, D = (np.array(v) for v in zip(*left))

@@ -7,11 +7,11 @@ integrals dispatch per region:
 
   * few oscillations  -> quad_complex, the vectorized adaptive Gauss-Kronrod
                          rule, with geometric breakpoint ladders;
-  * up to 3000 half   -> Filon panels: the Legendre interpolant of f on 16
-    periods              Gauss-Legendre nodes, integrated against exp(isx)
-                         exactly (_legendre_panels, _filon_sums), on panels
-                         graded in the distance from f's singularities
-                         (oscillatory_finite);
+  * a spike window at -> Filon panels: the Legendre interpolant of f on 16
+    any s, or up to      Gauss-Legendre nodes, integrated against exp(isx)
+    3000 half periods    exactly (_legendre_panels, _filon_sums), in the
+                         spike's table (FourierTable) or graded in the
+                         distance from f's singularities (oscillatory_finite);
   * more              -> short panel caps at the ends and, between them,
                          five integrations by parts in exp(isx) with
                          finite-difference derivatives;
@@ -889,19 +889,17 @@ def _byparts_terms(fvec, x, s, scale):
 _CAP_PANELS = 24      # byparts_segment: half-period panels at each end
 
 
-def byparts_segment(fvec, a, b, s, scale_a, scale_b):
-    """int_a^b f exp(isx) dx: _CAP_PANELS half-period panels
+def byparts_segment(fvec, a, b, s, scale_b):
+    """int_a^b f exp(isx) dx for a > 0: _CAP_PANELS half-period panels
     (panel_integrals) at each end and, between them, five integrations by
-    parts.
-
-    Valid when s * min(scale) >> 1, where scale_a/scale_b bound the
-    smoothness scale of f at the inner ends of the caps; the error
-    estimate is a few times the last retained term, and the caps add none.
-    """
+    parts, valid when s times f's smoothness scale at the caps' inner ends
+    is >> 1: scale_b at the right, at the left a + _CAP_PANELS pi / s, the
+    distance from a head at x = 0.  The error estimate is a few times the
+    last retained term, and the caps add none."""
     h = math.pi / s
     cap_a = panel_integrals(fvec, a, _CAP_PANELS, h, s).sum()
     cap_b = panel_integrals(fvec, b - _CAP_PANELS * h, _CAP_PANELS, h, s).sum()
-    va, la = _byparts_terms(fvec, a + _CAP_PANELS * h, s, scale_a)
+    va, la = _byparts_terms(fvec, a + _CAP_PANELS * h, s, a + _CAP_PANELS * h)
     vb, lb = _byparts_terms(fvec, b - _CAP_PANELS * h, s, scale_b)
     return vb - va + cap_a + cap_b, 3.0 * abs(lb - la)
 
@@ -934,50 +932,38 @@ def oscillatory_finite(fvec, a, b, s, scale_b, epsabs=1e-12):
     The first half period from a (all of [a, b] when shorter) is adaptive,
     with a geometric ladder toward a, where f may have a head such as the
     sqrt of phi1 at x = 0.  The rest dispatches on its number n of half
-    periods: up to 24 it is adaptive; up to 3000 it is Filon panels
-    (_legendre_panels, _filon_sums) graded in the distances from x = 0
-    and from b + scale_b (_graded_edges), exact for the Legendre
-    interpolant of f at any s; past that it is 24-panel caps at both
-    ends and, between them, by parts, where f's smoothness scale is
-    scale_b at b and x at the left.  The adaptive pieces of all elements
-    are one quad_complex call of K integrals, and the Filon panels of all
+    periods: up to 3000 it is Filon panels (_legendre_panels,
+    _filon_sums) graded in the distances from x = 0 and from b + scale_b
+    (_graded_edges), exact for the Legendre interpolant of f at any s;
+    past that it is 24-panel caps at both ends and, between them, by
+    parts (byparts_segment).  The first half periods of all elements are
+    one quad_complex call of K integrals, and the Filon panels of all
     elements are refined in one density call per pass.
     """
     args = [np.ravel(v).tolist() for v in (a, b, s, scale_b)]
     size = max(map(len, args))
     fixed, fixed_err = np.zeros(size, dtype=complex), np.zeros(size)
-    # the adaptive integrals, each element's head and, when adaptive, its
-    # rest; first[k] is the head of element k
-    first, lo, hi, points, phase = [], [], [], [], []
+    lo, hi, points, phase = [], [], [], []     # each element's first half period
     filon = []               # (element, its s, edges of its graded panels)
     for k, (ak, bk, sk, scale) in enumerate(zip(
             *(v * size if len(v) == 1 else v for v in args))):
-        step = math.pi / sk
-        h = min(step, bk - ak)
+        h = min(math.pi / sk, bk - ak)
         c = ak + h
-        first.append(len(lo))
         lo.append(ak)
         hi.append(c)
         points.append(geometric_ladder(ak, h * 4.0 ** -6, ak, c))
         phase.append(sk)
         n_half = sk * (bk - c) / math.pi
-        if 24 < n_half <= 3000:
-            filon.append((k, sk, _graded_edges(c, bk, scale)))
-            continue
         if n_half > 3000:
-            fixed[k], fixed_err[k] = byparts_segment(
-                fvec, c, bk, sk, c + _CAP_PANELS * step, scale)
-            continue
-        lo.append(c)
-        hi.append(bk)
-        points.append(None)
-        phase.append(sk)
+            fixed[k], fixed_err[k] = byparts_segment(fvec, c, bk, sk, scale)
+        elif n_half > 0:
+            filon.append((k, sk, _graded_edges(c, bk, scale)))
     phase = np.array(phase)
     val, err = quad_complex(lambda x, j: fvec(x) * np.exp(1j * phase[j] * x),
                             np.array(lo), np.array(hi), points=points,
                             epsabs=epsabs)
-    val = np.add.reduceat(val, first) + fixed
-    err = np.add.reduceat(err, first) + fixed_err
+    val += fixed
+    err += fixed_err
     if filon:
         elems, phases, edges = (list(v) for v in zip(*filon))
         owner = np.repeat(np.arange(len(edges)), [e.size - 1 for e in edges])

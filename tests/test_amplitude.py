@@ -372,8 +372,8 @@ def test_quadrature_engine_batch_equals_alone(name, engine):
     not depend on the order the table grew in.  The curve grid and t = 0
     hold every kind of piece: the mass integral at s = 0, adaptive
     stretches right of the window at small s, left parts at large s,
-    table windows with and without a moment head, and fixed-rule windows
-    past s width = 25."""
+    table windows with and without a moment head, and table windows past
+    s width = 25, where a window's panels turn many times over."""
     params, ff = preset(name)
     times = np.concatenate([[0.0], _curve_grid(params, ff)])
     s = params.cutoff * times
@@ -399,11 +399,12 @@ def test_quadrature_engine_batch_equals_alone(name, engine):
 
 def test_spike_table_windows_tile():
     """Each table window is exactly the panels between its rung edges,
-    [-min(D, x0), D], on the curve grids of hydrogen and photodetachment
-    and on 20 phi1 draws of the sweep box near s width = 1, where the
-    reach D = 128 width crosses 40 pi / s; there A is within 1e-9 of the
-    40-digit closed form.  A panel picked by a rounded edge, (x0 - D) -
-    x0 for -D, left A 1.1e-4 off under an estimate of 1.7e-12."""
+    [-min(D, x0), D], at every time of the curve grids of hydrogen and
+    photodetachment, past s width = 25 too, and on 20 phi1 draws of the
+    sweep box near s width = 1, where the reach D = 128 width crosses
+    40 pi / s; there A is within 1e-9 of the 40-digit closed form.  A
+    panel picked by a rounded edge, (x0 - D) - x0 for -D, left A 1.1e-4
+    off under an estimate of 1.7e-12."""
     cases = [(*preset(name), _curve_grid(*preset(name)), False)
              for name in ("hydrogen", "photodetachment")]
     for params in _box("phi1", 20, seed=29):
@@ -416,8 +417,6 @@ def test_spike_table_windows_tile():
         a = survival_amplitude_quadrature(params, ff, times)
         for t, ak in zip(times, a):
             s = params.cutoff * t
-            if s * width >= 25.0:
-                continue
             rung = table.rung(max(80.0 * width, 40.0 * math.pi / s))
             first, stop = table.panels(rung)
             reach = table.reach(rung)
@@ -426,6 +425,36 @@ def test_spike_table_windows_tile():
             assert np.array_equal(table.lo[first + 1:stop], table.hi[first:stop - 1])
             if exact:
                 assert abs(ak - complex(_phi1_amplitude_mp(params, s))) <= 1e-9
+
+
+@pytest.mark.parametrize("name, closed_form", [
+    ("quantum-dot", survival_amplitude_phi2),
+    ("photodetachment", survival_amplitude_phi1_exact)])
+def test_window_meets_closed_form_across_25_widths(name, closed_form):
+    """The quadrature engine's A is within its own estimate of the closed
+    form at s width from 5 to 60, on both sides of 25, where the spike
+    window once switched from the Filon table to panel caps and by parts.
+    That window left out the spike's own transform: at s width = 25 on
+    quantum-dot it was 1.39e-11 off under an estimate of 1.6e-16."""
+    params, ff = preset(name)
+    width = spectral_peak(params, ff)[1]
+    t = (np.array([5.0, 10.0, 20.0, 24.9, 25.0, 26.0, 30.0, 40.0, 50.0, 60.0])
+         / (width * params.cutoff))
+    a, est = survival_amplitude_quadrature(params, ff, t, with_error=True)
+    exact = closed_form(params, t)
+    assert (np.abs(a - exact) <= est).all()
+
+
+def test_hydrogen_window_meets_the_asymptote_past_25_widths(hydrogen):
+    """Hydrogen's |A| at s width = 25 and 26 is within 1% of |pole + tail|
+    of the long-time asymptote (measured 0.15% and 0.7%); the switch to a
+    by-parts window there lost the exponential era."""
+    params, ff = hydrogen
+    width = spectral_peak(params, ff)[1]
+    s = np.array([25.0, 26.0]) / width
+    a = survival_amplitude_quadrature(params, ff, s / params.cutoff)
+    pole, tail = amplitude._asymptote(params, ff, s)
+    assert (np.abs(np.abs(a) / np.abs(pole + tail) - 1.0) <= 0.01).all()
 
 
 def _tail_nodes(monkeypatch, params, ff, s):
