@@ -30,11 +30,11 @@ QUADRATURE    A(s) = int_0^inf rho(x) exp(isx) dx over the spectral
               nodes (quadrature.oscillatory_tail) in the same offsets, so
               its phase matches the window's at their common end; while
               few oscillations reach x = 60 an adaptive stretch, also in
-              offsets, comes first.  Left of the window the integral is
-              in absolute x (quadrature.oscillatory_finite), from an
-              adaptive first half period at x = 0, on Filon panels graded
-              in the distances from x = 0 and from the spike, or past
-              3000 half periods by parts.
+              offsets, comes first.  A window whose left part [0, x0 - D]
+              would hold at most 3000 half periods past its first reaches
+              the head in the table; a longer left part is in absolute x
+              (quadrature.oscillatory_finite): an adaptive first half
+              period at x = 0 and the rest by parts.
 
 PHI1_EXACT    For the sqrt-head weight the density is rational in
               u = sqrt(x), and the transform reduces to three Faddeeva
@@ -145,6 +145,7 @@ _SPIKE_HALFWIDTHS = 80.0   # spike window extent in units of the half width
 _X_FAR = 60.0              # beyond this every built-in density is tiny
 _HEAD_FLOOR = 1e-12        # the head ladder stops above x = _HEAD_FLOOR * x0
 _TOL = 1e-10               # the engine's absolute tolerance on A(s)
+_BYPARTS_FROM = 3000.0     # left parts past this many half periods: by parts
 
 
 def _head_ladder(x0):
@@ -195,10 +196,12 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: np.ndarray):
     start (from x0 + 1e7 width, about 2 x0 in the weak-coupling box, it
     took 3-10 passes).  Past s = 0 they are the spike window from the
     parameters' spike table (_spike_table), of reach D = max(80 width,
-    40 pi / s) on either side of x0 snapped out to the table's next rung;
-    the left part when the window leaves one; an adaptive stretch right
-    of the window while few oscillations reach x = 60; and the
-    double-exponential tail.  The window, the body, the tail and the
+    40 pi / s) on either side of x0 snapped out to the table's next rung,
+    or out to the head at x = 0 when the stretch [0, x0 - D] left of it
+    holds at most _BYPARTS_FROM half periods past its first; the left
+    part, by parts, when the window still leaves one; an adaptive
+    stretch right of the window while few oscillations reach x = 60; and
+    the double-exponential tail.  The window, the body, the tail and the
     stretch are taken over the offset t = x - x0 from the spike center:
     Re eta is formed from t exactly (Offsets), the phase is exp(ist), and
     the global factor exp(isx0) is applied once (see the module
@@ -230,12 +233,13 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: np.ndarray):
                          (k, [X1 - x0, math.inf])]
             continue
         rung = table.rung(max(_SPIKE_HALFWIDTHS * width, 40.0 * math.pi / sk))
+        # left of the window: out to the head in the table, unless more
+        # than _BYPARTS_FROM half periods past the first are left, which
+        # oscillatory_finite takes by parts
+        if sk * (x0 - table.reach(rung)) / math.pi - 1.0 <= _BYPARTS_FROM:
+            rung = max(rung, table.rung(x0))
         D = table.reach(rung)
         a, b = max(x0 - D, 0.0), x0 + D
-        # left of the window.  oscillatory_finite takes the first half
-        # period adaptively, with a ladder toward the head at x = 0 (the
-        # sqrt of phi1): one Gauss-Legendre panel there misses by up to
-        # 8e-12, unestimated
         if a > 0.0:
             left.append((k, a, D))
         # right of it: adaptive out to X1 while that holds few
@@ -393,8 +397,8 @@ def _engine(params: ModelParams, t, body, what: str):
 def _times(t):
     """(1-D float array of the times, whether t was a single time)."""
     ts = np.asarray(t, dtype=float)
-    if (ts < 0).any():
-        raise ValueError("time must be nonnegative")
+    if not ((ts >= 0) & (ts < math.inf)).all():
+        raise ValueError("time must be nonnegative and finite")
     return ts.reshape(-1), ts.ndim == 0
 
 

@@ -91,7 +91,7 @@ def _check_count(n, least: int, what: str):
 def repeated_measurement_survival(params: ModelParams, ff: Formfactor,
                                   T: float, N: int) -> float:
     """p_N(T) = p(T/N)^N for N ideal measurements over [0, T]."""
-    if N < 1 or N != int(N):
+    if not 1 <= N < math.inf or N != int(N):
         raise ValueError("measurement count must be a positive integer")
     _check_time(T)
     return math.exp(N * log_survival(params, ff, T / N))

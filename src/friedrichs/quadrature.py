@@ -8,13 +8,13 @@ integrals dispatch per region:
   * few oscillations  -> quad_complex, the vectorized adaptive Gauss-Kronrod
                          rule, with geometric breakpoint ladders;
   * a spike window at -> Filon panels: the Legendre interpolant of f on 16
-    any s, or up to      Gauss-Legendre nodes, integrated against exp(isx)
-    3000 half periods    exactly (_legendre_panels, _filon_sums), in the
-                         spike's table (FourierTable) or graded in the
-                         distance from f's singularities (oscillatory_finite);
-  * more              -> short panel caps at the ends and, between them,
-                         five integrations by parts in exp(isx) with
-                         finite-difference derivatives;
+    any s                Gauss-Legendre nodes, integrated against exp(isx)
+                         exactly (_legendre_panels, _filon_sums), in the
+                         spike's table (FourierTable);
+  * thousands of half -> an adaptive first half period, then short panel
+    periods              caps at the ends and, between them, five
+                         integrations by parts in exp(isx) with
+                         finite-difference derivatives (oscillatory_finite);
   * infinite tails    -> the Ooura-Mori double-exponential rule, whose nodes
                          approach the zeros of exp(isx): one table of nodes
                          for every s (oscillatory_tail).
@@ -634,11 +634,10 @@ _ROUNDING = 1e-6
 
 
 def _legendre_panels(fvec, lo, hi, tol):
-    """The panels [lo_k, hi_k] refined for Filon integration; returns the
-    panels' lo, hi, Fourier coefficients, estimates, node values, the
-    index of the panel each comes from, and the number of passes (fvec
-    calls), the panels in order of origin and start (as given, when no
-    panel is split).
+    """The disjoint panels [lo_k, hi_k], given in order, refined for Filon
+    integration; returns the panels' lo, hi, Fourier coefficients,
+    estimates, node values and the number of passes (fvec calls), the
+    panels in order of their start.
 
     Each pass evaluates f on the 16 Gauss-Legendre nodes of every open
     panel in one call and takes the Legendre coefficients c_k of the
@@ -654,7 +653,6 @@ def _legendre_panels(fvec, lo, hi, tol):
     half width, ready for _filon_sums.  Each panel's refinement is its
     own, so its values do not depend on its company.
     """
-    origin = np.arange(lo.size)
     parent = np.full(lo.size, math.inf)
     done, passes = [], 0
     while lo.size:
@@ -675,20 +673,18 @@ def _legendre_panels(fvec, lo, hi, tol):
                 | (est > _ROUNDING * h * _row_dots(np.abs(v), _GL_WEIGHTS)))
         if split.any():
             keep = ~split
-            done.append((lo[keep], hi[keep], c[keep], est[keep], v[keep],
-                         origin[keep]))
+            done.append((lo[keep], hi[keep], c[keep], est[keep], v[keep]))
             lo, hi, mid = lo[split], hi[split], 0.5 * (lo[split] + hi[split])
             lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-            origin = np.concatenate([origin[split], origin[split]])
             parent = np.concatenate([est[split], est[split]])
         else:
-            done.append((lo, hi, c, est, v, origin))
+            done.append((lo, hi, c, est, v))
             break
     if passes > 1:
-        lo, hi, c, est, v, origin = (np.concatenate(part) for part in zip(*done))
-        order = np.lexsort((lo, origin))
-        lo, hi, c, est, v, origin = (a[order] for a in (lo, hi, c, est, v, origin))
-    return lo, hi, c * _TWO_I_K, est, v, origin, passes
+        lo, hi, c, est, v = (np.concatenate(part) for part in zip(*done))
+        order = lo.argsort()
+        lo, hi, c, est, v = (a[order] for a in (lo, hi, c, est, v))
+    return lo, hi, c * _TWO_I_K, est, v, passes
 
 
 def _filon_sums(lo, hi, coef, s, counts):
@@ -779,7 +775,7 @@ class FourierTable:
             cut[::2] = edges
             cut[1::2] = 0.5 * (edges[:-1] + edges[1:])
             cuts.append(cut)
-        lo, hi, coef, est, nodes, _, passes = _legendre_panels(
+        lo, hi, coef, est, nodes, passes = _legendre_panels(
             self.fvec, np.concatenate([c[:-1] for c in cuts]),
             np.concatenate([c[1:] for c in cuts]), self.tol)
         self.passes += passes
@@ -904,75 +900,42 @@ def byparts_segment(fvec, a, b, s, scale_b):
     return vb - va + cap_a + cap_b, 3.0 * abs(lb - la)
 
 
-_GRADE = 1.5     # oscillatory_finite: graded panels grow by this factor
-
-
-def _graded_edges(a, b, scale):
-    """Edges of panels from a > 0 to b whose widths grow by _GRADE away
-    from x = 0 and away from b + scale, the nearest singularities of f
-    (the head of the weight, the resonance spike): geometric ladders
-    a _GRADE^k from a and b + scale - scale _GRADE^k from b, which meet
-    halfway to b + scale."""
-    far = b + scale
-    mid = min(0.5 * far, b)
-    n = math.ceil(math.log(max(mid / a, 1.0)) / math.log(_GRADE))
-    left = a * _GRADE ** np.arange(1, n)
-    n = math.ceil(math.log(max((far - max(mid, a)) / scale, 1.0)) / math.log(_GRADE))
-    right = far - scale * _GRADE ** np.arange(1, n)
-    inner = np.concatenate([left, [mid], right])
-    return np.unique(np.concatenate([[a], inner[(inner > a) & (inner < b)], [b]]))
-
-
 def oscillatory_finite(fvec, a, b, s, scale_b, epsabs=1e-12):
     """int_a^b f exp(isx) dx for f smooth on (a, b]; returns (value, error
     estimate).  a, b, s and scale_b are numbers or 1-D arrays of one
     length, an integral per element (a number stands for every element),
     and the values and estimates are arrays when any of them is.
 
-    The first half period from a (all of [a, b] when shorter) is adaptive,
-    with a geometric ladder toward a, where f may have a head such as the
-    sqrt of phi1 at x = 0.  The rest dispatches on its number n of half
-    periods: up to 3000 it is Filon panels (_legendre_panels,
-    _filon_sums) graded in the distances from x = 0 and from b + scale_b
-    (_graded_edges), exact for the Legendre interpolant of f at any s;
-    past that it is 24-panel caps at both ends and, between them, by
-    parts (byparts_segment).  The first half periods of all elements are
-    one quad_complex call of K integrals, and the Filon panels of all
-    elements are refined in one density call per pass.
+    The first half period from a is adaptive, with a geometric ladder
+    toward a, where f may have a head such as the sqrt of phi1 at x = 0;
+    the rest is 24-panel caps at both ends and, between them, by parts
+    (byparts_segment).  A rest of at most 2 _CAP_PANELS = 48 half
+    periods, where the caps would overlap, raises ValueError.  The first
+    half periods of all elements are one quad_complex call of K
+    integrals.
     """
     args = [np.ravel(v).tolist() for v in (a, b, s, scale_b)]
     size = max(map(len, args))
     fixed, fixed_err = np.zeros(size, dtype=complex), np.zeros(size)
     lo, hi, points, phase = [], [], [], []     # each element's first half period
-    filon = []               # (element, its s, edges of its graded panels)
     for k, (ak, bk, sk, scale) in enumerate(zip(
             *(v * size if len(v) == 1 else v for v in args))):
-        h = min(math.pi / sk, bk - ak)
+        h = math.pi / sk
         c = ak + h
+        if sk * (bk - c) / math.pi <= 2 * _CAP_PANELS:
+            raise ValueError("oscillatory_finite needs more than "
+                             f"{2 * _CAP_PANELS} half periods past the first")
         lo.append(ak)
         hi.append(c)
         points.append(geometric_ladder(ak, h * 4.0 ** -6, ak, c))
         phase.append(sk)
-        n_half = sk * (bk - c) / math.pi
-        if n_half > 3000:
-            fixed[k], fixed_err[k] = byparts_segment(fvec, c, bk, sk, scale)
-        elif n_half > 0:
-            filon.append((k, sk, _graded_edges(c, bk, scale)))
+        fixed[k], fixed_err[k] = byparts_segment(fvec, c, bk, sk, scale)
     phase = np.array(phase)
     val, err = quad_complex(lambda x, j: fvec(x) * np.exp(1j * phase[j] * x),
                             np.array(lo), np.array(hi), points=points,
                             epsabs=epsabs)
     val += fixed
     err += fixed_err
-    if filon:
-        elems, phases, edges = (list(v) for v in zip(*filon))
-        owner = np.repeat(np.arange(len(edges)), [e.size - 1 for e in edges])
-        lo, hi, coef, est, _, origin, _ = _legendre_panels(
-            fvec, np.concatenate([e[:-1] for e in edges]),
-            np.concatenate([e[1:] for e in edges]), epsabs / 64)
-        counts = np.bincount(owner[origin], minlength=len(edges))
-        val[elems] += _filon_sums(lo, hi, coef, np.array(phases), counts)
-        err[elems] += np.add.reduceat(est, np.cumsum(counts) - counts)
     if max(map(np.ndim, (a, b, s, scale_b))):
         return val, err
     return complex(val[0]), float(err[0])

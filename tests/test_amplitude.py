@@ -457,6 +457,60 @@ def test_hydrogen_window_meets_the_asymptote_past_25_widths(hydrogen):
     assert (np.abs(np.abs(a) / np.abs(pole + tail) - 1.0) <= 0.01).all()
 
 
+def _recording_left_parts(monkeypatch):
+    """A list that gets (s, b) of each element quadrature.oscillatory_finite
+    receives from now on."""
+    seen, finite = [], quadrature.oscillatory_finite
+
+    def recording(fvec, a, b, s, *args, **kwargs):
+        seen.extend(zip(*np.broadcast_arrays(s, b)))
+        return finite(fvec, a, b, s, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "oscillatory_finite", recording)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["photodetachment", "quantum-dot", "hydrogen"])
+def test_short_left_parts_come_from_the_table(monkeypatch, name):
+    """On the CLI's 202-point curve grid every left part that reaches
+    oscillatory_finite holds more than 3000 half periods past its first,
+    which it takes by parts; a shorter one is in the spike table's
+    window, out to the head.  Graded Filon panels in oscillatory_finite
+    took 25, 26 and 22 of them."""
+    params, ff = preset(name)
+    ts = compute_timescales(params, ff)
+    t = np.concatenate([np.geomspace(1e-3 * ts.t_z, 5.0 * ts.t_ep, 200),
+                        [ts.t_z, ts.t_d]])
+    seen = _recording_left_parts(monkeypatch)
+    survival_amplitude_quadrature(params, ff, t)
+    s, b = np.array(seen).T
+    assert s.size and (s * b / math.pi - 1.0 > 3000.0).all()
+
+
+@pytest.mark.parametrize("name, switch, reference", [
+    ("photodetachment", 1.0799e10, survival_amplitude_phi1_exact),
+    ("quantum-dot", 2.2374e7, survival_amplitude_phi2)])
+def test_left_part_switch_is_seamless(monkeypatch, name, switch, reference):
+    """Around the s where the left part passes 3000 half periods, and goes
+    from the spike table to by parts (s width 10.8 on photodetachment,
+    0.109 on quantum-dot), |A| stays within 1e-13 of the closed form;
+    on photodetachment A is within its estimate of phi1-exact.  Quantum-
+    dot's complex A differs from phi2-poles by up to 4e-13 on both sides,
+    past its estimate, the rounding of its phase, so there the moduli are
+    compared."""
+    params, ff = preset(name)
+    s = switch * np.array([0.98, 0.999, 1.001, 1.02])
+    seen = _recording_left_parts(monkeypatch)
+    a, est = survival_amplitude_quadrature(params, ff, s / params.cutoff,
+                                           with_error=True)
+    # the switch lies between the second and third time
+    assert len(seen) == 2 and min(s_k for s_k, _ in seen) > s[1]
+    ref = reference(params, s / params.cutoff)
+    assert (np.abs(np.abs(a) - np.abs(ref)) <= 1e-13).all()
+    if name == "photodetachment":
+        assert (np.abs(a - ref) <= est).all()
+
+
 def _tail_nodes(monkeypatch, params, ff, s):
     """(density nodes of the engine's right tail, A) at s: the nodes the
     density sees inside quadrature.oscillatory_tail."""
@@ -510,6 +564,23 @@ def test_negative_time_rejected(photo):
         survival_amplitude_quadrature(params, ff, np.array([1e-9, -1e-9, 2e-9]))
     with pytest.raises(ValueError):
         survival_deficit(params, ff, -1e-9)
+
+
+@pytest.mark.parametrize("name", ["photodetachment", "quantum-dot", "hydrogen"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_time_rejected(name, bad):
+    """A time of nan or inf raises a typed ValueError from every public
+    function of a time, alone and inside an array.  nan gave a silent nan
+    from phi1-exact and phi2-poles, and inf a ZeroDivisionError from
+    phi2-poles' node table and a math domain error on hydrogen."""
+    params, ff = preset(name)
+    for t in (bad, np.array([1e-9, bad])):
+        for call in (survival_amplitude, survival_probability,
+                     survival_deficit, log_survival):
+            with pytest.raises(ValueError, match="nonnegative and finite"):
+                call(params, ff, t)
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            sample_curve(params, ff, np.atleast_1d(t))
 
 
 def test_engine_formfactor_mismatch(qdot):

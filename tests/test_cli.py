@@ -191,7 +191,12 @@ def test_compare_outputs_exit_status(tmp_path, capsys):
     run = lambda: tool.main([str(a), str(b)])
     assert run() == 0
     (b / "x" / "curve.csv").write_text("t,p\n1,0.25\n")
+    capsys.readouterr()
     assert run() == 1
+    # the moved p: 0.25 in all and 0.5 of the larger value
+    line, = [line for line in capsys.readouterr().out.splitlines()
+             if line.strip().startswith("p ")]
+    assert "absolute move 0.25" in line and "relative 0.5" in line
     (b / "x" / "curve.csv").write_text("t,p\n1,0.5\n")
     (a / "extra.txt").write_text("s = 1\n")
     assert run() == 1

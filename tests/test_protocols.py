@@ -83,6 +83,9 @@ def test_protocol_argument_validation(qdot):
     params, ff = qdot
     with pytest.raises(ValueError):
         repeated_measurement_survival(params, ff, 1e-9, 0)
+    for N in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="measurement count"):
+            repeated_measurement_survival(params, ff, 1e-9, N)
     with pytest.raises(ValueError):
         repeated_measurement_survival(params, ff, -1e-9, 3)
     with pytest.raises(ValueError):

@@ -4,14 +4,16 @@
 
 A and B are directories written by tools/cli_outputs.py.  For each file
 that differs between them it prints how many rows moved and, per numeric
-column, how many of its values moved and the largest relative move
-|a - b| / max(|a|, |b|).  Lines that start with `#` are skipped.  A CSV's
-columns are named by its header row; in any other file each line is its
-own row, and its numbers are the columns `label[k]`, label the text
-before its first `=` (or its first word) and k their order in the line.
-A field that is not a number counts as moved when its text differs.
-Identical files are counted, not listed; a file in one tree only is
-named.  `diff -r A B` shows which lines differ; this shows by how much.
+column, how many of its values moved, the largest absolute move |a - b|
+and the largest relative move |a - b| / max(|a|, |b|): a value near
+1e-20 can move by 1e-4 of itself and by 1e-24 in all.  Lines that start
+with `#` are skipped.  A CSV's columns are named by its header row; in
+any other file each line is its own row, and its numbers are the
+columns `label[k]`, label the text before its first `=` (or its first
+word) and k their order in the line.  A field that is not a number
+counts as moved when its text differs.  Identical files are counted,
+not listed; a file in one tree only is named.  `diff -r A B` shows
+which lines differ; this shows by how much.
 It exits 0 when the two trees hold the same files, byte for byte, else 1.
 """
 
@@ -41,13 +43,16 @@ def _rows(path: Path):
 
 
 def _move(a: str, b: str):
-    """The relative move from a to b, or None when either is not a number."""
+    """The absolute and the relative move from a to b, or None when either
+    is not a number."""
     try:
         x, y = float(a), float(b)
     except ValueError:
         return None
     scale = max(abs(x), abs(y))
-    return 0.0 if x == y else abs(x - y) / scale if scale else 0.0
+    if x == y:
+        return 0.0, 0.0
+    return abs(x - y), abs(x - y) / scale if scale else 0.0
 
 
 def compare(a: Path, b: Path) -> list[str]:
@@ -56,7 +61,7 @@ def compare(a: Path, b: Path) -> list[str]:
     names_b, rows_b = _rows(b)
     if len(rows_a) != len(rows_b) or (a.suffix == ".csv" and names_a != names_b):
         return [f"  shapes differ: {len(rows_a)} against {len(rows_b)} rows"]
-    moved, columns = 0, {}            # column name -> [values moved, largest]
+    moved, columns = 0, {}   # column name -> [values moved, largest moves]
     for k, (ra, rb) in enumerate(zip(rows_a, rows_b)):
         if ra == rb:
             continue
@@ -73,13 +78,15 @@ def compare(a: Path, b: Path) -> list[str]:
                 continue
             entry = columns.setdefault(name, [0, None])
             entry[0] += 1
-            rel = _move(x, y)
-            if rel is not None:
-                entry[1] = rel if entry[1] is None else max(entry[1], rel)
+            move = _move(x, y)
+            if move is not None:
+                entry[1] = move if entry[1] is None else tuple(
+                    map(max, entry[1], move))
     out = [f"  {moved} of {len(rows_a)} rows moved"]
     width = max(map(len, columns), default=0)
-    for name, (count, rel) in columns.items():
-        what = "text differs" if rel is None else f"largest relative move {rel:.2g}"
+    for name, (count, move) in columns.items():
+        what = ("text differs" if move is None else
+                "largest absolute move {:.2g}, relative {:.2g}".format(*move))
         out.append(f"    {name:<{width}}  {count} moved, {what}")
     return out
 
