@@ -77,7 +77,8 @@ held to about 1e-12 of itself and raises ConvergenceError past 1e-8.
 
 The three amplitude engines are numerical bodies behind one boundary,
 _engine, which reads the times, answers free evolution at zero coupling
-and raises ConvergenceError when an estimate is worse than 1e-7.
+and raises ConvergenceError when an estimate is worse than 1e-7 or a
+value or estimate is not finite.
 
 Every engine and every public function of a time takes one time or an
 array of times.  On an array the phi1 closed form, the asymptote and the
@@ -205,7 +206,9 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: np.ndarray):
     stretch are taken over the offset t = x - x0 from the spike center:
     Re eta is formed from t exactly (Offsets), the phase is exp(ist), and
     the global factor exp(isx0) is applied once (see the module
-    docstring).
+    docstring).  A time with s <= MOMENT_REACH / MOMENT_TOP (about
+    2.7e-23), whose table core would overflow its moments, raises
+    ConvergenceError.
 
     Execute: the adaptive pieces in offsets of all times are one
     quad_segments call of independent integrals, each with the phase
@@ -232,6 +235,11 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: np.ndarray):
             adaptive += [(k, _window_breakpoints(x0, width, 0.0, X1)),
                          (k, [X1 - x0, math.inf])]
             continue
+        if sk * quadlib.MOMENT_TOP <= quadlib.MOMENT_REACH:
+            # the table's core, of reach MOMENT_REACH / s, would overflow
+            # its moments t^MOMENT_ORDER
+            raise ConvergenceError("time too short for the spike table",
+                                   achieved=math.inf)
         rung = table.rung(max(_SPIKE_HALFWIDTHS * width, 40.0 * math.pi / sk))
         # left of the window: out to the head in the table, unless more
         # than _BYPARTS_FROM half periods past the first are left, which
@@ -381,16 +389,19 @@ def _engine(params: ModelParams, t, body, what: str):
     from body(s) on the 1-D array s = cutoff * t, or at zero coupling free
     evolution exp(i omega_ratio s) with zero estimates.  Raises
     ConvergenceError, naming the engine by what, when an estimate is
-    worse than 1e-7."""
+    worse than 1e-7 or a value or estimate is not finite."""
     ts, scalar = _times(t)
     s = params.cutoff * ts
     if params.coupling_sq == 0.0:
         val, est = np.exp(1j * params.omega_ratio * s), np.zeros(s.shape)
     else:
         val, est = body(s)
-        if est is not None and est.max(initial=0.0) > 1e-7:
+        worst = 0.0 if est is None else est.max(initial=0.0)
+        if not np.isfinite(val).all():
+            worst = math.inf
+        if not worst <= 1e-7:                 # a nan estimate fails too
             raise ConvergenceError(f"{what} accuracy not reached",
-                                   achieved=float(est.max()))
+                                   achieved=float(worst))
     return _unwrap(val, scalar), None if est is None else _unwrap(est, scalar)
 
 

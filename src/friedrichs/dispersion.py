@@ -370,7 +370,9 @@ def spectral_density(params: ModelParams, ff: Formfactor, x) -> np.ndarray:
 def spectral_peak(params: ModelParams, ff: Formfactor):
     """Location and half-width of the resonance spike of the density:
     the zero of Re eta on the cut and pi*g2*phi there over |d Re eta/dx|.
-    Memoized on (params, ff), built-in or custom."""
+    Memoized on (params, ff), built-in or custom.  At the true peak
+    pi*width*rho(x0) is 1 up to O(g2); raises ConvergenceError when it is
+    more than 0.1 from 1, a center the root finder left off the spike."""
     from scipy import optimize
 
     w = params.omega_ratio
@@ -399,4 +401,7 @@ def spectral_peak(params: ModelParams, ff: Formfactor):
     eps = x0 * 1e-6
     slope = (R(x0 + eps) - R(x0 - eps)) / (2 * eps)
     width = math.pi * g2 * float(ff(x0)) / abs(slope)
+    miss = math.pi * width * float(spectral_density(params, ff, x0)) - 1.0
+    if not abs(miss) <= 0.1:
+        raise ConvergenceError("spectral peak off the spike", achieved=miss)
     return x0, width

@@ -10,13 +10,12 @@ intervals deep below the Zeno time, accelerated decay (anti-Zeno) in a
 broad region above it, and the unperturbed exponential once intervals
 reach the decay era.
 
-ln p comes from memos filled in batches, one log_survival call for many
-intervals.  protocol_curve fetches its N grid into a memo that lives for
-the call, and hands it to anti_zeno_minimum, which fetches each round of
-its search into it and so starts from the N grid just fetched.
-n_epsilon fetches the next few scan candidates or bisection levels it
-may visit into a memo per observation time that its calls at that time
-share: the accuracies of one T walk one scan.
+N ln p(T/N) comes from a store per observation time, keyed by the
+integer N and filled in batches of one log_survival call each.
+protocol_curve fills a fresh store with its N grid and hands it to
+anti_zeno_minimum, which starts its search from that grid and fetches
+each round into the same store.  The n_epsilon calls at one T share a
+store, so the accuracies of one T walk one scan.
 repeated_measurement_survival evaluates its one interval directly.
 
 The deficit kernel's times share one node set, cut at the power-of-two
@@ -30,7 +29,7 @@ rounding, the nodes left out past x = 42/min(s), and the table's head
 below x = 1/(4 max(s)), whose nodes a power series over cached moments
 replaces.  A search whose answer hangs on such differences can answer
 differently from one-at-a-time evaluation: on a flat anti-Zeno minimum,
-a few N apart.  A memoized value is the one from the first batch that
+a few N apart.  A stored value is the one from the first batch that
 fetched it, so an n_epsilon answer can also depend in those bits on the
 n_epsilon calls at the same T that came before it.
 """
@@ -53,29 +52,24 @@ from .formfactors import Formfactor, ModelParams, Sentinel
 UNBOUNDED = Sentinel("UNBOUNDED", True)
 
 
-def _logp_memo(params: ModelParams, ff: Formfactor):
-    """ln p(tau) memoized on tau: fetch(taus) returns ln p at taus as a
-    list, with one log_survival call for those not in fetch.cache.  A
-    lookup hits only for the very same float, so callers compute fetched
-    taus with the expression they look them up with."""
-    cache = {}
-
-    def fetch(taus) -> list:
-        missing = [tau for tau in dict.fromkeys(taus) if tau not in cache]
-        if missing:
-            cache.update(zip(missing, log_survival(params, ff, missing).tolist()))
-        return [cache[tau] for tau in taus]
-
-    fetch.cache = cache
-    return fetch
-
-
 @lru_cache(maxsize=32)
-def _n_epsilon_memo(params: ModelParams, ff: Formfactor, T: float):
-    """The ln p memo that the n_epsilon calls at one observation time
-    share, for the 32 most recent (params, ff, T); a walk adds a few dozen
-    intervals to it."""
-    return _logp_memo(params, ff)
+def _costs(params: ModelParams, ff: Formfactor, T: float):
+    """N ln p(T/N) stored on the integer N: costs(ns) returns it at ns as
+    an array, with one log_survival call for the N not in costs.held.
+    Cached for the 32 most recent (params, ff, T), the store the n_epsilon
+    calls at one T share; _costs.__wrapped__ makes a fresh one."""
+    held = {}
+
+    def costs(ns) -> np.ndarray:
+        ns = np.asarray(ns).tolist()
+        missing = [n for n in dict.fromkeys(ns) if n not in held]
+        if missing:
+            lps = log_survival(params, ff, [T / n for n in missing])
+            held.update(zip(missing, (np.array(missing) * lps).tolist()))
+        return np.array([held[n] for n in ns])
+
+    costs.held = held
+    return costs
 
 
 def _check_time(T: float):
@@ -129,12 +123,12 @@ class AntiZenoMinimum:
     degenerate: bool
 
 
-_ROUND = 17            # anti_zeno_minimum: integers per round
+_ROUND = 17            # anti_zeno_minimum, n_epsilon: integers per round
 _FIT = 1e-3            # anti_zeno_minimum: relative reach of the vertex fit
 
 
 def anti_zeno_minimum(params: ModelParams, ff: Formfactor,
-                      T: float, _ns=None, _fetch=None) -> AntiZenoMinimum:
+                      T: float, _store=None) -> AntiZenoMinimum:
     """Deepest point of p_N(T) over the number of measurements N.
 
     A coarse grid of N, then rounds over integers, each one log_survival
@@ -144,23 +138,15 @@ def anti_zeno_minimum(params: ModelParams, ff: Formfactor,
     unimodal p_N keeps its minimum inside.  Once the bracket is narrower
     than _ROUND, the last round takes every integer within _ROUND - 1 of
     _vertex's estimate of the minimum, and the best N.  The coarse grid
-    is _ns, protocol_curve's N grid (whose ln p its memo _fetch holds),
-    or else _n_grid's 161 intervals.  Returns the best p_N seen, coarse
-    grid included.  A flat curve or a coarse minimum at an end of the
-    grid (no interior minimum) sets the degenerate flag.
+    is the N that _store holds (protocol_curve's N grid), or else
+    _n_grid's 161 intervals.  Returns the best p_N seen, coarse grid
+    included.  A flat curve or a coarse minimum at an end of the grid (no
+    interior minimum) sets the degenerate flag.
     """
     _check_time(T)
-    if _ns is None:
-        _ns = _n_grid(T, short_time_expansion(params, ff).validity_time, 161)
-    fetch = _fetch or _logp_memo(params, ff)
-    seen = {}
-
-    def costs(ns: np.ndarray) -> np.ndarray:     # N ln p, one fetch
-        vals = ns * np.array(fetch([T / n for n in ns.tolist()]))
-        seen.update(zip(ns.tolist(), vals.tolist()))
-        return vals
-
-    ns = np.unique(_ns)
+    costs = _store or _costs.__wrapped__(params, ff, T)
+    ns = np.unique(list(costs.held) or _n_grid(
+        T, short_time_expansion(params, ff).validity_time, 161))
     vals = costs(ns)
     k = int(np.argmin(vals))
     degenerate = k in (0, ns.size - 1) or bool(vals.max() - vals.min() < 1e-15)
@@ -173,7 +159,7 @@ def anti_zeno_minimum(params: ModelParams, ff: Formfactor,
         vals = costs(ns)
         k = int(np.argmin(vals))
     best = int(ns[k])
-    c = _vertex(seen, best)
+    c = _vertex(costs.held, best)
     ns = np.unique(np.append(np.arange(max(1, c - _ROUND + 1), c + _ROUND), best))
     vals = costs(ns)
     k = int(np.argmin(vals))
@@ -181,19 +167,19 @@ def anti_zeno_minimum(params: ModelParams, ff: Formfactor,
     return AntiZenoMinimum(T / n_star, math.exp(vals[k]), n_star, degenerate)
 
 
-def _vertex(seen: dict, best: int) -> int:
+def _vertex(held: dict, best: int) -> int:
     """The integer nearest the vertex of the least-squares parabola through
-    the costs N ln p seen within _FIT of best; best itself when fewer than
+    the costs N ln p held within _FIT of best; best itself when fewer than
     five lie there, or the parabola does not open upward with its vertex
     in that reach.  Past the deficit kernel's seam, rounding jitters p_N
     from one N to the next (3.5e-9 relative rms at T = 1e-2 t_d on
     photodetachment), so on a flat bottom the best sample can lie hundreds
     of N from the minimum; the fit averages the jitter out."""
-    ns = np.array([n for n in seen if abs(n - best) <= _FIT * best])
+    ns = np.array([n for n in held if abs(n - best) <= _FIT * best])
     if ns.size < 5:
         return best
     x = ns / (_FIT * best) - 1.0 / _FIT
-    y = np.array([seen[n] for n in ns.tolist()]) - seen[best]
+    y = np.array([held[n] for n in ns.tolist()]) - held[best]
     a2, a1, _ = np.polyfit(x, y, 2)
     if not (a2 > 0 and abs(a1) <= 2 * a2):
         return best
@@ -207,88 +193,73 @@ def _n_grid(T: float, t_z: float, n_tau: int) -> np.ndarray:
     return np.unique(np.maximum(1, np.rint(T / taus)).astype(np.int64))[::-1]
 
 
-_SCAN_AHEAD = 8        # n_epsilon: geometric-scan candidates per fetch
-_BISECT_AHEAD = 4      # n_epsilon: bisection-tree levels per fetch
+_SCAN_AHEAD = 8        # n_epsilon: scan points per fetch
+
+
+@lru_cache(maxsize=8)
+def _scan(cap: int) -> tuple:
+    """n_epsilon's geometric scan up to the cap: 1, 2, 3, 4, 5, 6, 8, 10,
+    13, ..., each max(n + 1, int(1.35 n)) of the one before."""
+    scan, n = [1], 2
+    while n <= cap:
+        scan.append(n)
+        n = max(n + 1, int(n * 1.35))
+    return tuple(scan)
 
 
 def n_epsilon(params: ModelParams, ff: Formfactor, T: float, eps: float,
               cap: int = 10 ** 9):
     """Largest N with p_n(T) >= (1 - eps) p_1(T) for every n <= N.
 
-    Geometric scan brackets the first violation, integer bisection pins
-    it.  When no scan point fails, p_n is tested at anti_zeno_minimum's
-    N and at the cap, and the first of them that fails is bisected from
-    the last scan point below it; UNBOUNDED when neither fails (when no
-    violation occurs up to the cap, for a p_n that falls to one minimum
-    and climbs back).  Whenever the
-    next N is not cached, one log_survival call fetches it with the next
-    scan candidates (_SCAN_AHEAD in all) or bisection levels
-    (_BISECT_AHEAD); the walk is the sequential one, so it makes no more
-    log_survival calls than that walk, though some times go unvisited.
-    The calls at one T share their memo (_n_epsilon_memo), so another
-    accuracy at that T finds the scan fetched and fetches only its own
-    bisection levels, and a repeated call fetches nothing.
+    A geometric scan (_scan) brackets the first violation, and rounds of
+    at most _ROUND integers spread evenly over the bracket, ends included,
+    pin it: the next bracket ends at the first of them that fails.  When
+    no scan point fails, p_n is tested at anti_zeno_minimum's N and at the
+    cap, and the first of them that fails is bracketed from the last scan
+    point below it; UNBOUNDED when neither fails (when no violation occurs
+    up to the cap, for a p_n that falls to one minimum and climbs back).
+    The scan is fetched _SCAN_AHEAD points at a time (N = 1 joins the
+    first chunk), and each round in one call.  The calls at one T share
+    their store (_costs), so another accuracy at that T finds the scan
+    fetched, and a repeated call fetches nothing.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("accuracy must lie in (0, 1)")
     _check_time(T)
     _check_count(cap, 1, "measurement cap")
-    fetch = _n_epsilon_memo(params, ff, T)
+    costs = _costs(params, ff, T)
+    scan = _scan(cap)
+    threshold = (1.0 - eps) * math.exp(costs(scan[:_SCAN_AHEAD + 1])[0])
 
-    def p_n(n: int) -> float:          # n is fetched
-        return math.exp(n * fetch.cache[T / n])
+    def first_failure(ns):
+        """Index of the first n in ns with p_n(T) < threshold, else len(ns)."""
+        return next((k for k, c in enumerate(costs(ns).tolist())
+                     if math.exp(c) < threshold), len(ns))
 
-    def ok(n: int, ahead) -> bool:
-        """p_n(T) >= threshold; on a miss, fetch the candidates ahead()
-        lists, n first."""
-        if T / n not in fetch.cache:
-            fetch([T / k for k in ahead()])
-        return p_n(n) >= threshold
-
-    def step(n: int) -> int:
-        return max(n + 1, int(n * 1.35))
-
-    def scan_from(n):
-        ns = []
-        while n <= cap and len(ns) < _SCAN_AHEAD:
-            ns.append(n)
-            n = step(n)
-        return ns
-
-    def tree(lo, hi, depth):
-        if hi - lo <= 1 or depth == 0:
-            return []
-        mid = (lo + hi) // 2
-        return [mid] + tree(lo, mid, depth - 1) + tree(mid, hi, depth - 1)
-
-    fetch([T / 1, *(T / k for k in scan_from(2))])
-    threshold = (1.0 - eps) * p_n(1)
-
-    good, n = [1], 2               # the scan points that pass
-    while n <= cap:
-        if not ok(n, lambda: scan_from(n)):
+    for i in range(1, len(scan), _SCAN_AHEAD):
+        chunk = scan[i:i + _SCAN_AHEAD]
+        k = first_failure(chunk)
+        if k < len(chunk):
+            hi = chunk[k]
             break
-        good.append(n)
-        n = step(n)
     else:
         # no scan point fails.  The deepest point, anti_zeno_minimum's N,
         # may still: p_n falls to it and climbs back, so a narrow window
         # of violations can lie between two scan points.  So may the cap,
         # past the last scan point
         deepest = anti_zeno_minimum(params, ff, T).n_measurements
-        for n in (deepest, cap):
-            if n <= cap and n not in good and not ok(n, lambda: [n]):
+        for hi in (deepest, cap):
+            if hi <= cap and hi not in scan and first_failure([hi]) == 0:
                 break
         else:
             return UNBOUNDED
 
-    lo, hi = max(k for k in good if k < n), n      # ok(lo), not ok(hi)
+    lo = max(n for n in scan if n < hi)            # lo passes, hi fails
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid, lambda: tree(lo, hi, _BISECT_AHEAD)):
-            lo = mid
-        else:
-            hi = mid
+        m = min(_ROUND, hi - lo + 1)
+        ns = [lo + round((hi - lo) * j / (m - 1)) for j in range(m)]  # lo .. hi
+        k = 1 + first_failure(ns[1:-1])
+        lo, hi = ns[k - 1], ns[k]
     return lo
 
 
@@ -311,9 +282,8 @@ def protocol_curve(params: ModelParams, ff: Formfactor, T: float,
     _check_time(T)
     _check_count(n_tau, 2, "interval count")
     ns = _n_grid(T, short_time_expansion(params, ff).validity_time, n_tau)
-    fetch = _logp_memo(params, ff)
-    lps = fetch([T / n for n in ns.tolist()])
-    ps = np.array([math.exp(n * lp) for n, lp in zip(ns.tolist(), lps)])
+    costs = _costs.__wrapped__(params, ff, T)
+    ps = np.array([math.exp(c) for c in costs(ns).tolist()])
     ref = math.exp(-T / decay_time) if decay_time else None
-    minimum = anti_zeno_minimum(params, ff, T, _ns=ns, _fetch=fetch)
+    minimum = anti_zeno_minimum(params, ff, T, _store=costs)
     return ProtocolResult(T, ns, T / ns, ps, ref, minimum)

@@ -418,6 +418,7 @@ _LAPLACE_CUT = 42.0       # exp(-xs) < 6e-19 past x = _LAPLACE_CUT / s
 # spike region and LaplaceTable's head both take exp this way, from moments.
 MOMENT_REACH = 0.25
 MOMENT_ORDER = 14
+MOMENT_TOP = math.ldexp(1.0, 1024 // MOMENT_ORDER)   # t^MOMENT_ORDER finite below
 _FACTORIALS = np.array([math.factorial(k) for k in range(MOMENT_ORDER + 2)],
                        dtype=float)          # 0! .. (MOMENT_ORDER + 1)!
 _HEAD_TOP = 0.5           # LaplaceTable's head ends at or below this x

@@ -583,6 +583,29 @@ def test_nonfinite_time_rejected(name, bad):
             sample_curve(params, ff, np.atleast_1d(t))
 
 
+@pytest.mark.parametrize("t", [1e-60, 1e-320])
+def test_too_short_time_fails_typed(t):
+    """Hydrogen at 1e-60 s gave a silent nan with 16 RuntimeWarnings: the
+    spike table's core moments t^14 overflowed, and the engine gate let a
+    nan estimate through.  At 1e-320 s FourierTable.rung raised an
+    OverflowError.  The shortest time the table takes still answers."""
+    params, ff = preset("hydrogen")
+    with pytest.raises(ConvergenceError):
+        survival_probability(params, ff, t)
+    s = 1.01 * quadrature.MOMENT_REACH / quadrature.MOMENT_TOP
+    assert abs(survival_amplitude_quadrature(params, ff, s / params.cutoff)
+               ) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("val,est", [(math.nan, 0.0), (math.inf, 0.0),
+                                     (1.0, math.nan)])
+def test_engine_gate_fails_nonfinite(val, est):
+    params, _ = preset("hydrogen")
+    body = lambda s: (np.full(s.shape, val, dtype=complex), np.full(s.shape, est))
+    with pytest.raises(ConvergenceError, match="accuracy not reached"):
+        amplitude._engine(params, [1e-9, 2e-9], body, "test engine")
+
+
 def test_engine_formfactor_mismatch(qdot):
     params, ff = qdot
     with pytest.raises(EngineMismatchError):
@@ -873,11 +896,11 @@ def test_phi2_table_built_once_per_parameter_set(qdot, qdot_scales, monkeypatch)
     monkeypatch.setattr(amplitude, "background_weight",
                         lambda p, f, x: nodes.append(x.size) or weight(p, f, x))
     amplitude._phi2_table.cache_clear()
-    protocols._n_epsilon_memo.cache_clear()
+    protocols._costs.cache_clear()
     first = n_epsilon(params, ff, 1e-2 * qdot_scales.t_d, 1e-3)
     assert sum(nodes) > 0
     nodes.clear()
-    protocols._n_epsilon_memo.cache_clear()     # ln p again, from the same table
+    protocols._costs.cache_clear()     # ln p again, from the same table
     assert n_epsilon(params, ff, 1e-2 * qdot_scales.t_d, 1e-3) == first
     assert sum(nodes) == 0
 

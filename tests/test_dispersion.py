@@ -13,7 +13,7 @@ from friedrichs import (Formfactor, ModelParams, RootKind, Side,
 from friedrichs import dispersion
 from friedrichs.dispersion import (Offsets, _eta_second_sheet_prime,
                                    _newton_polish, dispersion_real_part)
-from friedrichs.errors import ContinuationUnsupportedError
+from friedrichs.errors import ContinuationUnsupportedError, ConvergenceError
 from friedrichs.presets import preset
 
 GRID = [-1.0 + 0j, -0.3 + 0.7j, 0.5 + 0.5j, 2.0 - 3.0j, 1e-4 + 1e-4j,
@@ -418,3 +418,14 @@ def test_builtin_spectral_peak_is_memoized():
     params = preset("quantum-dot")[0]
     assert spectral_peak(params, builtin("phi2")) is spectral_peak(
         params, builtin("phi2"))
+
+
+def test_spectral_peak_off_the_spike_fails_typed():
+    """Below the sweep box, at phi2 with omega1/cutoff = 1e-6 and
+    g2 = 1e-12, the root finder leaves x0 6.8e4 half-widths from the root
+    of Re eta, and pi*width*rho(x0) - 1 is -0.99999999979 (the presets:
+    at most 2.2e-5; sweep-box draws: below 1e-2).  The quadrature engine
+    answered |A| = 3.0e-15 at 0.1 t_d there, against phi2-poles' 0.951."""
+    params = ModelParams(1e12, 1e6, 1e-12)
+    with pytest.raises(ConvergenceError, match="off the spike"):
+        spectral_peak(params, builtin("phi2"))

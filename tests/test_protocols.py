@@ -27,8 +27,8 @@ def qdot_scales(qdot):
 
 @pytest.fixture
 def cold_memo():
-    """n_epsilon's memos emptied, for tests of one call's own work."""
-    protocols._n_epsilon_memo.cache_clear()
+    """n_epsilon's stores emptied, for tests of one call's own work."""
+    protocols._costs.cache_clear()
 
 
 def test_single_measurement_is_plain_survival(qdot):
@@ -340,15 +340,19 @@ def test_n_epsilon_tests_its_cap():
     assert _n_epsilon_definition(params, ff, T, 0.0755, 3000) == 2935
 
 
-@pytest.mark.parametrize("eps", [0.002, 0.02, 0.2])
-def test_n_epsilon_matches_its_definition(eps):
-    """Against the definition at every n up to 4,000 (the scan's own walk
+@pytest.mark.parametrize("eps,cap", [
+    *(pytest.param(eps, 4000, id=str(eps)) for eps in (0.002, 0.02, 0.2)),
+    *((eps, cap) for eps in (2e-4, 5e-4, 1e-3) for cap in (1, 2, 3))])
+def test_n_epsilon_matches_its_definition(eps, cap):
+    """Against the definition at every n up to the cap (the scan's own walk
     is _n_epsilon_sequential): photodetachment at T = 1e-3 t_d, where
-    p_n falls to its minimum at n = 625,729."""
+    p_n falls to its minimum at n = 625,729.  The first violation lies at
+    n = 2, 3 and 4 for eps = 2e-4, 5e-4 and 1e-3, so caps 1 to 3 also
+    check that no scan point passes the cap."""
     params, ff = preset("photodetachment")
     T = 1e-3 * compute_timescales(params, ff).t_d
-    assert (n_epsilon(params, ff, T, eps, cap=4000)
-            == _n_epsilon_definition(params, ff, T, eps, 4000))
+    assert (n_epsilon(params, ff, T, eps, cap=cap)
+            == _n_epsilon_definition(params, ff, T, eps, cap))
 
 
 @pytest.mark.parametrize("ratio", [1e-4, 1e-3, 1e-2, 1e-1])
@@ -372,10 +376,10 @@ def test_anti_zeno_minimum_no_shallower_than_sequential(ratio):
 @pytest.mark.parametrize("eps", [3e-3, 1e-8])
 def test_n_epsilon_shares_quadrature_engine_passes(monkeypatch, cold_memo, eps):
     # the quadrature engine advances all times of a call together, so the
-    # prefetched scan candidates and bisection levels share its adaptive
-    # passes: 38 and 5 passes against the sequential walk's 208 and 10,
-    # though at eps = 1e-8 the scan stops at its first step, n = 2, and
-    # leaves its prefetched candidates unvisited
+    # fetched scan chunks and rounds share its adaptive passes: 2 and 1
+    # passes against the sequential walk's 11 and 2, though at eps = 1e-8
+    # the scan stops at its first step, n = 2, and leaves the rest of its
+    # first chunk unvisited
     import friedrichs.amplitude as amplitude
     import friedrichs.quadrature as quadrature
     params, ff = preset("hydrogen")
@@ -486,7 +490,7 @@ def test_anti_zeno_search_is_a_few_batched_rounds(name, ratio, log_survival_call
 
 
 def test_n_epsilon_calls_share_their_fetches(qdot, qdot_scales, log_survival_calls):
-    # the calls at one T share a memo: another accuracy walks the scan the
+    # the calls at one T share a store: another accuracy walks the scan the
     # first call fetched, and a repeated call fetches nothing
     T = 1e-2 * qdot_scales.t_d
     first = n_epsilon(*qdot, T, 1e-3)
