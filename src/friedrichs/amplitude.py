@@ -496,6 +496,10 @@ def survival_deficit(params: ModelParams, ff: Formfactor, t):
 # its moments M_1..M_J, J = MOMENT_ORDER (even), leave a rest < 3e-20 Re D
 _SPIKE_REACH = quadlib.MOMENT_REACH
 _THIRDS_FROM = 16.0    # the kernel's range is cut in thirds of octaves past this
+# at or below these s the kernel raises: its nodes, out to about 2^27 / s, pass
+# where the density overflows (Re eta^2 past x = 2^512, phi2's and phi3's closed
+# forms past 2^255 and 2^127); presets and sweep box run clean to 2^-489, -232, -100
+_KERNEL_FLOOR = {PHI1: 2.0 ** -484, PHI2: 2.0 ** -227, PHI3: 2.0 ** -98}
 
 
 @lru_cache(maxsize=64)
@@ -566,6 +570,8 @@ def _deficit_kernel(params: ModelParams, ff: Formfactor, s: np.ndarray):
     add up to e_re for Re D and e_im for Im D, and the deficit's estimate
     is 2 (1 + |Re D|) e_re + 2 |Im D| e_im.
     """
+    if s.min() <= _KERNEL_FLOOR.get(ff.id, _KERNEL_FLOOR[PHI1]):
+        raise ConvergenceError("time too short for the deficit kernel")
     rho = lambda x: spectral_density(params, ff, x)
     x0, _ = spectral_peak(params, ff)
     m = s.size
@@ -760,8 +766,8 @@ def long_time_asymptote(params: ModelParams, ff: Formfactor, t):
 
 
 def asymptote_terms(params: ModelParams, ff: Formfactor, t):
-    """(exponential term, power term) of the asymptote for a time or an
-    array of times t > 0, for crossover bracketing."""
+    """(exponential term, power term) of the asymptote, |pole|^2 and
+    |tail|^2 of _asymptote, for a time or an array of times t > 0."""
     ts, scalar = _times(t)
     pole, tail = _asymptote(params, ff, params.cutoff * ts)
     return _unwrap(_abs2(pole), scalar), _unwrap(_abs2(tail), scalar)

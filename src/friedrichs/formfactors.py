@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -64,16 +64,23 @@ def _phi1(x):
     return np.sqrt(x) / (1.0 + x)
 
 
-def _phi2(x):
-    x = np.asarray(x, dtype=float)
-    return x / (1.0 + x * x) ** 2
+_TAIL_FROM = 1e30      # _rational: past here x / (1 + x^2)^n rounds to x^(1-2n)
 
 
-def _phi3(x):
+def _rational(x, n):
+    """x / (1 + x^2)^n for n = 2 (phi2) and 4 (phi3); past _TAIL_FROM the
+    tail power, where (1 + x^2)^n would overflow (n = 4: past about 1e38)."""
     x = np.asarray(x, dtype=float)
+    if x.max(initial=0.0) > _TAIL_FROM:
+        big = x > _TAIL_FROM
+        out = np.empty(x.shape)
+        out[big], out[~big] = x[big] ** (1.0 - 2 * n), _rational(x[~big], n)
+        return out
     u = 1.0 + x * x
     u *= u
-    return x / (u * u)
+    if n == 4:
+        u *= u
+    return x / u
 
 
 @dataclass(frozen=True)
@@ -175,8 +182,10 @@ def _verify_declared_exponents(ff: Formfactor) -> None:
 # one shared instance per built-in weight: memo lookups match it by identity
 _BUILTINS = {
     PHI1: Formfactor(PHI1, _phi1, tail_exponent=0.5, head_exponent=0.5),
-    PHI2: Formfactor(PHI2, _phi2, tail_exponent=3.0, head_exponent=1.0),
-    PHI3: Formfactor(PHI3, _phi3, tail_exponent=7.0, head_exponent=1.0),
+    PHI2: Formfactor(PHI2, partial(_rational, n=2), tail_exponent=3.0,
+                     head_exponent=1.0),
+    PHI3: Formfactor(PHI3, partial(_rational, n=4), tail_exponent=7.0,
+                     head_exponent=1.0),
 }
 
 

@@ -29,11 +29,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from scipy import optimize
-
 from .amplitude import asymptote_terms, short_time_expansion
 from .dispersion import decaying_resonance
-from .errors import EngineMismatchError
+from .errors import ConvergenceError, EngineMismatchError
 from .formfactors import PHI1, PHI2, Formfactor, ModelParams, bound_state_margin
 
 
@@ -107,36 +105,33 @@ def compute_timescales(params: ModelParams, ff: Formfactor) -> Timescales:
                       gamma, omega_tilde, prov, notes)
 
 
-_WIDEN = 16     # crossover_time_numeric: bracket widenings, by 4x an end
+# crossover_time_numeric's Newton steps, at most: 5 on the sweep box, 27 for R
+# one ulp above 1, where the root nears u = 1 and the slope 1 - 1/u with it
+_NEWTON = 50
 
 
 def crossover_time_numeric(params: ModelParams, ff: Formfactor) -> float:
     """Time where the exponential and power terms of the long-time
-    asymptote are equal; bracketed root find on the log of their ratio.
-
-    The bracket is [t_d/4, 400 t_d], with the closed-form t_d.  Where
-    the exponential term does not lead at its start or trail at its end
-    (the closed forms are far off when coupling_sq is near omega1/cutoff),
-    that end moves by a factor of 4, at most _WIDEN times; ValueError
-    when the two terms still do not cross."""
-    ts = compute_timescales(params, ff)
-
-    def logratio(logt):
-        expo, power = asymptote_terms(params, ff, math.exp(logt))
-        if expo == 0.0:
-            return -700.0
-        return math.log(expo) - math.log(power)
-
-    lo, hi = math.log(ts.t_d / 4.0), math.log(400.0 * ts.t_d)
-    for _ in range(_WIDEN + 1):             # the bracket and its widenings
-        if logratio(lo) > 0 and logratio(hi) < 0:
-            return math.exp(optimize.brentq(logratio, lo, hi, xtol=1e-13))
-        if logratio(lo) <= 0:
-            lo -= math.log(4.0)
-        if logratio(hi) >= 0:
-            hi += math.log(4.0)
-    raise ValueError("the exponential and power terms of the asymptote do "
-                     "not cross")
+    asymptote, |W|^2 exp(-2 Im z s) and (C s^-b)^2 with b = head exponent
+    + 1, meet for the second time.  Their log ratio peaks at s1 = b / Im z,
+    and the crossing u = s / s1 solves u - ln u = R, R = 1 + ln(ratio at
+    s1) / (2b): the W_-1 branch of Lambert's function (Corless et al., Adv.
+    Comput. Math. 5 (1996) 329).  Newton from u = 2R descends onto it, since
+    u - ln u is convex and increasing past 1.  ValueError when R <= 1."""
+    b = ff.head_exponent + 1.0
+    s1 = b / decaying_resonance(params, ff).z.imag
+    expo, power = asymptote_terms(params, ff, s1 / params.cutoff)
+    if not expo > power:
+        raise ValueError("the exponential and power terms of the asymptote "
+                         "do not cross")
+    r = 1.0 + math.log(expo / power) / (2.0 * b)
+    u = 2.0 * r
+    for _ in range(_NEWTON):
+        step = (u - math.log(u) - r) * u / (u - 1.0)
+        u -= step
+        if step <= 1e-15 * u:
+            return s1 * u / params.cutoff
+    raise ConvergenceError("the crossover's Newton steps did not converge")
 
 
 _TABLE_SYSTEMS = ("photodetachment", "quantum-dot", "hydrogen")
@@ -148,31 +143,19 @@ def render_table1(preset_names=_TABLE_SYSTEMS, fmt: str = "text") -> str:
     parentheses."""
     from .presets import preset
 
-    cols = []
-    for name in preset_names:
-        params, ff = preset(name)
-        ts = compute_timescales(params, ff)
-        cols.append((name, ts))
-
+    names = tuple(preset_names)
+    tables = [compute_timescales(*preset(name)) for name in names]
+    # per row: its label and, per system, (seconds, decay-time units)
+    rows = [(cells[0][0], [(v, v / ts.t_d) for (_, v), ts in zip(cells, tables)])
+            for cells in zip(*(ts.as_rows() for ts in tables))]
     if fmt == "csv":
-        lines = ["row," + ",".join(name for name, _ in cols)]
-        for idx, label in enumerate(("t_Z", "t_a", "t_d", "t_ep")):
-            vals = [c.as_rows()[idx][1] for _, c in cols]
-            lines.append(label + "," + ",".join(f"{v:.17g}" for v in vals))
-        for idx, label in enumerate(("t_Z", "t_a", "t_d", "t_ep")):
-            vals = [c.as_rows()[idx][1] / c.t_d for _, c in cols]
-            lines.append(label + "_over_td," + ",".join(f"{v:.17g}" for v in vals))
-        return "\n".join(lines) + "\n"
-
-    width = 24
-    head = "".ljust(10) + "".join(name.rjust(width) for name, _ in cols)
-    lines = [head]
-    for idx, label in enumerate(("t_Z", "t_a", "t_d", "t_ep")):
-        cells = []
-        for _, ts in cols:
-            v = ts.as_rows()[idx][1]
-            cells.append(f"{v:.3g} ({v / ts.t_d:.3g})".rjust(width))
-        lines.append(label.ljust(10) + "".join(cells))
-    lines.append("")
-    lines.append("values in seconds (decay-time units in parentheses)")
+        lines = ["row," + ",".join(names)]
+        for k, suffix in ((0, ""), (1, "_over_td")):
+            lines += [label + suffix + "," + ",".join(f"{pair[k]:.17g}" for pair in vals)
+                      for label, vals in rows]
+    else:
+        lines = ["".ljust(10) + "".join(name.rjust(24) for name in names)] + [
+            label.ljust(10) + "".join(f"{v:.3g} ({r:.3g})".rjust(24) for v, r in vals)
+            for label, vals in rows]
+        lines += ["", "values in seconds (decay-time units in parentheses)"]
     return "\n".join(lines) + "\n"

@@ -588,13 +588,32 @@ def test_too_short_time_fails_typed(t):
     """Hydrogen at 1e-60 s gave a silent nan with 16 RuntimeWarnings: the
     spike table's core moments t^14 overflowed, and the engine gate let a
     nan estimate through.  At 1e-320 s FourierTable.rung raised an
-    OverflowError.  The shortest time the table takes still answers."""
+    OverflowError.  The shortest time the table takes still answers.
+
+    The deficit kernel's split 30/s was infinite at subnormal s, or past
+    where the closed forms overflow: photodetachment at 1e-320 s raised
+    numpy's ValueError, the other cases overflow warnings before a
+    ConvergenceError.  Below _KERNEL_FLOOR it raises at once, and
+    photodetachment and the quantum dot still answer at 1e-60 s, on their
+    leading term (t/t_a)^s."""
     params, ff = preset("hydrogen")
     with pytest.raises(ConvergenceError):
         survival_probability(params, ff, t)
     s = 1.01 * quadrature.MOMENT_REACH / quadrature.MOMENT_TOP
     assert abs(survival_amplitude_quadrature(params, ff, s / params.cutoff)
                ) == pytest.approx(1.0, abs=1e-14)
+    for name in ("photodetachment", "quantum-dot", "hydrogen"):
+        params, ff = preset(name)
+        if t == 1e-60 and name != "hydrogen":
+            exp = short_time_expansion(params, ff)
+            want = pytest.approx((t / exp.t_a) ** exp.leading_exponent,
+                                 rel=1e-15, abs=0)
+            assert survival_deficit(params, ff, t) == want
+            assert -log_survival(params, ff, t) == want
+            continue
+        for call in (survival_deficit, log_survival):
+            with pytest.raises(ConvergenceError, match="too short"):
+                call(params, ff, t)
 
 
 @pytest.mark.parametrize("val,est", [(math.nan, 0.0), (math.inf, 0.0),

@@ -18,6 +18,19 @@ def test_builtin_point_values():
     assert eval_formfactor(builtin("phi3"), 2.0) == pytest.approx(0.0032, rel=1e-14)
 
 
+@pytest.mark.parametrize("name,a", [("phi2", 3.0), ("phi3", 7.0)])
+def test_rational_weights_keep_their_tail_power(name, a):
+    """phi2 and phi3 returned 0 with an overflow warning from x = 1e78 and
+    1e39 on, where (1 + x^2)^n overflowed; x^-a is representable there
+    (1e-234, 1e-273).  A point of ordinary size keeps its value when it
+    shares the array."""
+    ff = builtin(name)
+    xs = np.array([1e40, 1e100, 1e300])
+    np.testing.assert_allclose(ff(xs), xs ** -a, rtol=1e-15, atol=0.0)
+    assert eval_formfactor(ff, 1e40) == pytest.approx(1e40 ** -a, rel=1e-15)
+    assert ff(np.array([2.0, 1e40]))[0] == ff(2.0)
+
+
 @pytest.mark.parametrize("x", [0.0, -1.0, -1e-30])
 def test_eval_rejects_nonpositive(x):
     with pytest.raises(ValueError):

@@ -84,12 +84,15 @@ def test_pv_dispersion_raises_on_divergent_tail():
 
 def test_import_leaves_scipy_integrate_out():
     """quad_complex is the package's one integrator: importing it pulls in
-    no scipy.integrate."""
-    code = "import sys, friedrichs; print('scipy.integrate' in sys.modules)"
+    no scipy.integrate.  The crossover is a Newton solve and spectral_peak
+    imports its root finder when called, so the CLI pulls in no
+    scipy.optimize either."""
+    code = ("import sys, friedrichs.cli; print('scipy.integrate' in "
+            "sys.modules, 'scipy.optimize' in sys.modules)")
     src = os.path.dirname(os.path.dirname(friedrichs.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, cwd=src)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_geometric_ladder_brackets_feature():

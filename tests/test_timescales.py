@@ -1,13 +1,16 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 from friedrichs import (ModelParams, Provenance, builtin, compute_timescales,
-                        crossover_time_numeric, moment, render_table1,
-                        short_time_expansion)
-from friedrichs.errors import EngineMismatchError, FriedrichsError
+                        crossover_time_numeric, decaying_resonance, moment,
+                        render_table1, short_time_expansion)
+from friedrichs.errors import (ConvergenceError, EngineMismatchError,
+                              FriedrichsError)
 from friedrichs.amplitude import asymptote_terms
-from friedrichs.formfactors import Formfactor
+from friedrichs.formfactors import Formfactor, bound_state_margin
 from friedrichs.presets import preset
 
 # reference grid computed from the closed forms with root-based shifted
@@ -98,10 +101,10 @@ def test_crossover_numeric_phi2_behaviour():
 
 def test_crossover_bracket_widens_off_the_presets():
     """A phi2 draw of the sweep box with coupling_sq above omega1/cutoff:
-    the closed-form t_ep is 819 t_d, past the first bracket [t_d/4,
-    400 t_d], which then had no sign change and raised ValueError.  The
-    widened bracket finds the crossing, where the asymptote's two terms
-    agree."""
+    the closed-form t_ep is 819 t_d, past [t_d/4, 400 t_d], a bracket
+    that had no sign change there and raised ValueError.  The direct
+    solve starts from the resonance root, not from t_d, and finds the
+    crossing, where the asymptote's two terms agree."""
     params, ff = ModelParams(1e12, 3.36e-4 * 1e12, 4.07e-4), builtin("phi2")
     ts = compute_timescales(params, ff)
     assert ts.t_ep > 400.0 * ts.t_d
@@ -109,6 +112,74 @@ def test_crossover_bracket_widens_off_the_presets():
     assert t > 400.0 * ts.t_d
     expo, power = asymptote_terms(params, ff, t)
     assert abs(expo - power) <= 1e-9 * power
+
+
+def _box(name, n, seed=23):
+    """n parameter sets of the benchmark's sweep box for the built-in
+    weight `name`: cutoff 1e12, omega1/cutoff log-uniform in [1e-6, 1e-2]
+    and coupling_sq in [1e-9, 1e-3], without a bound state."""
+    rng, ff, out = np.random.default_rng(seed), builtin(name), []
+    while len(out) < n:
+        w, g2 = 10.0 ** rng.uniform(-6, -2), 10.0 ** rng.uniform(-9, -3)
+        params = ModelParams(1e12, w * 1e12, g2)
+        if bound_state_margin(params, ff) > 0:
+            out.append(params)
+    return out
+
+
+def _lambert_crossover(params, ff):
+    """The crossover from a 40-digit root of u - ln u = R on the W_-1
+    branch, with R formed as crossover_time_numeric forms it."""
+    b = ff.head_exponent + 1.0
+    s1 = b / decaying_resonance(params, ff).z.imag
+    expo, power = asymptote_terms(params, ff, s1 / params.cutoff)
+    with mpmath.workdps(40):
+        r = 1 + mpmath.log(mpmath.mpf(expo) / mpmath.mpf(power)) / (2 * b)
+        u = -mpmath.lambertw(-mpmath.exp(-r), -1).real
+        return float(s1 * u / params.cutoff)
+
+
+@pytest.mark.parametrize("name", ["phi1", "phi2", "phi3"])
+def test_crossover_matches_lambert_root(name):
+    """Within 2e-15 of the 40-digit root at the presets and on 20 sweep-box
+    draws; a bracketed brentq in ln t was up to 1.75e-14 off on these."""
+    ff = builtin(name)
+    draws = _box(name, 20) + [p for p, f in map(preset, REFERENCE)
+                              if f.id == ff.id]
+    for params in draws:
+        want = _lambert_crossover(params, ff)
+        got = crossover_time_numeric(params, ff)
+        assert got == pytest.approx(want, rel=2e-15, abs=0)
+
+
+@pytest.mark.parametrize("name", ["phi1", "phi2", "phi3"])
+def test_crossover_found_across_the_box(name):
+    """No ValueError on 300 sweep-box draws (seed 5), 9 of which once lay
+    outside the bracket [t_d/4, 400 t_d]; the asymptote's two terms agree
+    within 1e-13 at every answer."""
+    ff = builtin(name)
+    for params in _box(name, 300, seed=5):
+        expo, power = asymptote_terms(params, ff, crossover_time_numeric(params, ff))
+        assert abs(expo - power) <= 1e-13 * power
+
+
+def test_crossover_terms_that_do_not_cross(monkeypatch):
+    """R <= 1: the power term leads at the peak of the log ratio, so the
+    two terms never meet."""
+    from friedrichs import timescales
+    params, ff = preset("quantum-dot")
+    monkeypatch.setattr(timescales, "asymptote_terms", lambda *a: (1.0, 2.0))
+    with pytest.raises(ValueError, match="do not cross"):
+        crossover_time_numeric(params, ff)
+
+
+def test_crossover_newton_is_bounded(monkeypatch):
+    """One Newton step from u = 2R is not converged: ConvergenceError,
+    not an unconverged time."""
+    from friedrichs import timescales
+    monkeypatch.setattr(timescales, "_NEWTON", 1)
+    with pytest.raises(ConvergenceError):
+        crossover_time_numeric(*preset("quantum-dot"))
 
 
 def test_crossover_rejects_other_formfactors():
