@@ -32,9 +32,10 @@ QUADRATURE    A(s) = int_0^inf rho(x) exp(isx) dx over the spectral
               few oscillations reach x = 60 an adaptive stretch, also in
               offsets, comes first.  A window whose left part [0, x0 - D]
               would hold at most 3000 half periods past its first reaches
-              the head in the table; a longer left part is in absolute x
-              (quadrature.oscillatory_finite): an adaptive first half
-              period at x = 0 and the rest by parts.
+              the head in the table; a longer left part [0, x0 - D] is in
+              absolute x (quadrature.oscillatory_finite, one call on the
+              arrays of every such time's x0 - D, s and D): an adaptive
+              first half period at x = 0 and the rest by parts.
 
 PHI1_EXACT    For the sqrt-head weight the density is rational in
               u = sqrt(x), and the transform reduces to three Faddeeva
@@ -105,14 +106,14 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import wofz, xlogy
 
 from .errors import ConvergenceError, EngineMismatchError, ExpansionUnavailableError
 from .formfactors import (DIVERGENT, PHI1, PHI2, PHI3, Formfactor,
                           ModelParams, bound_state_margin, builtin, moment,
                           squared_norm)
-from .dispersion import (Offsets, background_weight, decaying_resonance,
-                         resonance_roots, spectral_density, spectral_peak)
+from .dispersion import (Offsets, _sqrt_upper, background_weight,
+                         decaying_resonance, resonance_roots, spectral_density,
+                         spectral_peak)
 from . import quadrature as quadlib
 
 
@@ -277,7 +278,7 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: np.ndarray):
     val = offs * np.exp(1j * s * x0)
     if left:
         k, a, D = (np.array(v) for v in zip(*left))
-        v, e = quadlib.oscillatory_finite(rho, 0.0, a, s[k], D, epsabs=_TOL / 8)
+        v, e = quadlib.oscillatory_finite(rho, a, s[k], D, epsabs=_TOL / 8)
         val[k] += v
         err[k] += e
     return val, err
@@ -298,22 +299,19 @@ def survival_amplitude_quadrature(params: ModelParams, ff: Formfactor, t,
 # phi1 exact engine
 # ---------------------------------------------------------------------------
 
-def _sqrt_lower(z: complex) -> complex:
-    u = cmath.sqrt(z)
-    return -u if u.imag > 0 or (u.imag == 0 and u.real >= 0) else u
-
-
 @lru_cache(maxsize=64)
 def _phi1_roots(params: ModelParams):
     """The lower square roots u_k of the roots z_k and their residue
     weights W_k, as arrays."""
     roots = resonance_roots(params, builtin(PHI1))
-    return (np.array([_sqrt_lower(r.z) for r in roots]),
+    return (np.array([-_sqrt_upper(r.z) for r in roots]),
             np.array([r.residue_weight for r in roots]))
 
 
 def survival_amplitude_phi1_exact(params: ModelParams, t):
     """A(t) for a time or an array of times."""
+    from scipy.special import wofz
+
     def body(s):
         us, ws = _phi1_roots(params)
         beta = cmath.exp(3j * math.pi / 4) * us * np.sqrt(s)[:, None]
@@ -496,10 +494,10 @@ def survival_deficit(params: ModelParams, ff: Formfactor, t):
 # its moments M_1..M_J, J = MOMENT_ORDER (even), leave a rest < 3e-20 Re D
 _SPIKE_REACH = quadlib.MOMENT_REACH
 _THIRDS_FROM = 16.0    # the kernel's range is cut in thirds of octaves past this
-# at or below these s the kernel raises: its nodes, out to about 2^27 / s, pass
-# where the density overflows (Re eta^2 past x = 2^512, phi2's and phi3's closed
-# forms past 2^255 and 2^127); presets and sweep box run clean to 2^-489, -232, -100
-_KERNEL_FLOOR = {PHI1: 2.0 ** -484, PHI2: 2.0 ** -227, PHI3: 2.0 ** -98}
+# at or below this s the kernel raises: its nodes, out to about 2^27 / s, pass
+# where the density overflows (Re eta^2 past x = 2^512); the presets and the
+# sweep box run clean to 2^-489
+_KERNEL_FLOOR = 2.0 ** -484
 
 
 @lru_cache(maxsize=64)
@@ -570,7 +568,7 @@ def _deficit_kernel(params: ModelParams, ff: Formfactor, s: np.ndarray):
     add up to e_re for Re D and e_im for Im D, and the deficit's estimate
     is 2 (1 + |Re D|) e_re + 2 |Im D| e_im.
     """
-    if s.min() <= _KERNEL_FLOOR.get(ff.id, _KERNEL_FLOOR[PHI1]):
+    if s.min() <= _KERNEL_FLOOR:
         raise ConvergenceError("time too short for the deficit kernel")
     rho = lambda x: spectral_density(params, ff, x)
     x0, _ = spectral_peak(params, ff)
@@ -670,8 +668,10 @@ class ShortTimeExpansion:
         """1 - p for a time or an array of times; t^4 ln t is 0 at t = 0."""
         ts, scalar = _times(t)
         out = (ts / self.t_a) ** self.leading_exponent
-        if self.has_log_correction:
-            out += self.log_coefficient * xlogy(ts ** 4, self.log_frequency * ts)
+        if self.has_log_correction:     # libm's log: numpy's may differ by an ulp
+            logs = [math.log(self.log_frequency * t) if t > 0 else 0.0
+                    for t in ts.tolist()]
+            out += self.log_coefficient * (ts ** 4 * np.array(logs))
         elif self.t_b is not None:
             q = 2.0 if self.leading_exponent == 1.5 else 4.0
             out -= (ts / self.t_b) ** q

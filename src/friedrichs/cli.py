@@ -101,7 +101,7 @@ _CONFIG_KEYS = {
                               "needs values, each positive and finite"),
     "epsilon_list": _parser(_floats, "list", lambda v: v and all(0 < e < 1 for e in v),
                             "needs values, each in (0, 1)"),
-    "formfactor": _TEXT, "engine": _TEXT, "custom_table": _TEXT, "preset": _TEXT,
+    "formfactor": _TEXT, "engine": _TEXT, "custom_table": _TEXT,
 }
 
 

@@ -39,8 +39,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BoundStateError, ContinuationUnsupportedError, ConvergenceError
-from .formfactors import (PHI1, PHI2, PHI3, Formfactor, ModelParams,
-                          bound_state_margin)
+from .formfactors import (_TAIL_FROM, PHI1, PHI2, PHI3, Formfactor,
+                          ModelParams, bound_state_margin)
 from .quadrature import pv_dispersion, quad_tail
 
 
@@ -135,6 +135,13 @@ def _level_shift(ff: Formfactor, g2: float, y: np.ndarray) -> np.ndarray:
     if ff.id == PHI1:
         return math.pi * g2 / (1.0 + y)
     if ff.id in _RATIONAL:
+        if y.max(initial=0.0) > _TAIL_FROM:
+            # there P(y) is -int phi / y to double, int phi = 1 / (2 (n - 1)),
+            # as phi is its tail power; c (1 + y^2)^n overflows from 2^127 (phi3)
+            big, out = y > _TAIL_FROM, np.empty(y.shape)
+            out[big] = g2 * (-0.5 / (_RATIONAL[ff.id][0] - 1) / y[big])
+            out[~big] = _level_shift(ff, g2, y[~big])
+            return out[()]
         num, c, h = _rational(ff.id, y, np.log(y))
         return g2 * num / (c * h * h)
     return g2 * pv_dispersion(ff, y)

@@ -39,8 +39,8 @@ of its own and each integral's sums are its own, so an integral gives the
 same bits alone, in any company or as a plain call.  The intervals of
 all K integrals are one store, and an integral that stops keeps its
 intervals there, where no later pass picks them.  oscillatory_finite
-takes arrays this way, one set of K integrals for the adaptive pieces of
-all its elements.
+takes 1-D arrays of integrals over [0, b_k] this way, one set of K
+integrals for the adaptive first half periods of all its elements.
 
 A Laplace-type integral int w(x) exp(-xs) dx whose weight w does not
 depend on s keeps the Gauss-Kronrod nodes and weight values of one
@@ -158,11 +158,8 @@ def _gk21(fvec, lo, hi, m, own, tail=None, values=False):
         if tail is not None:        # dx/du = 1 on the rows of finite ranges
             start = tail[ok, None]
             plain = np.isnan(start)
-            if not plain.any():
-                xk, jac = _tail_map(xk, start)
-            elif not plain.all():
-                u, jac = _tail_map(np.where(plain, 0.0, xk), np.where(plain, 0.0, start))
-                xk, jac = np.where(plain, xk, u), np.where(plain, 1.0, jac)
+            u, jac = _tail_map(np.where(plain, 0.0, xk), np.where(plain, 0.0, start))
+            xk, jac = np.where(plain, xk, u), np.where(plain, 1.0, jac)
         f = np.asarray(fvec(xk.ravel(), ok.repeat(_GK_NODES.size)))
         f = f.reshape(len(xk), _GK_NODES.size, m)
         if jac is not None:
@@ -427,6 +424,19 @@ _HEAD_TOP = 0.5           # LaplaceTable's head ends at or below this x
 _TAIL_SPLITS = np.array([0.0, 0.5, 0.75, 1.0])
 
 
+def _moments(t, fw):
+    """Each row's moments sum fw t^m / m! for m <= MOMENT_ORDER, shape
+    (rows, MOMENT_ORDER + 1), and its sum |fw| / 15!, the mass that bounds
+    a moment series' rest, from the nodes t and the weighted values fw of
+    its panels, shape (rows, nodes)."""
+    powers = np.empty((t.shape[0], MOMENT_ORDER + 1, t.shape[1]))   # t^m
+    powers[:, 0] = 1.0
+    for m in range(MOMENT_ORDER):          # one cumulative product
+        np.multiply(powers[:, m], t, out=powers[:, m + 1])
+    return ((powers @ fw[:, :, None])[:, :, 0] / _FACTORIALS[:-1],
+            _row_dots(np.abs(fw), np.ones(t.shape[1])) / _FACTORIALS[-1])
+
+
 class LaplaceTable:
     """int_a^inf w(x) exp(-xs) dx for any batch of s >= 0 on nodes fixed
     once for the weight w.
@@ -488,16 +498,11 @@ class LaplaceTable:
         # k + 1 of them, of M_j / j!, of the s = 0 estimates and of
         # sum h w_gk |v| / 15!, the mass that bounds the series' rest
         n = np.searchsorted(hi, _HEAD_TOP, side="right")
-        mass = self.v[:n] * (_GK_WEIGHTS * h[:n, None])
-        powers = np.empty((MOMENT_ORDER + 1, n, _GK_NODES.size))   # x^k
-        powers[0] = 1.0
-        for k in range(MOMENT_ORDER):          # one cumulative product
-            np.multiply(powers[k], x[:n], out=powers[k + 1])
-        moments = (powers.transpose(1, 0, 2) @ mass[:, :, None])[:, :, 0]
+        moments, mass = _moments(x[:n], self.v[:n] * (_GK_WEIGHTS * h[:n, None]))
         self.head_hi = hi[:n]
-        self.head_moments = np.cumsum(moments / _FACTORIALS[:-1], axis=0)
+        self.head_moments = np.cumsum(moments, axis=0)
         self.head_err = np.cumsum(err[:n])
-        self.head_mass = np.cumsum(np.abs(mass).sum(axis=1)) / _FACTORIALS[-1]
+        self.head_mass = np.cumsum(mass)
 
     def integrals(self, s):
         """Values and error estimates, one per s in the 1-D array s."""
@@ -574,13 +579,10 @@ def spherical_j(w):
     takes the same operations whatever its companions, so a value does
     not depend on the batch."""
     tiny, up = w < _J_TINY, w >= _J_UPWARD
-    parts = [(mask, method(w[mask])) for mask, method in (
-        (tiny, _j_tiny), (~(tiny | up), _j_miller), (up, _j_upward)) if mask.any()]
-    if len(parts) == 1:
-        return parts[0][1].T
     out = np.empty((_GL_NODES.size, w.size))
-    for mask, j in parts:
-        out[:, mask] = j
+    for mask, method in ((tiny, _j_tiny), (~(tiny | up), _j_miller), (up, _j_upward)):
+        if mask.any():
+            out[:, mask] = method(w[mask])
     return out.T
 
 
@@ -655,9 +657,8 @@ def _legendre_panels(fvec, lo, hi, tol):
     own, so its values do not depend on its company.
     """
     parent = np.full(lo.size, math.inf)
-    done, passes = [], 0
+    done = []                 # the panels each pass finished
     while lo.size:
-        passes += 1
         h = 0.5 * (hi - lo)
         v = np.asarray(fvec((lo[:, None] + h[:, None] * _GL_OFFSETS).ravel())
                        ).reshape(-1, _GL_NODES.size)
@@ -672,20 +673,14 @@ def _legendre_panels(fvec, lo, hi, tol):
             split &= (h > 0.5 * _MIN_ULPS * _EPS * np.maximum(np.abs(lo), np.abs(hi))) & (
                 ((4.0 * est < parent) & (2.0 * est < tail[:, 0] + tail[:, 1]))
                 | (est > _ROUNDING * h * _row_dots(np.abs(v), _GL_WEIGHTS)))
-        if split.any():
-            keep = ~split
-            done.append((lo[keep], hi[keep], c[keep], est[keep], v[keep]))
-            lo, hi, mid = lo[split], hi[split], 0.5 * (lo[split] + hi[split])
-            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-            parent = np.concatenate([est[split], est[split]])
-        else:
-            done.append((lo, hi, c, est, v))
-            break
-    if passes > 1:
-        lo, hi, c, est, v = (np.concatenate(part) for part in zip(*done))
-        order = lo.argsort()
-        lo, hi, c, est, v = (a[order] for a in (lo, hi, c, est, v))
-    return lo, hi, c * _TWO_I_K, est, v, passes
+        keep = ~split
+        done.append((lo[keep], hi[keep], c[keep], est[keep], v[keep]))
+        lo, hi, mid = lo[split], hi[split], 0.5 * (lo[split] + hi[split])
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        parent = np.concatenate([est[split], est[split]])
+    lo, hi, c, est, v = (np.concatenate(part) for part in zip(*done))
+    order = lo.argsort()
+    return lo[order], hi[order], c[order] * _TWO_I_K, est[order], v[order], len(done)
 
 
 def _filon_sums(lo, hi, coef, s, counts):
@@ -799,14 +794,8 @@ class FourierTable:
         if new.size:
             h = 0.5 * (self.hi[new] - self.lo[new])
             t = self.lo[new, None] + h[:, None] * _GL_OFFSETS
-            f = self.nodes[new] * (h[:, None] * _GL_WEIGHTS)
-            powers = np.empty((new.size, MOMENT_ORDER + 1, _GL_NODES.size))
-            powers[:, 0] = 1.0
-            for m in range(MOMENT_ORDER):
-                np.multiply(powers[:, m], t, out=powers[:, m + 1])
-            self.moments[new] = (powers @ f[:, :, None])[:, :, 0] / _FACTORIALS[:-1]
-            self.mass[new] = (_row_dots(np.abs(f), np.ones(_GL_NODES.size))
-                              / _FACTORIALS[-1])
+            self.moments[new], self.mass[new] = _moments(
+                t, self.nodes[new] * (h[:, None] * _GL_WEIGHTS))
         return self.moments[a:b].sum(axis=0), self.mass[a:b].sum()
 
     def panels(self, j):
@@ -901,45 +890,32 @@ def byparts_segment(fvec, a, b, s, scale_b):
     return vb - va + cap_a + cap_b, 3.0 * abs(lb - la)
 
 
-def oscillatory_finite(fvec, a, b, s, scale_b, epsabs=1e-12):
-    """int_a^b f exp(isx) dx for f smooth on (a, b]; returns (value, error
-    estimate).  a, b, s and scale_b are numbers or 1-D arrays of one
-    length, an integral per element (a number stands for every element),
-    and the values and estimates are arrays when any of them is.
+def oscillatory_finite(fvec, b, s, scale_b, epsabs=1e-12):
+    """int_0^b_k f exp(is_k x) dx for f smooth on (0, b_k], one integral
+    per element of the 1-D arrays b, s and scale_b; returns arrays of
+    their values and error estimates.
 
-    The first half period from a is adaptive, with a geometric ladder
-    toward a, where f may have a head such as the sqrt of phi1 at x = 0;
-    the rest is 24-panel caps at both ends and, between them, by parts
+    The first half period from 0 is adaptive, with a geometric ladder
+    toward 0, where f may have a head such as the sqrt of phi1; the rest
+    is 24-panel caps at both ends and, between them, by parts
     (byparts_segment).  A rest of at most 2 _CAP_PANELS = 48 half
     periods, where the caps would overlap, raises ValueError.  The first
     half periods of all elements are one quad_complex call of K
     integrals.
     """
-    args = [np.ravel(v).tolist() for v in (a, b, s, scale_b)]
-    size = max(map(len, args))
-    fixed, fixed_err = np.zeros(size, dtype=complex), np.zeros(size)
-    lo, hi, points, phase = [], [], [], []     # each element's first half period
-    for k, (ak, bk, sk, scale) in enumerate(zip(
-            *(v * size if len(v) == 1 else v for v in args))):
-        h = math.pi / sk
-        c = ak + h
-        if sk * (bk - c) / math.pi <= 2 * _CAP_PANELS:
+    h = math.pi / s                         # each element's first half period
+    fixed, fixed_err = np.zeros(b.size, dtype=complex), np.zeros(b.size)
+    points = []
+    for k, (hk, bk, sk, scale) in enumerate(zip(h.tolist(), b.tolist(), s.tolist(),
+                                                scale_b.tolist())):
+        if sk * (bk - hk) / math.pi <= 2 * _CAP_PANELS:
             raise ValueError("oscillatory_finite needs more than "
                              f"{2 * _CAP_PANELS} half periods past the first")
-        lo.append(ak)
-        hi.append(c)
-        points.append(geometric_ladder(ak, h * 4.0 ** -6, ak, c))
-        phase.append(sk)
-        fixed[k], fixed_err[k] = byparts_segment(fvec, c, bk, sk, scale)
-    phase = np.array(phase)
-    val, err = quad_complex(lambda x, j: fvec(x) * np.exp(1j * phase[j] * x),
-                            np.array(lo), np.array(hi), points=points,
-                            epsabs=epsabs)
-    val += fixed
-    err += fixed_err
-    if max(map(np.ndim, (a, b, s, scale_b))):
-        return val, err
-    return complex(val[0]), float(err[0])
+        points.append(geometric_ladder(0.0, hk * 4.0 ** -6, 0.0, hk))
+        fixed[k], fixed_err[k] = byparts_segment(fvec, hk, bk, sk, scale)
+    val, err = quad_complex(lambda x, j: fvec(x) * np.exp(1j * s[j] * x),
+                            np.zeros(b.size), h, points=points, epsabs=epsabs)
+    return val + fixed, err + fixed_err
 
 
 def byparts_tail(fvec, X, s, scale):

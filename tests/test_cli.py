@@ -137,6 +137,25 @@ def test_malformed_config_exit_2(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+def test_config_names_no_preset(tmp_path, capsys):
+    """`preset` is not a config key: alone, or above parameters that are
+    not the preset's, it exits 2 as an unknown key rather than load
+    nothing or head the CSV with a preset it did not use.  --preset is the
+    one way to name a preset, and its header still records it."""
+    cfg = tmp_path / "named.cfg"
+    for text in ("preset = quantum-dot\n",
+                 "preset = quantum-dot\nformfactor = phi2\n"
+                 "lambda_cutoff_per_s = 1.67e16\nomega1_per_s = 1e13\n"
+                 "coupling_lambda_sq = 1e-6\n"):
+        cfg.write_text(text)
+        assert main(["timescales", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+        assert "unknown config key 'preset'" in capsys.readouterr().err
+    assert main(["timescales", "--preset", "quantum-dot",
+                 "--out", str(tmp_path)]) == 0
+    assert "# preset = quantum-dot" in (tmp_path / "timescales.txt").read_text()
+
+
 @pytest.mark.parametrize("command, line", [
     ("curve", "n_points = -3"), ("curve", "n_points = 0"),
     ("curve", "t_min_seconds = -1"), ("neps", "epsilon_list = 2"),

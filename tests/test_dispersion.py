@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -409,6 +410,20 @@ def test_dispersion_real_part_on_a_scalar(name, monkeypatch):
     monkeypatch.setattr(dispersion, "dispersion_real_part",
                         lambda p, f, y: real(p, f, np.array([y]))[0])
     assert got == [spectral_peak.__wrapped__(p, ff) for p in draws]
+
+
+@pytest.mark.parametrize("name, mass", [("phi2", 0.5), ("phi3", 1.0 / 6.0)])
+def test_level_shift_takes_its_tail_past_1e30(name, mass):
+    """Past 1e30, before c (1 + y^2)^n overflows at y = 2^255 (phi2) and
+    2^127 (phi3), P(y) is -int phi / y; below 1e30 the closed form meets
+    it to rounding, and out to 1e300 it stays finite without a warning."""
+    y = np.array([1e29, 9.9e29, 1.01e30, 1e100, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = dispersion._level_shift(builtin(name), 1.0, y)
+        scalar = dispersion._level_shift(builtin(name), 1.0, np.float64(1e300))
+    np.testing.assert_allclose(got, -mass / y, rtol=1e-15, atol=0.0)
+    assert scalar == got[-1]
 
 
 def test_builtin_spectral_peak_is_memoized():

@@ -84,15 +84,16 @@ def test_pv_dispersion_raises_on_divergent_tail():
 
 def test_import_leaves_scipy_integrate_out():
     """quad_complex is the package's one integrator: importing it pulls in
-    no scipy.integrate.  The crossover is a Newton solve and spectral_peak
-    imports its root finder when called, so the CLI pulls in no
-    scipy.optimize either."""
-    code = ("import sys, friedrichs.cli; print('scipy.integrate' in "
-            "sys.modules, 'scipy.optimize' in sys.modules)")
+    no scipy.integrate.  The crossover is a Newton solve, spectral_peak
+    imports its root finder and phi1-exact its Faddeeva function when
+    called, and the phi2 series takes libm's log, so the CLI loads no
+    scipy module at all."""
+    code = ("import sys, friedrichs.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = os.path.dirname(os.path.dirname(friedrichs.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, cwd=src)
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.split() == ["[]"]
 
 
 def test_geometric_ladder_brackets_feature():
@@ -122,14 +123,18 @@ def _inv_square_tail_exact(X, s):
 
 
 def test_oscillatory_finite_byparts_exact():
+    """Two elements of one call, each over [0, b] at its own s, against
+    the closed form of int exp(-x/3) exp(isx) dx."""
     f = lambda x: np.exp(-np.asarray(x, float) / 3.0)
-    s = 5000.0
-    want = _exp_osc_exact(-1.0 / 3.0, 1.0, 9.0, s)
-    got, err = oscillatory_finite(f, 1.0, 9.0, s, scale_b=3.0)
-    assert abs(got - want) < 1e-12
+    b, s = np.array([9.0, 6.0]), np.array([5000.0, 3000.0])
+    got, err = oscillatory_finite(f, b, s, np.full(2, 3.0))
+    want = [_exp_osc_exact(-1.0 / 3.0, 0.0, bk, sk) for bk, sk in zip(b, s)]
+    assert got.shape == err.shape == (2,)
+    assert np.abs(got - want).max() < 1e-12
     # 39 half periods past the first: the two 24-panel caps would overlap
     with pytest.raises(ValueError, match="half periods"):
-        oscillatory_finite(f, 1.0, 1.0 + 40.0 * math.pi / s, s, scale_b=3.0)
+        oscillatory_finite(f, np.array([9.0, 40.0 * math.pi / 5000.0]),
+                           np.full(2, 5000.0), np.full(2, 3.0))
 
 
 def test_oscillatory_tail_exact():
@@ -284,6 +289,18 @@ def test_spherical_j_matches_scipy():
             x = mpmath.mpf(w[i])
             exact = mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.besselj(k + 0.5, x)
             assert abs(got[i, k] - float(exact)) <= 1e-15
+
+
+def test_spherical_j_is_batch_independent():
+    """One array that spans the three regimes (leading terms below 1e-9,
+    Miller's recurrence, the upward one from 20) gives each element the
+    bits it gets with its own regime's elements alone."""
+    w = np.array([0.0, 3e-10, 25.0, 1e-9, 7.5, 19.999, 20.0, 1e3, 5e-12, 0.3])
+    got = spherical_j(w)
+    for part in (w < 1e-9, (w >= 1e-9) & (w < 20.0), w >= 20.0):
+        assert np.array_equal(got[part], spherical_j(w[part]))
+    for k in range(w.size):
+        assert np.array_equal(got[k], spherical_j(w[k:k + 1])[0])
 
 
 def _filon(f, lo, hi, s, tol=1e-15):
