@@ -43,9 +43,11 @@ PHI1_EXACT    For the sqrt-head weight the density is rational in
 
                   A(s) = (1/2) sum_k W_k wofz(exp(3i pi/4) u_k sqrt(s)),
 
-              with W_k the stored residue weights and u_k the cubic
-              roots.  wofz is the scaled complementary error function,
-              so no intermediate overflows for any s.
+              with W_k the residue weights and u_k the cubic roots,
+              both read from the root finder's memo at each call
+              (dispersion._roots_cached).  wofz is the scaled
+              complementary error function, so no intermediate
+              overflows for any s.
 
 PHI2_POLES    Two contour poles plus a background integral along the
               positive imaginary axis, -g2 int_0^inf w(x) exp(-xs) dx,
@@ -57,8 +59,10 @@ PHI2_POLES    Two contour poles plus a background integral along the
               nodes between two bounds the batch sets: below
               x = 1/(4 max s) cached moments of the table's head give
               the integral as a power series in s, and past
-              x = 42/min s exp(-xs) < 6e-19 is left out.  The poles'
-              roots and weights are cached per parameter set as arrays.
+              x = 42/min s exp(-xs) < 6e-19 is left out.  The poles are
+              the contributing roots and their weights, read from the
+              root finder's memo at each call, which has checked that
+              no two of them coincide.
 
 ASYMPTOTIC_LONG  Exponential + power tail + oscillatory cross term,
               evaluated as |pole + tail|^2 for every built-in weight:
@@ -111,9 +115,9 @@ from .errors import ConvergenceError, EngineMismatchError, ExpansionUnavailableE
 from .formfactors import (DIVERGENT, PHI1, PHI2, PHI3, Formfactor,
                           ModelParams, bound_state_margin, builtin, moment,
                           squared_norm)
-from .dispersion import (Offsets, _sqrt_upper, background_weight,
-                         decaying_resonance, resonance_roots, spectral_density,
-                         spectral_peak)
+from .dispersion import (Offsets, _roots_cached, _sqrt_upper,
+                         background_weight, decaying_resonance,
+                         spectral_density, spectral_peak)
 from . import quadrature as quadlib
 
 
@@ -299,21 +303,14 @@ def survival_amplitude_quadrature(params: ModelParams, ff: Formfactor, t,
 # phi1 exact engine
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _phi1_roots(params: ModelParams):
-    """The lower square roots u_k of the roots z_k and their residue
-    weights W_k, as arrays."""
-    roots = resonance_roots(params, builtin(PHI1))
-    return (np.array([-_sqrt_upper(r.z) for r in roots]),
-            np.array([r.residue_weight for r in roots]))
-
-
 def survival_amplitude_phi1_exact(params: ModelParams, t):
     """A(t) for a time or an array of times."""
     from scipy.special import wofz
 
     def body(s):
-        us, ws = _phi1_roots(params)
+        roots = _roots_cached(params, builtin(PHI1))
+        us = np.array([-_sqrt_upper(r.z) for r in roots])
+        ws = np.array([r.residue_weight for r in roots])
         beta = cmath.exp(3j * math.pi / 4) * us * np.sqrt(s)[:, None]
         return 0.5 * (ws * wofz(beta)).sum(axis=1), None
     return _engine(params, t, body, "phi1 closed form")[0]
@@ -344,25 +341,6 @@ def _phi2_table(params: ModelParams):
         lambda x: background_weight(params, ff, x), segs, epsabs=1e-14)
 
 
-@lru_cache(maxsize=64)
-def _phi2_poles(params: ModelParams):
-    """The contributing roots z_k and their residue weights W_k, as
-    arrays; raises ConvergenceError, on every call, when two of them
-    coincide, |z_i - z_j| < 1e-8 (1 + |z_i|): two Newton seeds then
-    converged onto one root, whose residue would be counted twice."""
-    roots = [r for r in resonance_roots(params, builtin(PHI2))
-             if r.contributing]
-    for i, ri in enumerate(roots):
-        for rj in roots[i + 1:]:
-            if abs(ri.z - rj.z) < 1e-8 * (1.0 + abs(ri.z)):
-                raise ConvergenceError(
-                    f"two Newton seeds converged onto one resonance root "
-                    f"{ri.z:.6g}", achieved=abs(ri.z - rj.z),
-                    last_iterate=ri.z)
-    return (np.array([r.z for r in roots], dtype=complex),
-            np.array([r.residue_weight for r in roots], dtype=complex))
-
-
 def survival_amplitude_phi2(params: ModelParams, t, with_error: bool = False):
     """A(t) for a time or an array of times: the poles plus -g2 times the
     background integral, which the parameters' node table takes on its
@@ -370,7 +348,10 @@ def survival_amplitude_phi2(params: ModelParams, t, with_error: bool = False):
     error estimate of the background integral.  Raises ConvergenceError
     when an estimate is worse than 1e-7."""
     def body(s):
-        z, w = _phi2_poles(params)
+        roots = [r for r in _roots_cached(params, builtin(PHI2))
+                 if r.contributing]
+        z = np.array([r.z for r in roots], dtype=complex)
+        w = np.array([r.residue_weight for r in roots], dtype=complex)
         poles = (w * np.exp(np.multiply.outer(s, 1j * z))).sum(axis=1)
         bg, err = _phi2_table(params).integrals(s)
         return poles - params.coupling_sq * bg, params.coupling_sq * err
@@ -650,7 +631,10 @@ class ShortTimeExpansion:
     p = 1 - (t/t_a)^s + (t/t_b)^q + [log-corrected quartic], with the
     pairing (s, q) = (1.5, 2) for the sqrt-head weight and (2, 4)
     otherwise; the Lorentzian-squared weight replaces the (t/t_b)^q term
-    by -log_coefficient * ln(log_frequency * t) * t^4.
+    by -log_coefficient * ln(log_frequency * t) * t^4, in the deficit
+    (g2/12) s^4 (ln s + c) with c = gamma_E - 19/12, the first-order
+    deficit's constant as omega1/cutoff -> 0 (-0.990 at 1e-2).
+    validity_time is the paper's t_Z.
     """
 
     leading_exponent: float
@@ -698,7 +682,8 @@ def short_time_expansion(params: ModelParams, ff: Formfactor) -> ShortTimeExpans
         coeff = params.coupling_sq * cut ** 4 / 12.0
         arg = 2.0 * math.sqrt(6) * params.omega_ratio
         t_z = math.sqrt(6) / (cut * math.sqrt(abs(math.log(arg))))
-        return ShortTimeExpansion(2.0, t_a, None, coeff, 2.0 * params.omega1, t_z)
+        log_frequency = cut * math.exp(np.euler_gamma - 19.0 / 12.0)
+        return ShortTimeExpansion(2.0, t_a, None, coeff, log_frequency, t_z)
 
     i0 = moment(ff, 0)
     if i0 is DIVERGENT:

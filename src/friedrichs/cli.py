@@ -140,21 +140,29 @@ def _build_model(cfg):
         raise ConfigError(str(exc))
     ff_name = cfg["formfactor"]
     if ff_name == "custom":
-        table = cfg.get("custom_table")
-        if not table:
-            raise ConfigError("custom formfactor needs custom_table")
+        missing = [k for k in ("custom_table", "custom_tail_exponent",
+                               "custom_head_exponent") if k not in cfg]
+        if missing:
+            raise ConfigError("custom formfactor needs " + ", ".join(missing))
         try:
             ff = Formfactor.from_table(
-                table,
-                tail_exponent=cfg.get("custom_tail_exponent", None),
-                head_exponent=cfg.get("custom_head_exponent", None))
-        except (TypeError, ValueError, OSError) as exc:
+                cfg["custom_table"], tail_exponent=cfg["custom_tail_exponent"],
+                head_exponent=cfg["custom_head_exponent"])
+        except (ValueError, OSError) as exc:
             raise ConfigError(f"custom table: {exc}")
     else:
         try:
             ff = builtin(ff_name)
         except ValueError as exc:
             raise ConfigError(str(exc))
+    return params, ff
+
+
+def _builtin_model(cfg, what):
+    """_build_model for a command that needs a built-in weight."""
+    params, ff = _build_model(cfg)
+    if not ff.is_builtin:
+        raise ConfigError(f"{what} need a built-in formfactor")
     return params, ff
 
 
@@ -228,9 +236,7 @@ def _cmd_table1(cfg_ignored, out: Path) -> None:
 
 
 def _cmd_protocol(cfg, out: Path) -> None:
-    params, ff = _build_model(cfg)
-    if not ff.is_builtin:
-        raise ConfigError("protocol curves need a built-in formfactor")
+    params, ff = _builtin_model(cfg, "protocol curves")
     ts = compute_timescales(params, ff)
     t_over_td = cfg.get("T_over_td_list", [1e-4, 1e-3, 1e-2, 1e-1])
     lines = _header_lines(cfg)
@@ -247,9 +253,7 @@ def _cmd_protocol(cfg, out: Path) -> None:
 
 
 def _cmd_neps(cfg, out: Path) -> None:
-    params, ff = _build_model(cfg)
-    if not ff.is_builtin:
-        raise ConfigError("n_epsilon scans need a built-in formfactor")
+    params, ff = _builtin_model(cfg, "n_epsilon scans")
     ts = compute_timescales(params, ff)
     eps_list = cfg.get("epsilon_list", [1e-2, 3e-3, 1e-3])
     t_over_td = cfg.get("T_over_td_list",
@@ -266,11 +270,9 @@ def _cmd_neps(cfg, out: Path) -> None:
 
 
 def _cmd_timescales(cfg, out: Path) -> None:
-    params, ff = _build_model(cfg)
+    params, ff = _builtin_model(cfg, "timescales")
+    ts = compute_timescales(params, ff)     # raises BoundStateError
     margin = bound_state_margin(params, ff)
-    if margin <= 0:
-        raise BoundStateError(margin)
-    ts = compute_timescales(params, ff)
     lines = _header_lines(cfg)
     lines.append("")
     rows = [("t_Z", ts.t_z, "t_z"), ("t_a", ts.t_a, "t_a"),

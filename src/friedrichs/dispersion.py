@@ -295,6 +295,8 @@ def _phi1_cubic_roots(params) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _roots_cached(params: ModelParams, ff: Formfactor):
+    """resonance_roots as a tuple, memoized on (params, ff); a raise is
+    not memoized, so coincident roots raise on every call."""
     if params.coupling_sq == 0.0:
         raise ValueError("coupling_sq = 0: free evolution has no resonance roots")
     margin = bound_state_margin(params, ff)
@@ -332,6 +334,12 @@ def _roots_cached(params: ModelParams, ff: Formfactor):
     out = []
     for seed in seeds:
         z = _newton_polish(params, ff, seed)
+        # two seeds converged onto one root would count its residue twice
+        for r in out:
+            if abs(r.z - z) < 1e-8 * (1.0 + abs(r.z)):
+                raise ConvergenceError(
+                    f"two Newton seeds converged onto one resonance root "
+                    f"{r.z:.6g}", achieved=abs(r.z - z), last_iterate=r.z)
         weight = -1.0 / _eta_second_sheet_prime(params, ff, z)
         # poles in the first quadrant are enclosed by the deformed contour
         out.append(ResonanceRoot(complex(z), complex(weight),
@@ -343,7 +351,9 @@ def resonance_roots(params: ModelParams, ff: Formfactor):
     """Second-sheet zeros of eta, polished to |eta_II| < 1e-12.
 
     For the sqrt-head weight these are the squares of the three cubic
-    roots; for the rational weights, Newton iterates from analytic seeds.
+    roots; for the rational weights, Newton iterates from analytic seeds,
+    and ConvergenceError is raised, on every call, when two of them
+    coincide, |z_i - z_j| < 1e-8 (1 + |z_i|) (_roots_cached).
     """
     if not ff.is_builtin:
         raise ContinuationUnsupportedError(

@@ -174,6 +174,30 @@ def test_out_of_range_config_exit_2(tmp_path, capsys, command, line):
     assert line.split(" = ")[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, drop, message", [
+    ("curve", "custom_table", "custom formfactor needs custom_table"),
+    ("curve", "custom_tail_exponent", "needs custom_tail_exponent"),
+    ("curve", "custom_head_exponent", "needs custom_head_exponent"),
+    ("curve", None, "curves need t_min_seconds and t_max_seconds"),
+    ("protocol", None, "protocol curves need a built-in formfactor"),
+    ("neps", None, "n_epsilon scans need a built-in formfactor"),
+    ("timescales", None, "timescales need a built-in formfactor")])
+def test_custom_weight_config_exit_2(tmp_path, capsys, command, drop, message):
+    # a tabulated phi2: a key it lacks is named, and a command that needs
+    # a built-in weight or a time range exits 2 before any quadrature
+    table = tmp_path / "phi2.tab"
+    x = np.geomspace(1e-8, 1e8, 41)
+    np.savetxt(table, np.column_stack([x, x / (1 + x * x) ** 2]))
+    keys = {"formfactor": "custom", "custom_table": table,
+            "custom_tail_exponent": 3, "custom_head_exponent": 1}
+    keys.pop(drop, None)
+    cfg = tmp_path / "custom.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    assert main([command, "--preset", "quantum-dot", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_bound_state_exit_3(tmp_path):
     cfg = tmp_path / "bound.cfg"
     cfg.write_text(
@@ -197,12 +221,18 @@ def test_convergence_error_exit_4(tmp_path, monkeypatch):
                  "--out", str(tmp_path)]) == 4
 
 
-def test_compare_outputs_exit_status(tmp_path, capsys):
-    # 0 only when both trees hold the same files, byte for byte
+def _tool(name):
+    """The module tools/<name>.py, imported without running it."""
     spec = importlib.util.spec_from_file_location(
-        "compare_outputs", Path(__file__).parents[1] / "tools" / "compare_outputs.py")
+        name, Path(__file__).parents[1] / "tools" / f"{name}.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_compare_outputs_exit_status(tmp_path, capsys):
+    # 0 only when both trees hold the same files, byte for byte
+    tool = _tool("compare_outputs")
     a, b = tmp_path / "a", tmp_path / "b"
     for root in (a, b):
         (root / "x").mkdir(parents=True)
@@ -224,10 +254,7 @@ def test_compare_outputs_exit_status(tmp_path, capsys):
 
 def test_cli_outputs_prints_each_run_time(tmp_path, capsys, monkeypatch):
     # one wall-time line per CLI run, ending in the run's subdirectory
-    spec = importlib.util.spec_from_file_location(
-        "cli_outputs", Path(__file__).parents[1] / "tools" / "cli_outputs.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _tool("cli_outputs")
     monkeypatch.setattr(tool.subprocess, "run", lambda *a, **k: None)
     assert tool.main([str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -235,6 +262,19 @@ def test_cli_outputs_prints_each_run_time(tmp_path, capsys, monkeypatch):
     assert len(subs) == 16
     assert [line.split("  ")[1] for line in lines] == subs
     assert all(line.split("  ")[0].endswith(" s") for line in lines)
+
+
+def test_cli_outputs_runs_every_command_on_every_preset():
+    # the byte-identity comparison of two trees covers the whole CLI: a
+    # new command or preset cannot drop out of it unnoticed
+    import friedrichs.cli as cli
+    from friedrichs.presets import PRESETS
+
+    runs = {(args[0], args[2] if args[1:2] == ["--preset"] else None)
+            for _, args in _tool("cli_outputs").runs()}
+    assert {command for command, _ in runs} == set(cli._COMMANDS)
+    assert {(c, p) for c in cli._COMMANDS if c != "table1"
+            for p in PRESETS} <= runs
 
 
 def test_parse_config_roundtrip(tmp_path):

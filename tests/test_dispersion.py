@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from friedrichs import (Formfactor, ModelParams, RootKind, Side,
-                        bound_state_margin, builtin, decaying_resonance,
-                        eta_boundary, eta_first_sheet, eta_second_sheet,
-                        resonance_roots, spectral_density, spectral_peak,
-                        survival_amplitude_phi1_exact)
+                        bound_state_margin, builtin, compute_timescales,
+                        decaying_resonance, eta_boundary, eta_first_sheet,
+                        eta_second_sheet, resonance_roots, spectral_density,
+                        spectral_peak, survival_amplitude_phi1_exact,
+                        survival_amplitude_phi2)
 from friedrichs import dispersion
 from friedrichs.dispersion import (Offsets, _eta_second_sheet_prime,
                                    _newton_polish, dispersion_real_part)
@@ -159,6 +160,59 @@ def test_phi2_roots_near_analytic_seeds():
         assert abs(z - seed) < 1e-2 * abs(eps)
     z2 = min(roots, key=lambda r: abs(r.z - (1j + eps))).z
     assert abs(z2 - (1.68e-3 + 1j)) < 0.1 * abs(1.68e-3 + 1j)
+
+
+@pytest.mark.parametrize("name", ["quantum-dot", "hydrogen"])
+def test_coincident_roots_raise_where_they_are_made(monkeypatch, name):
+    """Every Newton seed sent onto the decaying root: the root finder
+    raises, on every call, and so does each reader of the roots."""
+    params, ff = preset(name)
+    root = decaying_resonance(params, ff).z
+    polish = dispersion._newton_polish
+    monkeypatch.setattr(dispersion, "_newton_polish", lambda p, f, seed: polish(
+        p, f, p.omega_ratio * (1 + 1j * math.pi * p.coupling_sq)))
+    dispersion._roots_cached.cache_clear()
+    readers = [resonance_roots, compute_timescales, resonance_roots]
+    if ff.id == "phi2":
+        readers += [lambda p, f: survival_amplitude_phi2(p, 1e-12)] * 2
+    for read in readers:
+        with pytest.raises(ConvergenceError, match="two Newton seeds") as info:
+            read(params, ff)
+        assert info.value.achieved == 0.0 and info.value.last_iterate == root
+    monkeypatch.undo()
+    assert resonance_roots(params, ff)[0].z == root
+
+
+@pytest.mark.parametrize("name, w, x0", [("phi3", 0.5, 0.5000095653),
+                                         ("phi2", 2.0, 2.00003497)])
+def test_spectral_peak_above_omega_ratio(name, w, x0):
+    """Re eta(w) > 0 puts the peak above w, bracketed upward; the spike
+    guard holds there."""
+    params, ff = ModelParams(1e12, w * 1e12, 1e-4), builtin(name)
+    assert float(dispersion_real_part(params, ff, w)) > 0.0
+    peak, width = spectral_peak(params, ff)
+    assert peak > w and peak == pytest.approx(x0, rel=1e-9)
+    miss = math.pi * width * float(spectral_density(params, ff, peak)) - 1.0
+    assert abs(miss) <= 1e-3
+
+
+def test_newton_polish_residual_fallback(monkeypatch):
+    """With half the derivative, Newton's step flips the error's sign and
+    never shrinks: from 1e-13 off the root the residual is still below
+    1e-12 after 100 steps, and the iterate is kept; from 1e-3 off it is
+    not, and ConvergenceError carries the last iterate and its residual."""
+    params, ff = preset("quantum-dot")
+    root = decaying_resonance(params, ff).z
+    prime = dispersion._eta_second_sheet_prime
+    monkeypatch.setattr(dispersion, "_eta_second_sheet_prime",
+                        lambda p, f, z: 0.5 * prime(p, f, z))
+    z = _newton_polish(params, ff, root * (1 + 1e-13))
+    assert 0.0 < abs(z - root) < 1e-12 * abs(root)
+    with pytest.raises(ConvergenceError, match="did not converge") as info:
+        _newton_polish(params, ff, root * (1 + 1e-3))
+    last = info.value.last_iterate
+    assert info.value.residual == abs(eta_second_sheet(params, ff, last))
+    assert info.value.residual > 1e-12
 
 
 def test_phi2_cutoff_seeds_converge_fast(monkeypatch):
