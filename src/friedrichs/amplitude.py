@@ -95,8 +95,8 @@ its own, with its own intervals, but advances them all together: each
 pass of its adaptive integrals evaluates the new nodes of every time in
 one density call (quadrature.quad_complex's K integrals).  A time there
 costs its own nodes, not its own passes, and its spike window costs a
-contraction of the parameters' table, which grows outward by whole rungs
-when a time reaches past it.
+contraction of the parameters' table, built in one piece for the widest
+reach asked (again when a time reaches past it).
 """
 
 from __future__ import annotations

@@ -123,16 +123,19 @@ def _resolve_config(args) -> dict:
             cfg[key] = _CONFIG_KEYS[key](key, val)
     if args.engine:
         cfg["engine"] = args.engine
+    if "engine" in cfg and args.command != "curve":
+        raise ConfigError("the engine option (--engine, or the config key engine) "
+                          f"is for curve only; {args.command} picks its own engines")
+    return cfg
+
+
+def _build_model(cfg):
     missing = [k for k in ("formfactor", "lambda_cutoff_per_s",
                            "omega1_per_s", "coupling_lambda_sq")
                if k not in cfg]
     if missing:
         raise ConfigError("missing parameters: " + ", ".join(missing)
                           + " (give --preset or a full --config)")
-    return cfg
-
-
-def _build_model(cfg):
     try:
         params = ModelParams(cfg["lambda_cutoff_per_s"], cfg["omega1_per_s"],
                              cfg["coupling_lambda_sq"])
@@ -386,11 +389,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = Path(args.out)
     try:
-        if args.command == "table1":
-            cfg = {}
-        else:
-            cfg = _resolve_config(args)
-        _COMMANDS[args.command](cfg, out)
+        _COMMANDS[args.command](_resolve_config(args), out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -50,9 +50,10 @@ reduced to qk21's values and estimates by matrix-vector products.
 
 A Fourier-type integral around a spike, int f(t) exp(ist) dt with f
 free of s, keeps its Filon panels in a table the same way (FourierTable):
-panels cut at rungs width/4 2^j on both sides of the spike, refined once,
-and each batch of s one contraction of their Legendre coefficients with
-the exact weights 2 i^k j_k(sh) (spherical_j).
+panels cut at rungs width/4 2^j on both sides of the spike, built and
+refined in one piece for the widest reach asked, and each batch of s one
+contraction of their Legendre coefficients with the exact weights
+2 i^k j_k(sh) (spherical_j).
 
 Principal values fold onto t = |x - y|, where (f(y + t) - f(y - t))/t
 has no pole and no node lies on t = 0: one quad_complex column per pole.
@@ -714,9 +715,9 @@ class FourierTable:
     The reaches are the rungs r_j = (width/4) 2^j, and the table's panels
     are cut at every +-r_j, down to t = -head, where f has its head, and
     at the given edges (a ladder toward the head).  Each panel is refined
-    by _legendre_panels, by itself, so the table grows outward a whole
-    rung at a time, when a batch asks for a reach it has not built, and
-    keeps its panels sorted.  A time's window is two parts:
+    by _legendre_panels, by itself, and the table is built in one piece
+    for the widest reach asked, again when a batch reaches past it.  A
+    time's window is two parts:
 
       * the core, the window of the largest rung with s r <= MOMENT_REACH
         when that is rung _CORE_RUNGS or later, is one power series
@@ -739,48 +740,31 @@ class FourierTable:
         self.passes = 0
 
     def rung(self, d):
-        """The index of the smallest rung at or past d > 0."""
-        j = max(0, math.ceil(math.log2(d / self.unit)))
-        while math.ldexp(self.unit, j) < d:
-            j += 1
-        while j and math.ldexp(self.unit, j - 1) >= d:
-            j -= 1
-        return j
+        """The index of the smallest rung at or past a finite d > 0:
+        unit 2^j >= d exactly when j >= e - e0 + log2(m / m0), for
+        d = m 2^e and unit = m0 2^e0, and m / m0 lies in (1/2, 2)."""
+        (m, e), (m0, e0) = math.frexp(d), math.frexp(self.unit)
+        return max(0, e - e0 + (m > m0))
 
     def reach(self, j):
         """The rung r_j."""
         return math.ldexp(self.unit, int(j))
 
     def _grow(self, top):
-        """Panels for the rungs self.top + 1 .. top on both sides, each
-        interval between the rungs and edges halved to start with.  They
-        lie outside the panels built, so the rows stay sorted: the new
-        negative side, the old rows, the new positive side."""
-        inner = self.reach(self.top) if self.top >= 0 else 0.0
-        rungs = np.ldexp(self.unit, np.arange(self.top + 1, top + 1))
-        sides = [np.concatenate([[inner], rungs])]
-        if inner < self.head:
-            end = min(rungs[-1], self.head)
-            edges = np.sort(np.concatenate([
-                -rungs[rungs < end], [-end, -inner],
-                self.edges[(self.edges > -end) & (self.edges < -inner)]]))
-            sides.insert(0, edges[np.append(True, edges[1:] > edges[:-1])])
-        cuts = []
-        for edges in sides:
-            cut = np.empty(2 * edges.size - 1)
-            cut[::2] = edges
-            cut[1::2] = 0.5 * (edges[:-1] + edges[1:])
-            cuts.append(cut)
-        lo, hi, coef, est, nodes, passes = _legendre_panels(
-            self.fvec, np.concatenate([c[:-1] for c in cuts]),
-            np.concatenate([c[1:] for c in cuts]), self.tol)
+        """Panels for the rungs 0 .. top on both sides, cut down to
+        -min(r_top, head) and at the edges inside that, each interval
+        between two cuts halved to start with."""
+        rungs = np.ldexp(self.unit, np.arange(top + 1))
+        end = min(rungs[-1], self.head)
+        inside = self.edges[(self.edges > -end) & (self.edges < 0.0)]
+        edges = np.unique(np.concatenate([-rungs[rungs < end], [-end], inside,
+                                          [0.0], rungs]))
+        cut = np.empty(2 * edges.size - 1)
+        cut[::2] = edges
+        cut[1::2] = 0.5 * (edges[:-1] + edges[1:])
+        self.lo, self.hi, self.coef, self.est, self.nodes, passes = _legendre_panels(
+            self.fvec, cut[:-1], cut[1:], self.tol)
         self.passes += passes
-        rows = (lo, hi, est, coef, nodes)
-        if self.top >= 0:
-            at = int(lo.searchsorted(0.0))
-            rows = [np.concatenate([new[:at], old, new[at:]]) for new, old in zip(
-                rows, (self.lo, self.hi, self.est, self.coef, self.nodes))]
-        self.lo, self.hi, self.est, self.coef, self.nodes = rows
         self.moments = self.mass = None         # taken again when asked for
         self.top = top
 

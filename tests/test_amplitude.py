@@ -24,6 +24,7 @@ from friedrichs.errors import (ConvergenceError, EngineMismatchError,
                                ExpansionUnavailableError, FriedrichsError)
 from friedrichs.presets import preset
 from friedrichs.timescales import compute_timescales
+from helpers import box, phi1_weights_mp
 
 
 @pytest.fixture(scope="module")
@@ -283,24 +284,11 @@ def test_quadrature_engine_passes(monkeypatch, hydrogen):
     assert 0 < len(passes) <= 5
 
 
-def _box(name, n, seed=23):
-    """n parameter sets of the benchmark's sweep box for the built-in
-    weight `name`: cutoff 1e12, omega1/cutoff log-uniform in [1e-6, 1e-2]
-    and coupling_sq in [1e-9, 1e-3], without a bound state."""
-    rng, ff, out = np.random.default_rng(seed), builtin(name), []
-    while len(out) < n:
-        w, g2 = 10.0 ** rng.uniform(-6, -2), 10.0 ** rng.uniform(-9, -3)
-        params = ModelParams(1e12, w * 1e12, g2)
-        if bound_state_margin(params, ff) > 0:
-            out.append(params)
-    return out
-
-
 @pytest.fixture(scope="module")
 def phi3_box():
     """120 phi3 draws of the sweep box and their t_d."""
     ff = builtin("phi3")
-    return [(p, compute_timescales(p, ff).t_d) for p in _box("phi3", 120)]
+    return [(p, compute_timescales(p, ff).t_d) for p in box("phi3", 120)]
 
 
 def _passes_per_call(monkeypatch, draws, time):
@@ -335,7 +323,7 @@ def test_sweep_box_phi2_table_passes(monkeypatch):
     Gauss-Kronrod pass: its breakpoints are the splits bisection reached
     (a ladder 1 -+ 10d 4^k took 4 passes a build, and before it a mean
     of 7.6, up to 12)."""
-    draws = _box("phi2", 120)
+    draws = box("phi2", 120)
     passes = _counting_passes(monkeypatch)
     for params in draws:
         passes.clear()
@@ -352,7 +340,7 @@ def test_quadrature_engine_on_box_draws(name):
     2.2e-10 over 200 draws), the reference because phi1-exact itself is
     up to 1.1e-9 off it on these draws, at coupling_sq about 2e-9."""
     ff = builtin(name)
-    for params in _box(name, 20, seed=29):
+    for params in box(name, 20, seed=29):
         a0 = survival_amplitude_quadrature(params, ff, 0.0)
         assert abs(a0 - 1.0) <= 2.5e-11
         if name == "phi1":
@@ -397,6 +385,44 @@ def test_quadrature_engine_batch_equals_alone(name, engine):
     assert alone == list(zip(amps.tolist(), est.tolist()))
 
 
+def test_cli_traffic_spike_table_builds(monkeypatch, hydrogen):
+    """The spike table is built in one piece for the widest reach asked,
+    and a batch that reaches past it rebuilds the whole table.  From a
+    cold table, as each CLI command starts, hydrogen's curve grid and its
+    protocol curves at the four CLI values of T build it once: their
+    first batch is the widest.  Its n_epsilon grid (eps 1e-2 first, T
+    from 1e-3 t_d up) builds it 5 times, each wider, because a longer T
+    scans larger N at smaller s; a protocol curve at T = 1e-2 t_d, then
+    n_epsilon at that T, builds it once.  Those 4 rebuilds cost about 0.4 ms of a
+    cold neps run of about 150 ms, in-process (0.75 ms of panel builds
+    with the merge of new outer rungs, 1.13 ms without)."""
+    params, ff = hydrogen
+    builds, grow = [], quadrature.FourierTable._grow
+
+    def counted(table, top):
+        builds.append(top)
+        grow(table, top)
+
+    monkeypatch.setattr(quadrature.FourierTable, "_grow", counted)
+    ts = compute_timescales(params, ff)
+    times = np.append(np.geomspace(1e-3 * ts.t_z, 5.0 * ts.t_ep, 200), [ts.t_z, ts.t_d])
+    curve = lambda: sample_curve(params, ff, times, decay_time=ts.t_d)
+    protocol = lambda: [protocols.protocol_curve(params, ff, r * ts.t_d,
+                                                 decay_time=ts.t_d)
+                        for r in (1e-4, 1e-3, 1e-2, 1e-1)]
+    neps = lambda: [n_epsilon(params, ff, r * ts.t_d, eps) for eps in (1e-2, 3e-3, 1e-3)
+                    for r in np.geomspace(1e-3, 1e-1, 7)]
+    T = 1e-2 * ts.t_d
+    then = lambda: (protocols.protocol_curve(params, ff, T, decay_time=ts.t_d),
+                    n_epsilon(params, ff, T, 1e-3))
+    for run, count in ((curve, 1), (protocol, 1), (neps, 5), (then, 1)):
+        amplitude._spike_table.cache_clear()
+        protocols._costs.cache_clear()
+        builds.clear()
+        run()
+        assert len(builds) == count and builds == sorted(set(builds))
+
+
 def test_spike_table_windows_tile():
     """Each table window is exactly the panels between its rung edges,
     [-min(D, x0), D], at every time of the curve grids of hydrogen and
@@ -407,7 +433,7 @@ def test_spike_table_windows_tile():
     off under an estimate of 1.7e-12."""
     cases = [(*preset(name), _curve_grid(*preset(name)), False)
              for name in ("hydrogen", "photodetachment")]
-    for params in _box("phi1", 20, seed=29):
+    for params in box("phi1", 20, seed=29):
         width = spectral_peak(params, builtin("phi1"))[1]
         cases.append((params, builtin("phi1"),
                       np.array([0.5, 0.98, 1.0, 2.0]) / (width * params.cutoff), True))
@@ -684,25 +710,17 @@ def test_deficit_kernel_pinned(name, s, want):
 
 def _phi1_amplitude_mp(params, s, dps=40):
     """A(s) for phi1 from its closed form in dps-digit mpmath, as an mpc of
-    that precision: the three roots u of (w - u^2)(1 - iu) - pi g2, the
-    weights W = -2 pi i g2 u / prod (z - z'), z = u^2, and
+    that precision: with the roots z and weights W of phi1_weights_mp,
     A = (1/2) sum W w(exp(3i pi/4) v sqrt(s)), v the lower root of z and
     w(z) = exp(-z^2) erfc(-iz) the Faddeeva function."""
     with mpmath.workdps(dps):
-        w = mpmath.mpf(params.omega1) / params.cutoff
-        g2, s = mpmath.mpf(params.coupling_sq), mpmath.mpf(s)
-        us = mpmath.polyroots([1, 1j, -w, -1j * (w - mpmath.pi * g2)],
-                              maxsteps=200, extraprec=200)
-        zs = [u * u for u in us]
-        amp = 0
-        for k, u in enumerate(us):
-            prod = (zs[k] - zs[k - 1]) * (zs[k] - zs[k - 2])
-            v = mpmath.sqrt(zs[k])
+        s, amp = mpmath.mpf(s), 0
+        for z, weight in phi1_weights_mp(params):
+            v = mpmath.sqrt(z)
             if v.imag > 0 or (v.imag == 0 and v.real >= 0):
                 v = -v
             beta = mpmath.exp(0.75j * mpmath.pi) * v * mpmath.sqrt(s)
-            amp += (-2j * mpmath.pi * g2 * u / prod
-                    * mpmath.exp(-beta ** 2) * mpmath.erfc(-1j * beta))
+            amp += weight * mpmath.exp(-beta ** 2) * mpmath.erfc(-1j * beta)
         return amp / 2
 
 
@@ -954,7 +972,7 @@ def test_phi2_table_keeps_its_weight_values():
     10, whose body bisects for 9 to 19 passes after its tail has
     stopped."""
     ff = builtin("phi2")
-    for params in _box("phi2", 30):
+    for params in box("phi2", 30):
         weight = lambda x: amplitude.background_weight(params, ff, x)
         for table in (amplitude._phi2_table.__wrapped__(params),
                       quadrature.LaplaceTable(weight, [0.0, 0.5, 1.0, 2.0, 10.0],
@@ -1025,7 +1043,7 @@ def test_phi2_cutoff_roots_counted():
     1e-12 (worst 4.5e-16).  From the seeds i +- (sqrt(pi)/2) lambda, 24 of
     these draws had a seed converge onto the resonance root instead."""
     ff = builtin("phi2")
-    for params in _box("phi2", 150, seed=12345):
+    for params in box("phi2", 150, seed=12345):
         inside = [r.z for r in resonance_roots(params, ff)
                   if abs(r.z - 1j) < 0.5]
         assert len(inside) == _winding_phi2(params) and _distinct(inside)
@@ -1056,7 +1074,7 @@ def test_phi3_first_quadrant_roots_counted():
     The whole disk holds 4; the other 2 lie in the second quadrant, not
     mirror images of these."""
     ff = builtin("phi3")
-    for params in _box("phi3", 60):
+    for params in box("phi3", 60):
         inside = [r.z for r in resonance_roots(params, ff)
                   if abs(r.z - 1j) < 0.5 and r.z.real > 0]
         assert len(inside) == _winding_phi3_first_quadrant(params)
@@ -1104,7 +1122,7 @@ def test_phi2_short_time_quadratic_with_log(qdot):
     # the second term, deficit - (t/t_a)^2, is (g2/12) s^4 (ln s + c) with
     # c = gamma_E - 19/12: within 1% of the kernel's for s in [1e-4, 1e-2],
     # here and on 20 box draws (the paper's ln(2 omega1 t) missed by 214%)
-    for p in [params] + _box("phi2", 20, seed=7):
+    for p in [params] + box("phi2", 20, seed=7):
         exp = short_time_expansion(p, ff)
         t = np.geomspace(1e-4, 1e-2, 9) / p.cutoff
         lead = (t / exp.t_a) ** 2

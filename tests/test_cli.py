@@ -198,6 +198,21 @@ def test_custom_weight_config_exit_2(tmp_path, capsys, command, drop, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["protocol", "neps", "timescales", "table1"])
+def test_engine_option_outside_curve_exit_2(tmp_path, capsys, command):
+    # these commands pick their own engines: an engine given by --engine or
+    # by the config key exits 2 before any computation and writes no file,
+    # where neps and protocol headed their CSVs with an engine they did
+    # not use
+    cfg = tmp_path / "engine.cfg"
+    cfg.write_text("engine = quadrature\n")
+    out = tmp_path / "out"
+    for extra in (["--engine", "exact"], ["--config", str(cfg)]):
+        assert main([command, "--preset", "hydrogen", *extra, "--out", str(out)]) == 2
+        assert "engine option" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bound_state_exit_3(tmp_path):
     cfg = tmp_path / "bound.cfg"
     cfg.write_text(
@@ -275,6 +290,28 @@ def test_cli_outputs_runs_every_command_on_every_preset():
     assert {command for command, _ in runs} == set(cli._COMMANDS)
     assert {(c, p) for c in cli._COMMANDS if c != "table1"
             for p in PRESETS} <= runs
+
+
+def test_traffic_lists_the_branch_not_taken(tmp_path):
+    # the line tracer sees the import and one call of a two-branch
+    # function: of its statement lines (docstrings left out) only the
+    # branch not taken is unexecuted.  Each run is a forked child, so the
+    # module it loads stays there, and a second run loads it afresh
+    tool = _tool("traffic")
+    path = tmp_path / "branchy.py"
+    path.write_text('"""Module docstring."""\n\n\ndef sign(x):\n'
+                    '    """Docstring,\n    on two lines."""\n'
+                    '    if x < 0:\n        return -1\n    return 1\n')
+    spec = importlib.util.spec_from_file_location("branchy", path)
+    module = importlib.util.module_from_spec(spec)
+    run = lambda x: lambda: (spec.loader.exec_module(module), module.sign(x))
+    hits = tool.executed(run(2), tmp_path)
+    assert not hasattr(module, "sign")
+    assert tool.statement_lines(path) == {4, 7, 8, 9}
+    assert tool.unexecuted(path, hits) == [8]
+    assert tool.unexecuted(path, hits | tool.executed(run(-2), tmp_path)) == []
+    with pytest.raises(RuntimeError):
+        tool.executed(lambda: module.sign(2), tmp_path)
 
 
 def test_parse_config_roundtrip(tmp_path):

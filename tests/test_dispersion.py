@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from friedrichs import (Formfactor, ModelParams, RootKind, Side,
-                        bound_state_margin, builtin, compute_timescales,
+                        builtin, compute_timescales,
                         decaying_resonance, eta_boundary, eta_first_sheet,
                         eta_second_sheet, resonance_roots, spectral_density,
                         spectral_peak, survival_amplitude_phi1_exact,
@@ -17,6 +17,7 @@ from friedrichs.dispersion import (Offsets, _eta_second_sheet_prime,
                                    _newton_polish, dispersion_real_part)
 from friedrichs.errors import ContinuationUnsupportedError, ConvergenceError
 from friedrichs.presets import preset
+from helpers import box, phi1_weights_mp
 
 GRID = [-1.0 + 0j, -0.3 + 0.7j, 0.5 + 0.5j, 2.0 - 3.0j, 1e-4 + 1e-4j,
         0.2 - 0.9j, -5.0 + 0.01j]
@@ -235,7 +236,7 @@ def test_phi2_cutoff_seeds_converge_fast(monkeypatch):
 
     monkeypatch.setattr(dispersion, "eta_second_sheet", counted_eta)
     monkeypatch.setattr(dispersion, "_newton_polish", counted_polish)
-    for params in _box("phi2", 120, seed=23):
+    for params in box("phi2", 120, seed=23):
         per_seed.clear()
         dispersion._roots_cached.__wrapped__(params, builtin("phi2"))
         assert len(per_seed) == 3 and max(per_seed[1:]) <= 6
@@ -307,40 +308,13 @@ def test_phi1_cubic_vieta():
             assert abs(eta_second_sheet(params, ff, r.z)) < 1e-10
 
 
-def _box(name, n, seed=7):
-    """n parameter sets without a bound state for the built-in weight
-    `name` at cutoff 1e12, omega1/cutoff log-uniform in [1e-6, 1e-2] and
-    coupling_sq in [1e-9, 1e-3]."""
-    rng, out = np.random.default_rng(seed), []
-    while len(out) < n:
-        w, g2 = 10.0 ** rng.uniform(-6, -2), 10.0 ** rng.uniform(-9, -3)
-        params = ModelParams(1e12, w * 1e12, g2)
-        if bound_state_margin(params, builtin(name)) > 0:
-            out.append(params)
-    return out
-
-
 def test_phi1_weights_hold_amplitude_at_zero():
     # A(0) = (1/2) sum W_k.  Weights formed from the pairwise differences
     # z_k - z_m of the roots missed it by more than 1e-12 on 67 of these
     # draws, by up to 2.7e-9; the closed form misses it by at most 4.4e-16
     worst = max(abs(survival_amplitude_phi1_exact(p, 0.0) - 1.0)
-                for p in _box("phi1", 2000))
+                for p in box("phi1", 2000, seed=7))
     assert worst < 1e-14
-
-
-def _phi1_weights_mp(params, dps=50):
-    """(z_k, W_k) in dps-digit mpmath: the roots u of
-    (w - u^2)(1 - iu) - pi g2, z = u^2 and
-    W = -2 pi i g2 u / prod (z - z'), where the differences are exact."""
-    with mpmath.workdps(dps):
-        w = mpmath.mpf(params.omega1) / params.cutoff
-        g2 = mpmath.mpf(params.coupling_sq)
-        us = mpmath.polyroots([1, 1j, -w, -1j * (w - mpmath.pi * g2)],
-                              maxsteps=200, extraprec=200)
-        zs = [u * u for u in us]
-        return [(complex(zs[k]), complex(-2j * mpmath.pi * g2 * us[k] / (
-            (zs[k] - zs[k - 1]) * (zs[k] - zs[k - 2])))) for k in range(3)]
 
 
 # the three box draws where the pairwise differences lost most: their
@@ -353,7 +327,8 @@ def _phi1_weights_mp(params, dps=50):
 ])
 def test_phi1_weights_vs_mpmath(w, g2):
     params = ModelParams(1e12, w * 1e12, g2)
-    want = _phi1_weights_mp(params)
+    with mpmath.workdps(50):
+        want = [(complex(z), complex(w)) for z, w in phi1_weights_mp(params)]
     for root in resonance_roots(params, builtin("phi1")):
         z, weight = min(want, key=lambda zw: abs(zw[0] - root.z))
         assert abs(root.z - z) <= 1e-15 * abs(z)
@@ -449,7 +424,7 @@ def test_dispersion_real_part_on_a_scalar(name, monkeypatch):
     the same point in a 1-element array; so spectral_peak, which takes
     Re eta point by point, finds on 40 box draws the peak it finds
     through 1-element arrays, bit for bit."""
-    ff, draws = builtin(name), _box(name, 40, seed=31)
+    ff, draws = builtin(name), box(name, 40, seed=31)
     points, shift = [], dispersion._level_shift
     monkeypatch.setattr(dispersion, "_level_shift",
                         lambda f, g2, y: points.append(type(y)) or shift(f, g2, y))

@@ -373,6 +373,21 @@ def test_anti_zeno_minimum_no_shallower_than_sequential(ratio):
     assert m.tau == T / m.n_measurements
 
 
+@pytest.mark.parametrize("shape, vertex, want", [
+    (-1.0, 37.3, 0), (1.0, 300.0, 0), (1.0, 37.3, 37), (1.0, -62.8, -63)])
+def test_vertex_fit_falls_back_to_the_best_sample(shape, vertex, want):
+    # costs shape * ((N - best - vertex) / reach)^2 on 21 N within the fit's
+    # reach, plus two far N it must ignore: a parabola that opens downward,
+    # or one whose vertex lies past the reach, leaves best; an upward one
+    # with its vertex inside moves it to the rounded vertex
+    best = 100_000
+    reach = round(protocols._FIT * best)
+    held = {n: shape * 1e-9 * ((n - best - vertex) / reach) ** 2
+            for n in range(best - reach, best + reach + 1, reach // 10)}
+    held.update({best - 5 * reach: -1.0, best + 5 * reach: -1.0})
+    assert protocols._vertex(held, best) == best + want
+
+
 @pytest.mark.parametrize("eps", [3e-3, 1e-8])
 def test_n_epsilon_shares_quadrature_engine_passes(monkeypatch, cold_memo, eps):
     # the quadrature engine advances all times of a call together, so the

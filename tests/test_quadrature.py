@@ -381,6 +381,33 @@ def test_fourier_table_windows():
     assert np.array_equal(other.lo, table.lo)
 
 
+def _rung_by_loops(unit, d):
+    """The smallest j >= 0 with unit 2^j >= d, by a log2 guess and two
+    correcting loops: the reference for FourierTable.rung."""
+    j = max(0, math.ceil(math.log2(d / unit)))
+    while math.ldexp(unit, j) < d:
+        j += 1
+    while j and math.ldexp(unit, j - 1) >= d:
+        j -= 1
+    return j
+
+
+def test_fourier_table_rung_is_exact():
+    """rung's exponent arithmetic against the loops, for units with small,
+    middling and large mantissas: at the rungs themselves, 1 ulp either
+    side of them, and at random reaches over 30 decades."""
+    rng = np.random.default_rng(45)
+    for unit in (1.0, 0.75, math.nextafter(2.0, 0.0), 3.7e-13, 2.5e-9 / 3):
+        table = FourierTable(None, 4.0 * unit, 1.0, [], 1e-12)
+        assert table.unit == unit
+        rungs = [math.ldexp(unit, j) for j in range(-8, 70)]
+        reaches = [d for r in rungs for d in (r, math.nextafter(r, 0.0),
+                                              math.nextafter(r, math.inf))]
+        reaches += (unit * 10.0 ** rng.uniform(-5, 25, 500)).tolist()
+        for d in reaches:
+            assert table.rung(d) == _rung_by_loops(unit, d), (unit, d)
+
+
 def test_quad_segments_additivity():
     f = lambda x: np.asarray(x, float) ** 2 + 0j
     val, _ = quad_segments(f, [0.0, 0.5, 1.0, 2.0])

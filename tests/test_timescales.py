@@ -10,8 +10,9 @@ from friedrichs import (ModelParams, Provenance, builtin, compute_timescales,
 from friedrichs.errors import (ConvergenceError, EngineMismatchError,
                               FriedrichsError)
 from friedrichs.amplitude import asymptote_terms
-from friedrichs.formfactors import Formfactor, bound_state_margin
+from friedrichs.formfactors import Formfactor
 from friedrichs.presets import preset
+from helpers import box
 
 # reference grid computed from the closed forms with root-based shifted
 # frequencies (photodetachment t_d and t_ep need the shifted value)
@@ -114,19 +115,6 @@ def test_crossover_bracket_widens_off_the_presets():
     assert abs(expo - power) <= 1e-9 * power
 
 
-def _box(name, n, seed=23):
-    """n parameter sets of the benchmark's sweep box for the built-in
-    weight `name`: cutoff 1e12, omega1/cutoff log-uniform in [1e-6, 1e-2]
-    and coupling_sq in [1e-9, 1e-3], without a bound state."""
-    rng, ff, out = np.random.default_rng(seed), builtin(name), []
-    while len(out) < n:
-        w, g2 = 10.0 ** rng.uniform(-6, -2), 10.0 ** rng.uniform(-9, -3)
-        params = ModelParams(1e12, w * 1e12, g2)
-        if bound_state_margin(params, ff) > 0:
-            out.append(params)
-    return out
-
-
 def _lambert_crossover(params, ff):
     """The crossover from a 40-digit root of u - ln u = R on the W_-1
     branch, with R formed as crossover_time_numeric forms it."""
@@ -144,7 +132,7 @@ def test_crossover_matches_lambert_root(name):
     """Within 2e-15 of the 40-digit root at the presets and on 20 sweep-box
     draws; a bracketed brentq in ln t was up to 1.75e-14 off on these."""
     ff = builtin(name)
-    draws = _box(name, 20) + [p for p, f in map(preset, REFERENCE)
+    draws = box(name, 20) + [p for p, f in map(preset, REFERENCE)
                               if f.id == ff.id]
     for params in draws:
         want = _lambert_crossover(params, ff)
@@ -158,7 +146,7 @@ def test_crossover_found_across_the_box(name):
     outside the bracket [t_d/4, 400 t_d]; the asymptote's two terms agree
     within 1e-13 at every answer."""
     ff = builtin(name)
-    for params in _box(name, 300, seed=5):
+    for params in box(name, 300, seed=5):
         expo, power = asymptote_terms(params, ff, crossover_time_numeric(params, ff))
         assert abs(expo - power) <= 1e-13 * power
 
