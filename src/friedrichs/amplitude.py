@@ -47,7 +47,9 @@ PHI1_EXACT    For the sqrt-head weight the density is rational in
               both read from the root finder's memo at each call
               (dispersion._roots_cached).  wofz is the scaled
               complementary error function, so no intermediate
-              overflows for any s.
+              overflows for any s.  Below the real axis it is reflected,
+              w(b) = 2 exp(izs) - w(-b), the exponential formed from the
+              root z: wofz's own exp(-b^2) loses |Re z| s ulp there.
 
 PHI2_POLES    Two contour poles plus a background integral along the
               positive imaginary axis, -g2 int_0^inf w(x) exp(-xs) dx,
@@ -149,22 +151,17 @@ def resolve_engine(ff: Formfactor, engine: Engine = Engine.AUTO) -> Engine:
 
 _SPIKE_HALFWIDTHS = 80.0   # spike window extent in units of the half width
 _X_FAR = 60.0              # beyond this every built-in density is tiny
-_HEAD_FLOOR = 1e-12        # the head ladder stops above x = _HEAD_FLOOR * x0
 _TOL = 1e-10               # the engine's absolute tolerance on A(s)
 _BYPARTS_FROM = 3000.0     # left parts past this many half periods: by parts
 
 
 def _head_ladder(x0):
-    """Offsets x0 / 4^k - x0 (k >= 1) of a geometric ladder toward the
+    """Offsets x0 / 4^k - x0, k = 1 .. 19, of a geometric ladder toward the
     head at x = 0, where phi1 has its sqrt and P of phi2 and phi3 its
-    y log y.  It stops at x = _HEAD_FLOOR * x0, so that the nodes of the
-    first interval, x0 + t, stay clear of 0 after rounding (offsets near
-    -x0 are spaced by ulp(x0))."""
-    pts, x = [], x0 / 4.0
-    while x > _HEAD_FLOOR * x0:
-        pts.append(x - x0)
-        x /= 4.0
-    return pts
+    y log y.  It stops at x = x0 4^-19, the last rung above 1e-12 x0, so
+    that the nodes of the first interval, x0 + t, stay clear of 0 after
+    rounding (offsets near -x0 are spaced by ulp(x0))."""
+    return [math.ldexp(x0, -2 * k) - x0 for k in range(1, 20)]
 
 
 def _window_breakpoints(x0, width, a, b):
@@ -309,10 +306,15 @@ def survival_amplitude_phi1_exact(params: ModelParams, t):
 
     def body(s):
         roots = _roots_cached(params, builtin(PHI1))
-        us = np.array([-_sqrt_upper(r.z) for r in roots])
+        zs = np.array([r.z for r in roots])
+        us = np.array([-_sqrt_upper(z) for z in zs])
         ws = np.array([r.residue_weight for r in roots])
         beta = cmath.exp(3j * math.pi / 4) * us * np.sqrt(s)[:, None]
-        return 0.5 * (ws * wofz(beta)).sum(axis=1), None
+        # below the real axis w(b) = 2 exp(izs) - w(-b), exp(izs) from z
+        below = beta.imag < 0.0
+        w = wofz(np.where(below, -beta, beta))
+        w[below] = 2.0 * np.exp(np.multiply.outer(s, 1j * zs)[below]) - w[below]
+        return 0.5 * (ws * w).sum(axis=1), None
     return _engine(params, t, body, "phi1 closed form")[0]
 
 
@@ -634,7 +636,8 @@ class ShortTimeExpansion:
     by -log_coefficient * ln(log_frequency * t) * t^4, in the deficit
     (g2/12) s^4 (ln s + c) with c = gamma_E - 19/12, the first-order
     deficit's constant as omega1/cutoff -> 0 (-0.990 at 1e-2).
-    validity_time is the paper's t_Z.
+    validity_time is the paper's t_Z and the package's one Zeno time
+    (Timescales.t_z; the CLI curve grid and the protocol scans take it).
     """
 
     leading_exponent: float
@@ -675,8 +678,9 @@ def short_time_expansion(params: ModelParams, ff: Formfactor) -> ShortTimeExpans
         t_a = (3.0 / (4.0 * math.sqrt(2 * math.pi))) ** (2.0 / 3.0) \
             / (lam ** (4.0 / 3.0) * cut)
         t_b = 1.0 / (math.sqrt(math.pi) * lam * cut)
-        t_z = t_b ** 4 / t_a ** 3
-        return ShortTimeExpansion(1.5, t_a, t_b, None, None, t_z)
+        # t_Z = t_b^4 / t_a^3, where (t/t_a)^1.5 and (t/t_b)^2 balance
+        return ShortTimeExpansion(1.5, t_a, t_b, None, None,
+                                  32.0 / (9.0 * math.pi * cut))
     if ff.id == PHI2:
         t_a = math.sqrt(2.0) / (lam * cut)
         coeff = params.coupling_sq * cut ** 4 / 12.0
@@ -705,10 +709,9 @@ def short_time_expansion(params: ModelParams, ff: Formfactor) -> ShortTimeExpans
     else:
         name = "I1" if i1 is DIVERGENT else "int phi^2 dx"
         raise ExpansionUnavailableError(name)
-    t_b = inv_tb4 ** -0.25
-    # balance point of the quadratic and quartic terms
-    t_z = t_b * t_b / t_a
-    return ShortTimeExpansion(2.0, t_a, t_b, None, None, t_z)
+    # t_Z balances the quadratic term against the quartic's g2 I2 part
+    return ShortTimeExpansion(2.0, t_a, inv_tb4 ** -0.25, None, None,
+                              math.sqrt(12.0 * i0 / i2) / cut)
 
 
 # ---------------------------------------------------------------------------

@@ -360,22 +360,17 @@ def _worst(score, cand, own, threshold, room):
 
 
 def geometric_ladder(center, width, lo, hi):
-    """Breakpoints stepping by factors of 4 away from a feature of the given
-    width at `center`, clipped to the open interval (lo, hi).  Adaptive
-    quadrature subdivides each rung cheaply, so narrow features are never
-    missed by coarse initial sampling."""
-    pts = []
-    d = width
+    """Breakpoints center +- width 4^k away from a feature of the given
+    width, clipped to the finite open interval (lo, hi), for k = 0 up to
+    the first step past 4 span, span = max(|hi - center|, |center - lo|,
+    1), and k < 240: with width = m 2^e and 4 span = m1 2^e1, the least k with
+    2k > e1 - e, or 2k = e1 - e and m > m1.  Adaptive quadrature
+    subdivides each rung cheaply, so narrow features are never missed."""
     span = max(abs(hi - center), abs(center - lo), 1.0)
-    for _ in range(240):
-        if lo < center - d < hi:
-            pts.append(center - d)
-        if lo < center + d < hi:
-            pts.append(center + d)
-        if d > 4.0 * span:
-            break
-        d *= 4.0
-    return sorted(set(pts))
+    (m, e), (m1, e1) = math.frexp(width), math.frexp(4.0 * span)
+    top = min(max(0, (e1 - e + 1 + (m <= m1)) // 2), 239)
+    d = [math.ldexp(width, 2 * k) for k in range(top + 1)]
+    return sorted({p for dk in d for p in (center - dk, center + dk) if lo < p < hi})
 
 
 def quad_segments(fvec, breakpoints, epsabs=1e-12, limit=LIMIT, columns=None):

@@ -7,7 +7,7 @@ t_a     scale of the leading short-time term, 1 - p ~ (t/t_a)^s.
 t_b     scale of the next term of the expansion.
 t_Z     balance point where the two terms match; the region where
         repeated measurement freezes decay ends here, orders of
-        magnitude before t_a.
+        magnitude before t_a; the short-time expansion's validity_time.
 t_d     tabulated decay-time convention per formfactor.  For the
         sqrt-head weight t_d is the 1/e time of the *amplitude*, so the
         probability decays at rate 2/t_d; for the rational weights t_d
@@ -43,6 +43,9 @@ class Provenance(Enum):
 
 @dataclass
 class Timescales:
+    """t_a, t_b and t_z are the short-time expansion's t_a, t_b and
+    validity_time; the rest as the module docstring says."""
+
     t_a: float
     leading_exponent: float
     t_b: Optional[float]
@@ -67,19 +70,17 @@ _FACTOR2_NOTE = (
 
 
 def compute_timescales(params: ModelParams, ff: Formfactor) -> Timescales:
-    cut, lam, g2 = params.cutoff, params.coupling, params.coupling_sq
-    exp = short_time_expansion(params, ff)
     if not ff.is_builtin:
         # custom weights: only the generic weak-coupling trio is defined
         raise EngineMismatchError(
             "timescales beyond (t_a, t_b, t_Z) need a built-in formfactor; "
             "use short_time_expansion for the generic scales")
-
+    cut, lam, g2 = params.cutoff, params.coupling, params.coupling_sq
+    exp = short_time_expansion(params, ff)
     root = decaying_resonance(params, ff)
     omega_tilde = root.z.real * cut
     if ff.id == PHI1:
         gamma = root.z.imag / (2.0 * math.sqrt(root.z.real))
-        t_z = 32.0 / (9.0 * math.pi * cut)
         t_d = 1.0 / (math.pi * g2 * math.sqrt(cut * omega_tilde))
         t_ep = (-5.0 * math.log(g2 * g2 * cut / omega_tilde)
                 / (4.0 * math.pi * g2 * math.sqrt(cut * omega_tilde)))
@@ -90,19 +91,17 @@ def compute_timescales(params: ModelParams, ff: Formfactor) -> Timescales:
         t_d_from = Provenance.CLOSED_FORM
         if ff.id == PHI2:
             q0 = bound_state_margin(params, ff)
-            t_z = exp.validity_time
             t_ep = 4.0 / (gamma * cut) * math.log(q0 / (lam * gamma))
             t_ep_from = Provenance.ROOT_BASED
         else:
-            t_z = 2.0 * math.sqrt(6.0) / cut
             t_ep = -2.0 * math.log(2.0 * math.pi * lam ** 3) / (math.pi * g2 * params.omega1)
             t_ep_from = Provenance.CLOSED_FORM
     prov = {"t_a": Provenance.CLOSED_FORM, "t_b": Provenance.CLOSED_FORM,
             "t_z": Provenance.CLOSED_FORM, "t_d": t_d_from, "t_ep": t_ep_from,
             "gamma": Provenance.ROOT_BASED, "omega_tilde": Provenance.ROOT_BASED}
     notes = (_FACTOR2_NOTE,) if ff.id == PHI1 else ()
-    return Timescales(exp.t_a, exp.leading_exponent, exp.t_b, t_z, t_d, t_ep,
-                      gamma, omega_tilde, prov, notes)
+    return Timescales(exp.t_a, exp.leading_exponent, exp.t_b, exp.validity_time,
+                      t_d, t_ep, gamma, omega_tilde, prov, notes)
 
 
 # crossover_time_numeric's Newton steps, at most: 5 on the sweep box, 27 for R

@@ -314,6 +314,23 @@ def test_traffic_lists_the_branch_not_taken(tmp_path):
         tool.executed(lambda: module.sign(2), tmp_path)
 
 
+def test_traffic_traces_the_benchmark_rounds():
+    """The traced runs end with round 0 of each benchmark workload, and
+    the benchmark is traffic the CLI misses: the sweep round executes the
+    phi3 mass integral's plan at s = 0 (the split X1 in _amp_quadrature),
+    which the CLI's phi3 quadrature-engine run leaves unexecuted."""
+    tool = _tool("traffic")
+    path = tool.PACKAGE / "amplitude.py"
+    line = next(n for n, text in enumerate(path.read_text().splitlines(), 1)
+                if "X1 = max(x0 + 1e7 * width, 1.0)" in text)
+    runs = dict(tool.runs())
+    assert list(runs)[-3:] == ["bench/curve", "bench/protocol", "bench/sweep"]
+    cli = tool.executed(runs["hydrogen/curve-quadrature"], tool.PACKAGE)
+    sweep = tool.executed(runs["bench/sweep"], tool.PACKAGE)
+    assert line in tool.unexecuted(path, cli)
+    assert line not in tool.unexecuted(path, cli | sweep)
+
+
 def test_parse_config_roundtrip(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("a = 1\n# comment\nb = x y\n\nc=3  # trailing\n")

@@ -34,6 +34,22 @@ def test_reference_values(name):
         assert getattr(ts, key) == pytest.approx(want, rel=1e-9)
 
 
+def test_one_zeno_time():
+    """Timescales' t_Z is the short-time expansion's validity_time, bit
+    for bit, on the presets and 20 box draws per weight, and for phi1 and
+    phi3 it is the closed form 32 / (9 pi cutoff) or 2 sqrt(6) / cutoff,
+    bit for bit."""
+    cases = [preset(name) for name in sorted(REFERENCE)]
+    cases += [(params, builtin(name)) for name in ("phi1", "phi2", "phi3")
+              for params in box(name, 20)]
+    for params, ff in cases:
+        t_z = compute_timescales(params, ff).t_z
+        assert t_z == short_time_expansion(params, ff).validity_time
+        closed = {"phi1": 32.0 / (9.0 * math.pi * params.cutoff),
+                  "phi3": 2.0 * math.sqrt(6.0) / params.cutoff}.get(ff.id, t_z)
+        assert t_z == closed
+
+
 @pytest.mark.parametrize("name", sorted(REFERENCE))
 def test_hierarchy(name):
     params, ff = preset(name)
@@ -208,6 +224,24 @@ def test_custom_formfactor_only_generic():
     assert exp.validity_time < exp.t_a and exp.t_b is not None
     with pytest.raises(EngineMismatchError):
         compute_timescales(params, custom)
+
+
+@pytest.mark.parametrize("tail", [1.0, 2.5, 3.0, 7.0])
+def test_custom_weight_refused_before_its_expansion(tail, monkeypatch):
+    """compute_timescales refuses a custom weight with EngineMismatchError
+    before it builds the short-time expansion: a divergent I0 (tail 1) or
+    I2 (tails 2.5 and 3) does not turn the refusal into
+    ExpansionUnavailableError, and no moment is integrated first."""
+    from friedrichs import formfactors
+    integrals = []
+    monkeypatch.setattr(formfactors, "_weighted_integral",
+                        lambda *args: integrals.append(args))
+    custom = Formfactor.from_callable(builtin("phi3").evaluator,
+                                      tail_exponent=tail, head_exponent=1.0,
+                                      verify=False)
+    with pytest.raises(EngineMismatchError):
+        compute_timescales(ModelParams(1e10, 2e4, 1e-6), custom)
+    assert integrals == []
 
 
 def test_handover_in_decay_units():

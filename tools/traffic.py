@@ -1,25 +1,26 @@
-"""List the package's statement lines that no CLI run executes.
+"""List the package's statement lines that no CLI run and no benchmark
+round executes.
 
     python tools/traffic.py
 
 runs every command of tools/cli_outputs.py's `runs()` on the package in
 this checkout's `src` with one BLAS thread, into a temporary directory,
-each in its own forked child process that imports the package afresh,
-so every run starts cold, as each CLI call is its own process.  A line
-tracer limited to `src/friedrichs` records the lines each child
-executes, and the parent merges them.  It then prints each statement
-line that no run executed, as `module.py:LINE: source`, and a count per
-module, `module.py: N of M statement lines unexecuted`.  A statement line
-is a line that holds bytecode; docstrings are left out.  A claim that no
-measured traffic takes some path is checked by finding the path's lines
-here.
+then round 0 of each benchmark workload of bench/workloads.py at seed 1,
+its set-up, items and checks.  Each run is a forked child process that
+imports the package afresh, so every run starts cold, as each CLI call
+and each benchmark run is its own process.  A line tracer limited to
+`src/friedrichs` records the lines each child executes, and the parent
+merges them.  It then prints each statement line that no run executed,
+as `module.py:LINE: source`, and a count per module, `module.py: N of M
+statement lines unexecuted`.  A statement line is a line that holds
+bytecode; docstrings are left out.  A claim that no measured traffic
+takes some path is checked by finding the path's lines here.
 """
 
 from __future__ import annotations
 
 import ast
 import contextlib
-import importlib.util
 import io
 import os
 import pickle
@@ -31,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "friedrichs"
+BENCH_SEED = 1
 
 
 def executed(run, root) -> set:
@@ -99,27 +101,59 @@ def unexecuted(path, hits) -> list:
     return sorted(statement_lines(path) - ran)
 
 
+def source_module(path):
+    """The module at path, run from its source text, so that no bytecode
+    cache is written beside it."""
+    module = types.ModuleType(path.stem)
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module     # where dataclasses look it up
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def cli_run(sub, args):
+    """Run the CLI command args into a temporary directory."""
+    from friedrichs.cli import main as cli
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stdout(io.StringIO()):
+        if cli([*args, "--out", os.path.join(out, sub)]) != 0:
+            raise SystemExit(f"{sub}: the CLI run failed")
+
+
+def bench_round(name):
+    """Round 0 of the benchmark workload name at BENCH_SEED: its set-up,
+    its items and their checks.  A library error is the item's output,
+    as the benchmark takes it."""
+    import friedrichs as F
+    workload = source_module(ROOT / "bench" / "workloads.py").WORKLOADS[name](
+        F, BENCH_SEED, 1)
+    for item in workload.round(0):
+        try:
+            out = item.run()
+        except (F.FriedrichsError, ValueError) as exc:
+            out = exc
+        workload.check(item, out)
+
+
+def runs():
+    """(name, thunk) of every traced run: the CLI commands of
+    tools/cli_outputs.py, then the benchmark workloads."""
+    cli_outputs = source_module(Path(__file__).with_name("cli_outputs.py"))
+    for sub, args in cli_outputs.runs():
+        yield sub, lambda sub=sub, args=args: cli_run(sub, args)
+    for name in source_module(ROOT / "bench" / "workloads.py").WORKLOADS:
+        yield f"bench/{name}", lambda name=name: bench_round(name)
+
+
 def main(argv=None) -> int:
     if (sys.argv[1:] if argv is None else argv):
         print(__doc__.strip(), file=sys.stderr)
         return 2
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.path.insert(0, str(ROOT / "src"))
-    spec = importlib.util.spec_from_file_location(
-        "cli_outputs", Path(__file__).with_name("cli_outputs.py"))
-    cli_outputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cli_outputs)
-
-    def run(sub, args):
-        from friedrichs.cli import main as cli
-        with tempfile.TemporaryDirectory() as out, \
-                contextlib.redirect_stdout(io.StringIO()):
-            if cli([*args, "--out", os.path.join(out, sub)]) != 0:
-                raise SystemExit(f"{sub}: the CLI run failed")
-
     hits = set()
-    for sub, args in cli_outputs.runs():
-        hits |= executed(lambda: run(sub, args), PACKAGE)
+    for _, run in runs():
+        hits |= executed(run, PACKAGE)
     counts = []
     for path in sorted(PACKAGE.glob("*.py")):
         missed = unexecuted(path, hits)
