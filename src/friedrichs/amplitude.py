@@ -66,13 +66,6 @@ PHI2_POLES    Two contour poles plus a background integral along the
               root finder's memo at each call, which has checked that
               no two of them coincide.
 
-ASYMPTOTIC_LONG  Exponential + power tail + oscillatory cross term,
-              evaluated as |pole + tail|^2 for every built-in weight:
-              the pole W exp(izs) from the decaying root, the power
-              tail from the weight's head phi ~ x^a by Watson's lemma.
-
-SERIES_SHORT  The short-time expansion evaluated literally.
-
 Small deficits 1 - p are computed by a dedicated cancellation-free path
 that integrates rho(x) (1 - exp(is(x - x0))) against the spike center
 x0, exact for p because a global phase cannot change |A|.  Within 1/4
@@ -128,8 +121,6 @@ class Engine(Enum):
     QUADRATURE = "quadrature"
     PHI1_EXACT = "phi1-exact"
     PHI2_POLES = "phi2-poles"
-    ASYMPTOTIC_LONG = "asymptotic-long"
-    SERIES_SHORT = "series-short"
 
 
 _CLOSED_FORM = {PHI1: Engine.PHI1_EXACT, PHI2: Engine.PHI2_POLES}
@@ -426,21 +417,16 @@ def survival_amplitude(params: ModelParams, ff: Formfactor, t,
 
 def _probability(params: ModelParams, ff: Formfactor, t, eng: Engine):
     """(p, its error estimate or None) for a time or an array of times:
-    the one map from an Engine to p.  An estimate of A is doubled for p."""
+    |A|^2 of the amplitude engine eng, whose estimate is doubled for p."""
     ts, scalar = _times(t)
-    if eng is Engine.ASYMPTOTIC_LONG:
-        p, est = long_time_asymptote(params, ff, ts), None
-    elif eng is Engine.SERIES_SHORT:
-        p, est = short_time_expansion(params, ff).evaluate(ts), None
-    else:
-        amp, est = _amplitude(params, ff, ts, eng)
-        p = _abs2(amp)
-    return _unwrap(p, scalar), None if est is None else _unwrap(2.0 * est, scalar)
+    amp, est = _amplitude(params, ff, ts, eng)
+    return (_unwrap(_abs2(amp), scalar),
+            None if est is None else _unwrap(2.0 * est, scalar))
 
 
 def survival_probability(params: ModelParams, ff: Formfactor, t,
                          engine: Engine = Engine.AUTO):
-    """p(t) for a time or an array of times, from any engine."""
+    """p(t) = |A(t)|^2 for a time or an array of times, from any engine."""
     return _probability(params, ff, t, resolve_engine(ff, engine))[0]
 
 
@@ -795,8 +781,8 @@ def sample_curve(params: ModelParams, ff: Formfactor, times,
     """p on the sorted distinct times, from one call of the engine, with
     an error estimate per time: twice the amplitude estimate for the
     quadrature engine and for phi2-poles (its background integral).
-    phi1-exact and the asymptotic and series engines carry no estimate
-    and report the placeholder 1e-12."""
+    Only phi1-exact carries no estimate, and reports the placeholder
+    1e-12."""
     eng = resolve_engine(ff, engine)
     times = np.asarray(sorted(set(float(t) for t in times)))
     ps, est = _probability(params, ff, times, eng)

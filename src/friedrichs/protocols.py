@@ -72,9 +72,9 @@ def _costs(params: ModelParams, ff: Formfactor, T: float):
     return costs
 
 
-def _check_time(T: float):
+def _check_time(T: float, what: str = "observation time"):
     if not 0.0 < T < math.inf:
-        raise ValueError("observation time must be positive and finite")
+        raise ValueError(f"{what} must be positive and finite")
 
 
 def _check_count(n, least: int, what: str):
@@ -85,8 +85,7 @@ def _check_count(n, least: int, what: str):
 def repeated_measurement_survival(params: ModelParams, ff: Formfactor,
                                   T: float, N: int) -> float:
     """p_N(T) = p(T/N)^N for N ideal measurements over [0, T]."""
-    if not 1 <= N < math.inf or N != int(N):
-        raise ValueError("measurement count must be a positive integer")
+    _check_count(N, 1, "measurement count")
     _check_time(T)
     return math.exp(N * log_survival(params, ff, T / N))
 
@@ -278,12 +277,15 @@ def protocol_curve(params: ModelParams, ff: Formfactor, T: float,
                    decay_time: Optional[float] = None) -> ProtocolResult:
     """p_N(T) sampled on a log grid of intervals tau in [1e-3 t_Z, T];
     duplicate integer N collapsed.  Its minimum is anti_zeno_minimum's,
-    searched from this N grid."""
+    searched from this N grid.  A decay_time, positive and finite, sets
+    reference_exponential = exp(-T / decay_time)."""
     _check_time(T)
     _check_count(n_tau, 2, "interval count")
+    if decay_time is not None:
+        _check_time(decay_time, "decay time")
     ns = _n_grid(T, short_time_expansion(params, ff).validity_time, n_tau)
     costs = _costs.__wrapped__(params, ff, T)
     ps = np.array([math.exp(c) for c in costs(ns).tolist()])
-    ref = math.exp(-T / decay_time) if decay_time else None
+    ref = None if decay_time is None else math.exp(-T / decay_time)
     minimum = anti_zeno_minimum(params, ff, T, _store=costs)
     return ProtocolResult(T, ns, T / ns, ps, ref, minimum)

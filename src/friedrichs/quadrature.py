@@ -134,9 +134,9 @@ def _gk_nodes(lo, hi):
 
 def _gk21(fvec, lo, hi, m, own, tail=None, values=False):
     """Kronrod values and QUADPACK error estimates on each [lo_k, hi_k]
-    for the m columns of the integrand, shape (intervals, m), or
-    (intervals,) when m = 1, and when `values` is set (one column) the
-    node values, shape (intervals, 21), else None.
+    for the m columns of the integrand, shape (intervals, m), and when
+    `values` is set (one column) the node values, shape (intervals, 21),
+    else None.
 
     Interval k belongs to integral own[k], and fvec(x, owner) gets the
     owner of each node.  Each row of 21 node values is reduced by a dot
@@ -151,7 +151,6 @@ def _gk21(fvec, lo, hi, m, own, tail=None, values=False):
     built.
     """
     x, h = _gk_nodes(lo, hi)
-    shape = (-1,) if m == 1 else (-1, m)
     rows = max(1, MAX_NODES // (_GK_NODES.size * m))
     vals, errs, nodes = [], [], []
     for k in range(0, len(x), rows):
@@ -170,10 +169,9 @@ def _gk21(fvec, lo, hi, m, own, tail=None, values=False):
                                    achieved=math.inf)
         # one row of 21 node values per interval and column
         f = f.transpose(0, 2, 1).reshape(-1, _GK_NODES.size)
-        hk = h[k:k + rows] if m == 1 else np.repeat(h[k:k + rows], m)
-        val, err = _qk21(f[:, None, :], hk[:, None])
-        vals.append(val.reshape(shape))
-        errs.append(err.reshape(shape))
+        val, err = _qk21(f[:, None, :], np.repeat(h[k:k + rows], m)[:, None])
+        vals.append(val.reshape(-1, m))
+        errs.append(err.reshape(-1, m))
         if values:
             nodes.append(f)
     if len(vals) == 1:
@@ -256,7 +254,7 @@ def _integrals(fvec, a, b, points, epsabs, limit, m):
     _, _, v, e, o, _ = _adapt(
         fvec if index.size == K else lambda x, j: fvec(x, index[j]),
         np.array(lo), np.array(hi), np.array(own),
-        eps if m == 1 else eps[:, None], limit, m,
+        eps[:, None], limit, m,
         np.array(tail) if math.inf in b else None)
     starts = o.searchsorted(np.arange(index.size))
     val, err = np.zeros((K, m), dtype=v.dtype), np.zeros((K, m))
@@ -274,9 +272,8 @@ def _tolerance(total, epsabs):
 def _adapt(fvec, lo, hi, own, epsabs, limit, m, tail=None, values=False):
     """The adaptive loop of quad_complex from the intervals [lo, hi];
     returns the final intervals lo, hi, their values and estimates,
-    shape (intervals, m), or (intervals,) when m = 1, their integrals and,
-    when `values` is set (one column), their node values, shape
-    (intervals, 21), else None.
+    shape (intervals, m), their integrals and, when `values` is set (one
+    column), their node values, shape (intervals, 21), else None.
 
     Interval k belongs to integral own[k], and the intervals come grouped
     by integral 0..K-1.  epsabs holds each integral's tolerance, limit
@@ -301,24 +298,22 @@ def _adapt(fvec, lo, hi, own, epsabs, limit, m, tail=None, values=False):
         # narrow intervals already hold more.  An interval's score is its
         # worst err_k / tol_k over the active columns, in units of their
         # largest tol_k: once the unbisected scores sum under an eighth
-        # of that unit, every column is under tol_k / 8.
+        # of that unit, every column is under tol_k / 8.  The column that
+        # sets the unit scores err_k itself, also at tol_k = 0.
         tol = _tolerance(sums(val), epsabs)
         total = sums(err)
         active = total > tol
         wide = (hi - lo) > _MIN_ULPS * _EPS * np.maximum(np.abs(lo), np.abs(hi))
         if not wide.all():
-            active &= sums(np.where(wide if m == 1 else wide[:, None],
-                                    0.0, err)) <= tol
-        busy = active if m == 1 else active.any(axis=1)
+            active &= sums(np.where(wide[:, None], 0.0, err)) <= tol
+        busy = active.any(axis=1)
         if not busy.any():
             break
-        if m == 1:     # unit = tol, so the score is err itself
-            unit, score = tol, err
-        else:
-            unit = np.where(active, tol, -np.inf).max(axis=1)
-            scale = np.where(active, unit[:, None], 0.0) / np.where(active, tol, 1.0)
-            score = (err * scale[own]).max(axis=1)
-            total = sums(score)
+        unit = np.where(active, tol, -np.inf).max(axis=1)
+        scale = np.divide(unit[:, None], tol, out=np.where(active, 1.0, 0.0),
+                          where=active & (tol != unit[:, None]))
+        score = (err * scale[own]).max(axis=1)
+        total = sums(score)
         pick, n = _worst(score, wide & busy[own], own, total - unit / 8,
                          limit - counts)
         if not pick.size:
@@ -475,11 +470,11 @@ class LaplaceTable:
             lambda x, k: wvec(x), np.append(edges[:-1], _TAIL_SPLITS[:-1]),
             np.append(edges[1:], _TAIL_SPLITS[1:]),
             np.repeat([0, 1], [edges.size - 1, _TAIL_SPLITS.size - 1]),
-            np.full(2, epsabs, dtype=float), np.full(2, LIMIT), 1,
+            np.full((2, 1), epsabs, dtype=float), np.full(2, LIMIT), 1,
             np.array([np.nan, self.X]), values=True)
         # interval by interval in order of their start, the body first
         order = np.lexsort((lo, own))
-        lo, hi, err, own = lo[order], hi[order], err[order], own[order]
+        lo, hi, err, own = lo[order], hi[order], err[order, 0], own[order]
         self.v = nodes[order]
         body = own == 0
         lo, hi, err, ulo, uhi = lo[body], hi[body], err[body], lo[~body], hi[~body]

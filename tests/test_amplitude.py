@@ -693,6 +693,30 @@ def test_engine_formfactor_mismatch(qdot):
         resolve_engine(builtin("phi1"), Engine.PHI2_POLES)
 
 
+@pytest.mark.parametrize("engine", [e for e in Engine if e is not Engine.AUTO])
+def test_every_engine_gives_an_amplitude(engine):
+    """Every Engine but AUTO is an amplitude engine: survival_amplitude
+    answers on a weight it serves, and survival_probability is |A|^2 of
+    that amplitude bit for bit, at one time and on an array.  sample_curve
+    reports that p with twice the amplitude's estimate, or the 1e-12
+    placeholder for phi1-exact, the one engine without an estimate."""
+    name = {Engine.PHI1_EXACT: "photodetachment",
+            Engine.PHI2_POLES: "quantum-dot"}.get(engine, "hydrogen")
+    params, ff = preset(name)
+    t = compute_timescales(params, ff).t_d * np.array([0.5, 1.0, 3.0])
+    amp, est = amplitude._amplitude(params, ff, t, engine)
+    assert np.array_equal(survival_amplitude(params, ff, t, engine), amp)
+    p = survival_probability(params, ff, t, engine)
+    assert p.tolist() == [abs(a) ** 2 for a in amp.tolist()]
+    curve = sample_curve(params, ff, t, engine)
+    assert np.array_equal(curve.probabilities, p)
+    assert (est is None) == (engine is Engine.PHI1_EXACT)
+    want = np.full(t.shape, 1e-12) if est is None else 2.0 * est
+    assert np.array_equal(curve.error_estimates, want)
+    one = survival_amplitude(params, ff, t[0].item(), engine)
+    assert survival_probability(params, ff, t[0].item(), engine) == abs(one) ** 2
+
+
 # ---------------------------------------------------------------------------
 # deficits and the short-time regime
 # ---------------------------------------------------------------------------
@@ -1214,7 +1238,7 @@ def test_series_short_engine_dispatch(qdot):
     params, ff = qdot
     exp = short_time_expansion(params, ff)
     t = 1e-3 * exp.validity_time
-    p_series = survival_probability(params, ff, t, Engine.SERIES_SHORT)
+    p_series = exp.evaluate(t)
     assert 1.0 - p_series == pytest.approx((t / exp.t_a) ** 2, rel=1e-2)
 
 
@@ -1330,31 +1354,31 @@ def test_asymptotic_engine_dispatch(qdot):
     params, ff = qdot
     ts = compute_timescales(params, ff)
     t = 2 * ts.t_d
-    pa = survival_probability(params, ff, t, Engine.ASYMPTOTIC_LONG)
+    pa = long_time_asymptote(params, ff, t)
     pe = survival_probability(params, ff, t)
     assert pa == pytest.approx(pe, rel=1e-3)
 
 
 @pytest.mark.parametrize("name", ["photodetachment", "quantum-dot", "hydrogen"])
 def test_asymptote_and_series_reject_bad_times(name):
-    """A negative time raises on the asymptotic and series engines, as on
-    the amplitude engines, alone and inside an array.  At t = 0 the
+    """A negative time raises on the asymptote and the series, as on the
+    amplitude engines, alone and inside an array.  At t = 0 the
     asymptote's power tail diverges, which raises; the series is p = 1
     exactly, the limit of phi2's t^4 ln t term."""
     params, ff = preset(name)
     t = compute_timescales(params, ff).t_z
-    for engine in (Engine.ASYMPTOTIC_LONG, Engine.SERIES_SHORT):
+    series = short_time_expansion(params, ff).evaluate
+    for call in (lambda t: long_time_asymptote(params, ff, t), series):
         for bad in (-t, np.array([t, -t])):
             with pytest.raises(ValueError, match="nonnegative"):
-                survival_probability(params, ff, bad, engine)
+                call(bad)
     for zero in (0.0, np.array([t, 0.0])):
         with pytest.raises(ValueError, match="t > 0"):
             long_time_asymptote(params, ff, zero)
         with pytest.raises(ValueError, match="t > 0"):
             asymptote_terms(params, ff, zero)
-    assert survival_probability(params, ff, 0.0, Engine.SERIES_SHORT) == 1.0
-    both = survival_probability(params, ff, np.array([0.0, t]), Engine.SERIES_SHORT)
-    assert both[0] == 1.0
+    assert series(0.0) == 1.0
+    assert series(np.array([0.0, t]))[0] == 1.0
 
 
 @pytest.mark.parametrize("name", ["photodetachment", "quantum-dot", "hydrogen"])
@@ -1371,34 +1395,33 @@ def test_asymptote_on_an_array(name):
         assert asymptote_terms(params, ff, tk) == (expo[k], power[k])
 
 
-@pytest.mark.parametrize("engine", [Engine.ASYMPTOTIC_LONG, Engine.SERIES_SHORT])
-def test_sample_curve_asymptotic_and_series(qdot, engine):
-    """One call of the engine on all times: each p is survival_probability
-    at that time alone, bit for bit, every estimate is the 1e-12
-    placeholder, and the asymptote warns once, naming the earliest of the
-    times below its threshold."""
+@pytest.mark.parametrize("form", ["asymptote", "series"])
+def test_asymptote_and_series_on_an_array(qdot, form):
+    """long_time_asymptote and short_time_expansion(...).evaluate in one
+    call on all times: each p is the call at that time alone, bit for
+    bit, and the asymptote warns once, naming the earliest of the times
+    below its threshold."""
     params, ff = qdot
     ts = compute_timescales(params, ff)
     threshold = amplitude._VALID_FROM[ff.id] / params.omega1
-    if engine is Engine.ASYMPTOTIC_LONG:
+    if form == "asymptote":
         times = np.geomspace(0.25 * threshold, 3.0 * ts.t_d, 25)
+        p = lambda t: long_time_asymptote(params, ff, t)
     else:
         times = np.geomspace(1e-3 * ts.t_z, ts.t_z, 25)
+        p = short_time_expansion(params, ff).evaluate
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        curve = sample_curve(params, ff, times, engine)
-    if engine is Engine.ASYMPTOTIC_LONG:
+        got = p(times)
+    if form == "asymptote":
         assert len(caught) == 1
         assert f"t={times[0]:.3g}s" in str(caught[0].message)
     else:
         assert not caught
-    assert np.array_equal(curve.times, times)
-    assert np.all(curve.error_estimates == 1e-12)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        one = [survival_probability(params, ff, t, engine) for t in times.tolist()]
-    assert curve.probabilities.tolist() == one
-    assert not curve.clamped
+        one = [p(t) for t in times.tolist()]
+    assert got.tolist() == one
 
 
 def test_eta_second_minus_first_sheet(qdot):

@@ -83,7 +83,7 @@ def test_protocol_argument_validation(qdot):
     params, ff = qdot
     with pytest.raises(ValueError):
         repeated_measurement_survival(params, ff, 1e-9, 0)
-    for N in (math.inf, math.nan):
+    for N in (math.inf, math.nan, 3.0, 2.5):
         with pytest.raises(ValueError, match="measurement count"):
             repeated_measurement_survival(params, ff, 1e-9, N)
     with pytest.raises(ValueError):
@@ -108,6 +108,21 @@ def test_protocol_argument_validation(qdot):
     for n_tau in (0, 1, -3, 2.5):
         with pytest.raises(ValueError, match="interval count"):
             protocol_curve(params, ff, 1e-9, n_tau=n_tau)
+
+
+def test_protocol_curve_checks_decay_time(qdot, qdot_scales):
+    """A decay time, when given, is positive and finite like T: a
+    negative one made the reference exponential exceed 1, nan made it
+    nan and 0 made it None."""
+    params, ff = qdot
+    t_d = qdot_scales.t_d
+    T = 1e-3 * t_d
+    for bad in (-t_d, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="decay time must be positive"):
+            protocol_curve(params, ff, T, decay_time=bad)
+    assert protocol_curve(params, ff, T).reference_exponential is None
+    ref = protocol_curve(params, ff, T, decay_time=t_d).reference_exponential
+    assert ref == math.exp(-T / t_d)
 
 
 def test_anti_zeno_minimum_is_plain_json(qdot, qdot_scales):

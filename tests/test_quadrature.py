@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -149,10 +150,10 @@ def cmath_exp(z):
 
 def _inv_square_tail_exact(X, s):
     """int_X^inf exp(isx)/x^2 dx = s * (exp(i a)/a + i E1(-i a)), a = sX."""
-    mpmath.mp.dps = 40
-    a = mpmath.mpf(s) * X
-    val = mpmath.mpf(s) * (mpmath.exp(1j * a) / a + 1j * mpmath.e1(-1j * a))
-    return complex(val)
+    with mpmath.workdps(40):
+        a = mpmath.mpf(s) * X
+        val = mpmath.mpf(s) * (mpmath.exp(1j * a) / a + 1j * mpmath.e1(-1j * a))
+        return complex(val)
 
 
 def test_oscillatory_finite_byparts_exact():
@@ -543,9 +544,10 @@ def test_quad_complex_caps_nodes_per_call():
                             limit=4000)
     assert len(sizes) > 1
     assert max(sizes) <= MAX_NODES
-    mpmath.mp.dps = 30
-    want = mpmath.quad(lambda x: mpmath.sin(40 * x) / (mpmath.mpf("1e-3") + (x - 0.3) ** 2),
-                       mpmath.linspace(0, 1, 41))
+    with mpmath.workdps(30):
+        want = mpmath.quad(
+            lambda x: mpmath.sin(40 * x) / (mpmath.mpf("1e-3") + (x - 0.3) ** 2),
+            mpmath.linspace(0, 1, 41))
     assert abs(val - complex(want)) < 1e-10
 
 
@@ -559,6 +561,20 @@ def test_quad_complex_one_column_matches_plain_integrand():
     val, err = quad_complex(lambda x: f(x)[:, None], 0.0, 2.0, points=[0.5, 1.0],
                             epsabs=np.array([1e-12]), columns=1)
     assert (val[0], err[0]) == plain
+
+
+def test_quad_complex_scores_columns_of_zero_tolerance():
+    """With epsabs = 0, an odd integrand over [-3, 3] sums to exactly 0 on
+    some pass, so its tolerance is 0.  A column that sets the unit of the
+    scores then scores its own estimate, not 0/0: no invalid-value
+    warning, with one column or with two."""
+    f = lambda x: np.sin(x)[:, None].repeat(2, axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = quad_complex(np.sin, -3.0, 3.0, epsabs=0.0)
+        val, err = quad_complex(f, -3.0, 3.0, epsabs=0.0, columns=2)
+    assert abs(one[0]) <= one[1] < 1e-13
+    assert np.all(np.abs(val) <= err) and np.all(err < 1e-13)
 
 
 def test_quad_complex_zero_columns():
