@@ -26,16 +26,18 @@ QUADRATURE    A(s) = int_0^inf rho(x) exp(isx) dx over the spectral
               phase barely turns, not density nodes of its own.  The
               adaptive mass integral's tail at s = 0 starts at x >= 1,
               where the unit scale of its map to [0, 1) fits the density.
-              The right tail is one fixed table of double-exponential
-              nodes (quadrature.oscillatory_tail) in the same offsets, so
-              its phase matches the window's at their common end; while
-              few oscillations reach x = 60 an adaptive stretch, also in
-              offsets, comes first.  A window whose left part [0, x0 - D]
-              would hold at most 3000 half periods past its first reaches
-              the head in the table; a longer left part [0, x0 - D] is in
-              absolute x (quadrature.oscillatory_finite, one call on the
-              arrays of every such time's x0 - D, s and D): an adaptive
-              first half period at x = 0 and the rest by parts.
+              The right tail, from the window's right end at every s > 0,
+              is one fixed table of double-exponential nodes
+              (quadrature.oscillatory_tail) in the same offsets, so its
+              phase matches the window's at their common end.  Where the
+              phase turns slowly the window reaches far out (D >= 40 pi /
+              s), into the density's smooth power tail.  A window whose
+              left part [0, x0 - D] would hold at most 3000 half periods
+              past its first reaches the head in the table; a longer left
+              part is in absolute x (quadrature.oscillatory_finite, one
+              call on the arrays of every such time's x0 - D, s and D):
+              an adaptive first half period at x = 0 and the rest by
+              parts.
 
 PHI1_EXACT    For the sqrt-head weight the density is rational in
               u = sqrt(x), and the transform reduces to three Faddeeva
@@ -85,13 +87,16 @@ array of times.  On an array the phi1 closed form, the asymptote and the
 series are evaluated elementwise, the phi2 background takes every time
 on its table's fixed nodes, and the deficit kernel integrates every time
 as one column on a shared node set, so the density is evaluated once per
-node for all times.  The quadrature engine gives each time integrals of
-its own, with its own intervals, but advances them all together: each
-pass of its adaptive integrals evaluates the new nodes of every time in
-one density call (quadrature.quad_complex's K integrals).  A time there
-costs its own nodes, not its own passes, and its spike window costs a
-contraction of the parameters' table, built in one piece for the widest
-reach asked (again when a time reaches past it).
+node for all times.  In the quadrature engine a time's spike window
+costs a contraction of the parameters' table, built in one piece for
+the widest reach asked (again when a time reaches past it), and its
+right tail nodes of one shared double-exponential call.  Its adaptive
+integrals, the first half periods of the left parts taken by parts, are
+each time's own, with their own intervals, but advance together: each
+pass evaluates the new nodes of every time in one density call
+(quadrature.quad_segments' K integrals), so a time costs its own nodes,
+not its own passes.  The s = 0 mass integral is one call for every zero
+time.
 """
 
 from __future__ import annotations
@@ -183,34 +188,32 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: np.ndarray):
     """A(s) and error estimates for a 1-D array of dimensionless times
     s >= 0, in two steps.
 
-    Plan: each time's pieces.  At s = 0 they are the mass integral's body
-    and tail, split at X1 = max(x0 + 1e7 width, 1): the body's spike
-    ladder reaches X1, and from x = 1 on the density varies on the unit
-    scale of quad_tail's map, so the tail needs no bisection toward its
-    start (from x0 + 1e7 width, about 2 x0 in the weak-coupling box, it
-    took 3-10 passes).  Past s = 0 they are the spike window from the
+    Plan: each time's pieces past s = 0: the spike window from the
     parameters' spike table (_spike_table), of reach D = max(80 width,
     40 pi / s) on either side of x0 snapped out to the table's next rung,
     or out to the head at x = 0 when the stretch [0, x0 - D] left of it
     holds at most _BYPARTS_FROM half periods past its first; the left
-    part, by parts, when the window still leaves one; an adaptive
-    stretch right of the window while few oscillations reach x = 60; and
-    the double-exponential tail.  The window, the body, the tail and the
-    stretch are taken over the offset t = x - x0 from the spike center:
+    part, by parts, when the window still leaves one; and the
+    double-exponential tail from the window's right end.  The window and
+    the tail are taken over the offset t = x - x0 from the spike center:
     Re eta is formed from t exactly (Offsets), the phase is exp(ist), and
     the global factor exp(isx0) is applied once (see the module
     docstring).  A time with s <= MOMENT_REACH / MOMENT_TOP (about
     2.7e-23), whose table core would overflow its moments, raises
     ConvergenceError.
 
-    Execute: the adaptive pieces in offsets of all times are one
-    quad_segments call of independent integrals, each with the phase
-    exp(ist) of its time (1 at s = 0), the windows one contraction of the
-    table, the left parts one oscillatory_finite call in absolute x and
-    the double-exponential tails one oscillatory_tail call.  Each time's
-    integrals and table panels are its own, so its A and estimate depend
-    only on the parameters, the weight and its s, not on the other times
-    of the call or the calls before it."""
+    Execute: the mass integral A(0), for every zero time, is one
+    quad_segments call of two real integrals in offsets, its body and
+    tail split at X1 = max(x0 + 1e7 width, 1): the body's spike ladder
+    reaches X1, and from x = 1 on the density varies on the unit scale of
+    quad_tail's map, so the tail needs no bisection toward its start
+    (from x0 + 1e7 width, about 2 x0 in the weak-coupling box, it took
+    3-10 passes).  The windows are one contraction of the table, the
+    tails one oscillatory_tail call and the left parts one
+    oscillatory_finite call in absolute x.  Each time's integrals and
+    table panels are its own, so its A and estimate depend only on the
+    parameters, the weight and its s, not on the other times of the call
+    or the calls before it."""
     x0, width = spectral_peak(params, ff)
     rho = lambda x: spectral_density(params, ff, x)
     rho_t = lambda t: spectral_density(params, ff, Offsets(x0, t))
@@ -218,15 +221,11 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: np.ndarray):
 
     # plan
     offs, err = np.zeros(s.shape, dtype=complex), np.zeros(s.shape)
-    adaptive = []             # (time, breakpoints in offsets)
     left = []                 # (time, window start a, reach D)
     windows = []              # (time, rung of its reach in the spike table,
-                              #  start X1 - x0 of its right tail)
+                              #  start b - x0 of its right tail)
     for k, sk in enumerate(s.tolist()):
         if sk == 0.0:
-            X1 = max(x0 + 1e7 * width, 1.0)
-            adaptive += [(k, _window_breakpoints(x0, width, 0.0, X1)),
-                         (k, [X1 - x0, math.inf])]
             continue
         if sk * quadlib.MOMENT_TOP <= quadlib.MOMENT_REACH:
             # the table's core, of reach MOMENT_REACH / s, would overflow
@@ -243,24 +242,17 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: np.ndarray):
         a, b = max(x0 - D, 0.0), x0 + D
         if a > 0.0:
             left.append((k, a, D))
-        # right of it: adaptive out to X1 while that holds few
-        # oscillations, then the double-exponential rule
-        X1 = b
-        if sk * (_X_FAR - b) <= 24.0:
-            X1 = max(_X_FAR, 2 * b)
-            adaptive.append((k, [b - x0, *quadlib.geometric_ladder(
-                0.0, width, b - x0, X1 - x0), X1 - x0]))
-        windows.append((k, rung, X1 - x0))
+        windows.append((k, rung, b - x0))
 
     # execute
-    if adaptive:
-        owner, segs = (list(v) for v in zip(*adaptive))
-        phase = s[owner]
+    zero = s == 0.0
+    if zero.any():
+        X1 = max(x0 + 1e7 * width, 1.0)
         v, e = quadlib.quad_segments(
-            lambda t, o: rho_t(t) * np.exp(1j * phase[o] * t), segs,
+            lambda t, o: rho_t(t),
+            [_window_breakpoints(x0, width, 0.0, X1), [X1 - x0, math.inf]],
             epsabs=_TOL / 8)
-        np.add.at(offs, owner, v)
-        np.add.at(err, owner, e)
+        offs[zero], err[zero] = v.sum(), e.sum()
     if windows:
         k, rung, start = (np.array(v) for v in zip(*windows))
         for v, e in (table.integrals(s[k], rung),

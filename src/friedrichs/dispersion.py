@@ -400,20 +400,19 @@ def spectral_peak(params: ModelParams, ff: Formfactor):
     def R(x):
         return float(dispersion_real_part(params, ff, x))
 
+    # one walk from w: up while R > 0, then down while R <= 0, to a
+    # bracket [x, 2x]
     x_hi = w
-    if R(x_hi) > 0:
-        while R(x_hi) > 0:
-            x_hi *= 2
-            if x_hi > 1e12:
-                raise ConvergenceError("no spectral peak below 1e12")
-        x_lo = x_hi / 2
-    else:
-        x_lo = w
-        while R(x_lo) <= 0:
-            x_lo /= 2
-            if x_lo < 1e-300:
-                raise BoundStateError(bound_state_margin(params, ff))
-        x_hi = 2 * x_lo
+    while R(x_hi) > 0:
+        x_hi *= 2
+        if x_hi > 1e12:
+            raise ConvergenceError("no spectral peak below 1e12")
+    x_lo = x_hi / 2
+    while R(x_lo) <= 0:
+        x_hi = x_lo
+        x_lo /= 2
+        if x_lo < 1e-300:
+            raise BoundStateError(bound_state_margin(params, ff))
     x0 = optimize.brentq(R, x_lo, x_hi, rtol=1e-15)
     eps = x0 * 1e-6
     slope = (R(x0 + eps) - R(x0 - eps)) / (2 * eps)

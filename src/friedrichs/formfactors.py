@@ -120,15 +120,20 @@ class Formfactor:
     def from_table(cls, path, tail_exponent, head_exponent,
                    verify=True) -> "Formfactor":
         """Tabulated (x, phi) columns; log-log linear interpolation inside
-        the table, declared power laws outside it."""
+        the table, declared power laws outside it.  Raises ValueError
+        unless every x is finite, positive and distinct and every phi
+        finite and nonnegative."""
         data = np.loadtxt(path)
         if data.ndim != 2 or data.shape[1] < 2:
             raise ValueError(f"expected two columns of (x, phi) in {path}")
         xs, ps = data[:, 0], data[:, 1]
-        if np.any(xs <= 0) or np.any(ps < 0):
-            raise ValueError("table must have x > 0 and phi >= 0")
+        if not (np.isfinite(data[:, :2]).all() and np.all(xs > 0)
+                and np.all(ps >= 0)):
+            raise ValueError("table must have finite x > 0 and phi >= 0")
         order = np.argsort(xs)
         xs, ps = xs[order], ps[order]
+        if np.any(xs[1:] == xs[:-1]):
+            raise ValueError("table has a repeated x")
         lx = np.log(xs)
         with np.errstate(divide="ignore"):
             lp = np.log(ps)

@@ -27,12 +27,12 @@ integrand covers at most MAX_NODES node x column values and is reduced to
 per-interval sums before the next, so memory stays bounded for any m.
 
 Columns share their intervals.  K independent integrals, each with its
-own range, breakpoints, tolerance and interval budget (quad_complex with
-arrays of bounds, or quad_segments with K breakpoint lists), run in one
-adaptive loop, and a plain call is the case K = 1; an infinite upper
-bound is quad_tail's [X, inf).  Each integral keeps the partition it
-reaches alone, but a pass bisects the intervals of all integrals still at
-work and evaluates their nodes in one integrand call fvec(x, owner).
+own range, breakpoints, tolerance and interval budget (quad_segments
+with K breakpoint lists), run in one adaptive loop (_integrals), and a
+plain quad_complex call is the case K = 1; an infinite upper bound is
+quad_tail's [X, inf).  Each integral keeps the partition it reaches
+alone, but a pass bisects the intervals of all integrals still at work
+and evaluates their nodes in one integrand call fvec(x, owner).
 Most of the cost of a pass is fixed, so K integrals take about as many
 passes as the slowest of them.  Each interval is reduced by a dot product
 of its own and each integral's sums are its own, so an integral gives the
@@ -202,20 +202,10 @@ def quad_complex(fvec, a, b, points=None, epsabs=1e-12, limit=LIMIT,
     bisect, or at `limit` intervals; callers act on the returned error
     estimates.  A non-finite integrand value raises ConvergenceError.  An
     empty range gives zero values and estimates, and zero columns give
-    empty arrays.
-
-    K independent integrals: a and b arrays of K bounds, `points` None or
-    K sequences, epsabs and limit a number or one per integral, and
-    fvec(x, owner) with the index of each node's integral.  Each keeps its
-    own intervals, tolerance, limit and stopping rule; a pass bisects the
-    intervals of all still at work and evaluates their nodes in one call.
-    The values and estimates are arrays of K, or (K, m).  A plain call is
-    the case K = 1, so an integral gives the same bits in any company.
+    empty arrays.  K independent integrals are quad_segments' (see there);
+    a plain call is their case K = 1.
     """
     m = 1 if columns is None else columns
-    if np.ndim(a):
-        val, err = _integrals(fvec, a, b, points, epsabs, limit, m)
-        return (val[:, 0], err[:, 0]) if columns is None else (val, err)
     val, err = _integrals(lambda x, k: fvec(x), [a], [b], [points], epsabs,
                           limit, m)
     if columns is None:
@@ -224,8 +214,10 @@ def quad_complex(fvec, a, b, points=None, epsabs=1e-12, limit=LIMIT,
 
 
 def _integrals(fvec, a, b, points, epsabs, limit, m):
-    """quad_complex's K integrals of m columns (see there): values, of the
-    integrand's type, and estimates, shape (K, m)."""
+    """K integrals of m columns over [a_k, b_k] cut at points[k] (None or
+    a sequence), behind quad_complex, quad_segments and quad_tail (see
+    quad_segments): values, of the integrand's type, and estimates, shape
+    (K, m)."""
     a, b = np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
     K = len(a)
     # each integral's intervals between its sorted edges; an empty range
@@ -270,7 +262,8 @@ def _tolerance(total, epsabs):
 
 
 def _adapt(fvec, lo, hi, own, epsabs, limit, m, tail=None, values=False):
-    """The adaptive loop of quad_complex from the intervals [lo, hi];
+    """The adaptive loop of _integrals and LaplaceTable from the
+    intervals [lo, hi];
     returns the final intervals lo, hi, their values and estimates,
     shape (intervals, m), their integrals and, when `values` is set (one
     column), their node values, shape (intervals, 21), else None.
@@ -369,16 +362,27 @@ def geometric_ladder(center, width, lo, hi):
 
 
 def quad_segments(fvec, breakpoints, epsabs=1e-12, limit=LIMIT, columns=None):
-    """quad_complex from the first to the last breakpoint, split at all;
-    with a list of K sequences of breakpoints, quad_complex's K
-    independent integrals, one per sequence."""
-    plain = not np.ndim(breakpoints[0])
-    lists = [breakpoints] if plain else breakpoints
-    a, b = (np.array([p[end] for p in lists]) for end in (0, -1))
-    points = [p[1:-1] for p in lists]
-    if plain:                   # a list of one, and quad_complex's plain call
-        a, b, points = a[0], b[0], points[0]
-    return quad_complex(fvec, a, b, points, epsabs, limit, columns)
+    """quad_complex from the first to the last breakpoint, split at all.
+
+    With a list of K sequences of breakpoints, K independent integrals,
+    one per sequence, from its first breakpoint to its last (which may be
+    inf, quad_tail's [X, inf)); epsabs and limit are a number or one per
+    integral, and the integrand is fvec(x, owner), with the index of each
+    node's integral.  Each keeps its own intervals, tolerance, limit and
+    stopping rule; a pass bisects the intervals of all still at work and
+    evaluates their nodes in one call.  The values and estimates are
+    arrays of K, or (K, m) with `columns` = m.  A plain call, here or of
+    quad_complex, is the case K = 1, so an integral gives the same bits
+    in any company.
+    """
+    if not np.ndim(breakpoints[0]):
+        return quad_complex(fvec, breakpoints[0], breakpoints[-1],
+                            breakpoints[1:-1], epsabs, limit, columns)
+    val, err = _integrals(fvec, [p[0] for p in breakpoints],
+                          [p[-1] for p in breakpoints],
+                          [p[1:-1] for p in breakpoints], epsabs, limit,
+                          1 if columns is None else columns)
+    return (val[:, 0], err[:, 0]) if columns is None else (val, err)
 
 
 def quad_tail(fvec, X, epsabs=1e-12, columns=None):
@@ -531,7 +535,7 @@ class LaplaceTable:
         """The adaptive integrals for the columns s, from the table's
         partition with a breakpoint at each column's cut: the body up to
         the largest cut and, when that lies past X, the tail from X, two
-        integrals of one quad_complex call."""
+        integrals of one quad_segments call."""
         m = s.size
         with np.errstate(divide="ignore"):
             cut = _LAPLACE_CUT / s
@@ -539,11 +543,10 @@ class LaplaceTable:
         segs = np.union1d(self.edges, cut)
         segs = np.append(segs[segs < top], top)
         f = lambda x, k: self.wvec(x)[:, None] * np.exp(np.multiply.outer(-x, s))
-        val, err = quad_complex(
-            f, np.array([segs[0], self.X]),
-            np.array([top, math.inf if top == self.X else self.X]),
-            points=[segs[1:-1], None], epsabs=self.epsabs,
-            limit=np.array([LIMIT + 4 * m, LIMIT]), columns=m)
+        val, err = quad_segments(
+            f, [segs, [self.X, math.inf if top == self.X else self.X]],
+            epsabs=self.epsabs, limit=np.array([LIMIT + 4 * m, LIMIT]),
+            columns=m)
         return val.sum(axis=0), err.sum(axis=0)
 
 
@@ -874,21 +877,21 @@ def oscillatory_finite(fvec, b, s, scale_b, epsabs=1e-12):
     is 24-panel caps at both ends and, between them, by parts
     (byparts_segment).  A rest of at most 2 _CAP_PANELS = 48 half
     periods, where the caps would overlap, raises ValueError.  The first
-    half periods of all elements are one quad_complex call of K
+    half periods of all elements are one quad_segments call of K
     integrals.
     """
     h = math.pi / s                         # each element's first half period
     fixed, fixed_err = np.zeros(b.size, dtype=complex), np.zeros(b.size)
-    points = []
+    segs = []
     for k, (hk, bk, sk, scale) in enumerate(zip(h.tolist(), b.tolist(), s.tolist(),
                                                 scale_b.tolist())):
         if sk * (bk - hk) / math.pi <= 2 * _CAP_PANELS:
             raise ValueError("oscillatory_finite needs more than "
                              f"{2 * _CAP_PANELS} half periods past the first")
-        points.append(geometric_ladder(0.0, hk * 4.0 ** -6, 0.0, hk))
+        segs.append([0.0, *geometric_ladder(0.0, hk * 4.0 ** -6, 0.0, hk), hk])
         fixed[k], fixed_err[k] = byparts_segment(fvec, hk, bk, sk, scale)
-    val, err = quad_complex(lambda x, j: fvec(x) * np.exp(1j * s[j] * x),
-                            np.zeros(b.size), h, points=points, epsabs=epsabs)
+    val, err = quad_segments(lambda x, j: fvec(x) * np.exp(1j * s[j] * x),
+                             segs, epsabs=epsabs)
     return val + fixed, err + fixed_err
 
 

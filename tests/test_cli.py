@@ -198,6 +198,25 @@ def test_custom_weight_config_exit_2(tmp_path, capsys, command, drop, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("col, value", [(1, np.nan), (0, np.nan), (0, "repeat")])
+def test_custom_table_bad_rows_exit_2(tmp_path, capsys, col, value):
+    # each exited 4 from inside the quadrature (a NaN phi: "integrand is
+    # not finite"); a bad row is now refused when the table is read
+    x = np.geomspace(1e-8, 1e8, 41)
+    data = np.column_stack([x, x / (1 + x * x) ** 2])
+    data[21, col] = data[20, 0] if value == "repeat" else value
+    table = tmp_path / "phi2.tab"
+    np.savetxt(table, data)
+    keys = {"formfactor": "custom", "custom_table": table,
+            "custom_tail_exponent": 3, "custom_head_exponent": 1,
+            "t_min_seconds": 1e-15, "t_max_seconds": 1e-12, "n_points": 3}
+    cfg = tmp_path / "custom.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    assert main(["curve", "--preset", "quantum-dot", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 2
+    assert "custom table: table" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["protocol", "neps", "timescales", "table1"])
 def test_engine_option_outside_curve_exit_2(tmp_path, capsys, command):
     # these commands pick their own engines: an engine given by --engine or

@@ -178,6 +178,22 @@ def test_from_table_interpolation(tmp_path):
     assert ff(np.array([1e8]))[0] == pytest.approx(ff_ref(1e8), rel=0.05)
 
 
+@pytest.mark.parametrize("col, value", [(1, np.nan), (1, np.inf), (0, np.nan),
+                                        (0, np.inf), (0, "repeat")])
+def test_from_table_rejects_bad_rows(tmp_path, col, value):
+    # on a 41-point phi2 table a NaN phi ended in "integrand is not finite"
+    # inside the quadrature, a NaN x gave phi = nan past the table, where
+    # the declared x^-3 tail belongs, and x = 1 repeated gave
+    # phi(1.01) = 0.046, where the rows imply 0.2475
+    x = np.geomspace(1e-8, 1e8, 41)
+    data = np.column_stack([x, x / (1 + x * x) ** 2])
+    data[21, col] = data[20, 0] if value == "repeat" else value
+    table = tmp_path / "phi.txt"
+    np.savetxt(table, data)
+    with pytest.raises(ValueError, match="finite x > 0|repeated x"):
+        Formfactor.from_table(table, tail_exponent=3.0, head_exponent=1.0)
+
+
 def test_model_params_validation():
     with pytest.raises(ValueError):
         ModelParams(-1.0, 1.0, 1e-6)

@@ -443,20 +443,22 @@ def test_protocol_curve_minimum_matches_anti_zeno_minimum(qdot, qdot_scales, rat
 
 @pytest.fixture
 def quad_calls(monkeypatch):
+    """One entry per adaptive integration: calls of quadrature._integrals,
+    which runs quad_complex, quad_segments and quad_tail alike."""
     import friedrichs.quadrature as quadrature
     calls = []
-    quad_complex = quadrature.quad_complex
+    integrals = quadrature._integrals
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return quad_complex(*args, **kwargs)
+        return integrals(*args, **kwargs)
 
-    monkeypatch.setattr(quadrature, "quad_complex", counted)
+    monkeypatch.setattr(quadrature, "_integrals", counted)
     return calls
 
 
 def test_protocol_curve_batches_its_integrals(quad_calls):
-    # 172 quad_complex calls when every tau had its own integral; a
+    # 172 adaptive integrations when every tau had its own integral; a
     # prefetched tau that misses the memo falls back to a scalar call
     params, ff = preset("photodetachment")
     t_d = compute_timescales(params, ff).t_d
@@ -468,7 +470,7 @@ def test_protocol_curve_batches_its_integrals(quad_calls):
 @pytest.mark.parametrize("ratio,eps", _NEPS_GRID)
 def test_n_epsilon_batches_its_integrals(qdot, qdot_scales, quad_calls,
                                          monkeypatch, cold_memo, ratio, eps):
-    # 25-26 quad_complex calls when every tau had its own integral.  The
+    # 25-26 adaptive integrations when every tau had its own integral.  The
     # phi2 table's contractions reduce 5,250-9,555 node x column values
     # per grid point with its moment head, 18,669-43,932 without it
     import friedrichs.quadrature as quadrature

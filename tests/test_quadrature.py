@@ -681,29 +681,29 @@ def _lorentz_osc(w):
 
 
 def test_quad_complex_integrals_match_each_alone():
-    # K integrals with their own edges, tolerances and limits, one of them
-    # reversed, one empty and one a tail to infinity: each is what it is
-    # alone and as a plain call (quad_tail for the tail), bit for bit
+    # K integrals of quad_segments with their own edges, tolerances and
+    # limits, one of them reversed, one empty and one a tail to infinity:
+    # each is what it is alone and as a plain call (quad_complex, and
+    # quad_tail for the tail), bit for bit
     w = np.array([0.5, 3.0, 20.0, 60.0, 0.0])
     f = _lorentz_osc(w)
-    a, b = np.array([0.0, 0.1, 2.0, 0.2, 2.0]), np.array([1.0, 4.0, -1.0, 0.2, np.inf])
-    points = [[0.5], [1.0, 2.0], [0.3], None, None]
+    segs = [[0.0, 0.5, 1.0], [0.1, 1.0, 2.0, 4.0], [2.0, 0.3, -1.0], [0.2, 0.2],
+            [2.0, np.inf]]
     eps = np.array([1e-12, 1e-10, 1e-13, 1e-12, 1e-12])
     limit = np.array([600, 30, 900, 600, 600])
-    val, err = quad_complex(f, a, b, points=points, epsabs=eps, limit=limit)
+    val, err = quad_segments(f, segs, epsabs=eps, limit=limit)
     assert val.shape == err.shape == (5,)
     assert val[3] == 0.0 and err[3] == 0.0
-    for k in range(5):
+    for k, (a, *points, b) in enumerate(segs):
         one = lambda x, o: f(x, np.full(x.size, k))
-        alone = quad_complex(one, a[k:k + 1], b[k:k + 1], points=points[k:k + 1],
-                             epsabs=eps[k], limit=limit[k])
+        alone = quad_segments(one, segs[k:k + 1], epsabs=eps[k], limit=limit[k])
         assert (alone[0][0], alone[1][0]) == (val[k], err[k])
         plain = lambda x: one(x, None)
-        if np.isfinite(b[k]):
-            got = quad_complex(plain, a[k], b[k], points=points[k],
-                               epsabs=eps[k], limit=limit[k])
+        if np.isfinite(b):
+            got = quad_complex(plain, a, b, points=points, epsabs=eps[k],
+                               limit=limit[k])
         else:
-            got = quad_tail(plain, a[k], epsabs=eps[k])
+            got = quad_tail(plain, a, epsabs=eps[k])
         assert got == (val[k], err[k])
     g = math.sqrt(1e-3)
     assert abs(val[4] - (math.pi / 2 - math.atan(1.7 / g)) / g) <= err[4]
@@ -718,10 +718,9 @@ def test_quad_complex_limit_per_integral():
     nodes = []
     f = _lorentz_osc(np.array([40.0, 40.0, 0.0]))
     g = lambda x, k: np.where(k == 2, x ** 3, f(x, k))
-    val, err = quad_complex(lambda x, k: nodes.append(np.bincount(k, minlength=3))
-                            or g(x, k), np.zeros(3), np.ones(3),
-                            points=[None, None, [0.25, 0.5]], epsabs=1e-13,
-                            limit=np.array([4, 600, 600]))
+    val, err = quad_segments(lambda x, k: nodes.append(np.bincount(k, minlength=3))
+                             or g(x, k), [[0.0, 1.0], [0.0, 1.0], [0.0, 0.25, 0.5, 1.0]],
+                             epsabs=1e-13, limit=np.array([4, 600, 600]))
     counts = sum(nodes)
     assert counts[0] <= 7 * 21 < counts[1]
     assert err[0] > 1e-11 * abs(val[0]) and err[1] <= 1e-12 * abs(val[1])
@@ -734,4 +733,4 @@ def test_quad_complex_limit_per_integral():
 def test_quad_complex_integrals_non_finite_raises(bad):
     f = lambda x, k: np.where((k == 1) & (x > 0.7), bad, 1.0)
     with pytest.raises(ConvergenceError):
-        quad_complex(f, np.zeros(2), np.ones(2))
+        quad_segments(f, [[0.0, 1.0], [0.0, 1.0]])
