@@ -206,7 +206,7 @@ def _amp_quadrature(params: ModelParams, ff: Formfactor, s: np.ndarray):
     quad_segments call of two real integrals in offsets, its body and
     tail split at X1 = max(x0 + 1e7 width, 1): the body's spike ladder
     reaches X1, and from x = 1 on the density varies on the unit scale of
-    quad_tail's map, so the tail needs no bisection toward its start
+    quadrature._tail_map, so the tail needs no bisection toward its start
     (from x0 + 1e7 width, about 2 x0 in the weak-coupling box, it took
     3-10 passes).  The windows are one contraction of the table, the
     tails one oscillatory_tail call and the left parts one
@@ -490,19 +490,19 @@ def _tail_splits(s, x0):
 
 
 def _range_breakpoints(a, b, X1):
-    """Breakpoints of the kernel's range: [0, a] with a ladder toward the
-    head when the spike region leaves one, then [b, max X1] at every split
-    and every octave 2^k, in thirds 2^(k + j/3) past _THIRDS_FROM.  A
-    column turns through at most 30 rad an octave below its split (32 rad
-    for s <= 1 below 64), so a third holds about two periods, which the
-    21-point rule takes to 1e-12 without bisection."""
+    """The kernel's range outside the spike region, as the breakpoint
+    lists of its integrals: [b, max X1] cut at every split and every
+    octave 2^k, in thirds 2^(k + j/3) past _THIRDS_FROM, and [0, a] with
+    a ladder toward the head when the spike region leaves one.  A column turns through at most 30 rad an octave below its split
+    (32 rad for s <= 1 below 64), so a third holds about two periods,
+    which the 21-point rule takes to 1e-12 without bisection."""
     top = X1.max()
     grid = 2.0 ** np.arange(-2.0, np.log2(top))
     grid = np.concatenate([grid[grid < _THIRDS_FROM], np.multiply.outer(
         grid[grid >= _THIRDS_FROM], 2.0 ** (np.arange(3) / 3)).ravel()])
-    segs = [b, *np.union1d(grid[(grid > b) & (grid < top)], X1)]
+    segs = [[b, *np.union1d(grid[(grid > b) & (grid < top)], X1)]]
     if a > 0.0:
-        segs = [0.0, *quadlib.geometric_ladder(0.0, a * 4.0 ** -6, 0.0, a)] + segs
+        segs.append([0.0, *quadlib.geometric_ladder(0.0, a * 4.0 ** -6, 0.0, a), a])
     return segs
 
 
@@ -518,10 +518,12 @@ def _deficit_kernel(params: ModelParams, ff: Formfactor, s: np.ndarray):
       cached spike moments (_spike_moments), free of cancellation since
       |st| <= 1/4;
     * the rest of the range up to the column's split X1_k (_tail_splits),
-      one quad_segments call shared by every s, with a real column for
+      [b, X] and, when the spike region leaves a head, [0, a]: one
+      quad_segments call shared by every s, with a real column for
       Re D, rho 2 sin^2(s(x - x0)/2), and one for Im D,
       -rho sin(s(x - x0)); past X1_k the real column carries the plain
-      mass rho, which one quad_tail from the largest split completes;
+      mass rho, which one quad_complex to inf from the largest split X
+      completes;
     * minus int_X1^inf rho exp(is(x - x0)) dx, the tails of all columns in
       one call of quadrature.oscillatory_tail, in offsets.
 
@@ -547,14 +549,12 @@ def _deficit_kernel(params: ModelParams, ff: Formfactor, s: np.ndarray):
     err_re = terms[:, ~odd] @ moment_err[~odd] + rem
     err_im = terms[:, odd] @ moment_err[odd] + rem
 
-    # the rest of the range, with (a, b) left out when [0, a] is a head
+    # the rest of the range: [b, X] and, when it is a head, [0, a]
     a, b = max(x0 - _SPIKE_REACH, 0.0), x0 + _SPIKE_REACH
     X1 = _tail_splits(s, x0)
 
-    def body(x):
+    def body(x, k):
         r = rho(x)
-        if a > 0.0:
-            r[(x > a) & (x < b)] = 0.0
         # phases only for the columns split past some node of this call;
         # past X1_k the real column is rho and the imaginary one 0
         out = np.zeros((x.size, 2 * m))
@@ -569,11 +569,12 @@ def _deficit_kernel(params: ModelParams, ff: Formfactor, s: np.ndarray):
 
     val, e = quadlib.quad_segments(body, _range_breakpoints(a, b, X1),
                                    epsabs=0.0, columns=2 * m)
+    val, e = val.sum(axis=0), e.sum(axis=0)
     # the mass past X in y = x/X - 1: the density varies on the scale X,
-    # quad_tail's map on the unit scale
+    # quad_complex's map of [0, inf) on the unit scale
     X = X1.max()
-    mass, e_mass = quadlib.quad_tail(lambda y: X * rho(X * (1.0 + y)), 0.0,
-                                     epsabs=0.0)
+    mass, e_mass = quadlib.quad_complex(lambda y: X * rho(X * (1.0 + y)), 0.0,
+                                        math.inf, epsabs=0.0)
     osc, e_osc = quadlib.oscillatory_tail(
         lambda t: spectral_density(params, ff, Offsets(x0, t)), X1 - x0, s)
     re_d = d.real + val[:m] + mass.real - osc.real

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import BoundStateError, ContinuationUnsupportedError, ConvergenceError
 from .formfactors import (_TAIL_FROM, PHI1, PHI2, PHI3, Formfactor,
                           ModelParams, bound_state_margin)
-from .quadrature import pv_dispersion, quad_tail
+from .quadrature import pv_dispersion, quad_complex
 
 
 class Side(Enum):
@@ -122,7 +122,7 @@ def eta_first_sheet(params: ModelParams, ff: Formfactor, z: complex) -> complex:
         num, den = _num_den(ff.id, z, cmath.log(-z))
         return w - z - g2 * (num / den)
     # generic quadrature path; the contour never touches the cut
-    val, err = quad_tail(lambda x: ff(x) / (x - z), 0.0, epsabs=1e-12)
+    val, err = quad_complex(lambda x: ff(x) / (x - z), 0.0, math.inf)
     if err > 1e-8:
         raise ConvergenceError("dispersion integral did not converge",
                                achieved=err)

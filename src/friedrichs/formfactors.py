@@ -9,13 +9,13 @@ x = omega / cutoff.  Three built-in shapes are supported:
     phi3(x) = x/(1+x^2)^4          (linear head, x^-7 tail)
 
 plus user-supplied couplings, either as a callable or as a tabulated
-(x, phi) file interpolated linearly in log-log space.
+(x, phi) file interpolated by a natural cubic spline in log-log space.
 
 Moment finiteness is decided analytically from the declared tail
 exponent, never from quadrature blow-up: int x^k phi dx converges iff
 the tail exponent exceeds k+1 (all built-ins have integrable heads).
-A finite integral is quad_tail from 0 and raises ConvergenceError when
-it misses its error bound.
+A finite integral is quad_complex from 0 to inf and raises
+ConvergenceError when it misses its error bound.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import converged, quad_tail
+from .quadrature import converged, quad_complex
 
 
 class Sentinel:
@@ -119,29 +119,31 @@ class Formfactor:
     @classmethod
     def from_table(cls, path, tail_exponent, head_exponent,
                    verify=True) -> "Formfactor":
-        """Tabulated (x, phi) columns; log-log linear interpolation inside
-        the table, declared power laws outside it.  Raises ValueError
-        unless every x is finite, positive and distinct and every phi
-        finite and nonnegative."""
-        data = np.loadtxt(path)
-        if data.ndim != 2 or data.shape[1] < 2:
+        """Tabulated (x, phi) columns; a natural cubic spline in
+        (ln x, ln phi) inside the table (_natural_spline), declared power
+        laws outside it.  Raises ValueError unless there are two rows or
+        more, every x is finite, positive and distinct and every phi
+        finite and positive."""
+        data = np.loadtxt(path, ndmin=2)
+        if data.shape[1] < 2:
             raise ValueError(f"expected two columns of (x, phi) in {path}")
+        if data.shape[0] < 2:
+            raise ValueError(f"expected two rows of (x, phi) or more in {path}")
         xs, ps = data[:, 0], data[:, 1]
         if not (np.isfinite(data[:, :2]).all() and np.all(xs > 0)
-                and np.all(ps >= 0)):
-            raise ValueError("table must have finite x > 0 and phi >= 0")
+                and np.all(ps > 0)):
+            raise ValueError("table must have finite x > 0 and phi > 0")
         order = np.argsort(xs)
         xs, ps = xs[order], ps[order]
         if np.any(xs[1:] == xs[:-1]):
             raise ValueError("table has a repeated x")
         lx = np.log(xs)
-        with np.errstate(divide="ignore"):
-            lp = np.log(ps)
+        spline = _natural_spline(lx, np.log(ps))
         tail, head = float(tail_exponent), float(head_exponent)
 
         def evaluator(x):
             x = np.asarray(x, dtype=float)
-            out = np.exp(np.interp(np.log(x), lx, lp))
+            out = np.exp(spline(np.clip(np.log(x), lx[0], lx[-1])))
             lo = x < xs[0]
             hi = x > xs[-1]
             if np.any(lo):
@@ -154,6 +156,34 @@ class Formfactor:
         if verify:
             _verify_declared_exponents(ff)
         return ff
+
+
+def _natural_spline(u, v):
+    """The natural cubic spline through (u_k, v_k), u increasing, as a
+    function of an array of points in [u_0, u_-1]: its second derivatives
+    m_k, zero at both ends, from one tridiagonal solve, then on each
+    interval the cubic a v_k + b v_k+1 + ((a^3 - a) m_k + (b^3 - b) m_k+1)
+    h_k^2 / 6, with b = 1 - a the fraction of the interval covered."""
+    h = np.diff(u)
+    m = np.zeros(u.size)
+    # h_k-1 m_k-1 + 2 (h_k-1 + h_k) m_k + h_k m_k+1 = 6 (slope_k - slope_k-1)
+    # for the inner k, by Gaussian elimination without pivoting
+    diag, rhs = 2.0 * (h[:-1] + h[1:]), 6.0 * np.diff(np.diff(v) / h)
+    for k in range(1, diag.size):
+        w = h[k] / diag[k - 1]
+        diag[k] -= w * h[k]
+        rhs[k] -= w * rhs[k - 1]
+    for k in range(diag.size - 1, -1, -1):
+        m[k + 1] = (rhs[k] - h[k + 1] * m[k + 2]) / diag[k]
+
+    def spline(t):
+        k = np.minimum(u.searchsorted(t, side="right") - 1, u.size - 2)
+        a = (u[k + 1] - t) / h[k]
+        b = 1.0 - a
+        return (a * v[k] + b * v[k + 1]
+                + ((a ** 3 - a) * m[k] + (b ** 3 - b) * m[k + 1]) * h[k] ** 2 / 6.0)
+
+    return spline
 
 
 def _loglog_slope(ff: Formfactor, lo: float, hi: float) -> float | None:
@@ -246,11 +276,11 @@ def eval_formfactor(ff: Formfactor, x: float) -> float:
 @lru_cache(maxsize=64)
 def _weighted_integral(ff: Formfactor, kind: str, k: int = 0) -> float:
     """int_0^inf of x^k phi ("moment"), phi^2 ("square") or phi/x ("head")
-    by quad_tail from 0, checked against its error estimate.  Memoized on
-    the weight, built-in or custom."""
+    by quad_complex, checked against its error estimate.  Memoized on the
+    weight, built-in or custom."""
     f = {"moment": lambda x: ff(x) * x ** k, "square": lambda x: ff(x) ** 2,
          "head": lambda x: ff(x) / x}[kind]
-    val, err = quad_tail(f, 0.0)
+    val, err = quad_complex(f, 0.0, math.inf)
     return float(converged(val.real, err, f"{kind} integral"))
 
 

@@ -29,8 +29,8 @@ per-interval sums before the next, so memory stays bounded for any m.
 Columns share their intervals.  K independent integrals, each with its
 own range, breakpoints, tolerance and interval budget (quad_segments
 with K breakpoint lists), run in one adaptive loop (_integrals), and a
-plain quad_complex call is the case K = 1; an infinite upper bound is
-quad_tail's [X, inf).  Each integral keeps the partition it reaches
+quad_complex call is the case K = 1; an infinite upper bound is [X, inf)
+in _tail_map's variable.  Each integral keeps the partition it reaches
 alone, but a pass bisects the intervals of all integrals still at work
 and evaluates their nodes in one integrand call fvec(x, owner).
 Most of the cost of a pass is fixed, so K integrals take about as many
@@ -192,18 +192,19 @@ def quad_complex(fvec, a, b, points=None, epsabs=1e-12, limit=LIMIT,
     A plain integrand is the one-column case.
 
     Adaptive 21-point Gauss-Kronrod over the intervals that `points`
-    (repeats allowed) cut [a, b] into; an infinite b makes it quad_tail's
-    [a, inf).  Column k's tolerance is tol_k = max(epsabs, 1e-12 |I_k|).
-    Each pass ranks the intervals by their largest err_k / tol_k and
-    bisects them, worst first, until every column still above its
-    tolerance would hold under an eighth of it; the nodes of all new
-    halves are evaluated in batches.  It stops when every column meets
-    its tolerance or has more error than that in intervals too narrow to
-    bisect, or at `limit` intervals; callers act on the returned error
-    estimates.  A non-finite integrand value raises ConvergenceError.  An
-    empty range gives zero values and estimates, and zero columns give
-    empty arrays.  K independent integrals are quad_segments' (see there);
-    a plain call is their case K = 1.
+    (repeats allowed) cut [a, b] into; an infinite b makes it [a, inf) in
+    _tail_map's variable, where `points` are not used.  Column k's
+    tolerance is tol_k = max(epsabs, 1e-12 |I_k|).  Each pass ranks the
+    intervals by their largest err_k / tol_k and bisects them, worst
+    first, until every column still above its tolerance would hold under
+    an eighth of it; the nodes of all new halves are evaluated in
+    batches.  It stops when every column meets its tolerance or has more
+    error than that in intervals too narrow to bisect, or at `limit`
+    intervals; callers act on the returned error estimates.  A non-finite
+    integrand value raises ConvergenceError.  An empty range gives zero
+    values and estimates, and zero columns give empty arrays.  K
+    independent integrals are quad_segments' (see there); this call is
+    their case K = 1.
     """
     m = 1 if columns is None else columns
     val, err = _integrals(lambda x, k: fvec(x), [a], [b], [points], epsabs,
@@ -215,7 +216,7 @@ def quad_complex(fvec, a, b, points=None, epsabs=1e-12, limit=LIMIT,
 
 def _integrals(fvec, a, b, points, epsabs, limit, m):
     """K integrals of m columns over [a_k, b_k] cut at points[k] (None or
-    a sequence), behind quad_complex, quad_segments and quad_tail (see
+    a sequence), behind quad_complex and quad_segments (see
     quad_segments): values, of the integrand's type, and estimates, shape
     (K, m)."""
     a, b = np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
@@ -362,22 +363,18 @@ def geometric_ladder(center, width, lo, hi):
 
 
 def quad_segments(fvec, breakpoints, epsabs=1e-12, limit=LIMIT, columns=None):
-    """quad_complex from the first to the last breakpoint, split at all.
+    """K independent integrals of quad_complex, one per sequence of the
+    list `breakpoints`, from its first breakpoint to its last (which may
+    be inf, [X, inf) as in quad_complex), split at the others.
 
-    With a list of K sequences of breakpoints, K independent integrals,
-    one per sequence, from its first breakpoint to its last (which may be
-    inf, quad_tail's [X, inf)); epsabs and limit are a number or one per
-    integral, and the integrand is fvec(x, owner), with the index of each
-    node's integral.  Each keeps its own intervals, tolerance, limit and
-    stopping rule; a pass bisects the intervals of all still at work and
-    evaluates their nodes in one call.  The values and estimates are
-    arrays of K, or (K, m) with `columns` = m.  A plain call, here or of
-    quad_complex, is the case K = 1, so an integral gives the same bits
-    in any company.
+    epsabs and limit are a number or one per integral, and the integrand
+    is fvec(x, owner), with the index of each node's integral.  Each
+    keeps its own intervals, tolerance, limit and stopping rule; a pass
+    bisects the intervals of all still at work and evaluates their nodes
+    in one call.  The values and estimates are arrays of K, or (K, m)
+    with `columns` = m.  A quad_complex call is the case K = 1, so an
+    integral gives the same bits in any company.
     """
-    if not np.ndim(breakpoints[0]):
-        return quad_complex(fvec, breakpoints[0], breakpoints[-1],
-                            breakpoints[1:-1], epsabs, limit, columns)
     val, err = _integrals(fvec, [p[0] for p in breakpoints],
                           [p[-1] for p in breakpoints],
                           [p[1:-1] for p in breakpoints], epsabs, limit,
@@ -385,20 +382,14 @@ def quad_segments(fvec, breakpoints, epsabs=1e-12, limit=LIMIT, columns=None):
     return (val[:, 0], err[:, 0]) if columns is None else (val, err)
 
 
-def quad_tail(fvec, X, epsabs=1e-12, columns=None):
-    """int_X^inf fvec(x) dx: quad_complex with an infinite upper bound,
-    which integrates over x = X + (u/(1-u))^2 (_tail_map).
+def _tail_map(u, X):
+    """x = X + (u/(1-u))^2 and dx/du, the change of variable of [X, inf)
+    for u in [0, 1).
 
     A tail x^(-p) maps to (1-u)^(2p-3), bounded at u = 1 for p >= 3/2; the
     plain map x = X + u/(1-u) gives (1-u)^(p-2), which leaves an endpoint
     singularity for p < 2 and a cusp for p < 3 that bisection resolves
-    slowly and float resolution at u = 1 cuts short.
-    """
-    return quad_complex(fvec, X, math.inf, epsabs=epsabs, columns=columns)
-
-
-def _tail_map(u, X):
-    """x = X + (u/(1-u))^2 and dx/du, the change of variable of [X, inf)."""
+    slowly and float resolution at u = 1 cuts short."""
     r = u / (1.0 - u)
     return X + r * r, 2.0 * r / (1.0 - u) ** 2
 
@@ -438,7 +429,7 @@ class LaplaceTable:
 
     w does not depend on s, so one adaptive integration of w fixes the
     partition: [a, X] cut at the breakpoints, and the tail past X in
-    quad_tail's variable u, from [0, 1] split at u = 1/2 and 3/4.  The
+    _tail_map's variable u, from [0, 1] split at u = 1/2 and 3/4.  The
     table keeps that partition's Gauss-Kronrod nodes x and values
     w(x) dx/du, interval by interval in order of their start.  A batch
     of s is then exp(-xs) times those values, reduced per interval by the
@@ -994,8 +985,8 @@ def principal_value(fvec, pole, upper):
         x = ys + ys * np.exp(np.multiply.outer(v, L))
         return fvec(x.ravel()).reshape(x.shape) * L
 
-    ladder = [0.0, *(1.0 - 4.0 ** -np.arange(1.0, 13.0)), 1.0]
-    head, err = quad_segments(fold, ladder, columns=ys.size)
+    ladder = 1.0 - 4.0 ** -np.arange(1.0, 13.0)
+    head, err = quad_complex(fold, 0.0, 1.0, ladder, columns=ys.size)
     far, far_err = quad_complex(rest, 0.0, 1.0, columns=ys.size)
     val = converged(head.real + far.real, err + far_err, "principal value")
     return float(val[0]) if y.ndim == 0 else val.reshape(y.shape)
@@ -1003,14 +994,15 @@ def principal_value(fvec, pole, upper):
 
 def pv_dispersion(phi_vec, y):
     """PV int_0^inf phi(x)/(x - y) dx for y > 0, or an array of y:
-    principal_value up to X = 4 max(1, max y), quad_tail past X."""
+    principal_value up to X = 4 max(1, max y), quad_complex to inf past X."""
     y = np.asarray(y, dtype=float)
     ys = y.ravel()
     if not ys.size:
         return np.zeros(y.shape)
     X = 4.0 * max(1.0, ys.max())
-    tail, err = quad_tail(lambda x: phi_vec(x)[:, None]
-                          / np.subtract.outer(x, ys), X, columns=ys.size)
+    tail, err = quad_complex(lambda x: phi_vec(x)[:, None]
+                             / np.subtract.outer(x, ys), X, math.inf,
+                             columns=ys.size)
     val = principal_value(phi_vec, ys, X) + converged(tail.real, err,
                                                       "dispersion tail")
     return float(val[0]) if y.ndim == 0 else val.reshape(y.shape)

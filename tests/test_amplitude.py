@@ -850,6 +850,25 @@ def test_deficit_kernel_with_a_head_left_of_the_spike():
     np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
 
 
+@pytest.mark.parametrize("name,ratio,engine", [
+    ("phi1", 0.347507, Engine.PHI1_EXACT), ("phi2", 0.806, Engine.PHI2_POLES),
+    ("phi3", 0.5, Engine.QUADRATURE)])
+def test_deficit_kernel_head_and_range_are_two_integrals(name, ratio, engine):
+    """omega1/cutoff above 1/4: the spike region |x - x0| <= 1/4 leaves
+    the head [0, a] and the range from b as two integrals.  When one
+    integral spanned both with the density zeroed on (a, b), the jump sat
+    inside [a/4, b], where the 21-point rule and its estimate cannot see
+    it: phi1 was 8.3e-6 off at s = 1 under an estimate of 1e-13 of the
+    deficit, and phi2 and phi3 raised."""
+    params, ff = ModelParams(1e12, ratio * 1e12, 1e-3), builtin(name)
+    s = np.array([0.1, 0.5, 1.0])
+    want = 1.0 - survival_probability(params, ff, s / params.cutoff, engine=engine)
+    got = survival_deficit(params, ff, s / params.cutoff)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+    val, est = amplitude._deficit_kernel(params, ff, s)
+    assert np.all(est <= 1e-12 * val)
+
+
 def test_deficit_kernel_unconverged_raises(photo, monkeypatch):
     # no bisection allowed, with the spike moments computed afresh: the
     # kernel's own estimate of the deficit at s = 1e-3 is about 3.5e-3 of it
@@ -907,9 +926,10 @@ def _background_reference(params, s, epsabs=1e-16):
     segs = [0.0, 0.5, 1 - 10 * d, 1 - d, 1.0, 1 + d, 1 + 10 * d, 2.0]
     segs = sorted([t for t in segs if 0.0 <= t < top] + [top])
     f = lambda x: amplitude.background_weight(params, ff, x) * np.exp(-x * s)
-    val, _ = quadrature.quad_segments(f, segs, epsabs=epsabs)
+    val, _ = quadrature.quad_complex(f, segs[0], segs[-1], segs[1:-1],
+                                     epsabs=epsabs)
     if top == 10.0:
-        val += quadrature.quad_tail(f, 10.0, epsabs=epsabs)[0]
+        val += quadrature.quad_complex(f, 10.0, math.inf, epsabs=epsabs)[0]
     return val
 
 

@@ -198,10 +198,12 @@ def test_custom_weight_config_exit_2(tmp_path, capsys, command, drop, message):
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("col, value", [(1, np.nan), (0, np.nan), (0, "repeat")])
+@pytest.mark.parametrize("col, value", [(1, np.nan), (1, 0.0), (0, np.nan),
+                                        (0, "repeat")])
 def test_custom_table_bad_rows_exit_2(tmp_path, capsys, col, value):
     # each exited 4 from inside the quadrature (a NaN phi: "integrand is
-    # not finite"); a bad row is now refused when the table is read
+    # not finite"); a bad row is now refused when the table is read.  A
+    # zero phi has no logarithm for the log-log spline
     x = np.geomspace(1e-8, 1e8, 41)
     data = np.column_stack([x, x / (1 + x * x) ** 2])
     data[21, col] = data[20, 0] if value == "repeat" else value
@@ -287,28 +289,35 @@ def test_compare_outputs_exit_status(tmp_path, capsys):
 
 
 def test_cli_outputs_prints_each_run_time(tmp_path, capsys, monkeypatch):
-    # one wall-time line per CLI run, ending in the run's subdirectory
+    # one wall-time line per CLI run, ending in the run's subdirectory,
+    # after the custom-table run's inputs are written
     tool = _tool("cli_outputs")
     monkeypatch.setattr(tool.subprocess, "run", lambda *a, **k: None)
     assert tool.main([str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     subs = [sub for sub, _ in tool.runs()]
-    assert len(subs) == 16
+    assert len(subs) == 17
+    assert sorted(p.name for p in (tmp_path / tool.CUSTOM).iterdir()) == [
+        "curve.cfg", "phi2.tab"]
     assert [line.split("  ")[1] for line in lines] == subs
     assert all(line.split("  ")[0].endswith(" s") for line in lines)
 
 
 def test_cli_outputs_runs_every_command_on_every_preset():
     # the byte-identity comparison of two trees covers the whole CLI: a
-    # new command or preset cannot drop out of it unnoticed
+    # new command or preset cannot drop out of it unnoticed, and a curve
+    # of a tabulated weight takes the custom weights' path
     import friedrichs.cli as cli
     from friedrichs.presets import PRESETS
 
+    tool = _tool("cli_outputs")
     runs = {(args[0], args[2] if args[1:2] == ["--preset"] else None)
-            for _, args in _tool("cli_outputs").runs()}
+            for _, args in tool.runs()}
     assert {command for command, _ in runs} == set(cli._COMMANDS)
     assert {(c, p) for c in cli._COMMANDS if c != "table1"
             for p in PRESETS} <= runs
+    custom = [args for _, args in tool.runs() if "--config" in args]
+    assert [args[0] for args in custom] == ["curve"]
 
 
 def test_traffic_lists_the_branch_not_taken(tmp_path):

@@ -8,6 +8,7 @@ from friedrichs import (DIVERGENT, Formfactor, ModelParams,
                         bound_state_margin, builtin, eval_formfactor,
                         head_integral, moment, spectral_peak, squared_norm)
 from friedrichs.amplitude import _spike_moments
+from friedrichs.dispersion import dispersion_real_part
 from friedrichs.presets import preset
 
 
@@ -192,6 +193,64 @@ def test_from_table_rejects_bad_rows(tmp_path, col, value):
     np.savetxt(table, data)
     with pytest.raises(ValueError, match="finite x > 0|repeated x"):
         Formfactor.from_table(table, tail_exponent=3.0, head_exponent=1.0)
+
+
+@pytest.mark.parametrize("bad, match", [("zero", "phi > 0"), ("one row", "two rows")])
+def test_from_table_rejects_zero_phi_and_one_row(tmp_path, bad, match):
+    # one zero phi in a 41-row phi2 table set phi = 0 across both of its
+    # intervals, and a one-row table was refused for its columns
+    x = np.geomspace(1e-8, 1e8, 41)
+    data = np.column_stack([x, x / (1 + x * x) ** 2])
+    if bad == "zero":
+        data[20, 1] = 0.0
+    else:
+        data = data[20:21]
+    table = tmp_path / "phi.txt"
+    np.savetxt(table, data)
+    with pytest.raises(ValueError, match=match):
+        Formfactor.from_table(table, tail_exponent=3.0, head_exponent=1.0)
+
+
+def _phi2_table_file(tmp_path, rows):
+    """phi2 at `rows` log-spaced x over [1e-8, 1e8], as a table file."""
+    x = np.geomspace(1e-8, 1e8, rows)
+    path = tmp_path / f"phi2-{rows}.tab"
+    np.savetxt(path, np.column_stack([x, builtin("phi2")(x)]))
+    return path
+
+
+def _level_shift_error(path):
+    """The largest |Re eta| error of the tabulated phi2 at quantum-dot,
+    against the closed form, at y = 1e-3, 1e-2, 0.1, 1 and 3."""
+    params, ff = preset("quantum-dot")
+    table = Formfactor.from_table(path, tail_exponent=3.0, head_exponent=1.0)
+    y = np.array([1e-3, 1e-2, 0.1, 1.0, 3.0])
+    return np.max(np.abs(dispersion_real_part(params, table, y)
+                         - dispersion_real_part(params, ff, y)))
+
+
+def test_from_table_level_shift_falls_as_the_table_refines(tmp_path):
+    """A natural spline in (ln x, ln phi) is off by O(h^4): each fourfold
+    refinement cuts the error by about 256 (2.7e-9, 5.6e-12 and 2.1e-14
+    at 41, 161 and 641 rows).  The log-log linear interpolant was 2.3e-7
+    off at 41 rows, and at 161 and 641 the principal value over its
+    kinks did not converge."""
+    e41, e161, e641 = (_level_shift_error(_phi2_table_file(tmp_path, rows))
+                       for rows in (41, 161, 641))
+    assert e161 < e41 / 100 and e641 < e161 / 100
+
+
+def test_from_table_161_rows_level_shift(tmp_path):
+    # the table of tools/cli_outputs.py's custom-weight run: 5.6e-12
+    assert _level_shift_error(_phi2_table_file(tmp_path, 161)) <= 1e-11
+
+
+def test_from_table_verifies_declared_exponents(tmp_path):
+    table = _phi2_table_file(tmp_path, 161)
+    with pytest.warns(UserWarning, match="tail exponent"):
+        Formfactor.from_table(table, tail_exponent=2.0, head_exponent=1.0)
+    with pytest.warns(UserWarning, match="head exponent"):
+        Formfactor.from_table(table, tail_exponent=3.0, head_exponent=0.5)
 
 
 def test_model_params_validation():

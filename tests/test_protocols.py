@@ -444,7 +444,7 @@ def test_protocol_curve_minimum_matches_anti_zeno_minimum(qdot, qdot_scales, rat
 @pytest.fixture
 def quad_calls(monkeypatch):
     """One entry per adaptive integration: calls of quadrature._integrals,
-    which runs quad_complex, quad_segments and quad_tail alike."""
+    which runs quad_complex and quad_segments alike."""
     import friedrichs.quadrature as quadrature
     calls = []
     integrals = quadrature._integrals

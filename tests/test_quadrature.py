@@ -17,7 +17,7 @@ from friedrichs.quadrature import (MAX_NODES, FourierTable, LaplaceTable,
                                    oscillatory_tail,
                                    panel_integrals, principal_value,
                                    pv_dispersion, quad_complex, quad_segments,
-                                   quad_tail, spherical_j)
+                                   spherical_j)
 from friedrichs import quadrature
 
 
@@ -442,9 +442,9 @@ def test_fourier_table_rung_is_exact():
             assert table.rung(d) == _rung_by_loops(unit, d), (unit, d)
 
 
-def test_quad_segments_additivity():
+def test_quad_complex_additivity():
     f = lambda x: np.asarray(x, float) ** 2 + 0j
-    val, _ = quad_segments(f, [0.0, 0.5, 1.0, 2.0])
+    val, _ = quad_complex(f, 0.0, 2.0, points=[0.5, 1.0])
     assert val.real == pytest.approx(8.0 / 3.0, rel=1e-12)
 
 
@@ -516,9 +516,9 @@ def test_quad_complex_singular_right_end_stays_finite():
     assert sum(sizes) < 5000
 
 
-def test_quad_segments_repeated_breakpoints():
+def test_quad_complex_repeated_breakpoints():
     f = lambda x: np.cos(np.asarray(x, float)) + 0j
-    val, _ = quad_segments(f, [0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 2.0, 2.0])
+    val, _ = quad_complex(f, 0.0, 2.0, points=[0.0, 0.5, 0.5, 0.5, 1.0, 2.0])
     assert val.real == pytest.approx(math.sin(2.0), rel=1e-13)
     # points outside (a, b) and repeated points are ignored
     val2, _ = quad_complex(f, 0.0, 2.0, points=[-1.0, 0.0, 1.0, 1.0, 2.0, 3.0])
@@ -651,10 +651,10 @@ def test_quad_complex_caps_node_column_values_per_call():
         assert abs(val[k] - one) <= 1e-12 * abs(one)
 
 
-def test_quad_tail_columns():
+def test_quad_complex_tail_columns():
     ps = np.array([2.0, 3.0, 5.0])
-    val, err = quad_tail(lambda x: np.power.outer(x, -ps), 2.0, epsabs=1e-14,
-                         columns=ps.size)
+    val, err = quad_complex(lambda x: np.power.outer(x, -ps), 2.0, math.inf,
+                            epsabs=1e-14, columns=ps.size)
     want = 2.0 ** (1.0 - ps) / (ps - 1.0)
     assert np.all(np.abs(val - want) <= 1e-12 * want)
 
@@ -683,8 +683,7 @@ def _lorentz_osc(w):
 def test_quad_complex_integrals_match_each_alone():
     # K integrals of quad_segments with their own edges, tolerances and
     # limits, one of them reversed, one empty and one a tail to infinity:
-    # each is what it is alone and as a plain call (quad_complex, and
-    # quad_tail for the tail), bit for bit
+    # each is what it is alone and as a quad_complex call, bit for bit
     w = np.array([0.5, 3.0, 20.0, 60.0, 0.0])
     f = _lorentz_osc(w)
     segs = [[0.0, 0.5, 1.0], [0.1, 1.0, 2.0, 4.0], [2.0, 0.3, -1.0], [0.2, 0.2],
@@ -699,11 +698,8 @@ def test_quad_complex_integrals_match_each_alone():
         alone = quad_segments(one, segs[k:k + 1], epsabs=eps[k], limit=limit[k])
         assert (alone[0][0], alone[1][0]) == (val[k], err[k])
         plain = lambda x: one(x, None)
-        if np.isfinite(b):
-            got = quad_complex(plain, a, b, points=points, epsabs=eps[k],
-                               limit=limit[k])
-        else:
-            got = quad_tail(plain, a, epsabs=eps[k])
+        got = quad_complex(plain, a, b, points=points, epsabs=eps[k],
+                           limit=limit[k])
         assert got == (val[k], err[k])
     g = math.sqrt(1e-3)
     assert abs(val[4] - (math.pi / 2 - math.atan(1.7 / g)) / g) <= err[4]

@@ -111,11 +111,13 @@ def source_module(path):
     return module
 
 
-def cli_run(sub, args):
-    """Run the CLI command args into a temporary directory."""
+def cli_run(sub, args, write_inputs):
+    """Run the CLI command args in and into a temporary directory, which
+    write_inputs(out) gives tools/cli_outputs.py's inputs first."""
     from friedrichs.cli import main as cli
-    with tempfile.TemporaryDirectory() as out, \
+    with tempfile.TemporaryDirectory() as out, contextlib.chdir(out), \
             contextlib.redirect_stdout(io.StringIO()):
+        write_inputs(out)
         if cli([*args, "--out", os.path.join(out, sub)]) != 0:
             raise SystemExit(f"{sub}: the CLI run failed")
 
@@ -140,7 +142,8 @@ def runs():
     tools/cli_outputs.py, then the benchmark workloads."""
     cli_outputs = source_module(Path(__file__).with_name("cli_outputs.py"))
     for sub, args in cli_outputs.runs():
-        yield sub, lambda sub=sub, args=args: cli_run(sub, args)
+        yield sub, lambda sub=sub, args=args: cli_run(sub, args,
+                                                      cli_outputs.write_inputs)
     for name in source_module(ROOT / "bench" / "workloads.py").WORKLOADS:
         yield f"bench/{name}", lambda name=name: bench_round(name)
 
