@@ -493,7 +493,9 @@ def _range_breakpoints(a, b, X1):
     """The kernel's range outside the spike region, as the breakpoint
     lists of its integrals: [b, max X1] cut at every split and every
     octave 2^k, in thirds 2^(k + j/3) past _THIRDS_FROM, and [0, a] with
-    a ladder toward the head when the spike region leaves one.  A column turns through at most 30 rad an octave below its split
+    a ladder toward the head when the spike region leaves one.
+
+    A column turns through at most 30 rad an octave below its split
     (32 rad for s <= 1 below 64), so a third holds about two periods,
     which the 21-point rule takes to 1e-12 without bisection."""
     top = X1.max()
@@ -676,18 +678,17 @@ def short_time_expansion(params: ModelParams, ff: Formfactor) -> ShortTimeExpans
         raise ExpansionUnavailableError("I2 = int x^2 phi dx")
     g2 = params.coupling_sq
     t_a = 1.0 / (lam * cut * math.sqrt(i0))
-    i1 = moment(ff, 1)
     phi_sq = squared_norm(ff)
-    if i1 is not DIVERGENT and phi_sq is not DIVERGENT:
+    if phi_sq is not DIVERGENT:
+        # I1 lies between I0 and I2, so it exists when both do
         inv_tb4 = (g2 * (params.omega1 ** 2 * cut ** 2 * i0 / 12.0
-                         - params.omega1 * cut ** 3 * i1 / 6.0
+                         - params.omega1 * cut ** 3 * moment(ff, 1) / 6.0
                          + cut ** 4 * i2 / 12.0)
                    + g2 * g2 * cut ** 4 * (i0 * i0 / 4.0 + phi_sq / 12.0))
     elif params.weak_coupling:
         inv_tb4 = g2 * cut ** 4 * i2 / 12.0
     else:
-        name = "I1" if i1 is DIVERGENT else "int phi^2 dx"
-        raise ExpansionUnavailableError(name)
+        raise ExpansionUnavailableError("int phi^2 dx")
     # t_Z balances the quadratic term against the quartic's g2 I2 part
     return ShortTimeExpansion(2.0, t_a, inv_tb4 ** -0.25, None, None,
                               math.sqrt(12.0 * i0 / i2) / cut)

@@ -227,7 +227,11 @@ def _cmd_curve(cfg, out: Path) -> None:
         lines.append(",".join((_fmt(t), _fmt(t / t_d), _fmt(p), _fmt(e),
                                curve.engine.value)))
     _write(out / "curve.csv", lines)
-    _write(out / "plot_curve.py", _PLOT_CURVE.splitlines())
+    script = _PLOT_CURVE
+    if not math.isfinite(t_d):      # no t_d to scale by: plot against seconds
+        script = script.replace('"t_over_td"', '"t_seconds"').replace(
+            '"t / t_d"', '"t (s)"')
+    _write(out / "plot_curve.py", script.splitlines())
 
 
 def _cmd_table1(cfg_ignored, out: Path) -> None:

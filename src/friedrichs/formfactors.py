@@ -11,11 +11,12 @@ x = omega / cutoff.  Three built-in shapes are supported:
 plus user-supplied couplings, either as a callable or as a tabulated
 (x, phi) file interpolated by a natural cubic spline in log-log space.
 
-Moment finiteness is decided analytically from the declared tail
-exponent, never from quadrature blow-up: int x^k phi dx converges iff
-the tail exponent exceeds k+1 (all built-ins have integrable heads).
-A finite integral is quad_complex from 0 to inf and raises
-ConvergenceError when it misses its error bound.
+Which weighted integrals int x^p phi^q dx exist is decided from the
+declared exponents, never from quadrature blow-up: with phi ~ x^b at the
+head and x^-a at the tail, the integral is finite iff q b + p > -1 and
+q a - p > 1 (_weighted_integral).  A finite integral is quad_complex
+from 0 to inf and raises ConvergenceError when it misses its error
+bound.
 """
 
 from __future__ import annotations
@@ -109,21 +110,19 @@ class Formfactor:
         return self.id in (PHI1, PHI2, PHI3)
 
     @classmethod
-    def from_callable(cls, func, tail_exponent, head_exponent,
-                      verify=True) -> "Formfactor":
+    def from_callable(cls, func, tail_exponent, head_exponent) -> "Formfactor":
+        """A weight from a callable; warns if its exponents do not fit."""
         ff = cls(CUSTOM, func, float(tail_exponent), float(head_exponent))
-        if verify:
-            _verify_declared_exponents(ff)
+        _verify_declared_exponents(ff)
         return ff
 
     @classmethod
-    def from_table(cls, path, tail_exponent, head_exponent,
-                   verify=True) -> "Formfactor":
+    def from_table(cls, path, tail_exponent, head_exponent) -> "Formfactor":
         """Tabulated (x, phi) columns; a natural cubic spline in
         (ln x, ln phi) inside the table (_natural_spline), declared power
-        laws outside it.  Raises ValueError unless there are two rows or
-        more, every x is finite, positive and distinct and every phi
-        finite and positive."""
+        laws outside it, checked as from_callable's are.  Raises
+        ValueError unless there are two rows or more, every x is finite,
+        positive and distinct and every phi finite and positive."""
         data = np.loadtxt(path, ndmin=2)
         if data.shape[1] < 2:
             raise ValueError(f"expected two columns of (x, phi) in {path}")
@@ -153,8 +152,7 @@ class Formfactor:
             return out
 
         ff = cls(CUSTOM, evaluator, tail, head)
-        if verify:
-            _verify_declared_exponents(ff)
+        _verify_declared_exponents(ff)
         return ff
 
 
@@ -186,32 +184,22 @@ def _natural_spline(u, v):
     return spline
 
 
-def _loglog_slope(ff: Formfactor, lo: float, hi: float) -> float | None:
-    """Least-squares log-log slope of phi over [lo, hi] (two decades)."""
-    x = np.geomspace(lo, hi, 41)
-    y = ff(x)
-    if np.any(y <= 0):
-        return None
-    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
-
-
 def _verify_declared_exponents(ff: Formfactor) -> None:
-    """Trust but verify: fit the head/tail power laws over two decades and
-    warn if the declared exponents are off by more than 0.1."""
-    head = _loglog_slope(ff, 1e-8, 1e-6)
-    if head is not None and abs(head - ff.head_exponent) > 0.1:
-        warnings.warn(
-            f"declared head exponent {ff.head_exponent} but fitted slope "
-            f"{head:.3f} over x in [1e-8, 1e-6]",
-            stacklevel=3,
-        )
-    tail = _loglog_slope(ff, 1e6, 1e8)
-    if tail is not None and abs(-tail - ff.tail_exponent) > 0.1:
-        warnings.warn(
-            f"declared tail exponent {ff.tail_exponent} but fitted slope "
-            f"{-tail:.3f} over x in [1e6, 1e8]",
-            stacklevel=3,
-        )
+    """Trust but verify: fit the log-log slope of phi over two decades at
+    each end and warn if a declared exponent is off by more than 0.1."""
+    for end, lo, sign, declared in (("head", 1e-8, 1.0, ff.head_exponent),
+                                    ("tail", 1e6, -1.0, ff.tail_exponent)):
+        x = np.geomspace(lo, 100.0 * lo, 41)
+        y = ff(x)
+        if np.any(y <= 0):
+            continue
+        slope = sign * float(np.polyfit(np.log(x), np.log(y), 1)[0])
+        if abs(slope - declared) > 0.1:
+            warnings.warn(
+                f"declared {end} exponent {declared} but fitted slope "
+                f"{slope:.3f} over x in [{lo:g}, {100.0 * lo:g}]",
+                stacklevel=3,
+            )
 
 
 # one shared instance per built-in weight: memo lookups match it by identity
@@ -274,42 +262,36 @@ def eval_formfactor(ff: Formfactor, x: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def _weighted_integral(ff: Formfactor, kind: str, k: int = 0) -> float:
-    """int_0^inf of x^k phi ("moment"), phi^2 ("square") or phi/x ("head")
-    by quad_complex, checked against its error estimate.  Memoized on the
-    weight, built-in or custom."""
-    f = {"moment": lambda x: ff(x) * x ** k, "square": lambda x: ff(x) ** 2,
-         "head": lambda x: ff(x) / x}[kind]
+def _weighted_integral(ff: Formfactor, p: int, q: int):
+    """int_0^inf x^p phi^q dx, or DIVERGENT when the declared head
+    x^(q head + p) or tail x^(p - q tail) is not integrable:
+    q head + p <= -1 or q tail - p <= 1.  Otherwise quad_complex of
+    phi^q x^p, checked against its error estimate; for p < 0 it divides
+    by x^-p, where a product with x ** p would round twice.  Memoized on
+    the weight, built-in or custom."""
+    if q * ff.head_exponent + p <= -1 or q * ff.tail_exponent - p <= 1:
+        return DIVERGENT
+    f = ((lambda x: ff(x) ** q / x ** -p) if p < 0 else
+         (lambda x: ff(x) ** q * x ** p))
     val, err = quad_complex(f, 0.0, math.inf)
-    return float(converged(val.real, err, f"{kind} integral"))
+    return float(converged(val.real, err, f"int x^{p} phi^{q} dx"))
 
 
 def moment(ff: Formfactor, k: int):
-    """k-th moment int x^k phi(x) dx, or DIVERGENT when the tail does not
-    decay fast enough (tail_exponent <= k+1)."""
+    """k-th moment int x^k phi(x) dx, or DIVERGENT."""
     if k < 0 or k != int(k):
         raise ValueError("moment order must be a nonnegative integer")
-    if ff.tail_exponent <= k + 1:
-        return DIVERGENT
-    if ff.head_exponent <= -1 - k:
-        return DIVERGENT
-    return _weighted_integral(ff, "moment", k)
+    return _weighted_integral(ff, k, 1)
 
 
 def squared_norm(ff: Formfactor):
-    """int phi(x)^2 dx, or DIVERGENT when 2*tail_exponent <= 1."""
-    if 2 * ff.tail_exponent <= 1:
-        return DIVERGENT
-    if 2 * ff.head_exponent <= -1:
-        return DIVERGENT
-    return _weighted_integral(ff, "square")
+    """int phi(x)^2 dx, or DIVERGENT."""
+    return _weighted_integral(ff, 0, 2)
 
 
 def head_integral(ff: Formfactor):
-    """int phi(x)/x dx; finite for head_exponent > 0 and tail_exponent > 0."""
-    if ff.head_exponent <= 0 or ff.tail_exponent <= 0:
-        return DIVERGENT
-    return _weighted_integral(ff, "head")
+    """int phi(x)/x dx, or DIVERGENT."""
+    return _weighted_integral(ff, -1, 1)
 
 
 def bound_state_margin(params: ModelParams, ff: Formfactor) -> float:

@@ -116,7 +116,7 @@ def test_quadrature_engine_on_custom_clone(qdot, s):
     built-in's closed-form density."""
     params, ff = qdot
     clone = Formfactor.from_callable(ff.evaluator, ff.tail_exponent,
-                                     ff.head_exponent, verify=False)
+                                     ff.head_exponent)
     t = s / params.cutoff
     a = survival_amplitude_quadrature(params, ff, t)
     assert abs(survival_amplitude_quadrature(params, clone, t) - a) < 1e-10
@@ -137,7 +137,7 @@ def test_unhashable_callable_weight(qdot):
     weight = _ScaledPhi2(1.0)
     with pytest.raises(TypeError):
         hash(weight)
-    clone = Formfactor.from_callable(weight, 3.0, 1.0, verify=False)
+    clone = Formfactor.from_callable(weight, 3.0, 1.0)
     t = 1.0 / params.cutoff
     a = survival_amplitude(params, clone, t)
     assert abs(a - survival_amplitude_quadrature(params, ff, t)) < 1e-10
@@ -148,7 +148,7 @@ def test_custom_deficit_reuses_its_spike_moments(qdot, monkeypatch):
     # a second deficit on one custom weight takes the spike moments from
     # the memo: it evaluates the density on exactly their nodes fewer
     params, ff = qdot
-    clone = Formfactor.from_callable(lambda x: ff(x), 3.0, 1.0, verify=False)
+    clone = Formfactor.from_callable(lambda x: ff(x), 3.0, 1.0)
     nodes = []
     density = amplitude.spectral_density
     monkeypatch.setattr(amplitude, "spectral_density", lambda p, f, x:
@@ -1242,12 +1242,12 @@ def test_expansion_unavailable_names_moment():
     params = ModelParams(1e10, 2e4, 1e-6)
     slow_tail = Formfactor.from_callable(
         lambda x: np.asarray(x, float) / (1 + np.asarray(x, float)) ** 3.5,
-        tail_exponent=2.5, head_exponent=1.0, verify=False)
+        tail_exponent=2.5, head_exponent=1.0)
     with pytest.raises(ExpansionUnavailableError, match="I2"):
         short_time_expansion(params, slow_tail)
     steep_head = Formfactor.from_callable(
         lambda x: np.asarray(x, float) ** -0.7 / (1 + np.asarray(x, float)) ** 4,
-        tail_exponent=4.7, head_exponent=-0.7, verify=False)
+        tail_exponent=4.7, head_exponent=-0.7)
     # phi^2 head diverges, but the weak-coupling flags allow the
     # simplified quartic coefficient
     exp = short_time_expansion(params, steep_head)
@@ -1305,7 +1305,7 @@ def test_asymptote_unsupported_formfactor(qdot):
     # a custom weight has no resonance roots, so no pole term
     params, ff = qdot
     clone = Formfactor.from_callable(ff.evaluator, ff.tail_exponent,
-                                     ff.head_exponent, verify=False)
+                                     ff.head_exponent)
     with pytest.raises(FriedrichsError):
         long_time_asymptote(params, clone, 1e-6)
 

@@ -219,6 +219,32 @@ def test_custom_table_bad_rows_exit_2(tmp_path, capsys, col, value):
     assert "custom table: table" in capsys.readouterr().err
 
 
+def test_custom_curve_plot_reads_seconds(tmp_path, monkeypatch):
+    # a custom weight has no t_d, so its t_over_td column is all NaN: the
+    # plot script it writes reads t_seconds instead
+    from friedrichs import cli
+    from friedrichs.amplitude import Engine, SurvivalCurve
+
+    def sample(params, ff, times, engine, decay_time):
+        return SurvivalCurve(params, ff.id, Engine.QUADRATURE, times,
+                             np.ones(times.size), np.zeros(times.size),
+                             decay_time)
+
+    monkeypatch.setattr(cli, "sample_curve", sample)
+    table = tmp_path / "phi2.tab"
+    x = np.geomspace(1e-8, 1e8, 41)
+    np.savetxt(table, np.column_stack([x, x / (1 + x * x) ** 2]))
+    cfg = tmp_path / "custom.cfg"
+    cfg.write_text(f"formfactor = custom\ncustom_table = {table}\n"
+                   "custom_tail_exponent = 3\ncustom_head_exponent = 1\n"
+                   "t_min_seconds = 1e-12\nt_max_seconds = 1e-9\nn_points = 3\n")
+    assert main(["curve", "--preset", "quantum-dot", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 0
+    script = (tmp_path / "plot_curve.py").read_text()
+    assert 'row["t_seconds"]' in script and "t_over_td" not in script
+    assert 'plt.xlabel("t (s)")' in script
+
+
 @pytest.mark.parametrize("command", ["protocol", "neps", "timescales", "table1"])
 def test_engine_option_outside_curve_exit_2(tmp_path, capsys, command):
     # these commands pick their own engines: an engine given by --engine or

@@ -27,7 +27,7 @@ def _custom_clone(name):
     """Same weight through the generic quadrature path."""
     ref = builtin(name)
     return Formfactor.from_callable(ref.evaluator, ref.tail_exponent,
-                                    ref.head_exponent, verify=False)
+                                    ref.head_exponent)
 
 
 @pytest.mark.parametrize("name", ["phi1", "phi2", "phi3"])

@@ -95,6 +95,46 @@ def test_moment_finiteness_matches_tail_rule(name, k, finite):
         assert val is DIVERGENT
 
 
+# integral, and its x^p phi^q: finite iff q head + p > -1 and q tail - p > 1
+WEIGHTED_INTEGRALS = {
+    "moment 0": (lambda ff: moment(ff, 0), 0, 1),
+    "moment 1": (lambda ff: moment(ff, 1), 1, 1),
+    "moment 2": (lambda ff: moment(ff, 2), 2, 1),
+    "squared_norm": (squared_norm, 0, 2),
+    "head_integral": (head_integral, -1, 1),
+}
+
+
+@pytest.mark.parametrize("end", ["head", "tail"])
+@pytest.mark.parametrize("name", sorted(WEIGHTED_INTEGRALS))
+def test_declared_exponents_decide_divergence(name, end, monkeypatch):
+    """x^b / (1 + x)^(a + b), declared exactly with head b and tail a: on
+    the threshold of either end the integral is DIVERGENT without a
+    quadrature, half a unit inside it is the Beta function's value."""
+    from friedrichs import formfactors
+    integral, p, q = WEIGHTED_INTEGRALS[name]
+    calls = []
+    quad = formfactors.quad_complex
+    monkeypatch.setattr(formfactors, "quad_complex",
+                        lambda *args, **kw: calls.append(args) or quad(*args, **kw))
+    threshold = (-1 - p) / q if end == "head" else (1 + p) / q
+    for inside in (0.0, 0.5):
+        e = threshold + inside
+        # the other end well inside its own threshold
+        tail, head = ((p + 3) / q, e) if end == "head" else (e, 1.0)
+        ff = Formfactor.from_callable(
+            lambda x, a=tail, b=head: np.asarray(x) ** b / (1.0 + np.asarray(x)) ** (a + b),
+            tail, head)
+        calls.clear()
+        val = integral(ff)
+        if not inside:
+            assert val is DIVERGENT and calls == []
+            continue
+        alpha, beta = q * head + p + 1, q * tail - p - 1
+        want = math.gamma(alpha) * math.gamma(beta) / math.gamma(alpha + beta)
+        assert val == pytest.approx(want, rel=1e-12) and len(calls) == 1
+
+
 def test_squared_norms():
     assert squared_norm(builtin("phi2")) == pytest.approx(math.pi / 32, rel=1e-9)
     assert squared_norm(builtin("phi3")) == pytest.approx(
@@ -105,8 +145,7 @@ def test_squared_norms():
 
 def test_zero_custom_formfactor():
     zero = Formfactor.from_callable(lambda x: np.zeros_like(np.asarray(x, float)),
-                                    tail_exponent=10.0, head_exponent=1.0,
-                                    verify=False)
+                                    tail_exponent=10.0, head_exponent=1.0)
     assert squared_norm(zero) == 0.0
     assert moment(zero, 0) == 0.0
 
@@ -120,8 +159,8 @@ def test_head_integrals():
 def test_weight_integral_raises_when_unconverged():
     """A weight that decays more slowly than declared has a divergent
     moment; its error estimate, not the declaration, stops it."""
-    slow = Formfactor.from_callable(lambda x: 1.0 / (1.0 + x), 3.0, 0.0,
-                                    verify=False)
+    with pytest.warns(UserWarning, match="tail exponent"):
+        slow = Formfactor.from_callable(lambda x: 1.0 / (1.0 + x), 3.0, 0.0)
     with pytest.raises(ConvergenceError):
         moment(slow, 0)
 
@@ -171,8 +210,7 @@ def test_from_table_interpolation(tmp_path):
     ff_ref = builtin("phi2")
     table = tmp_path / "phi.txt"
     np.savetxt(table, np.column_stack([xs, ff_ref(xs)]))
-    ff = Formfactor.from_table(table, tail_exponent=3.0, head_exponent=1.0,
-                               verify=False)
+    ff = Formfactor.from_table(table, tail_exponent=3.0, head_exponent=1.0)
     probe = np.geomspace(1e-5, 1e5, 57)
     assert np.allclose(ff(probe), ff_ref(probe), rtol=2e-3)
     # outside the table the declared power laws take over
@@ -279,8 +317,7 @@ def test_custom_weight_never_served_builtin_integral():
     i0, i1, norm, head = (moment(ref, 0), moment(ref, 1), squared_norm(ref),
                           head_integral(ref))
     for c in (2.0, 3.0):
-        ff = Formfactor.from_callable(lambda x, c=c: c * ref(x), 3.0, 1.0,
-                                      verify=False)
+        ff = Formfactor.from_callable(lambda x, c=c: c * ref(x), 3.0, 1.0)
         assert moment(ff, 0) == pytest.approx(c * i0, rel=1e-9)
         assert moment(ff, 1) == pytest.approx(c * i1, rel=1e-9)
         assert squared_norm(ff) == pytest.approx(c * c * norm, rel=1e-9)
