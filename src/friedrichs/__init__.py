@@ -7,10 +7,10 @@ from .errors import (BoundStateError, ContinuationUnsupportedError,
                      ExpansionUnavailableError, FriedrichsError)
 from .formfactors import (CUSTOM, DIVERGENT, PHI1, PHI2, PHI3, Formfactor,
                           ModelParams, bound_state_margin, builtin,
-                          eval_formfactor, head_integral, moment, squared_norm)
-from .dispersion import (ResonanceRoot, RootKind, Side, decaying_resonance,
-                         eta_boundary, eta_first_sheet, eta_second_sheet,
-                         resonance_roots, spectral_density, spectral_peak)
+                          head_integral, moment, squared_norm)
+from .dispersion import (ResonanceRoot, RootKind, decaying_resonance,
+                         eta_first_sheet, eta_second_sheet, resonance_roots,
+                         spectral_density, spectral_peak)
 from .amplitude import (Engine, ShortTimeExpansion, SurvivalCurve,
                         long_time_asymptote, sample_curve,
                         short_time_expansion, survival_amplitude,

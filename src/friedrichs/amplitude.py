@@ -83,9 +83,10 @@ and raises ConvergenceError when an estimate is worse than 1e-7 or a
 value or estimate is not finite.
 
 Every engine and every public function of a time takes one time or an
-array of times.  On an array the phi1 closed form, the asymptote and the
-series are evaluated elementwise, the phi2 background takes every time
-on its table's fixed nodes, and the deficit kernel integrates every time
+array of times.  On an array the phi1 closed form is evaluated
+elementwise (as are the asymptote and the series, which are references,
+not engines), the phi2 background takes every time on its table's fixed
+nodes, and the deficit kernel integrates every time
 as one column on a shared node set, so the density is evaluated once per
 node for all times.  In the quadrature engine a time's spike window
 costs a contraction of the parameters' table, built in one piece for

@@ -288,15 +288,12 @@ def _cmd_timescales(cfg, out: Path) -> None:
     for label, val, key in rows:
         if val is None:
             continue
-        prov = ts.provenance.get(key)
-        tag = f" [{prov.value}]" if prov else ""
-        lines.append(f"{label:6s} = {_fmt(val)} s ({_fmt(val / ts.t_d)} t_d){tag}")
+        lines.append(f"{label:6s} = {_fmt(val)} s ({_fmt(val / ts.t_d)} t_d) "
+                     f"[{ts.provenance[key].value}]")
     lines.append(f"{'s':6s} = {_fmt(ts.leading_exponent)} (leading short-time exponent)")
-    if ts.gamma is not None:
-        lines.append(f"{'gamma':6s} = {_fmt(ts.gamma)} [{ts.provenance['gamma'].value}]")
-    if ts.omega_tilde is not None:
-        lines.append(f"{'w~':6s} = {_fmt(ts.omega_tilde)} s^-1 "
-                     f"[{ts.provenance['omega_tilde'].value}]")
+    lines.append(f"{'gamma':6s} = {_fmt(ts.gamma)} [{ts.provenance['gamma'].value}]")
+    lines.append(f"{'w~':6s} = {_fmt(ts.omega_tilde)} s^-1 "
+                 f"[{ts.provenance['omega_tilde'].value}]")
     lines.append(f"bound-state margin = {_fmt(margin)}")
     for note in ts.notes:
         lines.append(f"note: {note}")

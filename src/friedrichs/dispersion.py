@@ -6,8 +6,9 @@ first-sheet function is
     eta_I(z) = w - z - g2 * int_0^inf phi(x)/(x - z) dx,   z off [0, inf),
 
 with g2 the squared coupling.  Boundary values from below the cut are
-eta_minus(y) = Re + i*pi*g2*phi(y); continued upward through the cut they
-define the second sheet, in the upper half plane
+Re eta(y) + i*pi*g2*phi(y), Re eta from dispersion_real_part; continued
+upward through the cut they define the second sheet, in the upper half
+plane
 
     eta_II(z) = eta_I(z) + 2*pi*i*g2*phi(z),
 
@@ -18,14 +19,17 @@ puts the decaying poles in the upper half plane with time dependence
 exp(i z s), s = cutoff * t.
 
 Closed forms of the dispersion integral are used for the built-in
-weights; custom weights fall back to quadrature (on the cut
-pv_dispersion, one call for a whole array of y) and do not support
-continuation.  phi2 and phi3, x/(1+x^2)^n, are one table entry (n, c, p):
-F(z) = (p(z) - c z L)/(c (1+z^2)^n), where L = log y gives P(y) on the
-cut, log(-z) the first sheet and log z + i*pi the second.  That form of
-eta_II is analytic across the positive axis (below it, it is eta_I), so
-Newton and the residue weights -1/eta_II' take its exact derivative; no
-difference stencil straddles the branch point 0 near the bound-state edge.
+weights, both sheets from one body (_eta); custom weights fall back to
+quadrature (on the cut pv_dispersion, one call for a whole array of y)
+and do not support continuation.  The sheets differ only in a branch:
+phi1's F(z) = pi/(1 - i u) takes u = sqrt z with Im u >= 0 on sheet I
+and its negative on sheet II.  phi2 and phi3, x/(1+x^2)^n, are one table
+entry (n, c, p): F(z) = (p(z) - c z L)/(c (1+z^2)^n), where L = log y
+gives P(y) on the cut, log(-z) the first sheet and log z + i*pi the
+second.  That form of eta_II is analytic across the positive axis (below
+it, it is eta_I), so Newton and the residue weights -1/eta_II' take its
+exact derivative; no difference stencil straddles the branch point 0
+near the bound-state edge.
 """
 
 from __future__ import annotations
@@ -42,11 +46,6 @@ from .errors import BoundStateError, ContinuationUnsupportedError, ConvergenceEr
 from .formfactors import (_TAIL_FROM, PHI1, PHI2, PHI3, Formfactor,
                           ModelParams, bound_state_margin)
 from .quadrature import pv_dispersion, quad_complex
-
-
-class Side(Enum):
-    PLUS = "plus"    # boundary value from above the cut
-    MINUS = "minus"  # boundary value from below (the one continued upward)
 
 
 class RootKind(Enum):
@@ -108,25 +107,38 @@ def _num_den(ff_id, z, L):
     return num, c * (h * h)
 
 
-def eta_first_sheet(params: ModelParams, ff: Formfactor, z: complex) -> complex:
-    """eta on the first sheet, z off the cut [0, inf)."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real >= 0.0:
-        raise ValueError("z lies on the continuum cut; use eta_boundary")
+def _eta(params: ModelParams, ff: Formfactor, z: complex, second: bool):
+    """eta_I(z) off the cut, or eta_II(z) when `second`, by the built-in
+    weight's closed form (module docstring); w - z at zero coupling, and
+    None for a custom weight, which has no closed form."""
     w, g2 = params.omega_ratio, params.coupling_sq
     if g2 == 0.0:
         return w - z
     if ff.id == PHI1:
-        return w - z - g2 * (math.pi / (1.0 - 1j * _sqrt_upper(z)))
-    if ff.id in _RATIONAL:  # the principal log(-z) is analytic off the cut
-        num, den = _num_den(ff.id, z, cmath.log(-z))
+        u = _sqrt_upper(z)
+        return w - z - g2 * (math.pi / (1.0 - 1j * (-u if second else u)))
+    if ff.id in _RATIONAL:  # each L is analytic on its sheet's domain
+        L = cmath.log(z) + 1j * math.pi if second else cmath.log(-z)
+        num, den = _num_den(ff.id, z, L)
         return w - z - g2 * (num / den)
-    # generic quadrature path; the contour never touches the cut
+    return None
+
+
+def eta_first_sheet(params: ModelParams, ff: Formfactor, z: complex) -> complex:
+    """eta on the first sheet, z off the cut [0, inf); a custom weight's
+    dispersion integral by quadrature."""
+    z = complex(z)
+    if z.imag == 0.0 and z.real >= 0.0:
+        raise ValueError("z lies on the continuum cut")
+    eta = _eta(params, ff, z, False)
+    if eta is not None:
+        return eta
+    # the contour never touches the cut
     val, err = quad_complex(lambda x: ff(x) / (x - z), 0.0, math.inf)
     if err > 1e-8:
         raise ConvergenceError("dispersion integral did not converge",
                                achieved=err)
-    return w - z - g2 * val
+    return params.omega_ratio - z - params.coupling_sq * val
 
 
 def _level_shift(ff: Formfactor, g2: float, y: np.ndarray) -> np.ndarray:
@@ -187,33 +199,14 @@ def dispersion_real_part(params: ModelParams, ff: Formfactor, y) -> np.ndarray:
     return linear - _level_shift(ff, g2, ys)
 
 
-def eta_boundary(params: ModelParams, ff: Formfactor, y: float,
-                 side: Side = Side.MINUS) -> complex:
-    """Boundary value of eta on the cut, from below (MINUS) or above."""
-    if not y > 0:
-        raise ValueError("boundary frequency must be positive")
-    re = float(dispersion_real_part(params, ff, y))
-    im = math.pi * params.coupling_sq * float(ff(y))
-    return complex(re, im if side is Side.MINUS else -im)
-
-
 def eta_second_sheet(params: ModelParams, ff: Formfactor, z: complex) -> complex:
     """eta continued upward through the cut, eta_I + 2*pi*i*g2*phi(z) in the
-    upper half plane.  For phi2 and phi3 it is the closed form with
-    L = log z + i*pi, analytic across the positive axis."""
-    z = complex(z)
-    g2 = params.coupling_sq
-    if g2 == 0.0:
-        return params.omega_ratio - z
-    if ff.id == PHI1:
-        # equivalently: sqrt(z) taken on the lower half branch
-        u = -_sqrt_upper(z)
-        return params.omega_ratio - z - math.pi * g2 / (1.0 - 1j * u)
-    if ff.id in _RATIONAL:
-        num, den = _num_den(ff.id, z, cmath.log(z) + 1j * math.pi)
-        return params.omega_ratio - z - g2 * (num / den)
-    raise ContinuationUnsupportedError(
-        f"no analytic continuation for formfactor {ff.id!r}")
+    upper half plane; ContinuationUnsupportedError for a custom weight."""
+    eta = _eta(params, ff, complex(z), True)
+    if eta is None:
+        raise ContinuationUnsupportedError(
+            f"no analytic continuation for formfactor {ff.id!r}")
+    return eta
 
 
 def _eta_second_sheet_prime(params, ff, z):
@@ -323,14 +316,11 @@ def _roots_cached(params: ModelParams, ff: Formfactor):
         # are each Newton's nearest root in a few steps
         eps = cmath.sqrt(-math.pi * g2 / (2 * (w - 1j)))
         seeds = [w * (1 + 1j * math.pi * g2), 1j + eps, 1j - eps]
-    elif ff.id == PHI3:
+    else:   # PHI3: resonance_roots refuses custom weights
         c = math.sqrt(math.sqrt(g2)) * (math.pi / 8) ** 0.25
         seeds = [w * (1 + 1j * math.pi * g2),
                  1j * (1 - c * cmath.exp(1j * math.pi / 8)),
                  1j * (1 - c * cmath.exp(5j * math.pi / 8))]
-    else:
-        raise ContinuationUnsupportedError(
-            f"resonance roots undefined for formfactor {ff.id!r}")
     out = []
     for seed in seeds:
         z = _newton_polish(params, ff, seed)

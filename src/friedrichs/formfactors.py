@@ -16,7 +16,9 @@ declared exponents, never from quadrature blow-up: with phi ~ x^b at the
 head and x^-a at the tail, the integral is finite iff q b + p > -1 and
 q a - p > 1 (_weighted_integral).  A finite integral is quad_complex
 from 0 to inf and raises ConvergenceError when it misses its error
-bound.
+bound.  A slow but integrable tail, r = q a - p < 3/2, is integrated in
+y = x^(1/k), k = 1/(2 (r - 1)), where it decays as y^-3/2; every
+built-in integral has r >= 3/2.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .quadrature import converged, quad_complex
 
 
@@ -251,30 +254,36 @@ class ModelParams:
         return self.coupling_sq < 1e-2 and self.omega_ratio < 1e-1
 
 
-def eval_formfactor(ff: Formfactor, x: float) -> float:
-    """phi(x) for scalar x > 0."""
-    if not x > 0:
-        raise ValueError(f"formfactor argument must be positive, got {x}")
-    val = float(np.asarray(ff(x)))
-    if val < 0:
-        raise ValueError(f"formfactor returned negative value {val} at x={x}")
-    return val
-
-
 @lru_cache(maxsize=64)
 def _weighted_integral(ff: Formfactor, p: int, q: int):
     """int_0^inf x^p phi^q dx, or DIVERGENT when the declared head
-    x^(q head + p) or tail x^(p - q tail) is not integrable:
-    q head + p <= -1 or q tail - p <= 1.  Otherwise quad_complex of
-    phi^q x^p, checked against its error estimate; for p < 0 it divides
-    by x^-p, where a product with x ** p would round twice.  Memoized on
-    the weight, built-in or custom."""
-    if q * ff.head_exponent + p <= -1 or q * ff.tail_exponent - p <= 1:
+    x^(q head + p) or tail x^-r, r = q tail - p, is not integrable:
+    q head + p <= -1 or r <= 1.  Otherwise quad_complex of phi^q x^p,
+    checked against its error estimate; for p < 0 it divides by x^-p,
+    where a product with x ** p would round twice.  A tail slower than
+    x^-3/2, which _tail_map leaves singular, is integrated in y = x^(1/k),
+    k = 1/(2 (r - 1)), as k y^(k-1) f(y^k), which decays as y^-3/2;
+    ConvergenceError when y^k overflows.  Memoized on the weight, built-in
+    or custom."""
+    r = q * ff.tail_exponent - p
+    if q * ff.head_exponent + p <= -1 or r <= 1:
         return DIVERGENT
     f = ((lambda x: ff(x) ** q / x ** -p) if p < 0 else
          (lambda x: ff(x) ** q * x ** p))
+    if r < 1.5:
+        f = partial(_in_root, f, 0.5 / (r - 1.0))
     val, err = quad_complex(f, 0.0, math.inf)
     return float(converged(val.real, err, f"int x^{p} phi^{q} dx"))
+
+
+def _in_root(f, k, y):
+    """k y^(k-1) f(y^k), f integrated in y = x^(1/k)."""
+    with np.errstate(over="ignore"):
+        x = y ** k
+    if not np.isfinite(x).all():
+        raise ConvergenceError(f"x = y^{k:.3g} overflows: the tail is too "
+                               f"slow to integrate")
+    return k * y ** (k - 1.0) * f(x)
 
 
 def moment(ff: Formfactor, k: int):

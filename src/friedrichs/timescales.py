@@ -52,8 +52,8 @@ class Timescales:
     t_z: float
     t_d: float
     t_ep: float
-    gamma: Optional[float]          # dimensionless width parameter
-    omega_tilde: Optional[float]    # shifted frequency, s^-1
+    gamma: float            # dimensionless width parameter
+    omega_tilde: float      # shifted frequency, s^-1
     provenance: dict = field(default_factory=dict)
     notes: tuple = ()
 
@@ -136,13 +136,13 @@ def crossover_time_numeric(params: ModelParams, ff: Formfactor) -> float:
 _TABLE_SYSTEMS = ("photodetachment", "quantum-dot", "hydrogen")
 
 
-def render_table1(preset_names=_TABLE_SYSTEMS, fmt: str = "text") -> str:
-    """Characteristic-times grid for the named presets: rows t_Z, t_a,
+def render_table1(fmt: str = "text") -> str:
+    """Characteristic-times grid of the three presets: rows t_Z, t_a,
     t_d, t_ep; one column per system; seconds with decay-time units in
     parentheses."""
     from .presets import preset
 
-    names = tuple(preset_names)
+    names = _TABLE_SYSTEMS
     tables = [compute_timescales(*preset(name)) for name in names]
     # per row: its label and, per system, (seconds, decay-time units)
     rows = [(cells[0][0], [(v, v / ts.t_d) for (_, v), ts in zip(cells, tables)])

@@ -6,9 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from friedrichs import (Formfactor, ModelParams, RootKind, Side,
-                        builtin, compute_timescales,
-                        decaying_resonance, eta_boundary, eta_first_sheet,
+from friedrichs import (Formfactor, ModelParams, RootKind, builtin,
+                        compute_timescales, decaying_resonance, eta_first_sheet,
                         eta_second_sheet, resonance_roots, spectral_density,
                         spectral_peak, survival_amplitude_phi1_exact,
                         survival_amplitude_phi2)
@@ -93,19 +92,25 @@ def test_boundary_values(name):
     ff = builtin(name)
     g2 = params.coupling_sq
     for y in (0.02, 0.7, 3.0):
-        minus = eta_boundary(params, ff, y, Side.MINUS)
-        plus = eta_boundary(params, ff, y, Side.PLUS)
+        # eta on the cut from below and from above
+        re = float(dispersion_real_part(params, ff, y))
+        minus = complex(re, math.pi * g2 * float(ff(y)))
+        plus = complex(re, -math.pi * g2 * float(ff(y)))
         assert plus == pytest.approx(minus.conjugate(), rel=1e-14)
         assert minus.imag == pytest.approx(math.pi * g2 * float(ff(y)), rel=1e-12)
         # cut discontinuity
         assert (plus - minus) == pytest.approx(-2j * math.pi * g2 * float(ff(y)),
                                                rel=1e-12)
+        # the first sheet's closed form meets both boundary values
+        assert abs(eta_first_sheet(params, ff, y - 1e-14j) - minus) < 1e-10
+        assert abs(eta_first_sheet(params, ff, y + 1e-14j) - plus) < 1e-10
 
 
 def test_boundary_is_limit_from_below():
     params, ff = preset("quantum-dot")
     y = params.omega_ratio
-    target = eta_boundary(params, ff, y, Side.MINUS)
+    target = complex(float(dispersion_real_part(params, ff, y)),
+                     math.pi * params.coupling_sq * float(ff(y)))
     # Richardson extrapolation of eta(y - i*eps) as eps -> 0
     e1 = eta_first_sheet(params, ff, y - 1e-6j)
     e2 = eta_first_sheet(params, ff, y - 5e-7j)
@@ -114,12 +119,16 @@ def test_boundary_is_limit_from_below():
 
 
 def test_second_sheet_jump_is_continued_weight():
-    params, ff = preset("quantum-dot")
-    g2 = params.coupling_sq
-    for z in (0.3 + 0.2j, 1.5 + 0.5j, 0.1 + 0.9j):
-        jump = eta_second_sheet(params, ff, z) - eta_first_sheet(params, ff, z)
-        want = 2j * math.pi * g2 * z / (1 + z * z) ** 2
-        assert abs(jump - want) < 1e-14
+    """eta_II - eta_I is 2 pi i g2 phi(z), phi continued off the axis
+    (phi1 by the principal root), on each built-in weight."""
+    for name, phi in (("photodetachment", lambda z: cmath.sqrt(z) / (1 + z)),
+                      ("quantum-dot", lambda z: z / (1 + z * z) ** 2),
+                      ("hydrogen", lambda z: z / (1 + z * z) ** 4)):
+        params, ff = preset(name)
+        for z in (0.3 + 0.2j, 1.5 + 0.5j, 0.1 + 0.9j):
+            jump = eta_second_sheet(params, ff, z) - eta_first_sheet(params, ff, z)
+            want = 2j * math.pi * params.coupling_sq * phi(z)
+            assert abs(jump - want) < 1e-14, name
 
 
 def test_phi1_cut_discontinuity_between_sheets():
