@@ -78,9 +78,8 @@ the double-exponential tail of each time, in one call.  Each deficit is
 held to about 1e-12 of itself and raises ConvergenceError past 1e-8.
 
 The three amplitude engines are numerical bodies behind one boundary,
-_engine, which reads the times, answers free evolution at zero coupling
-and raises ConvergenceError when an estimate is worse than 1e-7 or a
-value or estimate is not finite.
+_engine, which reads the times and raises ConvergenceError when an
+estimate is worse than 1e-7 or a value or estimate is not finite.
 
 Every engine and every public function of a time takes one time or an
 array of times.  On an array the phi1 closed form is evaluated
@@ -351,22 +350,17 @@ def survival_amplitude_phi2(params: ModelParams, t, with_error: bool = False):
 
 def _engine(params: ModelParams, t, body, what: str):
     """(A, its error estimates or None) for a time or an array of times,
-    from body(s) on the 1-D array s = cutoff * t, or at zero coupling free
-    evolution exp(i omega_ratio s) with zero estimates.  Raises
+    from body(s) on the 1-D array s = cutoff * t.  Raises
     ConvergenceError, naming the engine by what, when an estimate is
     worse than 1e-7 or a value or estimate is not finite."""
     ts, scalar = _times(t)
-    s = params.cutoff * ts
-    if params.coupling_sq == 0.0:
-        val, est = np.exp(1j * params.omega_ratio * s), np.zeros(s.shape)
-    else:
-        val, est = body(s)
-        worst = 0.0 if est is None else est.max(initial=0.0)
-        if not np.isfinite(val).all():
-            worst = math.inf
-        if not worst <= 1e-7:                 # a nan estimate fails too
-            raise ConvergenceError(f"{what} accuracy not reached",
-                                   achieved=float(worst))
+    val, est = body(params.cutoff * ts)
+    worst = 0.0 if est is None else est.max(initial=0.0)
+    if not np.isfinite(val).all():
+        worst = math.inf
+    if not worst <= 1e-7:                     # a nan estimate fails too
+        raise ConvergenceError(f"{what} accuracy not reached",
+                               achieved=float(worst))
     return _unwrap(val, scalar), None if est is None else _unwrap(est, scalar)
 
 
@@ -436,19 +430,18 @@ def survival_deficit(params: ModelParams, ff: Formfactor, t):
     estimate of a deficit exceeds 1e-8 of it."""
     ts, scalar = _times(t)
     out = np.zeros(ts.shape)
-    if params.coupling_sq != 0.0:
-        s = params.cutoff * ts
-        late = ~_on_kernel(params, ts)
-        if late.any():
-            out[late] = 1.0 - survival_probability(params, ff, ts[late])
-        short = (s > 0.0) & ~late
-        if short.any():
-            val, est = _deficit_kernel(params, ff, s[short])
-            bad = ~(est <= 1e-8 * val)
-            if bad.any():
-                raise ConvergenceError("deficit kernel accuracy not reached",
-                                       achieved=float(np.max(est[bad] / val[bad])))
-            out[short] = val
+    s = params.cutoff * ts
+    late = ~_on_kernel(params, ts)
+    if late.any():
+        out[late] = 1.0 - survival_probability(params, ff, ts[late])
+    short = (s > 0.0) & ~late
+    if short.any():
+        val, est = _deficit_kernel(params, ff, s[short])
+        bad = ~(est <= 1e-8 * val)
+        if bad.any():
+            raise ConvergenceError("deficit kernel accuracy not reached",
+                                   achieved=float(np.max(est[bad] / val[bad])))
+        out[short] = val
     return _unwrap(out, scalar)
 
 
@@ -652,8 +645,6 @@ class ShortTimeExpansion:
 
 
 def short_time_expansion(params: ModelParams, ff: Formfactor) -> ShortTimeExpansion:
-    if params.coupling_sq == 0.0:
-        raise ValueError("coupling_sq = 0: free evolution has no short-time expansion")
     lam = params.coupling
     cut = params.cutoff
     if ff.id == PHI1:

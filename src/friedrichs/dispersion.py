@@ -109,11 +109,9 @@ def _num_den(ff_id, z, L):
 
 def _eta(params: ModelParams, ff: Formfactor, z: complex, second: bool):
     """eta_I(z) off the cut, or eta_II(z) when `second`, by the built-in
-    weight's closed form (module docstring); w - z at zero coupling, and
-    None for a custom weight, which has no closed form."""
+    weight's closed form (module docstring), or None for a custom weight,
+    which has no closed form."""
     w, g2 = params.omega_ratio, params.coupling_sq
-    if g2 == 0.0:
-        return w - z
     if ff.id == PHI1:
         u = _sqrt_upper(z)
         return w - z - g2 * (math.pi / (1.0 - 1j * (-u if second else u)))
@@ -194,8 +192,6 @@ def dispersion_real_part(params: ModelParams, ff: Formfactor, y) -> np.ndarray:
     else:   # a single point as a numpy scalar: 0-d array arithmetic is slower
         ys = np.asarray(y, dtype=float)[()]
         linear = w - ys
-    if g2 == 0.0:
-        return linear
     return linear - _level_shift(ff, g2, ys)
 
 
@@ -290,8 +286,6 @@ def _phi1_cubic_roots(params) -> np.ndarray:
 def _roots_cached(params: ModelParams, ff: Formfactor):
     """resonance_roots as a tuple, memoized on (params, ff); a raise is
     not memoized, so coincident roots raise on every call."""
-    if params.coupling_sq == 0.0:
-        raise ValueError("coupling_sq = 0: free evolution has no resonance roots")
     margin = bound_state_margin(params, ff)
     if margin <= 0:
         raise BoundStateError(margin)
@@ -384,8 +378,6 @@ def spectral_peak(params: ModelParams, ff: Formfactor):
 
     w = params.omega_ratio
     g2 = params.coupling_sq
-    if g2 == 0.0:
-        return w, 0.0
 
     def R(x):
         return float(dispersion_real_part(params, ff, x))

@@ -14,7 +14,10 @@ plus user-supplied couplings, either as a callable or as a tabulated
 Which weighted integrals int x^p phi^q dx exist is decided from the
 declared exponents, never from quadrature blow-up: with phi ~ x^b at the
 head and x^-a at the tail, the integral is finite iff q b + p > -1 and
-q a - p > 1 (_weighted_integral).  A finite integral is quad_complex
+q a - p > 1 (_weighted_integral).  A NaN exponent, which no comparison
+can place, is refused when the weight is made (ValueError); an infinite
+one keeps its meaning: a +inf tail is faster than any power, and a -inf
+end makes the integrals divergent.  A finite integral is quad_complex
 from 0 to inf and raises ConvergenceError when it misses its error
 bound.  A slow but integrable tail, r = q a - p < 3/2, is integrated in
 y = x^(1/k), k = 1/(2 (r - 1)), where it decays as y^-3/2; every
@@ -188,8 +191,11 @@ def _natural_spline(u, v):
 
 
 def _verify_declared_exponents(ff: Formfactor) -> None:
-    """Trust but verify: fit the log-log slope of phi over two decades at
-    each end and warn if a declared exponent is off by more than 0.1."""
+    """Trust but verify: raise ValueError for a NaN exponent, then fit the
+    log-log slope of phi over two decades at each end and warn if a
+    declared exponent is off by more than 0.1."""
+    if math.isnan(ff.tail_exponent) or math.isnan(ff.head_exponent):
+        raise ValueError("declared exponents must not be NaN")
     for end, lo, sign, declared in (("head", 1e-8, 1.0, ff.head_exponent),
                                     ("tail", 1e6, -1.0, ff.tail_exponent)):
         x = np.geomspace(lo, 100.0 * lo, 41)
@@ -225,7 +231,8 @@ def builtin(name: str) -> Formfactor:
 @dataclass(frozen=True)
 class ModelParams:
     """Physical parameters: cutoff and excitation frequency in s^-1,
-    squared coupling dimensionless."""
+    positive and finite, and the squared coupling, dimensionless, in
+    (0, 1): at zero coupling nothing decays, so it is refused here."""
 
     cutoff: float
     omega1: float
@@ -236,8 +243,8 @@ class ModelParams:
             raise ValueError("cutoff must be positive and finite")
         if not 0 < self.omega1 < math.inf:
             raise ValueError("omega1 must be positive and finite")
-        if not 0 <= self.coupling_sq < 1:
-            raise ValueError("coupling_sq must lie in [0, 1)")
+        if not 0 < self.coupling_sq < 1:
+            raise ValueError("coupling_sq must lie in (0, 1)")
 
     @property
     def omega_ratio(self) -> float:
@@ -263,8 +270,8 @@ def _weighted_integral(ff: Formfactor, p: int, q: int):
     where a product with x ** p would round twice.  A tail slower than
     x^-3/2, which _tail_map leaves singular, is integrated in y = x^(1/k),
     k = 1/(2 (r - 1)), as k y^(k-1) f(y^k), which decays as y^-3/2;
-    ConvergenceError when y^k overflows.  Memoized on the weight, built-in
-    or custom."""
+    ConvergenceError when y^k or the weight there overflows.  Memoized
+    on the weight, built-in or custom."""
     r = q * ff.tail_exponent - p
     if q * ff.head_exponent + p <= -1 or r <= 1:
         return DIVERGENT
@@ -277,13 +284,17 @@ def _weighted_integral(ff: Formfactor, p: int, q: int):
 
 
 def _in_root(f, k, y):
-    """k y^(k-1) f(y^k), f integrated in y = x^(1/k)."""
-    with np.errstate(over="ignore"):
-        x = y ** k
-    if not np.isfinite(x).all():
-        raise ConvergenceError(f"x = y^{k:.3g} overflows: the tail is too "
-                               f"slow to integrate")
-    return k * y ** (k - 1.0) * f(x)
+    """k y^(k-1) f(y^k), f integrated in y = x^(1/k).  An overflow, of
+    y^k or inside the weight at such an x, raises ConvergenceError: left
+    to run on, it gives an inf, or a 0 that shifts the integral within
+    its error bound."""
+    try:
+        with np.errstate(over="raise"):
+            x = y ** k
+            return k * y ** (k - 1.0) * f(x)
+    except FloatingPointError:
+        raise ConvergenceError(f"overflow at x = y^{k:.3g}: the tail is too "
+                               f"slow to integrate") from None
 
 
 def moment(ff: Formfactor, k: int):
@@ -309,8 +320,6 @@ def bound_state_margin(params: ModelParams, ff: Formfactor) -> float:
     Positive margin means the resolvent denominator has no zero below the
     continuum, i.e. no bound state and pure decay.
     """
-    if params.coupling_sq == 0.0:
-        return params.omega_ratio
     head = head_integral(ff)
     if head is DIVERGENT:
         raise ValueError(

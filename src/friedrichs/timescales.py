@@ -139,7 +139,9 @@ _TABLE_SYSTEMS = ("photodetachment", "quantum-dot", "hydrogen")
 def render_table1(fmt: str = "text") -> str:
     """Characteristic-times grid of the three presets: rows t_Z, t_a,
     t_d, t_ep; one column per system; seconds with decay-time units in
-    parentheses."""
+    parentheses.  fmt is "text" or "csv"; ValueError for any other."""
+    if fmt not in ("text", "csv"):
+        raise ValueError(f"fmt must be 'text' or 'csv', not {fmt!r}")
     from .presets import preset
 
     names = _TABLE_SYSTEMS

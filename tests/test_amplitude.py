@@ -56,34 +56,6 @@ def test_normalization_all_engines(photo, qdot, hydrogen):
         assert abs(survival_amplitude_quadrature(params, ff, 0.0) - 1) < 1e-8
 
 
-def test_free_evolution_unit_modulus():
-    params = ModelParams(1e10, 2e4, 0.0)
-    for ff in (builtin("phi1"), builtin("phi2"), builtin("phi3")):
-        for t in (0.0, 1e-8, 1e-3):
-            a = survival_amplitude(params, ff, t)
-            assert abs(a - cmath.exp(1j * params.omega1 * t)) < 1e-14
-            assert survival_probability(params, ff, t) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_engines_free_evolution_at_zero_coupling():
-    # every engine called directly: exp(i omega1 t), with zero estimates
-    params = ModelParams(1e10, 2e4, 0.0)
-    times = np.array([0.0, 1e-8, 1e-3])
-    want = np.exp(1j * params.omega1 * times)
-    engines = [functools.partial(survival_amplitude_quadrature, params, builtin(name))
-               for name in ("phi1", "phi2", "phi3")]
-    engines.append(functools.partial(survival_amplitude_phi2, params))
-    for engine in engines:
-        one, est = engine(1e-3, with_error=True)
-        assert isinstance(one, complex) and abs(one - want[-1]) < 1e-14
-        assert est == 0.0
-        many, est = engine(times, with_error=True)
-        assert np.abs(many - want).max() < 1e-14 and not est.any()
-    one = survival_amplitude_phi1_exact(params, 1e-3)
-    assert isinstance(one, complex) and abs(one - want[-1]) < 1e-14
-    assert np.abs(survival_amplitude_phi1_exact(params, times) - want).max() < 1e-14
-
-
 def test_quadrature_gate_reports_largest_estimate(monkeypatch):
     params, ff = preset("hydrogen")
     monkeypatch.setattr(amplitude, "_amp_quadrature", lambda p, f, s: (
@@ -1180,8 +1152,6 @@ def test_phi2_poles_at_the_bound_state_edge():
 def test_deficit_zero_cases(qdot):
     params, ff = qdot
     assert survival_deficit(params, ff, 0.0) == 0.0
-    free = ModelParams(1e10, 2e4, 0.0)
-    assert survival_deficit(free, builtin("phi2"), 1e-8) == 0.0
 
 
 def test_phi1_short_time_two_terms(photo):

@@ -204,19 +204,40 @@ def test_custom_table_bad_rows_exit_2(tmp_path, capsys, col, value):
     # each exited 4 from inside the quadrature (a NaN phi: "integrand is
     # not finite"); a bad row is now refused when the table is read.  A
     # zero phi has no logarithm for the log-log spline
-    x = np.geomspace(1e-8, 1e8, 41)
-    data = np.column_stack([x, x / (1 + x * x) ** 2])
+    data = _phi2_rows()
     data[21, col] = data[20, 0] if value == "repeat" else value
+    assert _custom_curve(tmp_path, data, custom_tail_exponent=3) == 2
+    assert "custom table: table" in capsys.readouterr().err
+
+
+def test_custom_table_nan_exponent_exit_2(tmp_path, capsys):
+    # a NaN tail exponent ran the curve and wrote it into curve.csv's
+    # header; it is now refused when the table is read
+    assert _custom_curve(tmp_path, _phi2_rows(),
+                         custom_tail_exponent="nan") == 2
+    assert "custom table: declared exponents must not be NaN" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "curve.csv").exists()
+
+
+def _phi2_rows():
+    """phi2 at 41 log-spaced x over [1e-8, 1e8], as (x, phi) rows."""
+    x = np.geomspace(1e-8, 1e8, 41)
+    return np.column_stack([x, x / (1 + x * x) ** 2])
+
+
+def _custom_curve(tmp_path, data, **keys):
+    """The exit status of a quantum-dot `curve` of the table data, head
+    exponent 1 and the other custom keys given."""
     table = tmp_path / "phi2.tab"
     np.savetxt(table, data)
     keys = {"formfactor": "custom", "custom_table": table,
-            "custom_tail_exponent": 3, "custom_head_exponent": 1,
-            "t_min_seconds": 1e-15, "t_max_seconds": 1e-12, "n_points": 3}
+            "custom_head_exponent": 1, "t_min_seconds": 1e-15,
+            "t_max_seconds": 1e-12, "n_points": 3, **keys}
     cfg = tmp_path / "custom.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
-    assert main(["curve", "--preset", "quantum-dot", "--config", str(cfg),
-                 "--out", str(tmp_path)]) == 2
-    assert "custom table: table" in capsys.readouterr().err
+    return main(["curve", "--preset", "quantum-dot", "--config", str(cfg),
+                 "--out", str(tmp_path)])
 
 
 def test_custom_curve_plot_reads_seconds(tmp_path, monkeypatch):
@@ -364,6 +385,11 @@ def test_traffic_lists_the_branch_not_taken(tmp_path):
     assert tool.statement_lines(path) == {4, 7, 8, 9}
     assert tool.unexecuted(path, hits) == [8]
     assert tool.unexecuted(path, hits | tool.executed(run(-2), tmp_path)) == []
+    # the report: each unexecuted line, the count per module, their total
+    assert tool.report(tmp_path, hits) == [
+        "branchy.py:8: return -1",
+        "branchy.py: 1 of 4 statement lines unexecuted",
+        "total: 1 of 4 statement lines unexecuted"]
     with pytest.raises(RuntimeError):
         tool.executed(lambda: module.sign(2), tmp_path)
 

@@ -54,15 +54,6 @@ def test_custom_clone_real_part_matches_closed_form(name):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-def test_eta_zero_coupling():
-    params = ModelParams(1e10, 2e4, 0.0)
-    for z in GRID:
-        assert eta_first_sheet(params, builtin("phi2"), z) == \
-            pytest.approx(params.omega_ratio - z, abs=1e-15)
-        assert eta_second_sheet(params, builtin("phi2"), z) == \
-            pytest.approx(params.omega_ratio - z, abs=1e-15)
-
-
 def test_phi1_eta_at_minus_one():
     params, ff = preset("photodetachment")
     # sqrt(-1) = i on the first sheet: 1/(1 - i*i) = 1/2

@@ -131,18 +131,37 @@ def test_declared_exponents_decide_divergence(name, end, monkeypatch):
         assert val == pytest.approx(want, rel=1e-12) and len(calls) == 1
 
 
+def _slow_product(a):
+    return lambda x: np.asarray(x) * (1.0 + np.asarray(x)) ** -(a + 1.0)
+
+
+def _slow_quotient(a):
+    return lambda x: np.asarray(x) / (1.0 + np.asarray(x)) ** (a + 1.0)
+
+
 @pytest.mark.parametrize("tail", [1.01, 1.02])
 def test_too_slow_tail_fails_typed(tail):
-    """x (1 + x)^-(a + 1) with a just above 1: its moment 0 is finite, but
-    integrated in y = x^(1/k), k = 1/(2 (a - 1)), it fails at the far
-    nodes.  At a = 1.01 (k = 50) y^k passes the largest double; at 1.02
-    (k = 25) the weight underflows to 0 there and the quadrature misses
-    its bound.  Either is a ConvergenceError, not an overflow warning."""
-    ff = Formfactor.from_callable(
-        lambda x: np.asarray(x) * (1.0 + np.asarray(x)) ** -(tail + 1.0),
-        tail, 1.0)
-    with pytest.raises(ConvergenceError):
-        moment(ff, 0)
+    """x (1 + x)^-(a + 1), in either form, with a just above 1: its moment
+    0 is finite, but integrated in y = x^(1/k), k = 1/(2 (a - 1)), it
+    fails at the far nodes.  At a = 1.01 (k = 50) y^k passes the largest
+    double; at 1.02 (k = 25) the product form underflows to 0 there and
+    the quadrature misses its bound, while the quotient x / (1 + x)^(a + 1)
+    overflows in its power, where running on would give a 0 and an
+    integral 0.09% low within its bound.  Each is a ConvergenceError, not
+    an overflow warning."""
+    for form in (_slow_product, _slow_quotient):
+        ff = Formfactor.from_callable(form(tail), tail, 1.0)
+        with pytest.raises(ConvergenceError):
+            moment(ff, 0)
+
+
+@pytest.mark.parametrize("tail", [1.025, 1.03, 1.04])
+def test_slow_quotient_tail_integrates(tail):
+    # x / (1 + x)^(a + 1) just past the failing tails: no overflow, and
+    # its moment 0 is B(2, a - 1) = 1 / (a (a - 1))
+    ff = Formfactor.from_callable(_slow_quotient(tail), tail, 1.0)
+    assert moment(ff, 0) == pytest.approx(1.0 / (tail * (tail - 1.0)),
+                                          rel=1e-14)
 
 
 def test_squared_norms():
@@ -185,11 +204,6 @@ def test_bound_state_margin_presets():
     m = bound_state_margin(params, ff)
     assert m == pytest.approx(params.omega_ratio - math.pi / 4 * 3.58e-6, rel=1e-8)
     assert m > 0
-
-
-def test_margin_zero_coupling_equals_omega_ratio():
-    params = ModelParams(1e10, 2e4, 0.0)
-    assert bound_state_margin(params, builtin("phi1")) == params.omega_ratio
 
 
 def test_margin_linear_in_coupling():
@@ -301,6 +315,21 @@ def test_from_table_verifies_declared_exponents(tmp_path):
         Formfactor.from_table(table, tail_exponent=3.0, head_exponent=0.5)
 
 
+def test_nan_declared_exponent_refused(tmp_path):
+    # every comparison with NaN is false, so no convergence rule and no
+    # slope check could place it: it is refused when the weight is made
+    table = _phi2_table_file(tmp_path, 41)
+    for tail, head in ((math.nan, 1.0), (3.0, math.nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            Formfactor.from_callable(builtin("phi2"), tail, head)
+        with pytest.raises(ValueError, match="NaN"):
+            Formfactor.from_table(table, tail, head)
+    # an infinite exponent keeps its meaning: a -inf head diverges
+    with pytest.warns(UserWarning, match="head exponent"):
+        ff = Formfactor.from_callable(builtin("phi2"), 3.0, -math.inf)
+    assert moment(ff, 0) is DIVERGENT
+
+
 def test_model_params_validation():
     with pytest.raises(ValueError):
         ModelParams(-1.0, 1.0, 1e-6)
@@ -308,6 +337,9 @@ def test_model_params_validation():
         ModelParams(1.0, 0.0, 1e-6)
     with pytest.raises(ValueError):
         ModelParams(1.0, 1.0, 1.5)
+    # at zero coupling nothing decays: refused where the parameters are made
+    with pytest.raises(ValueError, match="coupling_sq"):
+        ModelParams(1e10, 2e4, 0.0)
     with pytest.raises(ValueError):
         ModelParams(math.inf, 1.0, 1e-6)
     with pytest.raises(ValueError):

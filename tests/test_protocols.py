@@ -5,11 +5,10 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from friedrichs import (UNBOUNDED, ModelParams, ZenoLimitKind, anti_zeno_minimum,
-                        builtin, compute_timescales, n_epsilon, protocol_curve,
-                        repeated_measurement_survival, resonance_roots,
-                        short_time_expansion, survival_probability,
-                        zeno_limit_class)
+from friedrichs import (UNBOUNDED, ZenoLimitKind, anti_zeno_minimum,
+                        compute_timescales, n_epsilon, protocol_curve,
+                        repeated_measurement_survival, short_time_expansion,
+                        survival_probability, zeno_limit_class)
 import friedrichs.protocols as protocols
 from friedrichs.amplitude import ShortTimeExpansion, log_survival
 from friedrichs.presets import preset
@@ -36,26 +35,6 @@ def test_single_measurement_is_plain_survival(qdot):
     T = 1e-10
     p1 = repeated_measurement_survival(params, ff, T, 1)
     assert p1 == pytest.approx(survival_probability(params, ff, T), rel=1e-10)
-
-
-def test_zero_coupling_protocol_trivial():
-    params = ModelParams(1e10, 2e4, 0.0)
-    ff = builtin("phi2")
-    for n in (1, 5, 1000):
-        assert repeated_measurement_survival(params, ff, 1e-6, n) == \
-            pytest.approx(1.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("name", ["phi1", "phi2", "phi3"])
-def test_zero_coupling_scales_fail_typed(name):
-    # free evolution has no decay scales, resonance roots or anti-Zeno
-    # minimum to find
-    params, ff = ModelParams(1e10, 2e4, 0.0), builtin(name)
-    for call in (lambda: compute_timescales(params, ff),
-                 lambda: resonance_roots(params, ff),
-                 lambda: protocol_curve(params, ff, 1e-6)):
-        with pytest.raises(ValueError, match="coupling_sq"):
-            call()
 
 
 def test_exponential_survival_is_protocol_fixed_point(qdot, monkeypatch):

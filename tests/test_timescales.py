@@ -269,3 +269,5 @@ def test_render_table1_text_and_csv():
                                                   rel=1e-12)
     assert float(rows["t_ep_over_td"][1]) == pytest.approx(
         REFERENCE["quantum-dot"]["t_ep"] / REFERENCE["quantum-dot"]["t_d"], rel=1e-9)
+    with pytest.raises(ValueError, match="fmt"):
+        render_table1(fmt="xml")

@@ -11,7 +11,8 @@ imports the package afresh, so every run starts cold, as each CLI call
 and each benchmark run is its own process.  A line tracer limited to
 `src/friedrichs` records the lines each child executes, and the parent
 merges them.  It then prints each statement line that no run executed,
-as `module.py:LINE: source`, and a count per module, `module.py: N of M
+as `module.py:LINE: source`, a count per module, `module.py: N of M
+statement lines unexecuted`, and last their sum, `total: N of M
 statement lines unexecuted`.  A statement line is a line that holds
 bytecode; docstrings are left out.  A claim that no measured traffic
 takes some path is checked by finding the path's lines here.
@@ -157,16 +158,24 @@ def main(argv=None) -> int:
     hits = set()
     for _, run in runs():
         hits |= executed(run, PACKAGE)
-    counts = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        missed = unexecuted(path, hits)
-        source = path.read_text().splitlines()
-        for n in missed:
-            print(f"{path.name}:{n}: {source[n - 1].strip()}")
-        counts.append(f"{path.name}: {len(missed)} of "
-                      f"{len(statement_lines(path))} statement lines unexecuted")
-    print("\n".join(counts))
+    print("\n".join(report(PACKAGE, hits)))
     return 0
+
+
+def report(package, hits) -> list:
+    """The lines main prints for the modules in the directory package:
+    each unexecuted statement line, then a count per module, then the
+    total."""
+    lines, counts, missed_sum, total = [], [], 0, 0
+    for path in sorted(Path(package).glob("*.py")):
+        missed, size = unexecuted(path, hits), len(statement_lines(path))
+        source = path.read_text().splitlines()
+        lines += [f"{path.name}:{n}: {source[n - 1].strip()}" for n in missed]
+        counts.append(f"{path.name}: {len(missed)} of {size} statement lines "
+                      f"unexecuted")
+        missed_sum, total = missed_sum + len(missed), total + size
+    return lines + counts + [f"total: {missed_sum} of {total} statement lines "
+                             f"unexecuted"]
 
 
 if __name__ == "__main__":
