@@ -15,7 +15,11 @@ integer N and filled in batches of one log_survival call each.
 protocol_curve fills a fresh store with its N grid and hands it to
 anti_zeno_minimum, which starts its search from that grid and fetches
 each round into the same store.  The n_epsilon calls at one T share a
-store, so the accuracies of one T walk one scan.
+store, so the accuracies of one T walk one scan.  A log_survival call
+costs far more than one more time in it, so n_epsilon fetches its scan
+_SCAN_AHEAD points at a time and closes its bracket with one round
+about the crossing that N ln p, linear between the bracket's ends,
+predicts: the CLI's default neps grid at quantum-dot takes 35 calls.
 repeated_measurement_survival evaluates its one interval directly.
 
 The deficit kernel's times share one node set, cut at the power-of-two
@@ -192,7 +196,12 @@ def _n_grid(T: float, t_z: float, n_tau: int) -> np.ndarray:
     return np.unique(np.maximum(1, np.rint(T / taus)).astype(np.int64))[::-1]
 
 
-_SCAN_AHEAD = 8        # n_epsilon: scan points per fetch
+# n_epsilon: scan points per fetch.  A phi2 fetch evaluates all its times
+# on the nodes its largest N needs, so longer fetches cost more nodes than
+# they save calls: at 16 the CLI's default neps grid at quantum-dot takes
+# the same 35 calls as at 10, with 2.6 times the node values at worst
+_SCAN_AHEAD = 10
+_GUESS = 4             # n_epsilon: reach of the round about the predicted crossing
 
 
 @lru_cache(maxsize=8)
@@ -210,17 +219,21 @@ def n_epsilon(params: ModelParams, ff: Formfactor, T: float, eps: float,
               cap: int = 10 ** 9):
     """Largest N with p_n(T) >= (1 - eps) p_1(T) for every n <= N.
 
-    A geometric scan (_scan) brackets the first violation, and rounds of
-    at most _ROUND integers spread evenly over the bracket, ends included,
-    pin it: the next bracket ends at the first of them that fails.  When
-    no scan point fails, p_n is tested at anti_zeno_minimum's N and at the
-    cap, and the first of them that fails is bracketed from the last scan
-    point below it; UNBOUNDED when neither fails (when no violation occurs
-    up to the cap, for a p_n that falls to one minimum and climbs back).
-    The scan is fetched _SCAN_AHEAD points at a time (N = 1 joins the
-    first chunk), and each round in one call.  The calls at one T share
-    their store (_costs), so another accuracy at that T finds the scan
-    fetched, and a repeated call fetches nothing.
+    A geometric scan (_scan) brackets the first violation between lo,
+    which passes, and hi, which fails.  The first round takes the
+    integers within _GUESS of where N ln p, linear between lo and hi,
+    crosses ln((1 - eps) p_1); when the crossing lies among them, that
+    round pins it.  Otherwise rounds of at most _ROUND integers spread
+    evenly over the bracket, ends included, go on: after each round the
+    bracket ends at the first integer that fails.  When no scan point
+    fails, p_n is tested at anti_zeno_minimum's N and at the cap, and the
+    first of them that fails is bracketed from the last scan point below
+    it; UNBOUNDED when neither fails (when no violation occurs up to the
+    cap, for a p_n that falls to one minimum and climbs back).  The scan
+    is fetched _SCAN_AHEAD points at a time (N = 1 joins the first
+    chunk), and each round in one call.  The calls at one T share their
+    store (_costs), so another accuracy at that T finds the scan fetched,
+    and a repeated call fetches nothing.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("accuracy must lie in (0, 1)")
@@ -254,11 +267,16 @@ def n_epsilon(params: ModelParams, ff: Formfactor, T: float, eps: float,
             return UNBOUNDED
 
     lo = max(n for n in scan if n < hi)            # lo passes, hi fails
-    while hi - lo > 1:
-        m = min(_ROUND, hi - lo + 1)
-        ns = [lo + round((hi - lo) * j / (m - 1)) for j in range(m)]  # lo .. hi
+    # the first round: the integers within _GUESS of where N ln p, linear
+    # between lo and hi, crosses the threshold
+    c_lo, c_hi = costs([lo, hi]).tolist()
+    guess = round(lo + (hi - lo) * (c_lo - math.log(threshold)) / (c_lo - c_hi))
+    ns = [lo, *range(max(lo + 1, guess - _GUESS), min(hi, guess + _GUESS + 1)), hi]
+    while len(ns) > 2:
         k = 1 + first_failure(ns[1:-1])
         lo, hi = ns[k - 1], ns[k]
+        m = min(_ROUND, hi - lo + 1)
+        ns = [lo + round((hi - lo) * j / (m - 1)) for j in range(m)]  # lo .. hi
     return lo
 
 

@@ -138,6 +138,24 @@ def test_custom_deficit_reuses_its_spike_moments(qdot, monkeypatch):
     assert deficits[0] == deficits[1]
 
 
+@pytest.mark.parametrize("name", ["photodetachment", "quantum-dot", "hydrogen"])
+def test_spike_moment_powers(name, monkeypatch):
+    # the spike moments take t^j by one cumulative product; numpy's t ** j
+    # on the same breakpoints gives every column to 1e-13 of itself
+    params, ff = preset(name)
+    breakpoints = []
+    quad_segments = quadrature.quad_segments
+    monkeypatch.setattr(quadrature, "quad_segments", lambda f, pts, **kw:
+                        breakpoints.append(pts) or quad_segments(f, pts, **kw))
+    val, _ = amplitude._spike_moments.__wrapped__(params, ff)
+    x0, _ = spectral_peak(params, ff)
+    j = np.arange(1, quadrature.MOMENT_ORDER + 1)
+    f = lambda t, k: (amplitude.spectral_density(params, ff, Offsets(x0, t))[:, None]
+                      * t[:, None] ** j)
+    want, _ = quad_segments(f, breakpoints[0], epsabs=0.0, columns=j.size)
+    assert np.abs(val / want.sum(axis=0) - 1.0).max() <= 1e-13
+
+
 def test_scaling_reduction(qdot):
     params, ff = qdot
     scaled = ModelParams(1.0, params.omega_ratio, params.coupling_sq)

@@ -174,13 +174,21 @@ def test_anti_zeno_deepens_with_observation_time(qdot, qdot_scales):
     assert rel[1] < rel[0]
 
 
-def test_n_epsilon_exact_boundary(qdot, qdot_scales):
-    params, ff = qdot
-    T = 1e-2 * qdot_scales.t_d
-    eps = 3e-3
+@pytest.mark.parametrize("name,ratio,eps", [
+    *(("quantum-dot", ratio, eps) for ratio in (1e-3, 1e-2, 1e-1)
+      for eps in (1e-2, 3e-3, 1e-3)),
+    ("photodetachment", 1e-2, 1e-3)])
+def test_n_epsilon_exact_boundary(name, ratio, eps):
+    # every n <= N passes, in one log_survival batch over n = 1..N, and N
+    # is the last to pass by repeated_measurement_survival, the
+    # benchmark's own check
+    params, ff = preset(name)
+    T = ratio * compute_timescales(params, ff).t_d
     n = n_epsilon(params, ff, T, eps)
     assert isinstance(n, int)
     threshold = (1 - eps) * repeated_measurement_survival(params, ff, T, 1)
+    ns = np.arange(1, n + 1)
+    assert (np.exp(ns * log_survival(params, ff, T / ns)) >= threshold).all()
     assert repeated_measurement_survival(params, ff, T, n) >= threshold
     assert repeated_measurement_survival(params, ff, T, n + 1) < threshold
 
@@ -501,14 +509,28 @@ def test_anti_zeno_search_is_a_few_batched_rounds(name, ratio, log_survival_call
 
 
 def test_n_epsilon_calls_share_their_fetches(qdot, qdot_scales, log_survival_calls):
-    # the calls at one T share a store: another accuracy walks the scan the
-    # first call fetched, and a repeated call fetches nothing
+    # the calls at one T share a store: the first fetches two scan chunks
+    # (N = 1 to 22, which pass, and 29 to 417, of which 29 fails) and its
+    # predicted round; another accuracy walks the scan the first call
+    # fetched and fetches only its own round; a repeated call fetches
+    # nothing
     T = 1e-2 * qdot_scales.t_d
     first = n_epsilon(*qdot, T, 1e-3)
-    assert len(log_survival_calls) > 2
+    assert first == 23 and len(log_survival_calls) == 3
     log_survival_calls.clear()
     n_epsilon(*qdot, T, 3e-3)
-    assert len(log_survival_calls) <= 2
+    assert len(log_survival_calls) == 1
     log_survival_calls.clear()
     assert n_epsilon(*qdot, T, 1e-3) == first
     assert len(log_survival_calls) == 0
+
+
+def test_n_epsilon_grid_call_budget(qdot, qdot_scales, log_survival_calls):
+    # the CLI's default neps grid at quantum-dot, from a cold store: its 21
+    # recorded answers in at most 35 log_survival calls (50 with scan
+    # fetches of 8 points and only evenly spread rounds)
+    got = [n_epsilon(*qdot, ratio * qdot_scales.t_d, eps)
+           for ratio, eps in _NEPS_GRID]
+    assert got == [241, 222, 216, 222, 227, 226, 225,
+                   65, 66, 68, 67, 68, 68, 68, *[23] * 7]
+    assert len(log_survival_calls) <= 35
